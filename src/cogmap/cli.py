@@ -14,8 +14,8 @@ from .metrics import LabeledPointSet, gdv
 from .neural import MlpConfig, train, predict_all, save_model, load_model
 from .pipeline import parse_config_file, resolve_config, run_pipeline, _gamma_tag
 from .projection import pairwise_euclidean, classical_mds
-from .sr import (build_transition_matrix, successor_matrix, normalize_rows,
-                 rollout_occupancy_oracle, save_sr_json, load_sr_json)
+from .sr import (build_transition_matrix, successor_matrix, rollout_occupancy_oracle,
+                 save_sr_json, load_sr_json)
 from .svg import render_svg
 
 

@@ -56,9 +56,10 @@ class EmbeddingTable:
 def load_embeddings(path):
     """Parse a vector-text file: header `<count> <dimension>`, then `<word> <v1> ... <vD>` lines.
 
-    Fields are separated by single spaces. Malformed headers, wrong component
-    counts, duplicates, non-finite components, and zero vectors are all
-    rejected with the offending line number.
+    Fields are separated by single spaces; trailing whitespace on a vector
+    line (common in fastText `.vec` files) is ignored. Malformed headers, wrong
+    component counts, duplicates, non-finite components, and zero vectors are
+    all rejected with the offending line number.
     """
     entries = {}
     with open(path, encoding="utf-8") as fh:
@@ -76,7 +77,7 @@ def load_embeddings(path):
             raise InputError(f"{path}: line 1: header needs count >= 0 and dimension >= 1")
 
         for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
+            line = line.rstrip()
             if not line:
                 continue
             fields = line.split(" ")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .projection import euclidean_distances
 
 
 @dataclass
@@ -82,8 +83,7 @@ def gdv(pointset):
             raise InputError(f"class {c!r} has {idx.size} point(s); GDV needs at least 2")
 
     scaled = zscore_half(pointset.points)
-    diffs = scaled[:, None, :] - scaled[None, :, :]
-    dist = np.sqrt((diffs * diffs).sum(axis=-1))
+    dist = euclidean_distances(scaled)
 
     intra = []
     for c in classes:

@@ -33,8 +33,8 @@ class MlpConfig:
             raise InputError("layer sizes must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InputError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
-        if self.learning_rate < 0.0:
-            raise InputError(f"learning rate must be non-negative, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise InputError(f"learning rate must be finite and non-negative, got {self.learning_rate}")
         if self.epochs < 1:
             raise InputError(f"epochs must be positive, got {self.epochs}")
         if self.batch_size < 1:

@@ -73,6 +73,9 @@ class PipelineConfig:
                 raise InputError(f"gamma {g} outside [0, 1]")
         if self.horizon < 0:
             raise InputError(f"horizon must be non-negative, got {self.horizon}")
+        tags = [_gamma_tag(g) for g in self.gammas]
+        if len(set(tags)) != len(tags):
+            raise InputError(f"gammas must be distinct, got {', '.join(tags)}")
 
 
 def parse_config_file(path):

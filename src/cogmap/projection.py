@@ -1,11 +1,12 @@
 """Classical (Torgerson) multidimensional scaling onto a low-dimensional plane.
 
 Double-centers the squared distance matrix, B = -1/2 J D^2 J with
-J = I - (1/n) 11^T, diagonalizes B with cyclic Jacobi rotations, and scales
-the top eigenvectors by the square roots of their (non-negative-clamped)
-eigenvalues. Deterministic: eigenvectors are sign-fixed so each coordinate
-column's largest-magnitude entry is positive. An optional SMACOF refinement
-pass (Guttman transform) is available but off by default.
+J = I - (1/n) 11^T, diagonalizes B with LAPACK's symmetric eigensolver
+(`numpy.linalg.eigh`), and scales the top eigenvectors by the square roots of
+their (non-negative-clamped) eigenvalues. Deterministic: eigenvectors are
+sign-fixed so each coordinate column's largest-magnitude entry is positive.
+An optional SMACOF refinement pass (Guttman transform) is available but off
+by default.
 """
 
 from dataclasses import dataclass
@@ -38,70 +39,26 @@ class Projection2D:
     stress: float
 
 
+def euclidean_distances(x):
+    """Exact n x n Euclidean distance matrix of the rows of `x`, filled one row at a time.
+
+    Each pair is computed once and written to both triangles, so symmetry is
+    exact and memory stays O(n^2 + nD).
+    """
+    n = len(x)
+    dist = np.zeros((n, n))
+    for i in range(n - 1):
+        diffs = x[i + 1:] - x[i]
+        dist[i, i + 1:] = dist[i + 1:, i] = np.sqrt((diffs * diffs).sum(axis=1))
+    return dist
+
+
 def pairwise_euclidean(points):
-    """Euclidean distance matrix; each pair computed once, so symmetry is exact."""
+    """Euclidean distance matrix of a set of points, as a validated DistanceMatrix."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise InputError("all points must share one dimension")
-    n = len(points)
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(np.linalg.norm(points[i] - points[j]))
-            values[i, j] = values[j, i] = d
-    return DistanceMatrix(n=n, values=values)
-
-
-def jacobi_eigh(a, tol=1e-12, max_sweeps=100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps row-major over the upper triangle, annihilating one off-diagonal
-    entry per rotation, until the off-diagonal Frobenius norm falls below
-    `tol` relative to the matrix norm. Returns (eigenvalues, eigenvectors)
-    with eigenvectors in columns, unsorted.
-    """
-    a = np.array(a, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T, rtol=0.0, atol=0.0):
-        raise InputError("Jacobi eigensolver needs a symmetric matrix")
-    v = np.eye(n)
-    scale = np.sqrt((a * a).sum())
-    if n < 2 or scale == 0.0:
-        return np.diag(a).copy(), v
-    for _ in range(max_sweeps):
-        off = np.sqrt(2.0 * (np.triu(a, k=1) ** 2).sum())
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return np.diag(a).copy(), v
-
-
-def _condensed_distances(points):
-    n = len(points)
-    iu, ju = np.triu_indices(n, k=1)
-    diffs = points[iu] - points[ju]
-    return np.sqrt((diffs * diffs).sum(axis=1))
+    return DistanceMatrix(n=len(points), values=euclidean_distances(points))
 
 
 def _guttman_refine(dist, coords, iterations):
@@ -109,8 +66,7 @@ def _guttman_refine(dist, coords, iterations):
     n = len(coords)
     x = coords.copy()
     for _ in range(iterations):
-        diffs = x[:, None, :] - x[None, :, :]
-        e = np.sqrt((diffs * diffs).sum(axis=-1))
+        e = euclidean_distances(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(e > 0.0, dist / np.where(e > 0.0, e, 1.0), 0.0)
         b = -ratio
@@ -137,7 +93,7 @@ def classical_mds(d, out_dim=2, smacof_iterations=0):
     centering = np.eye(n) - np.full((n, n), 1.0 / n)
     b = -0.5 * centering @ d2 @ centering
     b = 0.5 * (b + b.T)
-    evals, evecs = jacobi_eigh(b)
+    evals, evecs = np.linalg.eigh(b)
     order = np.argsort(-evals, kind="stable")[:out_dim]
     coords = evecs[:, order] * np.sqrt(np.maximum(evals[order], 0.0))[None, :]
     for col in range(out_dim):
@@ -147,8 +103,9 @@ def classical_mds(d, out_dim=2, smacof_iterations=0):
     if smacof_iterations > 0:
         coords = _guttman_refine(d.values, coords, int(smacof_iterations))
 
-    given = d.values[np.triu_indices(n, k=1)]
-    recovered = _condensed_distances(coords)
+    upper = np.triu_indices(n, k=1)
+    given = d.values[upper]
+    recovered = euclidean_distances(coords)[upper]
     denom = float((given * given).sum())
     stress = float(np.sqrt(((given - recovered) ** 2).sum() / denom)) if denom > 0.0 else 0.0
     return Projection2D(coordinates=coords, stress=stress)

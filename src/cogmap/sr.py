@@ -60,19 +60,6 @@ class SuccessorMatrix:
             raise InputError("successor entries must be non-negative")
 
 
-def cosine_similarity(a, b):
-    """cos(a, b) = (a.b)/(|a||b|); symmetric, in [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise InputError(f"dimension mismatch: {a.size} vs {b.size}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise InputError("cosine similarity undefined for a zero-norm vector")
-    return float(np.dot(a, b) / (na * nb))
-
-
 def build_transition_matrix(table, lex, zero_diagonal=False):
     """Clamp pairwise cosine similarities at 0 and row-normalize.
 
@@ -109,15 +96,6 @@ def successor_matrix(t, gamma, horizon):
             power = power @ t.values
             acc = acc + (gamma ** k) * power
     return SuccessorMatrix(n=t.n, gamma=gamma, horizon=horizon, values=acc)
-
-
-def normalize_rows(m):
-    """Divide each successor row by its sum, yielding per-state distributions."""
-    values = np.asarray(m.values, dtype=np.float64)
-    sums = values.sum(axis=1)
-    if np.any(sums <= 0.0):
-        raise InputError("cannot normalize a row with non-positive sum")
-    return values / sums[:, None]
 
 
 def rollout_occupancy_oracle(t, gamma, horizon, start, samples, seed):
@@ -169,19 +147,3 @@ def load_sr_json(path):
     if len(words) != m.n:
         raise InputError(f"{path}: state_words length does not match n")
     return m, words
-
-
-def save_transition_json(t, path):
-    """Transition envelope; gamma and horizon are null for a plain transition matrix."""
-    dump_json({"n": t.n, "gamma": None, "horizon": None,
-               "state_words": list(t.state_words), "values": t.values}, path)
-
-
-def load_transition_json(path):
-    doc = load_json(path)
-    try:
-        return TransitionMatrix(n=int(doc["n"]),
-                                values=np.array(doc["values"], dtype=np.float64),
-                                state_words=list(doc["state_words"]))
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"{path}: malformed transition envelope ({exc})") from None

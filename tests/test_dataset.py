@@ -72,6 +72,17 @@ def test_missing_word_lookup_is_error(tmp_path):
         table["ghost"]
 
 
+def test_trailing_spaces_load_like_clean_file(tmp_path):
+    clean = "3 2\napple 1 0.5\ncar -2 1e-3\ndog 0 7\n"
+    trailing = "".join(line + " \n" if i else line + "\n"
+                       for i, line in enumerate(clean.splitlines()))
+    a = load_embeddings(write(tmp_path / "clean.txt", clean))
+    b = load_embeddings(write(tmp_path / "trailing.vec", trailing))
+    assert b.dimension == a.dimension and b.words == a.words
+    for word in a.words:
+        np.testing.assert_array_equal(b[word], a[word])
+
+
 def test_embedding_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(7)
     entries = {f"w{i}": rng.standard_normal(5) * 10.0 ** rng.integers(-12, 12)

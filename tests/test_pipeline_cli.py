@@ -145,6 +145,16 @@ def test_resolve_parses_gammas_and_bools():
         resolve_config({"gammas": ","})
 
 
+@pytest.mark.parametrize("gammas", ["0.5,0.5", "1,1.0"])
+def test_cli_run_duplicate_gammas_is_input_error(tiny, tmp_path, capsys, gammas):
+    # equal tags name the same artifact files, so one run would overwrite another
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", "--config", tiny["cfg"],
+                           "--gammas", gammas, "--out-dir", out_dir)
+    assert code == 1 and "distinct" in err
+    assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+
 def test_config_hash_is_stable_sha256():
     a = resolve_config()
     b = resolve_config()
@@ -420,6 +430,13 @@ def test_cli_missing_input_file_is_input_error(tiny, tmp_path, capsys):
                            "--embeddings", tmp_path / "nope.txt",
                            "--out-dir", tmp_path / "out")
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_cli_nonfinite_learning_rate_is_input_error(tiny, tmp_path, capsys, rate):
+    code, _, err = run_cli(capsys, "run", "--config", tiny["cfg"],
+                           "--learning-rate", rate, "--out-dir", tmp_path / "out")
+    assert code == 1 and "learning rate" in err
 
 
 def test_cli_internal_error_exit_code(tiny, tmp_path, capsys, monkeypatch):

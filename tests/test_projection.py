@@ -1,4 +1,4 @@
-"""Pairwise distances, the Jacobi eigensolver, and classical MDS."""
+"""Pairwise distances and classical MDS."""
 
 import math
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from cogmap.errors import InputError
-from cogmap.projection import (DistanceMatrix, classical_mds, jacobi_eigh,
-                               pairwise_euclidean)
+from cogmap.projection import DistanceMatrix, classical_mds, pairwise_euclidean
 
 
 def condensed(points):
@@ -30,6 +29,16 @@ def test_pairwise_collinear():
     np.testing.assert_array_equal(d.values, expected)
 
 
+def test_pairwise_matches_broadcast_reference_exactly():
+    # nearly coincident points included: no digits may be lost to cancellation
+    rng = np.random.default_rng(5)
+    points = rng.standard_normal((25, 7))
+    points[1] = points[0] + 1e-9
+    diffs = points[:, None, :] - points[None, :, :]
+    expected = np.sqrt((diffs * diffs).sum(axis=-1))
+    np.testing.assert_array_equal(pairwise_euclidean(points).values, expected)
+
+
 def test_distance_matrix_validation():
     with pytest.raises(InputError, match="symmetric"):
         DistanceMatrix(n=2, values=np.array([[0.0, 1.0], [2.0, 0.0]]))
@@ -39,31 +48,6 @@ def test_distance_matrix_validation():
         DistanceMatrix(n=2, values=np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(InputError, match="2x2"):
         DistanceMatrix(n=2, values=np.zeros((3, 3)))
-
-
-# ------------------------------------------------------------------ jacobi
-
-def test_jacobi_matches_lapack():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        raw = rng.standard_normal((8, 8))
-        a = raw + raw.T
-        evals, evecs = jacobi_eigh(a)
-        np.testing.assert_allclose(np.sort(evals), np.linalg.eigvalsh(a), atol=1e-9)
-        np.testing.assert_allclose(evecs.T @ evecs, np.eye(8), atol=1e-9)
-        np.testing.assert_allclose(evecs @ np.diag(evals) @ evecs.T, a, atol=1e-9)
-
-
-def test_jacobi_diagonal_matrix_is_fixed_point():
-    a = np.diag([3.0, -1.0, 2.0])
-    evals, evecs = jacobi_eigh(a)
-    np.testing.assert_array_equal(evals, [3.0, -1.0, 2.0])
-    np.testing.assert_array_equal(evecs, np.eye(3))
-
-
-def test_jacobi_rejects_asymmetric():
-    with pytest.raises(InputError, match="symmetric"):
-        jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 # --------------------------------------------------------------------- MDS

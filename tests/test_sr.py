@@ -7,10 +7,8 @@ import pytest
 
 from cogmap.dataset import EmbeddingTable, Lexicon
 from cogmap.errors import InputError
-from cogmap.sr import (SuccessorMatrix, TransitionMatrix, build_transition_matrix,
-                       cosine_similarity, load_sr_json, load_transition_json,
-                       normalize_rows, rollout_occupancy_oracle, save_sr_json,
-                       save_transition_json, successor_matrix)
+from cogmap.sr import (TransitionMatrix, build_transition_matrix, load_sr_json,
+                       rollout_occupancy_oracle, save_sr_json, successor_matrix)
 
 
 def chain_from_gram(gram, words=None, categories=None):
@@ -25,20 +23,6 @@ def chain_from_gram(gram, words=None, categories=None):
     lex = Lexicon(training=list(zip(words, categories)), validation=[],
                   categories=sorted(set(categories), key=categories.index))
     return build_transition_matrix(table, lex)
-
-
-# ----------------------------------------------------------------- cosine
-
-def test_cosine_known_angle():
-    a = np.array([1.0, 1.0])
-    b = np.array([1.0, 0.0])
-    assert cosine_similarity(a, b) == pytest.approx(0.7071067811865475, abs=1e-15)
-
-
-def test_cosine_scale_invariant():
-    rng = np.random.default_rng(0)
-    a, b = rng.standard_normal(6), rng.standard_normal(6)
-    assert cosine_similarity(3.0 * a, b) == pytest.approx(cosine_similarity(a, b), abs=1e-12)
 
 
 # ------------------------------------------------------------- transition
@@ -126,15 +110,6 @@ def test_horizon_recursion():
                                    atol=1e-9)
 
 
-def test_normalize_rows_exact():
-    m = SuccessorMatrix(n=2, gamma=0.5, horizon=2,
-                        values=np.array([[1.25, 0.5], [0.5, 1.25]]))
-    normed = normalize_rows(m)
-    np.testing.assert_allclose(
-        normed, [[0.7142857142857143, 0.2857142857142857],
-                 [0.2857142857142857, 0.7142857142857143]], atol=1e-15)
-
-
 def test_successor_matrix_validates_parameters():
     t = flip_chain()
     with pytest.raises(InputError):
@@ -186,15 +161,6 @@ def test_sr_json_roundtrip(tmp_path):
     assert words == t.state_words
     assert back.gamma == 0.3 and back.horizon == 5
     np.testing.assert_array_equal(back.values, m.values)
-
-
-def test_transition_json_roundtrip(tmp_path):
-    t = chain_from_gram([[1.0, 0.8, 0.2], [0.8, 1.0, 0.5], [0.2, 0.5, 1.0]])
-    p = tmp_path / "t.json"
-    save_transition_json(t, p)
-    back = load_transition_json(p)
-    assert back.state_words == t.state_words
-    np.testing.assert_array_equal(back.values, t.values)
 
 
 def test_sr_json_is_plain_json(tmp_path):
