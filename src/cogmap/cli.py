@@ -6,13 +6,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import load_embeddings, load_lexicon, build_examples
+from .dataset import build_examples
 from .errors import InputError
 from .fileio import (dump_json, format_float, load_labeled_points_csv,
                      save_labeled_points_csv, save_matrix_csv)
 from .metrics import LabeledPointSet, gdv
-from .neural import MlpConfig, train, predict_all, save_model, load_model
-from .pipeline import parse_config_file, resolve_config, run_pipeline, _gamma_tag
+from .neural import train, predict_all, save_model, load_model
+from .pipeline import (CONFIG_FIELDS, labeled_words, load_inputs, parse_config_file,
+                       resolve_config, run_pipeline, _gamma_tag)
 from .projection import pairwise_euclidean, classical_mds
 from .sr import (build_transition_matrix, successor_matrix, rollout_occupancy_oracle,
                  save_sr_json, load_sr_json)
@@ -27,30 +28,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _resolved(args, **extra):
     file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    overrides = {}
-    for key in ("embeddings", "lexicon", "seed", "horizon", "hidden_dim", "dropout_rate",
-                "learning_rate", "epochs", "batch_size", "momentum", "smacof_iterations"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            overrides[key] = str(getattr(args, key))
-    if getattr(args, "output_dir", None) is not None:
-        overrides["output_dir"] = args.output_dir
-    if getattr(args, "gammas", None) is not None:
-        overrides["gammas"] = args.gammas
-    if getattr(args, "zero_diagonal", False):
-        overrides["zero_diagonal"] = "true"
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in CONFIG_FIELDS and value is not None}
     overrides.update(extra)
     return resolve_config(file_values, overrides)
 
 
-def _load_inputs(config):
-    table = load_embeddings(config.embeddings_path)
-    lex = load_lexicon(config.lexicon_path)
-    return table, lex
-
-
 def _cmd_build_sr(args):
     config = _resolved(args, **({"gammas": str(args.gamma)} if args.gamma is not None else {}))
-    table, lex = _load_inputs(config)
+    table, lex = load_inputs(config)
     transition = build_transition_matrix(table, lex, zero_diagonal=config.zero_diagonal)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -68,17 +54,13 @@ def _cmd_build_sr(args):
 
 def _cmd_train(args):
     config = _resolved(args)
-    table, lex = _load_inputs(config)
+    table, lex = load_inputs(config)
     sr, state_words = load_sr_json(args.sr)
     if state_words != lex.train_words:
         raise InputError("successor-matrix state words do not match the lexicon training order")
     examples = build_examples(table, lex, sr, "train")
-    mlp_config = MlpConfig(input_dim=table.dimension, output_dim=lex.n_states,
-                           hidden_dim=config.hidden_dim, dropout_rate=config.dropout_rate,
-                           learning_rate=config.learning_rate, epochs=config.epochs,
-                           batch_size=config.batch_size, momentum=config.momentum,
-                           seed=config.seed)
-    model, report = train(mlp_config, examples)
+    model, report = train(config.mlp_config(table.dimension, lex.n_states, config.seed),
+                          examples)
     save_model(model, args.out)
     print(f"wrote {args.out} (first-epoch loss {report.loss_per_epoch[0]:.6f}, "
           f"final loss {report.final_train_loss:.6f})")
@@ -87,18 +69,9 @@ def _cmd_train(args):
 
 def _cmd_predict(args):
     config = _resolved(args)
-    table, lex = _load_inputs(config)
+    table, lex = load_inputs(config)
     model = load_model(args.model)
-    if args.split == "train":
-        words, labels = lex.train_words, lex.train_categories
-        splits = ["train"] * len(words)
-    elif args.split == "validation":
-        words, labels = lex.validation_words, lex.validation_categories
-        splits = ["validation"] * len(words)
-    else:
-        words = lex.train_words + lex.validation_words
-        labels = lex.train_categories + lex.validation_categories
-        splits = ["train"] * lex.n_states + ["validation"] * len(lex.validation)
+    words, labels, splits = labeled_words(lex, args.split)
     predictions = predict_all(model, table, words)
     save_labeled_points_csv(args.out, words, labels, splits, predictions)
     print(f"wrote {args.out} ({len(words)} distributions over {model.config.output_dim} states)")
@@ -112,10 +85,7 @@ def _cmd_project(args):
                                smacof_iterations=config.smacof_iterations)
     save_labeled_points_csv(args.out_csv, words, labels, splits, projection.coordinates,
                             component_names=("x", "y"))
-    categories = []
-    for label in labels:
-        if label not in categories:
-            categories.append(label)
+    categories = list(dict.fromkeys(labels))  # first-appearance order
     render_svg(projection.coordinates, words, labels, splits, categories, args.out_svg)
     print(f"wrote {args.out_csv} and {args.out_svg} (stress {projection.stress:.6g})")
     return 0
@@ -151,7 +121,7 @@ def _cmd_run(args):
 
 def _cmd_oracle(args):
     config = _resolved(args)
-    table, lex = _load_inputs(config)
+    table, lex = load_inputs(config)
     transition = build_transition_matrix(table, lex, zero_diagonal=config.zero_diagonal)
     try:
         start = int(args.start)
@@ -196,7 +166,7 @@ def build_parser():
     p.add_argument("--gamma", type=float, help="single scale (default: config gammas)")
     p.add_argument("--horizon", type=int)
     p.add_argument("--zero-diagonal", dest="zero_diagonal", action="store_true",
-                   help="drop self-transitions before normalizing")
+                   default=None, help="drop self-transitions before normalizing")
     p.add_argument("--out-dir", dest="output_dir")
     p.set_defaults(func=_cmd_build_sr)
 
@@ -233,7 +203,8 @@ def build_parser():
     _add_mlp_flags(p)
     p.add_argument("--gammas", help="comma-separated scales, e.g. 1.0,0.3")
     p.add_argument("--horizon", type=int)
-    p.add_argument("--zero-diagonal", dest="zero_diagonal", action="store_true")
+    p.add_argument("--zero-diagonal", dest="zero_diagonal", action="store_true",
+                   default=None)
     p.add_argument("--smacof-iterations", dest="smacof_iterations", type=int)
     p.add_argument("--out-dir", dest="output_dir")
     p.set_defaults(func=_cmd_run)
@@ -246,7 +217,8 @@ def build_parser():
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--compare", action="store_true",
                    help="also print the closed-form row and the max deviation")
-    p.add_argument("--zero-diagonal", dest="zero_diagonal", action="store_true")
+    p.add_argument("--zero-diagonal", dest="zero_diagonal", action="store_true",
+                   default=None)
     p.add_argument("--out", help="optional CSV path for the estimate")
     p.set_defaults(func=_cmd_oracle)
 

@@ -2,8 +2,10 @@
 
 Architecture: input -> inverted dropout -> hidden ReLU layer -> softmax output.
 Trained with softmax cross-entropy against normalized successor rows, plain
-SGD with momentum, analytic backprop. Everything is driven by one seeded
-generator so a (config, examples) pair determines the trained model bitwise.
+SGD with momentum, analytic backprop. One batched pass, `_forward_backward`,
+serves training, inference and the gradient check. Everything is driven by
+one seeded generator so a (config, examples) pair determines the trained
+model bitwise.
 """
 
 from dataclasses import dataclass, asdict
@@ -20,13 +22,13 @@ LOG_CLAMP = 1e-12
 class MlpConfig:
     input_dim: int
     output_dim: int
-    hidden_dim: int = 128
-    dropout_rate: float = 0.8
-    learning_rate: float = 1e-5
-    epochs: int = 500
-    batch_size: int = 20
-    momentum: float = 0.9
-    seed: int = 0
+    hidden_dim: int
+    dropout_rate: float
+    learning_rate: float
+    epochs: int
+    batch_size: int
+    momentum: float
+    seed: int
 
     def __post_init__(self):
         if self.input_dim < 1 or self.hidden_dim < 1 or self.output_dim < 1:
@@ -79,61 +81,47 @@ def _softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward(model, x, mode="inference", mask=None):
-    """Single-vector forward pass: softmax(w2 relu(w1 dropout(x) + b1) + b2).
-
-    In "train-with-mask" mode the given dropout mask is applied with the
-    inverted-dropout convention (survivors scaled by 1/(1-rate)); inference
-    mode leaves the input untouched.
-    """
-    cfg = model.config
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (cfg.input_dim,):
-        raise InputError(f"input has {x.size} components, expected {cfg.input_dim}")
-    if mode in ("train", "train-with-mask"):
-        if mask is None:
-            raise InputError("train mode requires a dropout mask")
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != x.shape:
-            raise InputError("dropout mask shape must match the input")
-        x = x * mask / (1.0 - cfg.dropout_rate)
-    elif mode != "inference":
-        raise InputError(f"unknown forward mode {mode!r}")
-    h = np.maximum(model.w1 @ x + model.b1, 0.0)
-    return _softmax(model.w2 @ h + model.b2)
-
-
 def loss(prediction, target):
-    """Cross-entropy -sum t_j ln p_j with predictions clamped at 1e-12."""
+    """Cross-entropy -sum t_j ln p_j over the last axis, predictions clamped at 1e-12."""
     prediction = np.asarray(prediction, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    return float(-np.sum(target * np.log(np.maximum(prediction, LOG_CLAMP))))
+    return -np.sum(target * np.log(np.maximum(prediction, LOG_CLAMP)), axis=-1)
 
 
-def loss_gradients(model, x, target):
-    """Analytic cross-entropy gradients for one example with dropout disabled."""
-    x = np.asarray(x, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    z1 = model.w1 @ x + model.b1
+def _forward_backward(model, x, target=None, mask=None):
+    """Batched pass over the rows of x: (predictions, per-row losses, gradients).
+
+    Predictions are softmax(w2 relu(w1 x + b1) + b2). A 0/1 `mask` applies
+    inverted dropout (survivors scaled by 1/(1-rate)). With a target, the
+    gradients are those of the mean loss over the rows; without one, losses
+    and gradients are None.
+    """
+    if mask is not None:
+        x = x * mask / (1.0 - model.config.dropout_rate)
+    z1 = x @ model.w1.T + model.b1
     h = np.maximum(z1, 0.0)
-    p = _softmax(model.w2 @ h + model.b2)
-    dz2 = p - target
-    dh = model.w2.T @ dz2
-    dz1 = dh * (z1 > 0)
-    return {"w1": np.outer(dz1, x), "b1": dz1, "w2": np.outer(dz2, h), "b2": dz2}
+    p = _softmax(h @ model.w2.T + model.b2)
+    if target is None:
+        return p, None, None
+    dz2 = (p - target) / len(x)
+    dz1 = (dz2 @ model.w2) * (z1 > 0)
+    grads = {"w2": dz2.T @ h, "b2": dz2.sum(axis=0),
+             "w1": dz1.T @ x, "b1": dz1.sum(axis=0)}
+    return p, loss(p, target), grads
 
 
 def gradient_check(config, example, epsilon=1e-5):
     """Max relative error of analytic vs central finite-difference gradients.
 
-    Runs on a freshly initialized model with dropout disabled; the error for
-    each parameter is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    Runs `_forward_backward` on a freshly initialized model with dropout
+    disabled; the error for each parameter is
+    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
     """
     x, target = example
-    x = np.asarray(x, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)[None, :]
+    target = np.asarray(target, dtype=np.float64)[None, :]
     model = init_model(config)
-    grads = loss_gradients(model, x, target)
+    _, _, grads = _forward_backward(model, x, target)
     worst = 0.0
     for name in ("w1", "b1", "w2", "b2"):
         param = getattr(model, name).ravel()
@@ -141,9 +129,9 @@ def gradient_check(config, example, epsilon=1e-5):
         for i in range(param.size):
             orig = param[i]
             param[i] = orig + epsilon
-            hi = loss(forward(model, x), target)
+            hi = _forward_backward(model, x, target)[1][0]
             param[i] = orig - epsilon
-            lo = loss(forward(model, x), target)
+            lo = _forward_backward(model, x, target)[1][0]
             param[i] = orig
             numeric = (hi - lo) / (2.0 * epsilon)
             err = abs(grad[i] - numeric) / max(1e-8, abs(grad[i]) + abs(numeric))
@@ -173,7 +161,6 @@ def train(config, examples):
     model = _init_params(config, rng)
     vel = {"w1": np.zeros_like(model.w1), "b1": np.zeros_like(model.b1),
            "w2": np.zeros_like(model.w2), "b2": np.zeros_like(model.b2)}
-    keep = 1.0 - config.dropout_rate
     inputs, targets = examples.inputs, examples.targets
     losses = []
 
@@ -183,25 +170,11 @@ def train(config, examples):
         for lo in range(0, n, config.batch_size):
             idx = order[lo:lo + config.batch_size]
             xb = inputs[idx]
-            tb = targets[idx]
             mask = (rng.random(xb.shape) >= config.dropout_rate).astype(np.float64)
-            xs = xb * mask / keep
-
-            z1 = xs @ model.w1.T + model.b1
-            h = np.maximum(z1, 0.0)
-            p = _softmax(h @ model.w2.T + model.b2)
-            example_losses = -np.sum(tb * np.log(np.maximum(p, LOG_CLAMP)), axis=1)
-            batch_loss = float(example_losses.mean())
-            if not np.isfinite(batch_loss):
+            _, example_losses, grads = _forward_backward(model, xb, targets[idx], mask)
+            if not np.isfinite(example_losses.mean()):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             loss_sum += float(example_losses.sum())
-
-            m = len(idx)
-            dz2 = (p - tb) / m
-            grads = {"w2": dz2.T @ h, "b2": dz2.sum(axis=0)}
-            dz1 = (dz2 @ model.w2) * (z1 > 0)
-            grads["w1"] = dz1.T @ xs
-            grads["b1"] = dz1.sum(axis=0)
             for name, g in grads.items():
                 vel[name] = config.momentum * vel[name] - config.learning_rate * g
                 param = getattr(model, name)
@@ -224,8 +197,7 @@ def predict_all(model, table, words):
     vecs = np.stack([table[w] for w in words])
     if vecs.shape[1] != cfg.input_dim:
         raise InputError(f"embeddings have dim {vecs.shape[1]}, model expects {cfg.input_dim}")
-    h = np.maximum(vecs @ model.w1.T + model.b1, 0.0)
-    return _softmax(h @ model.w2.T + model.b2)
+    return _forward_backward(model, vecs)[0]
 
 
 def save_model(model, path):

@@ -11,8 +11,10 @@ the two generally differ.
 import hashlib
 import json
 import os
+import shutil
+import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,29 +32,14 @@ from .svg import render_svg
 
 OUTPUT_DIR_ENV = "COGMAP_OUTPUT_DIR"
 
-CONFIG_DEFAULTS = {
-    "embeddings": "data/embeddings_300d.txt",
-    "lexicon": "data/lexicon.csv",
-    "output_dir": "out",
-    "gammas": "1.0,0.3",
-    "horizon": "5",
-    "seed": "1234",
-    "hidden_dim": "128",
-    "dropout_rate": "0.8",
-    "learning_rate": "1e-5",
-    "epochs": "500",
-    "batch_size": "20",
-    "momentum": "0.9",
-    "zero_diagonal": "false",
-    "smacof_iterations": "0",
-}
-
 
 @dataclass
 class PipelineConfig:
-    embeddings_path: str
-    lexicon_path: str
-    output_dir: str
+    """Every pipeline setting; the field defaults are the built-in defaults."""
+
+    embeddings_path: str = "data/embeddings_300d.txt"
+    lexicon_path: str = "data/lexicon.csv"
+    output_dir: str = "out"
     gammas: list = field(default_factory=lambda: [1.0, 0.3])
     horizon: int = 5
     seed: int = 1234
@@ -76,6 +63,23 @@ class PipelineConfig:
         tags = [_gamma_tag(g) for g in self.gammas]
         if len(set(tags)) != len(tags):
             raise InputError(f"gammas must be distinct, got {', '.join(tags)}")
+        if self.smacof_iterations < 0:
+            raise InputError(f"smacof iterations must be non-negative, "
+                             f"got {self.smacof_iterations}")
+        # network settings fail here, before any stage reads or writes a file
+        self.mlp_config(1, 1, self.seed)
+
+    def mlp_config(self, input_dim, output_dim, seed):
+        """The network configuration for one training run."""
+        return MlpConfig(input_dim=input_dim, output_dim=output_dim,
+                         hidden_dim=self.hidden_dim, dropout_rate=self.dropout_rate,
+                         learning_rate=self.learning_rate, epochs=self.epochs,
+                         batch_size=self.batch_size, momentum=self.momentum, seed=seed)
+
+
+# config key -> PipelineConfig field: the field name, or a short name for the input paths
+_PATH_KEYS = {"embeddings_path": "embeddings", "lexicon_path": "lexicon"}
+CONFIG_FIELDS = {_PATH_KEYS.get(f.name, f.name): f for f in fields(PipelineConfig)}
 
 
 def parse_config_file(path):
@@ -90,24 +94,34 @@ def parse_config_file(path):
                 raise InputError(f"{path}: line {lineno}: expected key=value")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in CONFIG_DEFAULTS:
+            if key not in CONFIG_FIELDS:
                 raise InputError(f"{path}: line {lineno}: unknown config key {key!r}")
             values[key] = value.strip()
     return values
 
 
-def _parse_bool(text, key):
-    lowered = text.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise InputError(f"config key {key} expects a boolean, got {text!r}")
+def _parse_value(text, kind, key):
+    if kind is list:
+        try:
+            return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError:
+            raise InputError(f"cannot parse {key} {text!r}") from None
+    if kind is bool:
+        lowered = text.lower()
+        if lowered in ("true", "1", "yes", "on"):
+            return True
+        if lowered in ("false", "0", "no", "off"):
+            return False
+        raise InputError(f"config key {key} expects a boolean, got {text!r}")
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise InputError(f"bad config value: {exc}") from None
 
 
 def resolve_config(file_values=None, overrides=None):
     """Layer defaults < COGMAP_OUTPUT_DIR env < config file < explicit overrides."""
-    raw = dict(CONFIG_DEFAULTS)
+    raw = {}
     env_out = os.environ.get(OUTPUT_DIR_ENV)
     if env_out:
         raw["output_dir"] = env_out
@@ -115,32 +129,11 @@ def resolve_config(file_values=None, overrides=None):
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in raw:
+        if key not in CONFIG_FIELDS:
             raise InputError(f"unknown config key {key!r}")
         raw[key] = value if isinstance(value, str) else str(value)
-    try:
-        gammas = [float(tok) for tok in raw["gammas"].split(",") if tok.strip() != ""]
-    except ValueError:
-        raise InputError(f"cannot parse gammas {raw['gammas']!r}") from None
-    try:
-        return PipelineConfig(
-            embeddings_path=raw["embeddings"],
-            lexicon_path=raw["lexicon"],
-            output_dir=raw["output_dir"],
-            gammas=gammas,
-            horizon=int(raw["horizon"]),
-            seed=int(raw["seed"]),
-            hidden_dim=int(raw["hidden_dim"]),
-            dropout_rate=float(raw["dropout_rate"]),
-            learning_rate=float(raw["learning_rate"]),
-            epochs=int(raw["epochs"]),
-            batch_size=int(raw["batch_size"]),
-            momentum=float(raw["momentum"]),
-            zero_diagonal=_parse_bool(raw["zero_diagonal"], "zero_diagonal"),
-            smacof_iterations=int(raw["smacof_iterations"]),
-        )
-    except ValueError as exc:
-        raise InputError(f"bad config value: {exc}") from None
+    return PipelineConfig(**{f.name: _parse_value(raw[key], f.type, key)
+                             for key, f in CONFIG_FIELDS.items() if key in raw})
 
 
 def config_hash(config):
@@ -165,38 +158,51 @@ def _gamma_tag(gamma):
     return str(float(gamma))
 
 
+def load_inputs(config):
+    """Load stage: the embedding table and lexicon, every lexicon word checked."""
+    table = load_embeddings(config.embeddings_path)
+    lex = load_lexicon(config.lexicon_path)
+    for word in lex.train_words + lex.validation_words:
+        if word not in table:
+            raise InputError(f"lexicon word {word!r} missing from embedding table")
+    return table, lex
+
+
+def labeled_words(lex, split="all"):
+    """(words, categories, split names) of one lexicon split, or of both, training first."""
+    words, labels, splits = [], [], []
+    for name, names, categories in (("train", lex.train_words, lex.train_categories),
+                                    ("validation", lex.validation_words,
+                                     lex.validation_categories)):
+        if split in (name, "all"):
+            words += names
+            labels += categories
+            splits += [name] * len(names)
+    return words, labels, splits
+
+
 def run_pipeline(config):
     """Run every stage for every gamma; returns the manifest dict it also writes.
 
     Artifacts land in config.output_dir under the fixed names transition.csv,
     sr_gamma_<g>.csv, model_gamma_<g>.json, predictions_gamma_<g>.csv,
     projection_gamma_<g>.csv, map_gamma_<g>.svg, gdv_gamma_<g>.json, and
-    manifest.json. Partial outputs are removed if any stage fails.
+    manifest.json. They are written to a staging directory inside
+    output_dir and moved into place, manifest.json last, only once every
+    stage has succeeded; a failed run leaves output_dir as it found it.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    created = []
-
-    def target(name):
-        path = out_dir / name
-        created.append(path)
-        return path
-
+    staging = Path(tempfile.mkdtemp(dir=out_dir))
     try:
         with _stage("load"):
-            table = load_embeddings(config.embeddings_path)
-            lex = load_lexicon(config.lexicon_path)
-            for word in lex.train_words + lex.validation_words:
-                if word not in table:
-                    raise InputError(f"lexicon word {word!r} missing from embedding table")
+            table, lex = load_inputs(config)
 
         with _stage("transition"):
             transition = build_transition_matrix(table, lex, zero_diagonal=config.zero_diagonal)
-            save_matrix_csv(transition.values, target("transition.csv"))
+            save_matrix_csv(transition.values, staging / "transition.csv")
 
-        words = lex.train_words + lex.validation_words
-        labels = lex.train_categories + lex.validation_categories
-        splits = ["train"] * lex.n_states + ["validation"] * len(lex.validation)
+        words, labels, splits = labeled_words(lex)
         runs = []
         for index, gamma in enumerate(config.gammas):
             tag = _gamma_tag(gamma)
@@ -204,21 +210,17 @@ def run_pipeline(config):
 
             with _stage(f"sr gamma={tag}"):
                 sr = successor_matrix(transition, gamma, config.horizon)
-                save_matrix_csv(sr.values, target(f"sr_gamma_{tag}.csv"))
+                save_matrix_csv(sr.values, staging / f"sr_gamma_{tag}.csv")
 
             with _stage(f"train gamma={tag}"):
                 examples = build_examples(table, lex, sr, "train")
-                mlp_config = MlpConfig(
-                    input_dim=table.dimension, output_dim=lex.n_states,
-                    hidden_dim=config.hidden_dim, dropout_rate=config.dropout_rate,
-                    learning_rate=config.learning_rate, epochs=config.epochs,
-                    batch_size=config.batch_size, momentum=config.momentum, seed=seed)
-                model, report = train(mlp_config, examples)
-                save_model(model, target(f"model_gamma_{tag}.json"))
+                model, report = train(config.mlp_config(table.dimension, lex.n_states, seed),
+                                      examples)
+                save_model(model, staging / f"model_gamma_{tag}.json")
 
             with _stage(f"predict gamma={tag}"):
                 predictions = predict_all(model, table, words)
-                save_labeled_points_csv(target(f"predictions_gamma_{tag}.csv"),
+                save_labeled_points_csv(staging / f"predictions_gamma_{tag}.csv",
                                         words, labels, splits, predictions)
 
             with _stage(f"gdv gamma={tag}"):
@@ -227,11 +229,11 @@ def run_pipeline(config):
             with _stage(f"project gamma={tag}"):
                 projection = classical_mds(pairwise_euclidean(predictions), out_dim=2,
                                            smacof_iterations=config.smacof_iterations)
-                save_labeled_points_csv(target(f"projection_gamma_{tag}.csv"),
+                save_labeled_points_csv(staging / f"projection_gamma_{tag}.csv",
                                         words, labels, splits, projection.coordinates,
                                         component_names=("x", "y"))
                 render_svg(projection.coordinates, words, labels, splits,
-                           lex.categories, target(f"map_gamma_{tag}.svg"))
+                           lex.categories, staging / f"map_gamma_{tag}.svg")
                 planar_reports = _split_gdvs(projection.coordinates, labels, splits)
 
             gdv_doc = {
@@ -239,7 +241,7 @@ def run_pipeline(config):
                 "prediction_space": {k: r.to_dict() for k, r in raw_reports.items()},
                 "projection_2d": {k: r.to_dict() for k, r in planar_reports.items()},
             }
-            dump_json(gdv_doc, target(f"gdv_gamma_{tag}.json"))
+            dump_json(gdv_doc, staging / f"gdv_gamma_{tag}.json")
 
             runs.append({
                 "gamma": float(gamma),
@@ -267,14 +269,14 @@ def run_pipeline(config):
             "transition_csv": "transition.csv",
             "runs": runs,
         }
-        with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
+        with open(staging / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
+        for path in sorted(staging.iterdir(), key=lambda p: p.name == "manifest.json"):
+            os.replace(path, out_dir / path.name)
         return manifest
-    except Exception:
-        for path in created:
-            path.unlink(missing_ok=True)
-        raise
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _split_gdvs(points, labels, splits):

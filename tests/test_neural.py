@@ -1,4 +1,4 @@
-"""MLP configuration, forward/backward passes, training loop, and checkpoints."""
+"""MLP configuration, the batched forward/backward pass, training loop, and checkpoints."""
 
 import math
 
@@ -7,9 +7,9 @@ import pytest
 
 from cogmap.dataset import EmbeddingTable, ExampleSet
 from cogmap.errors import InputError, TrainingError
-from cogmap.neural import (MlpConfig, MlpModel, forward, gradient_check,
-                           init_model, load_model, loss, loss_gradients,
-                           predict_all, save_model, train)
+from cogmap.neural import (MlpConfig, MlpModel, _forward_backward, gradient_check,
+                           init_model, load_model, loss, predict_all, save_model,
+                           train)
 
 
 def small_config(**overrides):
@@ -81,9 +81,15 @@ def test_init_is_seeded_glorot():
 
 # ----------------------------------------------------------------- forward
 
+def predictions(model, x, mask=None):
+    """Forward pass of a single input vector."""
+    return _forward_backward(model, np.asarray(x)[None, :],
+                             mask=None if mask is None else np.asarray(mask)[None, :])[0][0]
+
+
 def test_zero_model_predicts_uniform():
     cfg = small_config()
-    p = forward(zero_model(cfg), np.ones(cfg.input_dim))
+    p = predictions(zero_model(cfg), np.ones(cfg.input_dim))
     np.testing.assert_allclose(p, np.full(cfg.output_dim, 1.0 / cfg.output_dim),
                                atol=1e-15)
 
@@ -95,27 +101,23 @@ def test_all_ones_mask_matches_scaled_input():
     cfg = small_config(dropout_rate=0.8, seed=3)
     model = init_model(cfg)
     x = np.random.default_rng(5).standard_normal(cfg.input_dim)
-    masked = forward(model, x, mode="train-with-mask", mask=np.ones(cfg.input_dim))
-    np.testing.assert_allclose(masked, forward(model, 5.0 * x), rtol=1e-12)
+    masked = predictions(model, x, mask=np.ones(cfg.input_dim))
+    np.testing.assert_allclose(masked, predictions(model, 5.0 * x), rtol=1e-12)
 
 
 def test_zero_mask_drops_everything():
     cfg = small_config(dropout_rate=0.5, seed=3)
     model = init_model(cfg)
     x = np.full(cfg.input_dim, 2.0)
-    dropped = forward(model, x, mode="train", mask=np.zeros(cfg.input_dim))
-    np.testing.assert_array_equal(dropped, forward(model, np.zeros(cfg.input_dim)))
+    dropped = predictions(model, x, mask=np.zeros(cfg.input_dim))
+    np.testing.assert_array_equal(dropped, predictions(model, np.zeros(cfg.input_dim)))
 
 
-def test_forward_input_validation():
-    cfg = small_config()
-    model = init_model(cfg)
-    with pytest.raises(InputError, match="expected 4"):
-        forward(model, np.ones(7))
-    with pytest.raises(InputError, match="mask"):
-        forward(model, np.ones(4), mode="train")
-    with pytest.raises(InputError, match="mode"):
-        forward(model, np.ones(4), mode="evaluate")
+def test_predict_all_rejects_wrong_input_dim():
+    model = init_model(small_config())
+    table = EmbeddingTable(dimension=7, entries={"a": np.ones(7)})
+    with pytest.raises(InputError, match="expects 4"):
+        predict_all(model, table, ["a"])
 
 
 # -------------------------------------------------------------------- loss
@@ -132,6 +134,12 @@ def test_loss_half_mass():
         pytest.approx(math.log(2.0), abs=1e-15)
 
 
+def test_loss_is_per_row_over_the_last_axis():
+    p = np.array([[0.5, 0.5], [0.25, 0.75]])
+    t = np.array([[1.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(loss(p, t), [loss(p[0], t[0]), loss(p[1], t[1])])
+
+
 def test_loss_clamps_zero_predictions():
     val = loss(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
     assert val == pytest.approx(-math.log(1e-12), abs=1e-9)
@@ -144,7 +152,7 @@ def test_zero_model_output_gradient_is_prediction_minus_target():
     cfg = small_config()
     model = zero_model(cfg)
     target = np.array([1.0, 0.0, 0.0])
-    grads = loss_gradients(model, np.ones(cfg.input_dim), target)
+    _, _, grads = _forward_backward(model, np.ones((1, cfg.input_dim)), target[None, :])
     uniform = np.full(cfg.output_dim, 1.0 / cfg.output_dim)
     np.testing.assert_allclose(grads["b2"], uniform - target, atol=1e-15)
     # hidden activations are zero, so every upstream gradient vanishes
@@ -156,11 +164,25 @@ def test_zero_model_output_gradient_is_prediction_minus_target():
 def test_gradient_zero_when_target_equals_prediction():
     cfg = small_config(seed=8)
     model = init_model(cfg)
-    x = np.random.default_rng(2).standard_normal(cfg.input_dim)
-    target = forward(model, x)
-    grads = loss_gradients(model, x, target)
+    x = np.random.default_rng(2).standard_normal((3, cfg.input_dim))
+    target = _forward_backward(model, x)[0]
+    _, _, grads = _forward_backward(model, x, target)
     for g in grads.values():
         assert np.linalg.norm(g) < 1e-9
+
+
+def test_batch_gradient_is_mean_of_row_gradients():
+    cfg = small_config(seed=4)
+    model = init_model(cfg)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((3, cfg.input_dim))
+    t = rng.random((3, cfg.output_dim))
+    t /= t.sum(axis=1, keepdims=True)
+    _, losses, batch = _forward_backward(model, x, t)
+    rows = [_forward_backward(model, x[i:i + 1], t[i:i + 1]) for i in range(3)]
+    np.testing.assert_allclose(losses, [r[1][0] for r in rows], rtol=1e-14)
+    for name, g in batch.items():
+        np.testing.assert_allclose(g, sum(r[2][name] for r in rows) / 3, atol=1e-15)
 
 
 def test_gradient_check_small_network():
@@ -242,7 +264,7 @@ def test_predict_all_matches_forward_and_handles_duplicates():
     assert preds.shape == (3, 4)
     np.testing.assert_allclose(preds.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_array_equal(preds[0], preds[2])
-    np.testing.assert_allclose(preds[1], forward(model, entries["b"]), atol=1e-15)
+    np.testing.assert_allclose(preds[1], predictions(model, entries["b"]), atol=1e-15)
 
 
 def test_predict_all_empty_word_list():

@@ -11,7 +11,7 @@ from cogmap.cli import main
 from cogmap.dataset import EmbeddingTable, save_embeddings
 from cogmap.errors import InputError
 from cogmap.fileio import load_matrix_csv
-from cogmap.pipeline import (CONFIG_DEFAULTS, config_hash, parse_config_file,
+from cogmap.pipeline import (CONFIG_FIELDS, config_hash, parse_config_file,
                              resolve_config, run_pipeline)
 from cogmap.sr import load_sr_json, save_sr_json
 from cogmap.svg import render_svg
@@ -109,7 +109,8 @@ def test_config_file_requires_key_value(tmp_path):
 
 def test_resolve_defaults():
     config = resolve_config()
-    assert config.embeddings_path == CONFIG_DEFAULTS["embeddings"]
+    assert config.embeddings_path == "data/embeddings_300d.txt"
+    assert config.lexicon_path == "data/lexicon.csv" and config.output_dir == "out"
     assert config.gammas == [1.0, 0.3]
     assert config.horizon == 5 and config.seed == 1234
     assert config.hidden_dim == 128 and config.dropout_rate == 0.8
@@ -143,6 +144,47 @@ def test_resolve_parses_gammas_and_bools():
         resolve_config({"horizon": "-1"})
     with pytest.raises(InputError, match="nonempty"):
         resolve_config({"gammas": ","})
+
+
+def test_resolve_rejects_negative_smacof_iterations():
+    with pytest.raises(InputError, match="smacof"):
+        resolve_config({"smacof_iterations": "-1"})
+
+
+@pytest.mark.parametrize("key,value", [("epochs", "0"), ("batch_size", "0"),
+                                       ("hidden_dim", "0"), ("dropout_rate", "1.0"),
+                                       ("momentum", "1.0"), ("learning_rate", "-1")])
+def test_resolve_rejects_bad_network_settings(key, value):
+    # checked when the config resolves, before any stage reads or writes a file
+    with pytest.raises(InputError):
+        resolve_config(overrides={key: value})
+
+
+def test_cli_run_negative_smacof_iterations_is_input_error(tiny, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", "--config", tiny["cfg"],
+                           "--smacof-iterations", "-1", "--out-dir", out_dir)
+    assert code == 1 and "smacof" in err
+    assert not out_dir.exists()
+
+
+def _table_values(text):
+    """key -> default from README's configuration table."""
+    section = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|") for line in section.splitlines() if line.startswith("| `")]
+    return {row[1].strip().strip("`"): row[2].strip().strip("`") for row in rows}
+
+
+def test_default_cfg_lists_every_key_with_resolved_defaults():
+    values = parse_config_file(REPO / "default.cfg")
+    assert list(values) == list(CONFIG_FIELDS)
+    assert resolve_config(values) == resolve_config()
+
+
+def test_readme_table_lists_every_key_with_resolved_defaults():
+    values = _table_values((REPO / "README.md").read_text(encoding="utf-8"))
+    assert list(values) == list(CONFIG_FIELDS)
+    assert resolve_config(values) == resolve_config()
 
 
 @pytest.mark.parametrize("gammas", ["0.5,0.5", "1,1.0"])
@@ -207,6 +249,18 @@ def test_run_pipeline_cleans_up_after_failure(tiny, tmp_path):
     with pytest.raises(InputError, match="stage gdv"):
         run_pipeline(config)
     assert list(out_dir.glob("*")) == []
+
+
+def test_failed_rerun_leaves_previous_tree_untouched(tiny, tmp_path):
+    out_dir = tmp_path / "out"
+    base = parse_config_file(tiny["cfg"])
+    run_pipeline(resolve_config(base, {"output_dir": str(out_dir), "epochs": "2"}))
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    diverging = resolve_config(base, {"output_dir": str(out_dir), "epochs": "2",
+                                      "learning_rate": "1e300"})
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="stage train"):
+        run_pipeline(diverging)
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
 def test_run_pipeline_missing_word_fails_in_load(tiny, tmp_path):
