@@ -105,7 +105,7 @@ def load_embeddings(path):
 
 
 def save_embeddings(table, path):
-    """Write vector-text with 17-significant-digit components (bit-exact reload)."""
+    """Write vector-text with shortest round-trip components (bit-exact reload)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(table)} {table.dimension}\n")
         for word, vec in table.entries.items():

@@ -1,4 +1,9 @@
-"""Deterministic file formats: 17-significant-digit floats, CSV matrices, labeled point CSVs."""
+"""Deterministic file formats: JSON documents, CSV matrices, labeled point CSVs.
+
+Every float is written as its shortest round-trip text (Python's `repr`), so
+parsing any artifact recovers the exact float64 bits. Non-finite values are
+rejected.
+"""
 
 import csv
 import json
@@ -10,43 +15,27 @@ from .errors import InputError
 
 
 def format_float(x):
-    """Render a float with 17 significant digits so parsing it recovers the exact bits."""
+    """The shortest text that parses back to the same float64 (`repr`)."""
     x = float(x)
     if not math.isfinite(x):
         raise InputError(f"cannot serialize non-finite value {x!r}")
-    text = f"{x:.17g}"
-    # %.17g drops the decimal point for integral values; keep these JSON floats
-    if "." not in text and "e" not in text and "E" not in text:
-        text += ".0"
-    return text
+    return repr(x)
 
 
-def _render_json(obj):
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_render_json(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_render_json(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return _render_json(obj.tolist())
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
+def _plain(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise InputError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def dump_json(obj, path):
-    """Write JSON with every float at 17 significant digits (bitwise round-trip)."""
+    """Write one line of JSON, floats as `repr`; a non-finite value leaves no file."""
+    try:
+        text = json.dumps(obj, allow_nan=False, default=_plain)
+    except ValueError as exc:
+        raise InputError(f"cannot serialize to JSON: {exc}") from None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_render_json(obj))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_json(path):
@@ -55,31 +44,12 @@ def load_json(path):
 
 
 def save_matrix_csv(values, path):
-    """One row per line, comma separated, 17-significant-digit decimals."""
+    """One row per line, comma separated, shortest round-trip decimals."""
     values = np.asarray(values, dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in values:
             fh.write(",".join(format_float(x) for x in row))
             fh.write("\n")
-
-
-def load_matrix_csv(path):
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError:
-                raise InputError(f"{path}: line {lineno}: non-numeric matrix entry") from None
-    if not rows:
-        raise InputError(f"{path}: empty matrix file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise InputError(f"{path}: ragged rows, expected {width} columns everywhere")
-    return np.array(rows, dtype=np.float64)
 
 
 def save_labeled_points_csv(path, words, categories, splits, values, component_names=None):

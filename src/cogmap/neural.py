@@ -201,7 +201,7 @@ def predict_all(model, table, words):
 
 
 def save_model(model, path):
-    """Checkpoint config plus all parameters at 17 significant digits."""
+    """Checkpoint config plus all parameters as JSON (floats round-trip exactly)."""
     dump_json({"config": asdict(model.config), "w1": model.w1, "b1": model.b1,
                "w2": model.w2, "b2": model.b2}, path)
 

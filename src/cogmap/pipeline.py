@@ -125,13 +125,13 @@ def resolve_config(file_values=None, overrides=None):
     env_out = os.environ.get(OUTPUT_DIR_ENV)
     if env_out:
         raw["output_dir"] = env_out
-    raw.update(file_values or {})
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in CONFIG_FIELDS:
-            raise InputError(f"unknown config key {key!r}")
-        raw[key] = value if isinstance(value, str) else str(value)
+    for source in (file_values or {}, overrides or {}):
+        for key, value in source.items():
+            if value is None:
+                continue
+            if key not in CONFIG_FIELDS:
+                raise InputError(f"unknown config key {key!r}")
+            raw[key] = value if isinstance(value, str) else str(value)
     return PipelineConfig(**{f.name: _parse_value(raw[key], f.type, key)
                              for key, f in CONFIG_FIELDS.items() if key in raw})
 
@@ -269,9 +269,7 @@ def run_pipeline(config):
             "transition_csv": "transition.csv",
             "runs": runs,
         }
-        with open(staging / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        dump_json(manifest, staging / "manifest.json")
         for path in sorted(staging.iterdir(), key=lambda p: p.name == "manifest.json"):
             os.replace(path, out_dir / path.name)
         return manifest

@@ -85,16 +85,19 @@ def test_trailing_spaces_load_like_clean_file(tmp_path):
 
 def test_embedding_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(7)
-    entries = {f"w{i}": rng.standard_normal(5) * 10.0 ** rng.integers(-12, 12)
+    entries = {f"w{i}": rng.standard_normal(8) * 10.0 ** rng.integers(-12, 12)
                for i in range(40)}
-    entries["third"] = np.full(5, 1.0 / 3.0)
-    table = EmbeddingTable(dimension=5, entries=entries)
+    entries["third"] = np.full(8, 1.0 / 3.0)
+    entries["edges"] = np.array([5e-324, -0.0, 1e300, 1.0 / 3.0, 2.0, 1e16,
+                                 np.float64(0.1), np.int64(7)], dtype=np.float64)
+    table = EmbeddingTable(dimension=8, entries=entries)
     p = tmp_path / "round.txt"
     save_embeddings(table, p)
     back = load_embeddings(p)
-    assert back.dimension == 5
+    assert back.dimension == 8
     for word in entries:
-        np.testing.assert_array_equal(back[word], table[word])
+        np.testing.assert_array_equal(back[word].view(np.uint64),
+                                      table[word].view(np.uint64))
 
 
 # ------------------------------------------------------------------- lexicon

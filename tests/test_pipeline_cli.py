@@ -10,7 +10,6 @@ import pytest
 from cogmap.cli import main
 from cogmap.dataset import EmbeddingTable, save_embeddings
 from cogmap.errors import InputError
-from cogmap.fileio import load_matrix_csv
 from cogmap.pipeline import (CONFIG_FIELDS, config_hash, parse_config_file,
                              resolve_config, run_pipeline)
 from cogmap.sr import load_sr_json, save_sr_json
@@ -146,6 +145,12 @@ def test_resolve_parses_gammas_and_bools():
         resolve_config({"gammas": ","})
 
 
+def test_resolve_rejects_unknown_file_key():
+    # library callers pass file values without parse_config_file's check
+    with pytest.raises(InputError, match="unknown config key 'epoch'"):
+        resolve_config({"epoch": "3"})
+
+
 def test_resolve_rejects_negative_smacof_iterations():
     with pytest.raises(InputError, match="smacof"):
         resolve_config({"smacof_iterations": "-1"})
@@ -233,7 +238,7 @@ def test_run_pipeline_horizon_zero_identity_sr(tiny, tmp_path):
                              "gammas": "1.0", "horizon": "0", "epochs": "2"})
     manifest = run_pipeline(config)
     assert len(manifest["runs"]) == 1
-    sr = load_matrix_csv(tmp_path / "out" / "sr_gamma_1.0.csv")
+    sr = np.loadtxt(tmp_path / "out" / "sr_gamma_1.0.csv", delimiter=",", ndmin=2)
     np.testing.assert_array_equal(sr, np.eye(9))
 
 
@@ -258,7 +263,7 @@ def test_failed_rerun_leaves_previous_tree_untouched(tiny, tmp_path):
     before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     diverging = resolve_config(base, {"output_dir": str(out_dir), "epochs": "2",
                                       "learning_rate": "1e300"})
-    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="stage train"):
+    with np.errstate(all="ignore"), pytest.raises(InputError, match="stage train"):
         run_pipeline(diverging)
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
@@ -332,10 +337,10 @@ def test_cli_build_sr_gamma_zero_identity(tiny, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "build-sr", "--config", tiny["cfg"],
                            "--gamma", "0", "--out-dir", out_dir)
     assert code == 0
-    t = load_matrix_csv(out_dir / "transition.csv")
+    t = np.loadtxt(out_dir / "transition.csv", delimiter=",", ndmin=2)
     np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-12)
-    np.testing.assert_array_equal(load_matrix_csv(out_dir / "sr_gamma_0.0.csv"),
-                                  np.eye(9))
+    np.testing.assert_array_equal(
+        np.loadtxt(out_dir / "sr_gamma_0.0.csv", delimiter=",", ndmin=2), np.eye(9))
     assert "sr_gamma_0.0.csv" in out
 
 
@@ -454,7 +459,7 @@ def test_cli_oracle_start_index_and_csv_out(tiny, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "oracle", "--config", tiny["cfg"],
                            "--start", "0", "--samples", "500", "--out", est_csv)
     assert code == 0
-    row = load_matrix_csv(est_csv)
+    row = np.loadtxt(est_csv, delimiter=",", ndmin=2)
     assert row.shape == (1, 9)
     np.testing.assert_allclose(row[0], [float(t) for t in
                                         out.strip().splitlines()[0].split(",")],
@@ -491,6 +496,22 @@ def test_cli_nonfinite_learning_rate_is_input_error(tiny, tmp_path, capsys, rate
     code, _, err = run_cli(capsys, "run", "--config", tiny["cfg"],
                            "--learning-rate", rate, "--out-dir", tmp_path / "out")
     assert code == 1 and "learning rate" in err
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_cli_diverging_training_is_input_error(tiny, tmp_path, capsys, command):
+    # a learning rate that makes training diverge is a settings problem
+    out_dir = tmp_path / "out"
+    args = ["--config", tiny["cfg"], "--epochs", "2", "--learning-rate", "1e300"]
+    if command == "train":
+        assert run_cli(capsys, "build-sr", "--config", tiny["cfg"],
+                       "--out-dir", out_dir)[0] == 0
+        args += ["--sr", out_dir / "sr_gamma_1.0.json", "--out", out_dir / "m.json"]
+    else:
+        args += ["--out-dir", out_dir]
+    with np.errstate(all="ignore"):
+        code, _, err = run_cli(capsys, command, *args)
+    assert code == 1 and err.startswith("error:") and "non-finite" in err
 
 
 def test_cli_internal_error_exit_code(tiny, tmp_path, capsys, monkeypatch):
