@@ -2,7 +2,7 @@
 
 Every float is written as its shortest round-trip text (Python's `repr`), so
 parsing any artifact recovers the exact float64 bits. Non-finite values are
-rejected.
+rejected before the file is opened, so a rejected value leaves no file.
 """
 
 import csv
@@ -20,6 +20,15 @@ def format_float(x):
     if not math.isfinite(x):
         raise InputError(f"cannot serialize non-finite value {x!r}")
     return repr(x)
+
+
+def _finite_array(values):
+    """`values` as a float64 array, rejected if any entry is NaN or infinite."""
+    values = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise InputError(f"cannot serialize non-finite value {float(values[~finite][0])!r}")
+    return values
 
 
 def _plain(obj):
@@ -45,7 +54,7 @@ def load_json(path):
 
 def save_matrix_csv(values, path):
     """One row per line, comma separated, shortest round-trip decimals."""
-    values = np.asarray(values, dtype=np.float64)
+    values = _finite_array(values)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in values:
             fh.write(",".join(format_float(x) for x in row))
@@ -54,7 +63,7 @@ def save_matrix_csv(values, path):
 
 def save_labeled_points_csv(path, words, categories, splits, values, component_names=None):
     """CSV with `word,category,split` key columns followed by one column per component."""
-    values = np.asarray(values, dtype=np.float64)
+    values = _finite_array(values)
     if not (len(words) == len(categories) == len(splits) == len(values)):
         raise InputError("words, categories, splits, and values must have equal length")
     width = values.shape[1] if values.ndim == 2 else 0

@@ -2,12 +2,15 @@
 
 Architecture: input -> inverted dropout -> hidden ReLU layer -> softmax output.
 Trained with softmax cross-entropy against normalized successor rows, plain
-SGD with momentum, analytic backprop. One batched pass, `_forward_backward`,
-serves training, inference and the gradient check. Everything is driven by
-one seeded generator so a (config, examples) pair determines the trained
-model bitwise.
+SGD with momentum, analytic backprop. The model's arrays are views into one
+flat float64 parameter vector (w1, b1, w2, b2); training writes gradients into
+a buffer of that layout and steps on whole vectors in place. One batched pass,
+`_forward_backward`, serves training, inference and the gradient check.
+Everything is driven by one seeded generator so a (config, examples) pair
+determines the trained model bitwise.
 """
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -61,19 +64,44 @@ class TrainReport:
     seed: int
 
 
+def _param_shapes(config):
+    """Shape of each parameter, in its order in the flat parameter vector."""
+    return {"w1": (config.hidden_dim, config.input_dim), "b1": (config.hidden_dim,),
+            "w2": (config.output_dim, config.hidden_dim), "b2": (config.output_dim,)}
+
+
+def _views(flat, config):
+    """Reshaped views into a flat vector laid out like the parameters, keyed by name."""
+    views, start = {}, 0
+    for name, shape in _param_shapes(config).items():
+        stop = start + math.prod(shape)
+        views[name] = flat[start:stop].reshape(shape)
+        start = stop
+    return views
+
+
+def _param_count(config):
+    return sum(math.prod(shape) for shape in _param_shapes(config).values())
+
+
 def _init_params(config, rng):
-    # uniform(+-sqrt(6/(fan_in+fan_out))) per weight matrix, zero biases
+    """(flat parameter vector, model whose arrays are views into it).
+
+    Weights are uniform(+-sqrt(6/(fan_in+fan_out))) per matrix, w1 drawn
+    first; biases are zero.
+    """
+    theta = np.zeros(_param_count(config))
+    model = MlpModel(**_views(theta, config), config=config)
     lim1 = np.sqrt(6.0 / (config.input_dim + config.hidden_dim))
-    w1 = rng.uniform(-lim1, lim1, size=(config.hidden_dim, config.input_dim))
+    model.w1[...] = rng.uniform(-lim1, lim1, size=model.w1.shape)
     lim2 = np.sqrt(6.0 / (config.hidden_dim + config.output_dim))
-    w2 = rng.uniform(-lim2, lim2, size=(config.output_dim, config.hidden_dim))
-    return MlpModel(w1=w1, b1=np.zeros(config.hidden_dim),
-                    w2=w2, b2=np.zeros(config.output_dim), config=config)
+    model.w2[...] = rng.uniform(-lim2, lim2, size=model.w2.shape)
+    return theta, model
 
 
 def init_model(config):
     """Seeded initial model; `train` starts from exactly these parameters."""
-    return _init_params(config, np.random.default_rng(config.seed))
+    return _init_params(config, np.random.default_rng(config.seed))[1]
 
 
 def _softmax(z):
@@ -88,25 +116,38 @@ def loss(prediction, target):
     return -np.sum(target * np.log(np.maximum(prediction, LOG_CLAMP)), axis=-1)
 
 
-def _forward_backward(model, x, target=None, mask=None):
+def _forward_backward(model, x, target=None, mask=None, grad=None):
     """Batched pass over the rows of x: (predictions, per-row losses, gradients).
 
     Predictions are softmax(w2 relu(w1 x + b1) + b2). A 0/1 `mask` applies
     inverted dropout (survivors scaled by 1/(1-rate)). With a target, the
-    gradients are those of the mean loss over the rows; without one, losses
-    and gradients are None.
+    gradients are those of the mean loss over the rows, written into `grad`
+    (a flat vector laid out like the parameters, allocated if None) and
+    returned as views into it keyed by parameter name; without a target,
+    losses and gradients are None.
     """
     if mask is not None:
-        x = x * mask / (1.0 - model.config.dropout_rate)
-    z1 = x @ model.w1.T + model.b1
+        x = x * mask
+        x /= 1.0 - model.config.dropout_rate
+    z1 = x @ model.w1.T
+    z1 += model.b1
     h = np.maximum(z1, 0.0)
-    p = _softmax(h @ model.w2.T + model.b2)
+    z2 = h @ model.w2.T
+    z2 += model.b2
+    p = _softmax(z2)
     if target is None:
         return p, None, None
-    dz2 = (p - target) / len(x)
-    dz1 = (dz2 @ model.w2) * (z1 > 0)
-    grads = {"w2": dz2.T @ h, "b2": dz2.sum(axis=0),
-             "w1": dz1.T @ x, "b1": dz1.sum(axis=0)}
+    if grad is None:
+        grad = np.empty(_param_count(model.config))
+    grads = _views(grad, model.config)
+    dz2 = p - target
+    dz2 /= len(x)
+    dz1 = dz2 @ model.w2
+    dz1 *= z1 > 0
+    np.matmul(dz2.T, h, out=grads["w2"])
+    dz2.sum(axis=0, out=grads["b2"])
+    np.matmul(dz1.T, x, out=grads["w1"])
+    dz1.sum(axis=0, out=grads["b1"])
     return p, loss(p, target), grads
 
 
@@ -114,28 +155,27 @@ def gradient_check(config, example, epsilon=1e-5):
     """Max relative error of analytic vs central finite-difference gradients.
 
     Runs `_forward_backward` on a freshly initialized model with dropout
-    disabled; the error for each parameter is
+    disabled, perturbing one entry of the flat parameter vector at a time;
+    the error for each entry is
     |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
     """
     x, target = example
     x = np.asarray(x, dtype=np.float64)[None, :]
     target = np.asarray(target, dtype=np.float64)[None, :]
-    model = init_model(config)
-    _, _, grads = _forward_backward(model, x, target)
+    theta, model = _init_params(config, np.random.default_rng(config.seed))
+    grad = np.empty_like(theta)
+    _forward_backward(model, x, target, grad=grad)
     worst = 0.0
-    for name in ("w1", "b1", "w2", "b2"):
-        param = getattr(model, name).ravel()
-        grad = grads[name].ravel()
-        for i in range(param.size):
-            orig = param[i]
-            param[i] = orig + epsilon
-            hi = _forward_backward(model, x, target)[1][0]
-            param[i] = orig - epsilon
-            lo = _forward_backward(model, x, target)[1][0]
-            param[i] = orig
-            numeric = (hi - lo) / (2.0 * epsilon)
-            err = abs(grad[i] - numeric) / max(1e-8, abs(grad[i]) + abs(numeric))
-            worst = max(worst, err)
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + epsilon
+        hi = _forward_backward(model, x, target)[1][0]
+        theta[i] = orig - epsilon
+        lo = _forward_backward(model, x, target)[1][0]
+        theta[i] = orig
+        numeric = (hi - lo) / (2.0 * epsilon)
+        err = abs(grad[i] - numeric) / max(1e-8, abs(grad[i]) + abs(numeric))
+        worst = max(worst, err)
     return worst
 
 
@@ -145,7 +185,12 @@ def train(config, examples):
     Each epoch shuffles the examples with the seeded generator, walks batches
     of `batch_size` (last batch may be short), draws a fresh dropout mask per
     example presentation, and applies one SGD-with-momentum step per batch on
-    the mean batch loss. Aborts on non-finite loss or parameters.
+    the mean batch loss. The model's arrays are views into one flat vector
+    theta; the velocity and the gradient buffer share its layout and are
+    allocated once, and the step vel *= momentum; grad *= learning_rate;
+    vel -= grad; theta += vel runs in place on whole vectors. Aborts on a
+    non-finite loss or parameter; numpy's overflow and invalid-value warnings
+    are silenced inside the loop, because those checks report the divergence.
     """
     n = len(examples)
     if n == 0:
@@ -158,32 +203,35 @@ def train(config, examples):
                          f"config says {config.output_dim}")
 
     rng = np.random.default_rng(config.seed)
-    model = _init_params(config, rng)
-    vel = {"w1": np.zeros_like(model.w1), "b1": np.zeros_like(model.b1),
-           "w2": np.zeros_like(model.w2), "b2": np.zeros_like(model.b2)}
+    theta, model = _init_params(config, rng)
+    vel = np.zeros_like(theta)
+    grad = np.empty_like(theta)
     inputs, targets = examples.inputs, examples.targets
     losses = []
 
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        for lo in range(0, n, config.batch_size):
-            idx = order[lo:lo + config.batch_size]
-            xb = inputs[idx]
-            mask = (rng.random(xb.shape) >= config.dropout_rate).astype(np.float64)
-            _, example_losses, grads = _forward_backward(model, xb, targets[idx], mask)
-            if not np.isfinite(example_losses.mean()):
-                raise TrainingError(f"non-finite loss at epoch {epoch}")
-            loss_sum += float(example_losses.sum())
-            for name, g in grads.items():
-                vel[name] = config.momentum * vel[name] - config.learning_rate * g
-                param = getattr(model, name)
-                param += vel[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            loss_sum = 0.0
+            for lo in range(0, n, config.batch_size):
+                idx = order[lo:lo + config.batch_size]
+                xb = inputs[idx]
+                mask = rng.random(xb.shape) >= config.dropout_rate
+                _, example_losses, _ = _forward_backward(model, xb, targets[idx], mask, grad)
+                batch_loss = float(example_losses.sum())
+                if not math.isfinite(batch_loss):
+                    raise TrainingError(f"non-finite loss at epoch {epoch}")
+                loss_sum += batch_loss
+                vel *= config.momentum
+                grad *= config.learning_rate
+                vel -= grad
+                theta += vel
 
-        for name in vel:
-            if not np.all(np.isfinite(getattr(model, name))):
+            if not np.isfinite(theta).all():
+                name = next(name for name, param in _views(theta, config).items()
+                            if not np.isfinite(param).all())
                 raise TrainingError(f"non-finite parameter {name} at epoch {epoch}")
-        losses.append(loss_sum / n)
+            losses.append(loss_sum / n)
 
     return model, TrainReport(loss_per_epoch=losses, final_train_loss=losses[-1],
                               seed=config.seed)

@@ -64,7 +64,12 @@ def test_json_rejects_unknown_types_and_leaves_no_file(tmp_path):
 
 @pytest.mark.parametrize("bad", NONFINITE)
 def test_csv_writers_reject_nonfinite(tmp_path, bad):
+    # the rejected value sits in the second row: the first must not reach a file
+    rows = [[1.0, 2.0], [3.0, bad]]
+    matrix, points = tmp_path / "m.csv", tmp_path / "p.csv"
     with pytest.raises(InputError, match="non-finite"):
-        save_matrix_csv([[1.0, bad]], tmp_path / "m.csv")
+        save_matrix_csv(rows, matrix)
+    assert not matrix.exists()
     with pytest.raises(InputError, match="non-finite"):
-        save_labeled_points_csv(tmp_path / "p.csv", ["a"], ["x"], ["train"], [[1.0, bad]])
+        save_labeled_points_csv(points, ["a", "b"], ["x", "y"], ["train", "train"], rows)
+    assert not points.exists()

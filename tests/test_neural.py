@@ -185,6 +185,27 @@ def test_batch_gradient_is_mean_of_row_gradients():
         np.testing.assert_allclose(g, sum(r[2][name] for r in rows) / 3, atol=1e-15)
 
 
+def test_gradient_buffer_holds_the_same_bits_as_fresh_gradients():
+    cfg = small_config(dropout_rate=0.5, seed=4)
+    model = init_model(cfg)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((3, cfg.input_dim))
+    t = rng.random((3, cfg.output_dim))
+    t /= t.sum(axis=1, keepdims=True)
+    mask = rng.random(x.shape) >= cfg.dropout_rate
+    p_fresh, losses_fresh, fresh = _forward_backward(model, x, t, mask)
+    # stale contents of the buffer must not leak into the gradients
+    buf = np.full(sum(g.size for g in fresh.values()), np.nan)
+    p, losses, grads = _forward_backward(model, x, t, mask, grad=buf)
+    assert p.tobytes() == p_fresh.tobytes() and losses.tobytes() == losses_fresh.tobytes()
+    assert list(grads) == ["w1", "b1", "w2", "b2"]
+    for name, g in grads.items():
+        assert g.shape == fresh[name].shape and g.tobytes() == fresh[name].tobytes()
+        assert g.base is buf
+    # laid end to end in parameter order, the views are the whole buffer
+    assert np.concatenate([g.ravel() for g in grads.values()]).tobytes() == buf.tobytes()
+
+
 def test_gradient_check_small_network():
     cfg = MlpConfig(input_dim=4, output_dim=3, hidden_dim=3, dropout_rate=0.0,
                     learning_rate=0.01, epochs=1, batch_size=1, momentum=0.0, seed=1)
@@ -240,9 +261,65 @@ def test_training_aborts_on_divergence():
                     labels=["a", "b"], words=["wa", "wb"])
     cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=4, dropout_rate=0.0,
                     learning_rate=1e30, epochs=60, batch_size=2, momentum=0.0, seed=1)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(TrainingError, match="non-finite"):
+    with pytest.raises(TrainingError, match="non-finite"):
         train(cfg, ex)
+
+
+def reference_train(config, examples):
+    """Reference for `train`: the same float operations, one array per parameter.
+
+    A dict of velocities updated as vel = m*vel - lr*g, a float dropout mask,
+    and the forward/backward pass written out in full.
+    """
+    rng = np.random.default_rng(config.seed)
+    lim1 = np.sqrt(6.0 / (config.input_dim + config.hidden_dim))
+    w1 = rng.uniform(-lim1, lim1, size=(config.hidden_dim, config.input_dim))
+    lim2 = np.sqrt(6.0 / (config.hidden_dim + config.output_dim))
+    w2 = rng.uniform(-lim2, lim2, size=(config.output_dim, config.hidden_dim))
+    params = {"w1": w1, "b1": np.zeros(config.hidden_dim),
+              "w2": w2, "b2": np.zeros(config.output_dim)}
+    vel = {name: np.zeros_like(param) for name, param in params.items()}
+    n = len(examples)
+    losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        for lo in range(0, n, config.batch_size):
+            idx = order[lo:lo + config.batch_size]
+            x, t = examples.inputs[idx], examples.targets[idx]
+            mask = (rng.random(x.shape) >= config.dropout_rate).astype(np.float64)
+            x = x * mask / (1.0 - config.dropout_rate)
+            z1 = x @ params["w1"].T + params["b1"]
+            h = np.maximum(z1, 0.0)
+            z2 = h @ params["w2"].T + params["b2"]
+            e = np.exp(z2 - np.max(z2, axis=-1, keepdims=True))
+            p = e / e.sum(axis=-1, keepdims=True)
+            loss_sum += float((-np.sum(t * np.log(np.maximum(p, 1e-12)), axis=-1)).sum())
+            dz2 = (p - t) / len(x)
+            dz1 = (dz2 @ params["w2"]) * (z1 > 0)
+            grads = {"w2": dz2.T @ h, "b2": dz2.sum(axis=0),
+                     "w1": dz1.T @ x, "b1": dz1.sum(axis=0)}
+            for name, g in grads.items():
+                vel[name] = config.momentum * vel[name] - config.learning_rate * g
+                params[name] += vel[name]
+        losses.append(loss_sum / n)
+    return params, losses
+
+
+def test_training_matches_the_per_array_reference_bitwise():
+    # 7 examples in batches of 3: every epoch ends on a short batch
+    rng = np.random.default_rng(11)
+    targets = rng.random((7, 4))
+    ex = ExampleSet(inputs=rng.standard_normal((7, 5)),
+                    targets=targets / targets.sum(axis=1, keepdims=True),
+                    labels=["c"] * 7, words=[f"w{i}" for i in range(7)])
+    cfg = MlpConfig(input_dim=5, output_dim=4, hidden_dim=6, dropout_rate=0.3,
+                    learning_rate=0.05, epochs=30, batch_size=3, momentum=0.9, seed=21)
+    model, report = train(cfg, ex)
+    params, losses = reference_train(cfg, ex)
+    for name, param in params.items():
+        assert getattr(model, name).tobytes() == param.tobytes(), name
+    assert np.array(report.loss_per_epoch).tobytes() == np.array(losses).tobytes()
 
 
 def test_train_validates_example_shapes():
@@ -284,10 +361,12 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     save_model(model, p)
     back = load_model(p)
     assert back.config == cfg
-    np.testing.assert_array_equal(back.w1, model.w1)
-    np.testing.assert_array_equal(back.b1, model.b1)
-    np.testing.assert_array_equal(back.w2, model.w2)
-    np.testing.assert_array_equal(back.b2, model.b2)
+    # the trained arrays are views into one parameter vector; each reads back whole
+    assert model.w1.base is model.b2.base
+    for name in ("w1", "b1", "w2", "b2"):
+        trained, loaded = getattr(model, name), getattr(back, name)
+        assert loaded.shape == trained.shape
+        assert loaded.tobytes() == trained.tobytes()
 
 
 def test_checkpoint_shape_mismatch_rejected(tmp_path):

@@ -263,7 +263,7 @@ def test_failed_rerun_leaves_previous_tree_untouched(tiny, tmp_path):
     before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     diverging = resolve_config(base, {"output_dir": str(out_dir), "epochs": "2",
                                       "learning_rate": "1e300"})
-    with np.errstate(all="ignore"), pytest.raises(InputError, match="stage train"):
+    with pytest.raises(InputError, match="stage train"):
         run_pipeline(diverging)
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
@@ -509,8 +509,7 @@ def test_cli_diverging_training_is_input_error(tiny, tmp_path, capsys, command):
         args += ["--sr", out_dir / "sr_gamma_1.0.json", "--out", out_dir / "m.json"]
     else:
         args += ["--out-dir", out_dir]
-    with np.errstate(all="ignore"):
-        code, _, err = run_cli(capsys, command, *args)
+    code, _, err = run_cli(capsys, command, *args)
     assert code == 1 and err.startswith("error:") and "non-finite" in err
 
 
