@@ -10,14 +10,14 @@ from .dataset import build_examples
 from .errors import InputError
 from .fileio import (dump_json, format_float, load_labeled_points_csv,
                      save_labeled_points_csv, save_matrix_csv)
-from .metrics import LabeledPointSet, gdv
 from .neural import train, predict_all, save_model, load_model
 from .pipeline import (CONFIG_FIELDS, labeled_words, load_inputs, parse_config_file,
-                       resolve_config, run_pipeline, _gamma_tag)
-from .projection import pairwise_euclidean, classical_mds
+                       project_map, resolve_config, run_pipeline, split_gdv, _gamma_tag)
 from .sr import (build_transition_matrix, successor_matrix, rollout_occupancy_oracle,
                  save_sr_json, load_sr_json)
-from .svg import render_svg
+
+INPUTS = ("embeddings", "lexicon")
+NETWORK = ("hidden_dim", "dropout_rate", "learning_rate", "epochs", "batch_size", "momentum")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -26,16 +26,15 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _resolved(args, **extra):
-    file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+def _resolved(args):
+    file_values = parse_config_file(args.config) if args.config else {}
     overrides = {key: value for key, value in vars(args).items()
                  if key in CONFIG_FIELDS and value is not None}
-    overrides.update(extra)
     return resolve_config(file_values, overrides)
 
 
 def _cmd_build_sr(args):
-    config = _resolved(args, **({"gammas": str(args.gamma)} if args.gamma is not None else {}))
+    config = _resolved(args)
     table, lex = load_inputs(config)
     transition = build_transition_matrix(table, lex, zero_diagonal=config.zero_diagonal)
     out_dir = Path(config.output_dir)
@@ -58,7 +57,7 @@ def _cmd_train(args):
     sr, state_words = load_sr_json(args.sr)
     if state_words != lex.train_words:
         raise InputError("successor-matrix state words do not match the lexicon training order")
-    examples = build_examples(table, lex, sr, "train")
+    examples = build_examples(table, lex, sr)
     model, report = train(config.mlp_config(table.dimension, lex.n_states, config.seed),
                           examples)
     save_model(model, args.out)
@@ -81,25 +80,16 @@ def _cmd_predict(args):
 def _cmd_project(args):
     config = _resolved(args)
     words, labels, splits, values = load_labeled_points_csv(args.predictions)
-    projection = classical_mds(pairwise_euclidean(values), out_dim=2,
-                               smacof_iterations=config.smacof_iterations)
-    save_labeled_points_csv(args.out_csv, words, labels, splits, projection.coordinates,
-                            component_names=("x", "y"))
     categories = list(dict.fromkeys(labels))  # first-appearance order
-    render_svg(projection.coordinates, words, labels, splits, categories, args.out_svg)
+    projection = project_map(values, words, labels, splits, categories,
+                             config.smacof_iterations, args.out_csv, args.out_svg)
     print(f"wrote {args.out_csv} and {args.out_svg} (stress {projection.stress:.6g})")
     return 0
 
 
 def _cmd_gdv(args):
     words, labels, splits, values = load_labeled_points_csv(args.points)
-    if args.split != "all":
-        keep = [i for i, s in enumerate(splits) if s == args.split]
-        if not keep:
-            raise InputError(f"no points with split {args.split!r}")
-        values = values[keep]
-        labels = [labels[i] for i in keep]
-    report = gdv(LabeledPointSet(points=values, labels=labels))
+    report = split_gdv(values, labels, splits, args.split)
     print(f"{report.gdv:.4f}")
     if args.out:
         dump_json(report.to_dict(), args.out)
@@ -127,7 +117,7 @@ def _cmd_oracle(args):
         start = int(args.start)
     except ValueError:
         start = lex.state_index(args.start)
-    gamma = config.gammas[0] if args.gamma is None else float(args.gamma)
+    gamma = config.gammas[0]
     estimate = rollout_occupancy_oracle(transition, gamma, config.horizon, start,
                                         args.samples, config.seed)
     print(",".join(format_float(x) for x in estimate))
@@ -140,20 +130,16 @@ def _cmd_oracle(args):
     return 0
 
 
-def _add_common(sub):
+def _add_config_flags(sub, keys):
+    """`--config` plus one string flag per config key; values parse in resolve_config."""
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--embeddings", help="vector-text embedding file")
-    sub.add_argument("--lexicon", help="lexicon CSV (word,category,split)")
-    sub.add_argument("--seed", type=int, help="base random seed")
-
-
-def _add_mlp_flags(sub):
-    sub.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    sub.add_argument("--dropout-rate", dest="dropout_rate", type=float)
-    sub.add_argument("--learning-rate", dest="learning_rate", type=float)
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--momentum", type=float)
+    for key in keys:
+        flag = "--out-dir" if key == "output_dir" else "--" + key.replace("_", "-")
+        if CONFIG_FIELDS[key].type is bool:
+            sub.add_argument(flag, dest=key, action="store_const", const="true",
+                             help=f"sets config key {key} to true")
+        else:
+            sub.add_argument(flag, dest=key, help=f"overrides config key {key}")
 
 
 def build_parser():
@@ -161,33 +147,26 @@ def build_parser():
                      description="Multi-scale successor-representation maps of word categories")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("build-sr", parents=[], help="embeddings+lexicon -> transition and SR files")
-    _add_common(p)
-    p.add_argument("--gamma", type=float, help="single scale (default: config gammas)")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--zero-diagonal", dest="zero_diagonal", action="store_true",
-                   default=None, help="drop self-transitions before normalizing")
-    p.add_argument("--out-dir", dest="output_dir")
+    p = commands.add_parser("build-sr", help="embeddings+lexicon -> transition and SR files")
+    _add_config_flags(p, INPUTS + ("gammas", "horizon", "zero_diagonal", "output_dir"))
     p.set_defaults(func=_cmd_build_sr)
 
     p = commands.add_parser("train", help="SR envelope + embeddings -> model checkpoint")
-    _add_common(p)
-    _add_mlp_flags(p)
+    _add_config_flags(p, INPUTS + ("seed",) + NETWORK)
     p.add_argument("--sr", required=True, help="successor-matrix JSON envelope")
     p.add_argument("--out", required=True, help="model checkpoint path")
     p.set_defaults(func=_cmd_train)
 
     p = commands.add_parser("predict", help="checkpoint + lexicon words -> distributions CSV")
-    _add_common(p)
+    _add_config_flags(p, INPUTS)
     p.add_argument("--model", required=True)
     p.add_argument("--split", choices=["train", "validation", "all"], default="all")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)
 
     p = commands.add_parser("project", help="distributions CSV -> 2-D projection CSV + SVG map")
-    _add_common(p)
+    _add_config_flags(p, ("smacof_iterations",))
     p.add_argument("--predictions", required=True)
-    p.add_argument("--smacof-iterations", dest="smacof_iterations", type=int)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-svg", required=True)
     p.set_defaults(func=_cmd_project)
@@ -199,26 +178,16 @@ def build_parser():
     p.set_defaults(func=_cmd_gdv)
 
     p = commands.add_parser("run", help="full pipeline; writes the artifact tree + manifest")
-    _add_common(p)
-    _add_mlp_flags(p)
-    p.add_argument("--gammas", help="comma-separated scales, e.g. 1.0,0.3")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--zero-diagonal", dest="zero_diagonal", action="store_true",
-                   default=None)
-    p.add_argument("--smacof-iterations", dest="smacof_iterations", type=int)
-    p.add_argument("--out-dir", dest="output_dir")
+    _add_config_flags(p, CONFIG_FIELDS)
     p.set_defaults(func=_cmd_run)
 
-    p = commands.add_parser("oracle", help="Monte Carlo occupancy estimate for one start state")
-    _add_common(p)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--horizon", type=int)
+    p = commands.add_parser("oracle", help="Monte Carlo occupancy estimate for one start state, "
+                                "at the first of gammas")
+    _add_config_flags(p, INPUTS + ("seed", "gammas", "horizon", "zero_diagonal"))
     p.add_argument("--start", required=True, help="state index or training word")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--compare", action="store_true",
                    help="also print the closed-form row and the max deviation")
-    p.add_argument("--zero-diagonal", dest="zero_diagonal", action="store_true",
-                   default=None)
     p.add_argument("--out", help="optional CSV path for the estimate")
     p.set_defaults(func=_cmd_oracle)
 

@@ -215,16 +215,11 @@ class ExampleSet:
         return len(self.words)
 
 
-def build_examples(table, lex, sr, split):
-    """Assemble one split's examples against a successor matrix over the training states.
+def build_examples(table, lex, sr):
+    """Training examples against a successor matrix over the training states.
 
-    Training targets are the word's own SR row normalized to sum 1. Validation
-    targets (diagnostic only, never fit) are the normalized SR row of the
-    training state whose embedding is most cosine-similar to the validation
-    word's embedding.
+    Each training word's target is its own SR row normalized to sum 1.
     """
-    if split not in SPLITS:
-        raise InputError(f"unknown split {split!r}")
     n = lex.n_states
     values = np.asarray(sr.values, dtype=np.float64)
     if values.shape != (n, n):
@@ -232,23 +227,6 @@ def build_examples(table, lex, sr, split):
     row_sums = values.sum(axis=1)
     if np.any(row_sums <= 0):
         raise InputError("successor matrix has a non-positive row sum")
-    row_dists = values / row_sums[:, None]
-
-    train_vecs = np.stack([table[w] for w in lex.train_words])
-    if split == "train":
-        words = lex.train_words
-        labels = lex.train_categories
-        inputs = train_vecs
-        targets = row_dists
-    else:
-        words = lex.validation_words
-        labels = lex.validation_categories
-        inputs = np.stack([table[w] for w in words]) if words else np.zeros((0, table.dimension))
-        train_norms = np.linalg.norm(train_vecs, axis=1)
-        rows = []
-        for vec in inputs:
-            sims = (train_vecs @ vec) / (train_norms * np.linalg.norm(vec))
-            rows.append(row_dists[int(np.argmax(sims))])
-        targets = np.array(rows).reshape(len(words), n)
-    return ExampleSet(inputs=np.asarray(inputs, dtype=np.float64), targets=targets,
-                      labels=list(labels), words=list(words))
+    return ExampleSet(inputs=np.stack([table[w] for w in lex.train_words]),
+                      targets=values / row_sums[:, None],
+                      labels=list(lex.train_categories), words=list(lex.train_words))

@@ -27,7 +27,7 @@ def _finite_array(values):
     values = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(values)
     if not finite.all():
-        raise InputError(f"cannot serialize non-finite value {float(values[~finite][0])!r}")
+        raise InputError(f"non-finite value {float(values[~finite][0])!r}")
     return values
 
 
@@ -48,8 +48,12 @@ def dump_json(obj, path):
 
 
 def load_json(path):
+    """Parse a JSON file; a NaN or Infinity in it is an input error naming the file."""
+    def reject(constant):
+        raise InputError(f"{path}: non-finite value {constant}")
+
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=reject)
 
 
 def save_matrix_csv(values, path):
@@ -105,4 +109,7 @@ def load_labeled_points_csv(path):
                 raise InputError(f"{path}: line {lineno}: non-numeric component") from None
     if not words:
         raise InputError(f"{path}: no data rows")
-    return words, cats, splits, np.array(rows, dtype=np.float64).reshape(len(words), width)
+    try:
+        return words, cats, splits, _finite_array(np.array(rows).reshape(len(words), width))
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None

@@ -258,14 +258,11 @@ def load_model(path):
     doc = load_json(path)
     try:
         config = MlpConfig(**doc["config"])
-        model = MlpModel(w1=np.array(doc["w1"], dtype=np.float64),
-                         b1=np.array(doc["b1"], dtype=np.float64),
-                         w2=np.array(doc["w2"], dtype=np.float64),
-                         b2=np.array(doc["b2"], dtype=np.float64),
-                         config=config)
-    except (KeyError, TypeError) as exc:
+        arrays = {name: np.array(doc[name], dtype=np.float64) for name in _param_shapes(config)}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed model checkpoint ({exc})") from None
-    if model.w1.shape != (config.hidden_dim, config.input_dim) or \
-            model.w2.shape != (config.output_dim, config.hidden_dim):
-        raise InputError(f"{path}: checkpoint shapes do not match its config")
-    return model
+    for name, shape in _param_shapes(config).items():
+        if arrays[name].shape != shape:
+            raise InputError(f"{path}: checkpoint shapes do not match its config: {name} is "
+                             f"{arrays[name].shape}, expected {shape}")
+    return MlpModel(**arrays, config=config)

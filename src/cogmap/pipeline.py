@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import load_embeddings, load_lexicon, build_examples
+from .dataset import SPLITS, load_embeddings, load_lexicon, build_examples
 from .errors import InputError
 from .fileio import dump_json, save_matrix_csv, save_labeled_points_csv
 from .metrics import LabeledPointSet, gdv
@@ -31,6 +31,7 @@ from .sr import build_transition_matrix, successor_matrix
 from .svg import render_svg
 
 OUTPUT_DIR_ENV = "COGMAP_OUTPUT_DIR"
+GDV_SPLITS = ("all",) + SPLITS
 
 
 @dataclass
@@ -100,23 +101,22 @@ def parse_config_file(path):
     return values
 
 
+_KINDS = {list: "comma-separated numbers", bool: "a boolean", int: "an integer",
+          float: "a number"}
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
+
 def _parse_value(text, kind, key):
-    if kind is list:
-        try:
-            return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-        except ValueError:
-            raise InputError(f"cannot parse {key} {text!r}") from None
-    if kind is bool:
-        lowered = text.lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise InputError(f"config key {key} expects a boolean, got {text!r}")
+    """One config value from its text, by the type of its PipelineConfig field."""
     try:
+        if kind is list:
+            return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        if kind is bool:
+            return _BOOLS[text.lower()]
         return kind(text)
-    except ValueError as exc:
-        raise InputError(f"bad config value: {exc}") from None
+    except (KeyError, ValueError):
+        raise InputError(f"config key {key} expects {_KINDS[kind]}, got {text!r}") from None
 
 
 def resolve_config(file_values=None, overrides=None):
@@ -184,12 +184,11 @@ def labeled_words(lex, split="all"):
 def run_pipeline(config):
     """Run every stage for every gamma; returns the manifest dict it also writes.
 
-    Artifacts land in config.output_dir under the fixed names transition.csv,
-    sr_gamma_<g>.csv, model_gamma_<g>.json, predictions_gamma_<g>.csv,
-    projection_gamma_<g>.csv, map_gamma_<g>.svg, gdv_gamma_<g>.json, and
-    manifest.json. They are written to a staging directory inside
-    output_dir and moved into place, manifest.json last, only once every
-    stage has succeeded; a failed run leaves output_dir as it found it.
+    Artifacts land in config.output_dir: transition.csv, the per-gamma files
+    that each run's `files` entry names, and manifest.json. They are written
+    to a staging directory inside output_dir and moved into place,
+    manifest.json last, only once every stage has succeeded; a failed run
+    leaves output_dir as it found it.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -207,53 +206,49 @@ def run_pipeline(config):
         for index, gamma in enumerate(config.gammas):
             tag = _gamma_tag(gamma)
             seed = config.seed + index
+            files = {"sr_csv": f"sr_gamma_{tag}.csv", "model_json": f"model_gamma_{tag}.json",
+                     "predictions_csv": f"predictions_gamma_{tag}.csv",
+                     "projection_csv": f"projection_gamma_{tag}.csv",
+                     "map_svg": f"map_gamma_{tag}.svg", "gdv_json": f"gdv_gamma_{tag}.json"}
 
             with _stage(f"sr gamma={tag}"):
                 sr = successor_matrix(transition, gamma, config.horizon)
-                save_matrix_csv(sr.values, staging / f"sr_gamma_{tag}.csv")
+                save_matrix_csv(sr.values, staging / files["sr_csv"])
 
             with _stage(f"train gamma={tag}"):
-                examples = build_examples(table, lex, sr, "train")
+                examples = build_examples(table, lex, sr)
                 model, report = train(config.mlp_config(table.dimension, lex.n_states, seed),
                                       examples)
-                save_model(model, staging / f"model_gamma_{tag}.json")
+                save_model(model, staging / files["model_json"])
 
             with _stage(f"predict gamma={tag}"):
                 predictions = predict_all(model, table, words)
-                save_labeled_points_csv(staging / f"predictions_gamma_{tag}.csv",
+                save_labeled_points_csv(staging / files["predictions_csv"],
                                         words, labels, splits, predictions)
 
             with _stage(f"gdv gamma={tag}"):
-                raw_reports = _split_gdvs(predictions, labels, splits)
+                raw_reports = {split: split_gdv(predictions, labels, splits, split)
+                               for split in GDV_SPLITS}
 
             with _stage(f"project gamma={tag}"):
-                projection = classical_mds(pairwise_euclidean(predictions), out_dim=2,
-                                           smacof_iterations=config.smacof_iterations)
-                save_labeled_points_csv(staging / f"projection_gamma_{tag}.csv",
-                                        words, labels, splits, projection.coordinates,
-                                        component_names=("x", "y"))
-                render_svg(projection.coordinates, words, labels, splits,
-                           lex.categories, staging / f"map_gamma_{tag}.svg")
-                planar_reports = _split_gdvs(projection.coordinates, labels, splits)
+                projection = project_map(predictions, words, labels, splits, lex.categories,
+                                         config.smacof_iterations,
+                                         staging / files["projection_csv"],
+                                         staging / files["map_svg"])
+                planar_reports = {split: split_gdv(projection.coordinates, labels, splits, split)
+                                  for split in GDV_SPLITS}
 
             gdv_doc = {
                 "gamma": float(gamma),
                 "prediction_space": {k: r.to_dict() for k, r in raw_reports.items()},
                 "projection_2d": {k: r.to_dict() for k, r in planar_reports.items()},
             }
-            dump_json(gdv_doc, staging / f"gdv_gamma_{tag}.json")
+            dump_json(gdv_doc, staging / files["gdv_json"])
 
             runs.append({
                 "gamma": float(gamma),
                 "seed": seed,
-                "files": {
-                    "sr_csv": f"sr_gamma_{tag}.csv",
-                    "model_json": f"model_gamma_{tag}.json",
-                    "predictions_csv": f"predictions_gamma_{tag}.csv",
-                    "projection_csv": f"projection_gamma_{tag}.csv",
-                    "map_svg": f"map_gamma_{tag}.svg",
-                    "gdv_json": f"gdv_gamma_{tag}.json",
-                },
+                "files": files,
                 "first_epoch_loss": report.loss_per_epoch[0],
                 "final_train_loss": report.final_train_loss,
                 "mds_stress": projection.stress,
@@ -277,14 +272,21 @@ def run_pipeline(config):
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def _split_gdvs(points, labels, splits):
-    points = np.asarray(points, dtype=np.float64)
-    mask = {"all": np.ones(len(labels), dtype=bool),
-            "train": np.array([s == "train" for s in splits]),
-            "validation": np.array([s == "validation" for s in splits])}
-    reports = {}
-    for name, keep in mask.items():
-        pts = points[keep]
-        lbs = [l for l, k in zip(labels, keep) if k]
-        reports[name] = gdv(LabeledPointSet(points=pts, labels=lbs))
-    return reports
+def split_gdv(points, labels, splits, split):
+    """GDV report of the points in one split, "train" or "validation", or of "all" of them."""
+    keep = [i for i, name in enumerate(splits) if split in (name, "all")]
+    if not keep:
+        raise InputError(f"no points with split {split!r}")
+    return gdv(LabeledPointSet(points=np.asarray(points, dtype=np.float64)[keep],
+                               labels=[labels[i] for i in keep]))
+
+
+def project_map(points, words, labels, splits, categories, smacof_iterations,
+                csv_path, svg_path):
+    """Project the points to 2-D by MDS; writes the coordinate CSV and the SVG map."""
+    projection = classical_mds(pairwise_euclidean(points), out_dim=2,
+                               smacof_iterations=smacof_iterations)
+    save_labeled_points_csv(csv_path, words, labels, splits, projection.coordinates,
+                            component_names=("x", "y"))
+    render_svg(projection.coordinates, words, labels, splits, categories, svg_path)
+    return projection

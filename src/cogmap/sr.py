@@ -142,7 +142,7 @@ def load_sr_json(path):
                             horizon=int(doc["horizon"]),
                             values=np.array(doc["values"], dtype=np.float64))
         words = list(doc["state_words"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed successor-matrix envelope ({exc})") from None
     if len(words) != m.n:
         raise InputError(f"{path}: state_words length does not match n")

@@ -152,7 +152,7 @@ def toy_table_and_lexicon():
         "dog": np.array([1.0, 0.1, 0.0]),
         "cat": np.array([0.9, 0.2, 0.0]),
         "car": np.array([0.0, 0.1, 1.0]),
-        "pup": np.array([1.0, 0.05, 0.05]),  # validation word nearest to dog
+        "pup": np.array([1.0, 0.05, 0.05]),  # validation word: never an example
     }
     table = EmbeddingTable(dimension=3, entries=entries)
     lex = Lexicon(training=[("dog", "animal"), ("cat", "animal"), ("car", "vehicle")],
@@ -165,7 +165,7 @@ def test_train_targets_are_distributions():
     table, lex = toy_table_and_lexicon()
     t = build_transition_matrix(table, lex)
     sr = successor_matrix(t, 0.7, 3)
-    ex = build_examples(table, lex, sr, "train")
+    ex = build_examples(table, lex, sr)
     assert len(ex) == 3
     assert ex.words == ["dog", "cat", "car"]
     assert ex.labels == ["animal", "animal", "vehicle"]
@@ -177,7 +177,7 @@ def test_identity_sr_gives_one_hot_targets():
     table, lex = toy_table_and_lexicon()
     t = build_transition_matrix(table, lex)
     sr = successor_matrix(t, 0.0, 5)
-    ex = build_examples(table, lex, sr, "train")
+    ex = build_examples(table, lex, sr)
     np.testing.assert_array_equal(ex.targets, np.eye(3))
 
 
@@ -189,34 +189,15 @@ def test_hand_built_sr_rows_become_targets():
     lex = Lexicon(training=[("a", "x"), ("b", "x")], validation=[], categories=["x"])
     sr = SuccessorMatrix(n=2, gamma=1.0, horizon=1,
                          values=np.array([[1.2, 0.8], [0.8, 1.2]]))
-    ex = build_examples(table, lex, sr, "train")
+    ex = build_examples(table, lex, sr)
     np.testing.assert_allclose(ex.targets, [[0.6, 0.4], [0.4, 0.6]], atol=1e-15)
-
-
-def test_validation_targets_use_nearest_training_state():
-    table, lex = toy_table_and_lexicon()
-    t = build_transition_matrix(table, lex)
-    sr = successor_matrix(t, 0.7, 3)
-    train_ex = build_examples(table, lex, sr, "train")
-    val_ex = build_examples(table, lex, sr, "validation")
-    assert val_ex.words == ["pup"]
-    # "pup" is most cosine-similar to "dog" (state 0)
-    np.testing.assert_array_equal(val_ex.targets[0], train_ex.targets[0])
 
 
 def test_missing_embedding_reported_by_word():
     table, lex = toy_table_and_lexicon()
     t = build_transition_matrix(table, lex)
     sr = successor_matrix(t, 0.7, 3)
-    lex2 = Lexicon(training=lex.training, validation=[("yeti", "animal")],
-                   categories=lex.categories)
+    lex2 = Lexicon(training=lex.training[:2] + [("yeti", "vehicle")],
+                   validation=lex.validation, categories=lex.categories)
     with pytest.raises(InputError, match="yeti"):
-        build_examples(table, lex2, sr, "validation")
-
-
-def test_unknown_split_rejected():
-    table, lex = toy_table_and_lexicon()
-    t = build_transition_matrix(table, lex)
-    sr = successor_matrix(t, 0.7, 3)
-    with pytest.raises(InputError):
-        build_examples(table, lex, sr, "all")
+        build_examples(table, lex2, sr)

@@ -73,3 +73,20 @@ def test_csv_writers_reject_nonfinite(tmp_path, bad):
     with pytest.raises(InputError, match="non-finite"):
         save_labeled_points_csv(points, ["a", "b"], ["x", "y"], ["train", "train"], rows)
     assert not points.exists()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_json_reader_rejects_nonfinite_naming_the_file(tmp_path, token):
+    path = tmp_path / "doc.json"
+    path.write_text(f'{{"values": [1.0, {token}]}}\n', encoding="utf-8")
+    with pytest.raises(InputError, match=f"doc.json: non-finite value {token}"):
+        load_json(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_labeled_points_reader_rejects_nonfinite_naming_the_file(tmp_path, token):
+    path = tmp_path / "p.csv"
+    path.write_text(f"word,category,split,v0\na,x,train,1.0\nb,y,train,{token}\n",
+                    encoding="utf-8")
+    with pytest.raises(InputError, match="p.csv: non-finite value"):
+        load_labeled_points_csv(path)

@@ -1,5 +1,6 @@
 """MLP configuration, the batched forward/backward pass, training loop, and checkpoints."""
 
+import json
 import math
 
 import numpy as np
@@ -377,4 +378,34 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     text = p.read_text(encoding="utf-8").replace('"hidden_dim": 5', '"hidden_dim": 6')
     p.write_text(text, encoding="utf-8")
     with pytest.raises(InputError, match="shapes"):
+        load_model(p)
+
+
+def _short_b1(doc):
+    doc["b1"].pop()
+
+
+def _short_b2(doc):
+    doc["b2"].pop()
+
+
+def _ragged_w1(doc):
+    doc["w1"][0].pop()
+
+
+def _huge_int_b1(doc):
+    doc["b1"][0] = 10 ** 400
+
+
+@pytest.mark.parametrize("edit,match", [(_short_b1, "shapes .* b1"), (_short_b2, "shapes .* b2"),
+                                        (_ragged_w1, "malformed"), (_huge_int_b1, "malformed")],
+                         ids=["short-b1", "short-b2", "ragged-w1", "huge-int-b1"])
+def test_checkpoint_arrays_checked_against_config(tmp_path, edit, match):
+    # a short bias, a ragged matrix or an integer beyond float range names the file
+    p = tmp_path / "model.json"
+    save_model(init_model(small_config()), p)
+    doc = json.loads(p.read_text(encoding="utf-8"))
+    edit(doc)
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InputError, match=f"model.json: .*{match}"):
         load_model(p)

@@ -202,6 +202,47 @@ def test_cli_run_duplicate_gammas_is_input_error(tiny, tmp_path, capsys, gammas)
     assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
 
+# the documented flag of each config key, and the value the test gives it
+FLAGS = {"embeddings": (["--embeddings", "e.txt"], "e.txt"),
+         "lexicon": (["--lexicon", "l.csv"], "l.csv"),
+         "output_dir": (["--out-dir", "elsewhere"], "elsewhere"),
+         "gammas": (["--gammas", "0.5,0.25"], "0.5,0.25"),
+         "horizon": (["--horizon", "3"], "3"),
+         "seed": (["--seed", "9"], "9"),
+         "hidden_dim": (["--hidden-dim", "7"], "7"),
+         "dropout_rate": (["--dropout-rate", "0.25"], "0.25"),
+         "learning_rate": (["--learning-rate", "0.5"], "0.5"),
+         "epochs": (["--epochs", "2"], "2"),
+         "batch_size": (["--batch-size", "3"], "3"),
+         "momentum": (["--momentum", "0.5"], "0.5"),
+         "zero_diagonal": (["--zero-diagonal"], "true"),
+         "smacof_iterations": (["--smacof-iterations", "4"], "4")}
+
+
+@pytest.mark.parametrize("key", list(CONFIG_FIELDS))
+def test_run_flag_resolves_like_config_file_line(tmp_path, capsys, monkeypatch, key):
+    seen = []
+    monkeypatch.setattr("cogmap.cli.run_pipeline",
+                        lambda config: seen.append(config) or {"runs": []})
+    argv, value = FLAGS[key]
+    code, _, err = run_cli(capsys, "run", *argv)
+    assert code == 0, err
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    assert seen == [resolve_config(parse_config_file(cfg))]
+    assert seen[0] != resolve_config()
+
+
+@pytest.mark.parametrize("flag,key", [("--epochs", "epochs"),
+                                      ("--learning-rate", "learning_rate")])
+def test_cli_unparsable_value_names_its_key(tiny, tmp_path, capsys, flag, key):
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", "--config", tiny["cfg"], flag, "x",
+                           "--out-dir", out_dir)
+    assert code == 1 and f"config key {key} expects" in err and "'x'" in err
+    assert not out_dir.exists()
+
+
 def test_config_hash_is_stable_sha256():
     a = resolve_config()
     b = resolve_config()
@@ -418,6 +459,44 @@ def test_cli_train_rejects_mismatched_state_words(tiny, tmp_path, capsys):
     assert "error:" in err and "state words" in err
 
 
+def _edit_sr_nan(doc):
+    doc["values"][0][0] = float("nan")
+
+
+def _edit_sr_ragged(doc):
+    doc["values"][1].pop()
+
+
+@pytest.mark.parametrize("edit", [_edit_sr_nan, _edit_sr_ragged], ids=["nan", "ragged"])
+def test_cli_train_rejects_bad_sr_envelope(tiny, tmp_path, capsys, edit):
+    # reported against the file, not as a training failure or a numpy error
+    out_dir = tmp_path / "flow"
+    run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)
+    sr = out_dir / "sr_gamma_1.0.json"
+    doc = json.loads(sr.read_text(encoding="utf-8"))
+    edit(doc)
+    sr.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(capsys, "train", "--config", tiny["cfg"],
+                           "--sr", sr, "--out", out_dir / "m.json")
+    assert code == 1 and err.startswith(f"error: {sr}") and "loss" not in err
+    assert not (out_dir / "m.json").exists()
+
+
+def test_cli_predict_rejects_short_bias_checkpoint(tiny, tmp_path, capsys):
+    out_dir = tmp_path / "flow"
+    run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)
+    model = out_dir / "model.json"
+    run_cli(capsys, "train", "--config", tiny["cfg"],
+            "--sr", out_dir / "sr_gamma_1.0.json", "--out", model)
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    doc["b1"].pop()
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(capsys, "predict", "--config", tiny["cfg"],
+                           "--model", model, "--out", out_dir / "p.csv")
+    assert code == 1 and err.startswith(f"error: {model}") and "b1" in err
+    assert not (out_dir / "p.csv").exists()
+
+
 # ---------------------------------------------------------------- CLI: gdv
 
 def test_cli_gdv_fixture_prints_known_value(capsys, tmp_path):
@@ -435,6 +514,28 @@ def test_cli_gdv_split_without_points_fails(capsys):
     code, _, err = run_cli(capsys, "gdv", "--points", DATA_DIR / "gdv_fixture_1d.csv",
                            "--split", "validation")
     assert code == 1 and "no points" in err
+
+
+@pytest.mark.parametrize("command", ["gdv", "project"])
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_cli_nonfinite_points_are_input_errors(tmp_path, capsys, command, token):
+    points = tmp_path / "points.csv"
+    text = (DATA_DIR / "gdv_fixture_1d.csv").read_text(encoding="utf-8")
+    points.write_text(text.replace("a1,A,train,1.0", f"a1,A,train,{token}"), encoding="utf-8")
+    outputs = {"gdv": ["--points", points, "--out", tmp_path / "r.json"],
+               "project": ["--predictions", points, "--out-csv", tmp_path / "r.csv",
+                           "--out-svg", tmp_path / "r.svg"]}
+    code, out, err = run_cli(capsys, command, *outputs[command])
+    assert code == 1 and out == "" and err == f"error: {points}: non-finite value {token}\n"
+    assert sorted(tmp_path.iterdir()) == [points]
+
+
+def test_cli_project_rejects_flags_it_never_reads(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "project", "--seed", "3",
+                           "--predictions", DATA_DIR / "gdv_fixture_1d.csv",
+                           "--out-csv", tmp_path / "p.csv", "--out-svg", tmp_path / "p.svg")
+    assert code == 1 and "unrecognized arguments: --seed 3" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------- CLI: oracle
@@ -471,6 +572,13 @@ def test_cli_oracle_bad_start(tiny, capsys):
                    "--start", "nosuchword")[0] == 1
     assert run_cli(capsys, "oracle", "--config", tiny["cfg"],
                    "--start", "99")[0] == 1
+
+
+@pytest.mark.parametrize("gamma", ["5", "nan"])
+def test_cli_oracle_validates_gamma(tiny, capsys, gamma):
+    code, out, err = run_cli(capsys, "oracle", "--config", tiny["cfg"], "--start", "r0",
+                             "--gamma", gamma, "--samples", "10")
+    assert code == 1 and out == "" and f"gamma {float(gamma)} outside" in err
 
 
 # -------------------------------------------------------- CLI: exit codes

@@ -172,3 +172,14 @@ def test_sr_json_is_plain_json(tmp_path):
     assert doc["gamma"] == 0.5
     assert doc["horizon"] == 2
     assert doc["state_words"] == ["a", "b"]
+
+
+def test_sr_json_ragged_values_name_the_file(tmp_path):
+    t = flip_chain()
+    p = tmp_path / "sr.json"
+    save_sr_json(successor_matrix(t, 0.5, 2), t.state_words, p)
+    doc = json.loads(p.read_text(encoding="utf-8"))
+    doc["values"][1] = doc["values"][1][:1]
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InputError, match="sr.json: malformed"):
+        load_sr_json(p)
