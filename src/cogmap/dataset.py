@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .fileio import format_float
+from .fileio import format_float, replacing
 
 SPLITS = ("train", "validation")
 
@@ -106,7 +106,7 @@ def load_embeddings(path):
 
 def save_embeddings(table, path):
     """Write vector-text with shortest round-trip components (bit-exact reload)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as fh:
         fh.write(f"{len(table)} {table.dimension}\n")
         for word, vec in table.entries.items():
             fh.write(word + " " + " ".join(format_float(x) for x in vec) + "\n")

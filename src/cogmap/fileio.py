@@ -1,13 +1,18 @@
 """Deterministic file formats: JSON documents, CSV matrices, labeled point CSVs.
 
 Every float is written as its shortest round-trip text (Python's `repr`), so
-parsing any artifact recovers the exact float64 bits. Non-finite values are
-rejected before the file is opened, so a rejected value leaves no file.
+parsing any artifact recovers the exact float64 bits. Every writer fills a
+temporary file beside its target and renames it onto the target only when the
+whole text is written, so a rejected value or a failed write leaves no file
+and an existing file stays as it was.
 """
 
 import csv
 import json
 import math
+import os
+import secrets
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -31,20 +36,72 @@ def _finite_array(values):
     return values
 
 
+@contextmanager
+def replacing(path):
+    """A text file for writing that replaces `path` only if the block completes.
+
+    The file is created beside `path` with the mode a plain `open(path, "w")`
+    gives a new file; on any error it is removed and `path` is left as it was.
+    A symlink keeps pointing at its replaced target, and an existing path that
+    is not a regular file (a pipe, a terminal, `/dev/stdout`) is written in
+    place, since there is no file to replace.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _plain(obj):
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise InputError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def dump_json(obj, path):
-    """Write one line of JSON, floats as `repr`; a non-finite value leaves no file."""
+def _dumps(value):
     try:
-        text = json.dumps(obj, allow_nan=False, default=_plain)
+        return json.dumps(value, allow_nan=False, default=_plain)
     except ValueError as exc:
         raise InputError(f"cannot serialize to JSON: {exc}") from None
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+
+
+def dump_json(obj, path):
+    """Write `json.dumps(obj)` as one line, floats as `repr`.
+
+    A 2-D array value of a top-level dict is encoded and written one row at a
+    time, so memory stays near one row's text; the bytes are those of one
+    `json.dumps` call. A non-finite value leaves no file.
+    """
+    with replacing(path) as fh:
+        if not isinstance(obj, dict):
+            fh.write(_dumps(obj) + "\n")
+            return
+        fh.write("{")
+        for i, (key, value) in enumerate(obj.items()):
+            fh.write(", " if i else "")
+            if isinstance(value, np.ndarray) and value.ndim == 2:
+                # the key as json.dumps spells it ('"key": '), then the rows one by one
+                fh.write(_dumps({key: None})[1:-len("null}")] + "[")
+                for j, row in enumerate(value):
+                    fh.write((", " if j else "") + _dumps(row.tolist()))
+                fh.write("]")
+            else:
+                fh.write(_dumps({key: value})[1:-1])
+        fh.write("}\n")
 
 
 def load_json(path):
@@ -59,10 +116,9 @@ def load_json(path):
 def save_matrix_csv(values, path):
     """One row per line, comma separated, shortest round-trip decimals."""
     values = _finite_array(values)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in values:
-            fh.write(",".join(format_float(x) for x in row))
-            fh.write("\n")
+    with replacing(path) as fh:
+        for row in values.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def save_labeled_points_csv(path, words, categories, splits, values, component_names=None):
@@ -76,11 +132,10 @@ def save_labeled_points_csv(path, words, categories, splits, values, component_n
     elif len(component_names) != width:
         raise InputError("component_names length must match the point dimension")
     header = ["word", "category", "split"] + list(component_names)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as fh:
         fh.write(",".join(header) + "\n")
-        for word, cat, split, row in zip(words, categories, splits, values):
-            fields = [word, cat, split] + [format_float(x) for x in row]
-            fh.write(",".join(fields) + "\n")
+        for word, cat, split, row in zip(words, categories, splits, values.tolist()):
+            fh.write(",".join([word, cat, split, *map(repr, row)]) + "\n")
 
 
 def load_labeled_points_csv(path):

@@ -265,4 +265,6 @@ def load_model(path):
         if arrays[name].shape != shape:
             raise InputError(f"{path}: checkpoint shapes do not match its config: {name} is "
                              f"{arrays[name].shape}, expected {shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise InputError(f"{path}: non-finite value in {name}")
     return MlpModel(**arrays, config=config)

@@ -3,6 +3,7 @@
 from datetime import datetime, timezone
 
 from .errors import InputError
+from .fileio import replacing
 
 CANVAS = 800
 MARGIN = 80
@@ -72,7 +73,7 @@ def render_svg(coordinates, words, labels, splits, categories, out_path, timesta
     lines.append(f'<text x="38" y="{y}" font-family="sans-serif" font-size="14">validation</text>')
     lines.append("</svg>")
 
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(out_path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

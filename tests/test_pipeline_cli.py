@@ -497,6 +497,26 @@ def test_cli_predict_rejects_short_bias_checkpoint(tiny, tmp_path, capsys):
     assert not (out_dir / "p.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_cli_out_of_range_number_is_reported_against_the_file(tiny, tmp_path, capsys, command):
+    # JSON 1e400 parses to inf: reported as the file's fault, before arithmetic warns
+    out_dir = tmp_path / "flow"
+    run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)
+    sr, model = out_dir / "sr_gamma_1.0.json", out_dir / "model.json"
+    run_cli(capsys, "train", "--config", tiny["cfg"], "--sr", sr, "--out", model)
+    bad, out = (sr, out_dir / "m2.json") if command == "train" else (model, out_dir / "p.csv")
+    doc = json.loads(bad.read_text(encoding="utf-8"))
+    if command == "train":
+        doc["values"][0][0] = 1234.5
+    else:
+        doc["b2"][-1] = 1234.5
+    bad.write_text(json.dumps(doc).replace("1234.5", "1e400"), encoding="utf-8")
+    inputs = ["--sr", sr] if command == "train" else ["--model", model]
+    code, _, err = run_cli(capsys, command, "--config", tiny["cfg"], *inputs, "--out", out)
+    assert code == 1 and err.startswith(f"error: {bad}: non-finite value")
+    assert "Warning" not in err and not out.exists()
+
+
 # ---------------------------------------------------------------- CLI: gdv
 
 def test_cli_gdv_fixture_prints_known_value(capsys, tmp_path):
