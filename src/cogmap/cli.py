@@ -36,7 +36,7 @@ def _resolved(args):
 def _cmd_build_sr(args):
     config = _resolved(args)
     table, lex = load_inputs(config)
-    transition = build_transition_matrix(table, lex, zero_diagonal=config.zero_diagonal)
+    transition = build_transition_matrix(table, lex)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_matrix_csv(transition.values, out_dir / "transition.csv")
@@ -78,11 +78,10 @@ def _cmd_predict(args):
 
 
 def _cmd_project(args):
-    config = _resolved(args)
     words, labels, splits, values = load_labeled_points_csv(args.predictions)
     categories = list(dict.fromkeys(labels))  # first-appearance order
     projection = project_map(values, words, labels, splits, categories,
-                             config.smacof_iterations, args.out_csv, args.out_svg)
+                             args.out_csv, args.out_svg)
     print(f"wrote {args.out_csv} and {args.out_svg} (stress {projection.stress:.6g})")
     return 0
 
@@ -112,7 +111,7 @@ def _cmd_run(args):
 def _cmd_oracle(args):
     config = _resolved(args)
     table, lex = load_inputs(config)
-    transition = build_transition_matrix(table, lex, zero_diagonal=config.zero_diagonal)
+    transition = build_transition_matrix(table, lex)
     try:
         start = int(args.start)
     except ValueError:
@@ -135,11 +134,7 @@ def _add_config_flags(sub, keys):
     sub.add_argument("--config", help="flat key=value config file")
     for key in keys:
         flag = "--out-dir" if key == "output_dir" else "--" + key.replace("_", "-")
-        if CONFIG_FIELDS[key].type is bool:
-            sub.add_argument(flag, dest=key, action="store_const", const="true",
-                             help=f"sets config key {key} to true")
-        else:
-            sub.add_argument(flag, dest=key, help=f"overrides config key {key}")
+        sub.add_argument(flag, dest=key, help=f"overrides config key {key}")
 
 
 def build_parser():
@@ -148,7 +143,7 @@ def build_parser():
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("build-sr", help="embeddings+lexicon -> transition and SR files")
-    _add_config_flags(p, INPUTS + ("gammas", "horizon", "zero_diagonal", "output_dir"))
+    _add_config_flags(p, INPUTS + ("gammas", "horizon", "output_dir"))
     p.set_defaults(func=_cmd_build_sr)
 
     p = commands.add_parser("train", help="SR envelope + embeddings -> model checkpoint")
@@ -165,7 +160,6 @@ def build_parser():
     p.set_defaults(func=_cmd_predict)
 
     p = commands.add_parser("project", help="distributions CSV -> 2-D projection CSV + SVG map")
-    _add_config_flags(p, ("smacof_iterations",))
     p.add_argument("--predictions", required=True)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-svg", required=True)
@@ -183,7 +177,7 @@ def build_parser():
 
     p = commands.add_parser("oracle", help="Monte Carlo occupancy estimate for one start state, "
                                 "at the first of gammas")
-    _add_config_flags(p, INPUTS + ("seed", "gammas", "horizon", "zero_diagonal"))
+    _add_config_flags(p, INPUTS + ("seed", "gammas", "horizon"))
     p.add_argument("--start", required=True, help="state index or training word")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--compare", action="store_true",

@@ -30,7 +30,6 @@ from .projection import pairwise_euclidean, classical_mds
 from .sr import build_transition_matrix, successor_matrix
 from .svg import render_svg
 
-OUTPUT_DIR_ENV = "COGMAP_OUTPUT_DIR"
 GDV_SPLITS = ("all",) + SPLITS
 
 
@@ -50,8 +49,6 @@ class PipelineConfig:
     epochs: int = 500
     batch_size: int = 20
     momentum: float = 0.9
-    zero_diagonal: bool = False
-    smacof_iterations: int = 0
 
     def __post_init__(self):
         if not self.gammas:
@@ -64,9 +61,6 @@ class PipelineConfig:
         tags = [_gamma_tag(g) for g in self.gammas]
         if len(set(tags)) != len(tags):
             raise InputError(f"gammas must be distinct, got {', '.join(tags)}")
-        if self.smacof_iterations < 0:
-            raise InputError(f"smacof iterations must be non-negative, "
-                             f"got {self.smacof_iterations}")
         # network settings fail here, before any stage reads or writes a file
         self.mlp_config(1, 1, self.seed)
 
@@ -101,10 +95,7 @@ def parse_config_file(path):
     return values
 
 
-_KINDS = {list: "comma-separated numbers", bool: "a boolean", int: "an integer",
-          float: "a number"}
-_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
-          "false": False, "0": False, "no": False, "off": False}
+_KINDS = {list: "comma-separated numbers", int: "an integer", float: "a number"}
 
 
 def _parse_value(text, kind, key):
@@ -112,19 +103,14 @@ def _parse_value(text, kind, key):
     try:
         if kind is list:
             return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-        if kind is bool:
-            return _BOOLS[text.lower()]
         return kind(text)
-    except (KeyError, ValueError):
+    except ValueError:
         raise InputError(f"config key {key} expects {_KINDS[kind]}, got {text!r}") from None
 
 
 def resolve_config(file_values=None, overrides=None):
-    """Layer defaults < COGMAP_OUTPUT_DIR env < config file < explicit overrides."""
+    """Layer defaults < config file < explicit overrides."""
     raw = {}
-    env_out = os.environ.get(OUTPUT_DIR_ENV)
-    if env_out:
-        raw["output_dir"] = env_out
     for source in (file_values or {}, overrides or {}):
         for key, value in source.items():
             if value is None:
@@ -198,7 +184,7 @@ def run_pipeline(config):
             table, lex = load_inputs(config)
 
         with _stage("transition"):
-            transition = build_transition_matrix(table, lex, zero_diagonal=config.zero_diagonal)
+            transition = build_transition_matrix(table, lex)
             save_matrix_csv(transition.values, staging / "transition.csv")
 
         words, labels, splits = labeled_words(lex)
@@ -232,7 +218,6 @@ def run_pipeline(config):
 
             with _stage(f"project gamma={tag}"):
                 projection = project_map(predictions, words, labels, splits, lex.categories,
-                                         config.smacof_iterations,
                                          staging / files["projection_csv"],
                                          staging / files["map_svg"])
                 planar_reports = {split: split_gdv(projection.coordinates, labels, splits, split)
@@ -281,11 +266,9 @@ def split_gdv(points, labels, splits, split):
                                labels=[labels[i] for i in keep]))
 
 
-def project_map(points, words, labels, splits, categories, smacof_iterations,
-                csv_path, svg_path):
+def project_map(points, words, labels, splits, categories, csv_path, svg_path):
     """Project the points to 2-D by MDS; writes the coordinate CSV and the SVG map."""
-    projection = classical_mds(pairwise_euclidean(points), out_dim=2,
-                               smacof_iterations=smacof_iterations)
+    projection = classical_mds(pairwise_euclidean(points))
     save_labeled_points_csv(csv_path, words, labels, splits, projection.coordinates,
                             component_names=("x", "y"))
     render_svg(projection.coordinates, words, labels, splits, categories, svg_path)

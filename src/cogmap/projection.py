@@ -1,12 +1,10 @@
-"""Classical (Torgerson) multidimensional scaling onto a low-dimensional plane.
+"""Classical (Torgerson) multidimensional scaling onto the plane.
 
 Double-centers the squared distance matrix, B = -1/2 J D^2 J with
 J = I - (1/n) 11^T, diagonalizes B with LAPACK's symmetric eigensolver
-(`numpy.linalg.eigh`), and scales the top eigenvectors by the square roots of
-their (non-negative-clamped) eigenvalues. Deterministic: eigenvectors are
+(`numpy.linalg.eigh`), and scales the top two eigenvectors by the square roots
+of their (non-negative-clamped) eigenvalues. Deterministic: eigenvectors are
 sign-fixed so each coordinate column's largest-magnitude entry is positive.
-An optional SMACOF refinement pass (Guttman transform) is available but off
-by default.
 """
 
 from dataclasses import dataclass
@@ -61,47 +59,27 @@ def pairwise_euclidean(points):
     return DistanceMatrix(n=len(points), values=euclidean_distances(points))
 
 
-def _guttman_refine(dist, coords, iterations):
-    # SMACOF majorization steps; keeps stress non-increasing
-    n = len(coords)
-    x = coords.copy()
-    for _ in range(iterations):
-        e = euclidean_distances(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(e > 0.0, dist / np.where(e > 0.0, e, 1.0), 0.0)
-        b = -ratio
-        np.fill_diagonal(b, 0.0)
-        np.fill_diagonal(b, -b.sum(axis=1))
-        x = (b @ x) / n
-    return x
-
-
-def classical_mds(d, out_dim=2, smacof_iterations=0):
-    """Project a distance matrix to `out_dim` coordinates plus a normalized stress.
+def classical_mds(d):
+    """Project a distance matrix to 2-D coordinates plus a normalized stress.
 
     Stress is sqrt(sum_{i<j} (d_ij - dhat_ij)^2 / sum_{i<j} d_ij^2) where dhat
     are the distances of the projected points. Negative eigenvalues of the
     centered matrix (non-Euclidean data) are clamped to zero for coordinates.
     """
-    out_dim = int(out_dim)
-    if out_dim < 1:
-        raise InputError(f"output dimension must be positive, got {out_dim}")
     n = d.n
-    if n < out_dim + 1:
-        raise InputError(f"need at least {out_dim + 1} points to project to {out_dim}-D, got {n}")
+    if n < 3:
+        raise InputError(f"need at least 3 points to project to 2-D, got {n}")
     d2 = d.values ** 2
     centering = np.eye(n) - np.full((n, n), 1.0 / n)
     b = -0.5 * centering @ d2 @ centering
     b = 0.5 * (b + b.T)
     evals, evecs = np.linalg.eigh(b)
-    order = np.argsort(-evals, kind="stable")[:out_dim]
+    order = np.argsort(-evals, kind="stable")[:2]
     coords = evecs[:, order] * np.sqrt(np.maximum(evals[order], 0.0))[None, :]
-    for col in range(out_dim):
+    for col in range(2):
         peak = int(np.argmax(np.abs(coords[:, col])))
         if coords[peak, col] < 0.0:
             coords[:, col] = -coords[:, col]
-    if smacof_iterations > 0:
-        coords = _guttman_refine(d.values, coords, int(smacof_iterations))
 
     upper = np.triu_indices(n, k=1)
     given = d.values[upper]

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import InputError
 from .fileio import dump_json, load_json
 
+_TINY = np.finfo(np.float64).tiny
+
 
 @dataclass
 class TransitionMatrix:
@@ -33,6 +35,8 @@ class TransitionMatrix:
             raise InputError(f"transition matrix must be {self.n}x{self.n}")
         if len(self.state_words) != self.n:
             raise InputError("state_words length must equal n")
+        if not np.isfinite(self.values).all():
+            raise InputError("transition entries must be finite")
         if np.any(self.values < 0.0) or np.any(self.values > 1.0):
             raise InputError("transition entries must lie in [0, 1]")
         if self.n and np.max(np.abs(self.values.sum(axis=1) - 1.0)) > 1e-9:
@@ -60,42 +64,44 @@ class SuccessorMatrix:
             raise InputError("successor entries must be non-negative")
 
 
-def build_transition_matrix(table, lex, zero_diagonal=False):
-    """Clamp pairwise cosine similarities at 0 and row-normalize.
+def build_transition_matrix(table, lex):
+    """Clamp pairwise cosine similarities at 0, set the diagonal to 1, and row-normalize.
 
-    The diagonal carries self-similarity 1 unless `zero_diagonal` is set, in
-    which case a word orthogonal (or opposed) to every other word leaves a row
-    that cannot be normalized and is reported as an error.
+    Every row sums to at least its diagonal 1, so every row normalizes; a word
+    orthogonal (or opposed) to every other word keeps all its mass on itself.
+    A vector whose squared norm overflows or falls below the smallest normal
+    float64 would make its cosines inf/inf or 0/0, and is rejected by word.
     """
     words = lex.train_words
     if not words:
         raise InputError("lexicon has no training words")
     vecs = np.stack([table[w] for w in words])
-    norms = np.linalg.norm(vecs, axis=1)
+    with np.errstate(over="ignore", under="ignore"):
+        squared_norms = (vecs * vecs).sum(axis=1)
+    bad = np.flatnonzero((squared_norms < _TINY) | (squared_norms == np.inf))
+    if bad.size:
+        raise InputError(f"vector for {words[bad[0]]!r} has a norm too large or too small "
+                         "for float64 cosines")
+    norms = np.sqrt(squared_norms)
     raw = np.maximum((vecs @ vecs.T) / np.outer(norms, norms), 0.0)
-    np.fill_diagonal(raw, 0.0 if zero_diagonal else 1.0)
-    sums = raw.sum(axis=1)
-    dead = np.flatnonzero(sums == 0.0)
-    if dead.size:
-        raise InputError(f"transition row for {words[dead[0]]!r} sums to 0 and cannot be normalized")
-    return TransitionMatrix(n=len(words), values=raw / sums[:, None], state_words=list(words))
+    np.fill_diagonal(raw, 1.0)
+    return TransitionMatrix(n=len(words), values=raw / raw.sum(axis=1)[:, None],
+                            state_words=list(words))
 
 
 def successor_matrix(t, gamma, horizon):
-    """Accumulate sum_{k=0}^{horizon} gamma^k T^k; gamma = 0 gives the identity exactly."""
-    gamma = float(gamma)
-    horizon = int(horizon)
-    if not 0.0 <= gamma <= 1.0:
-        raise InputError(f"gamma must be in [0, 1], got {gamma}")
-    if horizon < 0:
-        raise InputError(f"horizon must be non-negative, got {horizon}")
-    acc = np.eye(t.n)
-    if gamma > 0.0:
+    """Accumulate sum_{k=0}^{horizon} gamma^k T^k; gamma = 0 gives the identity exactly.
+
+    The T^0 term is built first, so SuccessorMatrix checks gamma and horizon
+    before any power is taken.
+    """
+    m = SuccessorMatrix(n=t.n, gamma=float(gamma), horizon=int(horizon), values=np.eye(t.n))
+    if m.gamma > 0.0:
         power = np.eye(t.n)
-        for k in range(1, horizon + 1):
+        for k in range(1, m.horizon + 1):
             power = power @ t.values
-            acc = acc + (gamma ** k) * power
-    return SuccessorMatrix(n=t.n, gamma=gamma, horizon=horizon, values=acc)
+            m.values = m.values + (m.gamma ** k) * power
+    return m
 
 
 def rollout_occupancy_oracle(t, gamma, horizon, start, samples, seed):

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cogmap.dataset import EmbeddingTable, Lexicon, build_examples
 from cogmap.metrics import LabeledPointSet, gdv
 from cogmap.neural import MlpConfig, gradient_check
 from cogmap.pipeline import parse_config_file, resolve_config, run_pipeline
@@ -50,8 +49,6 @@ def pipeline_runs(tmp_path_factory):
     so every recorded configuration value is identical and the artifact trees
     are directly comparable.
     """
-    mp = pytest.MonkeyPatch()
-    mp.delenv("COGMAP_OUTPUT_DIR", raising=False)
     old_cwd = os.getcwd()
     result = {"workspaces": [], "manifests": []}
     try:
@@ -73,7 +70,6 @@ def pipeline_runs(tmp_path_factory):
         yield result
     finally:
         os.chdir(old_cwd)
-        mp.undo()
 
 
 def runs_by_gamma(manifest):

@@ -119,7 +119,6 @@ def test_pipeline_documents_match_one_dumps_call(tmp_path, monkeypatch):
 
     for module in (neural, sr, pipeline):
         monkeypatch.setattr(module, "dump_json", recording)
-    monkeypatch.delenv("COGMAP_OUTPUT_DIR", raising=False)
     run_pipeline(resolve_config({"embeddings": str(REPO / "data" / "embeddings_300d.txt"),
                                  "lexicon": str(REPO / "data" / "lexicon.csv"),
                                  "output_dir": str(tmp_path), "epochs": "2"}))

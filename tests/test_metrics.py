@@ -8,7 +8,7 @@ import pytest
 
 from cogmap.errors import InputError
 from cogmap.fileio import load_labeled_points_csv
-from cogmap.metrics import GdvReport, LabeledPointSet, gdv, zscore_half
+from cogmap.metrics import LabeledPointSet, gdv, zscore_half
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 

@@ -1,5 +1,6 @@
 """Config resolution, pipeline orchestration, CLI subcommands, and the SVG map."""
 
+import argparse
 import json
 import shutil
 from pathlib import Path
@@ -7,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cogmap.cli import main
-from cogmap.dataset import EmbeddingTable, save_embeddings
+from cogmap.cli import build_parser, main
+from cogmap.dataset import EmbeddingTable, load_embeddings, save_embeddings
 from cogmap.errors import InputError
 from cogmap.pipeline import (CONFIG_FIELDS, config_hash, parse_config_file,
                              resolve_config, run_pipeline)
@@ -19,11 +20,6 @@ REPO = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO / "data"
 
 CATEGORIES = ["reds", "greens", "blues"]
-
-
-@pytest.fixture(autouse=True)
-def isolated_env(monkeypatch):
-    monkeypatch.delenv("COGMAP_OUTPUT_DIR", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -115,26 +111,18 @@ def test_resolve_defaults():
     assert config.hidden_dim == 128 and config.dropout_rate == 0.8
     assert config.learning_rate == 1e-5 and config.epochs == 500
     assert config.batch_size == 20 and config.momentum == 0.9
-    assert config.zero_diagonal is False and config.smacof_iterations == 0
 
 
-def test_resolve_precedence(monkeypatch):
-    monkeypatch.setenv("COGMAP_OUTPUT_DIR", "from-env")
-    assert resolve_config().output_dir == "from-env"
+def test_resolve_precedence():
     assert resolve_config({"output_dir": "from-file"}).output_dir == "from-file"
     assert resolve_config({"output_dir": "from-file"},
                           {"output_dir": "from-flag"}).output_dir == "from-flag"
 
 
-def test_resolve_parses_gammas_and_bools():
-    config = resolve_config({"gammas": "0.5, 0.25", "zero_diagonal": "yes"})
-    assert config.gammas == [0.5, 0.25]
-    assert config.zero_diagonal is True
-    assert resolve_config({"zero_diagonal": "off"}).zero_diagonal is False
+def test_resolve_parses_gammas():
+    assert resolve_config({"gammas": "0.5, 0.25"}).gammas == [0.5, 0.25]
     with pytest.raises(InputError, match="gammas"):
         resolve_config({"gammas": "abc"})
-    with pytest.raises(InputError, match="boolean"):
-        resolve_config({"zero_diagonal": "maybe"})
     with pytest.raises(InputError, match="unknown config key"):
         resolve_config(overrides={"velocity": "1"})
     with pytest.raises(InputError, match="outside"):
@@ -151,11 +139,6 @@ def test_resolve_rejects_unknown_file_key():
         resolve_config({"epoch": "3"})
 
 
-def test_resolve_rejects_negative_smacof_iterations():
-    with pytest.raises(InputError, match="smacof"):
-        resolve_config({"smacof_iterations": "-1"})
-
-
 @pytest.mark.parametrize("key,value", [("epochs", "0"), ("batch_size", "0"),
                                        ("hidden_dim", "0"), ("dropout_rate", "1.0"),
                                        ("momentum", "1.0"), ("learning_rate", "-1")])
@@ -163,14 +146,6 @@ def test_resolve_rejects_bad_network_settings(key, value):
     # checked when the config resolves, before any stage reads or writes a file
     with pytest.raises(InputError):
         resolve_config(overrides={key: value})
-
-
-def test_cli_run_negative_smacof_iterations_is_input_error(tiny, tmp_path, capsys):
-    out_dir = tmp_path / "out"
-    code, _, err = run_cli(capsys, "run", "--config", tiny["cfg"],
-                           "--smacof-iterations", "-1", "--out-dir", out_dir)
-    assert code == 1 and "smacof" in err
-    assert not out_dir.exists()
 
 
 def _table_values(text):
@@ -190,6 +165,47 @@ def test_readme_table_lists_every_key_with_resolved_defaults():
     values = _table_values((REPO / "README.md").read_text(encoding="utf-8"))
     assert list(values) == list(CONFIG_FIELDS)
     assert resolve_config(values) == resolve_config()
+
+
+def test_readme_flag_table_matches_parser():
+    # one row per subcommand that takes --config, listing its config flags in order
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("| subcommand | config flags |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|") for line in section.splitlines() if line.startswith("| `")]
+    documented = {row[1].strip().strip("`"): row[2].strip().strip("`") for row in rows}
+    subcommands = next(action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)).choices
+    parsed = {}
+    for name, sub in subcommands.items():
+        keyed = [action for action in sub._actions if action.dest in CONFIG_FIELDS]
+        if "--config" in sub._option_string_actions:
+            parsed[name] = ("all of them" if {a.dest for a in keyed} == set(CONFIG_FIELDS)
+                            else " ".join(flag for a in keyed for flag in a.option_strings))
+        else:
+            assert keyed == [], name
+    assert documented == parsed
+
+
+@pytest.mark.parametrize("line", ["zero_diagonal = false", "smacof_iterations = 0"])
+def test_config_file_with_removed_key_is_input_error(tiny, tmp_path, capsys, line):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(tiny["cfg"].read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--config", cfg, "--out-dir", tmp_path / "out")
+    key = line.split(" ")[0]
+    assert code == 1 and out == "" and f"unknown config key {key!r}" in err
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command,flags", [("run", ["--zero-diagonal"]),
+                                           ("project", ["--config", REPO / "default.cfg"]),
+                                           ("project", ["--smacof-iterations", "4"])])
+def test_cli_removed_flags_are_usage_errors(tmp_path, capsys, command, flags):
+    outputs = {"run": ["--out-dir", tmp_path / "out"],
+               "project": ["--predictions", DATA_DIR / "gdv_fixture_1d.csv",
+                           "--out-csv", tmp_path / "p.csv", "--out-svg", tmp_path / "p.svg"]}
+    code, out, err = run_cli(capsys, command, *flags, *outputs[command])
+    assert code == 1 and out == "" and f"unrecognized arguments: {flags[0]}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("gammas", ["0.5,0.5", "1,1.0"])
@@ -214,9 +230,7 @@ FLAGS = {"embeddings": (["--embeddings", "e.txt"], "e.txt"),
          "learning_rate": (["--learning-rate", "0.5"], "0.5"),
          "epochs": (["--epochs", "2"], "2"),
          "batch_size": (["--batch-size", "3"], "3"),
-         "momentum": (["--momentum", "0.5"], "0.5"),
-         "zero_diagonal": (["--zero-diagonal"], "true"),
-         "smacof_iterations": (["--smacof-iterations", "4"], "4")}
+         "momentum": (["--momentum", "0.5"], "0.5")}
 
 
 @pytest.mark.parametrize("key", list(CONFIG_FIELDS))
@@ -558,6 +572,25 @@ def test_cli_project_rejects_flags_it_never_reads(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["build-sr", "oracle", "run"])
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_cli_names_vector_whose_norm_overflows_or_underflows(tiny, tmp_path, capsys,
+                                                              command, scale):
+    # finite components whose squared norm is inf (1e200) or 0 (1e-200)
+    table = load_embeddings(tiny["embeddings"])
+    table.entries["r0"] = table["r0"] * scale
+    emb = tmp_path / "scaled.txt"
+    save_embeddings(table, emb)
+    out_dir = tmp_path / "out"
+    args = {"build-sr": ["--out-dir", out_dir], "run": ["--out-dir", out_dir],
+            "oracle": ["--start", "0"]}
+    code, out, err = run_cli(capsys, command, "--config", tiny["cfg"], "--embeddings", emb,
+                             *args[command])
+    assert code == 1 and out == ""
+    assert "vector for 'r0' has a norm too large or too small for float64 cosines" in err
+    assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+
 # ------------------------------------------------------------- CLI: oracle
 
 def test_cli_oracle_compare(tiny, capsys):
@@ -649,22 +682,6 @@ def test_cli_internal_error_exit_code(tiny, tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "run", "--config", tiny["cfg"],
                            "--out-dir", tmp_path / "out")
     assert code == 2 and "internal error:" in err and "wires crossed" in err
-
-
-def test_cli_output_dir_env_fallback(tiny, tmp_path, capsys, monkeypatch):
-    env_dir = tmp_path / "env-out"
-    monkeypatch.setenv("COGMAP_OUTPUT_DIR", str(env_dir))
-    code, _, _ = run_cli(capsys, "build-sr", "--embeddings", tiny["embeddings"],
-                         "--lexicon", tiny["lexicon"], "--gamma", "1.0")
-    assert code == 0
-    assert (env_dir / "transition.csv").is_file()
-
-    flag_dir = tmp_path / "flag-out"
-    code, _, _ = run_cli(capsys, "build-sr", "--embeddings", tiny["embeddings"],
-                         "--lexicon", tiny["lexicon"], "--gamma", "1.0",
-                         "--out-dir", flag_dir)
-    assert code == 0
-    assert (flag_dir / "transition.csv").is_file()
 
 
 # --------------------------------------------------------------------- SVG

@@ -116,15 +116,3 @@ def test_too_few_points_rejected():
     d = pairwise_euclidean([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(InputError, match="at least 3"):
         classical_mds(d)
-    with pytest.raises(InputError, match="positive"):
-        classical_mds(pairwise_euclidean(np.eye(4)), out_dim=0)
-
-
-def test_smacof_refinement_does_not_worsen_stress():
-    # non-Euclidean input (tetrahedron) and a genuinely lossy projection
-    cases = [DistanceMatrix(n=4, values=np.ones((4, 4)) - np.eye(4)),
-             pairwise_euclidean(np.random.default_rng(3).standard_normal((10, 5)))]
-    for d in cases:
-        base = classical_mds(d).stress
-        refined = classical_mds(d, smacof_iterations=20).stress
-        assert refined <= base + 1e-12

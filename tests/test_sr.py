@@ -46,19 +46,15 @@ def test_negative_similarities_clamp_to_zero():
     np.testing.assert_allclose(t.values[1], [0.0, 1.0, 0.0], atol=1e-15)
 
 
-def test_zero_diagonal_option():
-    t = chain_from_gram([[1.0, 0.8, 0.2], [0.8, 1.0, 0.5], [0.2, 0.5, 1.0]])
-    entries = {f"w{i}": None for i in range(3)}  # rebuild with same vectors
-    gram = np.array([[1.0, 0.8, 0.2], [0.8, 1.0, 0.5], [0.2, 0.5, 1.0]])
-    chol = np.linalg.cholesky(gram)
-    table = EmbeddingTable(dimension=3, entries={f"w{i}": chol[i] for i in range(3)})
-    lex = Lexicon(training=[(f"w{i}", "c") for i in range(3)], validation=[],
-                  categories=["c"])
-    tz = build_transition_matrix(table, lex, zero_diagonal=True)
-    np.testing.assert_allclose(np.diag(tz.values), 0.0, atol=1e-15)
-    # row 0 redistributes (.8,.2) mass: (0, .8, .2)
-    np.testing.assert_allclose(tz.values[0], [0.0, 0.8, 0.2], atol=1e-12)
-    assert not np.allclose(t.values, tz.values)
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_vector_whose_cosines_overflow_or_underflow_is_rejected(scale):
+    # finite and non-zero, but its squared norm is inf (1e200) or 0 (1e-200)
+    entries = {"a": np.array([1.0, 0.5]), "b": np.array([0.5, 1.0]) * scale,
+               "c": np.array([0.2, 1.0])}
+    lex = Lexicon(training=[(w, "x") for w in entries], validation=[], categories=["x"])
+    table = EmbeddingTable(dimension=2, entries=entries)
+    with pytest.raises(InputError, match="vector for 'b' has a norm too large or too small"):
+        build_transition_matrix(table, lex)
 
 
 def test_transition_constructor_validates_rows():
@@ -67,6 +63,10 @@ def test_transition_constructor_validates_rows():
         TransitionMatrix(n=2, values=bad, state_words=["a", "b"])
     with pytest.raises(InputError):
         TransitionMatrix(n=2, values=np.array([[1.2, -0.2], [0.5, 0.5]]),
+                         state_words=["a", "b"])
+    # NaN compares false, so the range and row-sum checks let it through
+    with pytest.raises(InputError, match="finite"):
+        TransitionMatrix(n=2, values=np.array([[np.nan, 1.0], [0.5, 0.5]]),
                          state_words=["a", "b"])
 
 
@@ -118,6 +118,12 @@ def test_successor_matrix_validates_parameters():
         successor_matrix(t, 1.1, 5)
     with pytest.raises(InputError):
         successor_matrix(t, 0.5, -1)
+
+
+def test_successor_matrix_checks_gamma_before_taking_powers():
+    # the weight 10^400 of the last power would overflow a Python float
+    with pytest.raises(InputError, match="gamma must be in"):
+        successor_matrix(flip_chain(), 10.0, 400)
 
 
 # ------------------------------------------------------------------ oracle
