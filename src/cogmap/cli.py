@@ -35,8 +35,8 @@ def _resolved(args):
 
 def _cmd_build_sr(args):
     config = _resolved(args)
-    table, lex = load_inputs(config)
-    transition = build_transition_matrix(table, lex)
+    vectors, lex = load_inputs(config)
+    transition = build_transition_matrix(vectors[:lex.n_states], lex.train_words)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_matrix_csv(transition.values, out_dir / "transition.csv")
@@ -53,12 +53,12 @@ def _cmd_build_sr(args):
 
 def _cmd_train(args):
     config = _resolved(args)
-    table, lex = load_inputs(config)
+    vectors, lex = load_inputs(config)
     sr, state_words = load_sr_json(args.sr)
     if state_words != lex.train_words:
         raise InputError("successor-matrix state words do not match the lexicon training order")
-    examples = build_examples(table, lex, sr)
-    model, report = train(config.mlp_config(table.dimension, lex.n_states, config.seed),
+    examples = build_examples(vectors[:lex.n_states], sr)
+    model, report = train(config.mlp_config(vectors.shape[1], lex.n_states, config.seed),
                           examples)
     save_model(model, args.out)
     print(f"wrote {args.out} (first-epoch loss {report.loss_per_epoch[0]:.6f}, "
@@ -68,10 +68,12 @@ def _cmd_train(args):
 
 def _cmd_predict(args):
     config = _resolved(args)
-    table, lex = load_inputs(config)
+    vectors, lex = load_inputs(config)
     model = load_model(args.model)
     words, labels, splits = labeled_words(lex, args.split)
-    predictions = predict_all(model, table, words)
+    rows = {"all": slice(None), "train": slice(lex.n_states),
+            "validation": slice(lex.n_states, None)}[args.split]
+    predictions = predict_all(model, vectors[rows])
     save_labeled_points_csv(args.out, words, labels, splits, predictions)
     print(f"wrote {args.out} ({len(words)} distributions over {model.config.output_dim} states)")
     return 0
@@ -110,8 +112,8 @@ def _cmd_run(args):
 
 def _cmd_oracle(args):
     config = _resolved(args)
-    table, lex = load_inputs(config)
-    transition = build_transition_matrix(table, lex)
+    vectors, lex = load_inputs(config)
+    transition = build_transition_matrix(vectors[:lex.n_states], lex.train_words)
     try:
         start = int(args.start)
     except ValueError:

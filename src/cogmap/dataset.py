@@ -1,4 +1,8 @@
-"""Word-vector file parsing, the labeled lexicon, and training-example assembly."""
+"""Word-vector file parsing, the labeled lexicon, and training-example assembly.
+
+The loader checks every line of a vector file but keeps only the requested
+words, as one matrix whose rows the pipeline hands to each stage.
+"""
 
 import csv
 from dataclasses import dataclass, field
@@ -11,57 +15,19 @@ from .fileio import format_float, replacing
 SPLITS = ("train", "validation")
 
 
-@dataclass
-class EmbeddingTable:
-    """Vocabulary of dense word vectors sharing one dimension.
+def load_embeddings(path, words):
+    """The vectors of `words`, one float64 row each in that order, from a vector-text file.
 
-    Keys are case-sensitive; vectors are finite, non-zero float64 arrays.
-    """
-
-    dimension: int
-    entries: dict
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise InputError(f"embedding dimension must be positive, got {self.dimension}")
-        for word, vec in self.entries.items():
-            vec = np.asarray(vec, dtype=np.float64)
-            if vec.shape != (self.dimension,):
-                raise InputError(
-                    f"vector for {word!r} has {vec.size} components, expected {self.dimension}"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise InputError(f"vector for {word!r} has a non-finite component")
-            if not np.any(vec):
-                raise InputError(f"vector for {word!r} is all zeros")
-            self.entries[word] = vec
-
-    def __contains__(self, word):
-        return word in self.entries
-
-    def __getitem__(self, word):
-        try:
-            return self.entries[word]
-        except KeyError:
-            raise InputError(f"word {word!r} missing from embedding table") from None
-
-    def __len__(self):
-        return len(self.entries)
-
-    @property
-    def words(self):
-        return list(self.entries)
-
-
-def load_embeddings(path):
-    """Parse a vector-text file: header `<count> <dimension>`, then `<word> <v1> ... <vD>` lines.
-
-    Fields are separated by single spaces; trailing whitespace on a vector
-    line (common in fastText `.vec` files) is ignored. Malformed headers, wrong
+    The file is a header `<count> <dimension>`, then `<word> <v1> ... <vD>`
+    lines. Fields are separated by single spaces; trailing whitespace on a
+    vector line (common in fastText `.vec` files) is ignored. Every line is
+    checked, whether or not its word is requested: malformed headers, wrong
     component counts, duplicates, non-finite components, and zero vectors are
-    all rejected with the offending line number.
+    all rejected with the offending line number. Only the requested rows are
+    kept, so memory grows with `words`, not with the file.
     """
-    entries = {}
+    seen = set()
+    kept = dict.fromkeys(words)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if not header:
@@ -87,8 +53,9 @@ def load_embeddings(path):
                     f"{path}: line {lineno}: expected {dim} components for {word!r}, "
                     f"found {len(fields) - 1}"
                 )
-            if word in entries:
+            if word in seen:
                 raise InputError(f"{path}: line {lineno}: duplicate word {word!r}")
+            seen.add(word)
             try:
                 vec = np.array([float(tok) for tok in fields[1:]], dtype=np.float64)
             except ValueError:
@@ -97,18 +64,23 @@ def load_embeddings(path):
                 raise InputError(f"{path}: line {lineno}: non-finite component for {word!r}")
             if not np.any(vec):
                 raise InputError(f"{path}: line {lineno}: zero vector for {word!r}")
-            entries[word] = vec
+            if word in kept:
+                kept[word] = vec
 
-    if len(entries) != count:
-        raise InputError(f"{path}: header declares {count} words but file holds {len(entries)}")
-    return EmbeddingTable(dimension=dim, entries=entries)
+    if len(seen) != count:
+        raise InputError(f"{path}: header declares {count} words but file holds {len(seen)}")
+    for word, vec in kept.items():
+        if vec is None:
+            raise InputError(f"lexicon word {word!r} missing from embedding table")
+    return np.array([kept[word] for word in words]).reshape(len(words), dim)
 
 
-def save_embeddings(table, path):
-    """Write vector-text with shortest round-trip components (bit-exact reload)."""
+def save_embeddings(entries, path):
+    """Write a `{word: vector}` dict as vector-text; every component reloads bit-exactly."""
+    dim = len(next(iter(entries.values()), ()))
     with replacing(path) as fh:
-        fh.write(f"{len(table)} {table.dimension}\n")
-        for word, vec in table.entries.items():
+        fh.write(f"{len(entries)} {dim}\n")
+        for word, vec in entries.items():
             fh.write(word + " " + " ".join(format_float(x) for x in vec) + "\n")
 
 
@@ -197,36 +169,33 @@ def load_lexicon(path):
 
 @dataclass
 class ExampleSet:
-    """Aligned inputs (embeddings), targets (row distributions), labels, and words."""
+    """Aligned inputs (embedding rows) and targets (row distributions)."""
 
     inputs: np.ndarray
     targets: np.ndarray
-    labels: list
-    words: list
 
     def __post_init__(self):
-        n = len(self.words)
-        if not (len(self.inputs) == len(self.targets) == len(self.labels) == n):
-            raise InputError("inputs, targets, labels, and words must have equal length")
-        if n and (np.any(self.targets < 0) or np.max(np.abs(self.targets.sum(axis=1) - 1.0)) > 1e-9):
+        if len(self.inputs) != len(self.targets):
+            raise InputError("inputs and targets must have equal length")
+        if len(self) and (np.any(self.targets < 0)
+                          or np.max(np.abs(self.targets.sum(axis=1) - 1.0)) > 1e-9):
             raise InputError("every target must be a probability distribution")
 
     def __len__(self):
-        return len(self.words)
+        return len(self.inputs)
 
 
-def build_examples(table, lex, sr):
+def build_examples(vecs, sr):
     """Training examples against a successor matrix over the training states.
 
-    Each training word's target is its own SR row normalized to sum 1.
+    Row i of `vecs` is the embedding of training state i; its target is SR
+    row i normalized to sum 1.
     """
-    n = lex.n_states
+    n = len(vecs)
     values = np.asarray(sr.values, dtype=np.float64)
     if values.shape != (n, n):
         raise InputError(f"successor matrix is {values.shape}, lexicon has {n} training states")
     row_sums = values.sum(axis=1)
     if np.any(row_sums <= 0):
         raise InputError("successor matrix has a non-positive row sum")
-    return ExampleSet(inputs=np.stack([table[w] for w in lex.train_words]),
-                      targets=values / row_sums[:, None],
-                      labels=list(lex.train_categories), words=list(lex.train_words))
+    return ExampleSet(inputs=vecs, targets=values / row_sums[:, None])

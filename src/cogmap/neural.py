@@ -46,6 +46,8 @@ class MlpConfig:
             raise InputError(f"batch size must be positive, got {self.batch_size}")
         if not 0.0 <= self.momentum < 1.0:
             raise InputError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -237,14 +239,11 @@ def train(config, examples):
                               seed=config.seed)
 
 
-def predict_all(model, table, words):
-    """Inference-mode distributions for each word, order preserved."""
-    cfg = model.config
-    if not words:
-        return np.zeros((0, cfg.output_dim))
-    vecs = np.stack([table[w] for w in words])
-    if vecs.shape[1] != cfg.input_dim:
-        raise InputError(f"embeddings have dim {vecs.shape[1]}, model expects {cfg.input_dim}")
+def predict_all(model, vecs):
+    """Inference-mode distributions, one per row of `vecs`, order preserved."""
+    if vecs.shape[1] != model.config.input_dim:
+        raise InputError(f"embeddings have dim {vecs.shape[1]}, "
+                         f"model expects {model.config.input_dim}")
     return _forward_backward(model, vecs)[0]
 
 

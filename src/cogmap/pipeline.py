@@ -145,13 +145,13 @@ def _gamma_tag(gamma):
 
 
 def load_inputs(config):
-    """Load stage: the embedding table and lexicon, every lexicon word checked."""
-    table = load_embeddings(config.embeddings_path)
+    """Load stage: (vectors, lexicon), one vector row per word in `labeled_words` order.
+
+    The first `lex.n_states` rows are the training states; the validation
+    words follow.
+    """
     lex = load_lexicon(config.lexicon_path)
-    for word in lex.train_words + lex.validation_words:
-        if word not in table:
-            raise InputError(f"lexicon word {word!r} missing from embedding table")
-    return table, lex
+    return load_embeddings(config.embeddings_path, labeled_words(lex)[0]), lex
 
 
 def labeled_words(lex, split="all"):
@@ -181,10 +181,11 @@ def run_pipeline(config):
     staging = Path(tempfile.mkdtemp(dir=out_dir))
     try:
         with _stage("load"):
-            table, lex = load_inputs(config)
+            vectors, lex = load_inputs(config)
+        train_vectors = vectors[:lex.n_states]
 
         with _stage("transition"):
-            transition = build_transition_matrix(table, lex)
+            transition = build_transition_matrix(train_vectors, lex.train_words)
             save_matrix_csv(transition.values, staging / "transition.csv")
 
         words, labels, splits = labeled_words(lex)
@@ -202,13 +203,13 @@ def run_pipeline(config):
                 save_matrix_csv(sr.values, staging / files["sr_csv"])
 
             with _stage(f"train gamma={tag}"):
-                examples = build_examples(table, lex, sr)
-                model, report = train(config.mlp_config(table.dimension, lex.n_states, seed),
+                examples = build_examples(train_vectors, sr)
+                model, report = train(config.mlp_config(vectors.shape[1], lex.n_states, seed),
                                       examples)
                 save_model(model, staging / files["model_json"])
 
             with _stage(f"predict gamma={tag}"):
-                predictions = predict_all(model, table, words)
+                predictions = predict_all(model, vectors)
                 save_labeled_points_csv(staging / files["predictions_csv"],
                                         words, labels, splits, predictions)
 

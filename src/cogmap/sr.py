@@ -43,6 +43,14 @@ class TransitionMatrix:
             raise InputError("transition rows must sum to 1")
 
 
+def _check_scale(gamma, horizon):
+    """Reject a discount outside [0, 1] or a negative horizon."""
+    if not 0.0 <= gamma <= 1.0:
+        raise InputError(f"gamma must be in [0, 1], got {gamma}")
+    if horizon < 0:
+        raise InputError(f"horizon must be non-negative, got {horizon}")
+
+
 @dataclass
 class SuccessorMatrix:
     """Discounted occupancy matrix M = sum_{k=0}^{horizon} gamma^k T^k."""
@@ -54,28 +62,24 @@ class SuccessorMatrix:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if not 0.0 <= self.gamma <= 1.0:
-            raise InputError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.horizon < 0:
-            raise InputError(f"horizon must be non-negative, got {self.horizon}")
+        _check_scale(self.gamma, self.horizon)
         if self.values.shape != (self.n, self.n):
             raise InputError(f"successor matrix must be {self.n}x{self.n}")
         if np.any(self.values < 0.0):
             raise InputError("successor entries must be non-negative")
 
 
-def build_transition_matrix(table, lex):
+def build_transition_matrix(vecs, words):
     """Clamp pairwise cosine similarities at 0, set the diagonal to 1, and row-normalize.
 
-    Every row sums to at least its diagonal 1, so every row normalizes; a word
+    Row i of `vecs` is the embedding of training word `words[i]`. Every row
+    sums to at least its diagonal 1, so every row normalizes; a word
     orthogonal (or opposed) to every other word keeps all its mass on itself.
     A vector whose squared norm overflows or falls below the smallest normal
     float64 would make its cosines inf/inf or 0/0, and is rejected by word.
     """
-    words = lex.train_words
     if not words:
         raise InputError("lexicon has no training words")
-    vecs = np.stack([table[w] for w in words])
     with np.errstate(over="ignore", under="ignore"):
         squared_norms = (vecs * vecs).sum(axis=1)
     bad = np.flatnonzero((squared_norms < _TINY) | (squared_norms == np.inf))
@@ -115,6 +119,7 @@ def rollout_occupancy_oracle(t, gamma, horizon, start, samples, seed):
     gamma = float(gamma)
     horizon = int(horizon)
     samples = int(samples)
+    _check_scale(gamma, horizon)
     if samples < 1:
         raise InputError(f"samples must be positive, got {samples}")
     if not 0 <= start < t.n:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cogmap.dataset import EmbeddingTable, ExampleSet
+from cogmap.dataset import ExampleSet
 from cogmap.errors import InputError, TrainingError
 from cogmap.neural import (MlpConfig, MlpModel, _forward_backward, gradient_check,
                            init_model, load_model, loss, predict_all, save_model,
@@ -30,16 +30,12 @@ def zero_model(config):
 def toy_examples(n_per=3, seed=0):
     """Two separable 2-D clusters whose targets are distinct distributions."""
     rng = np.random.default_rng(seed)
-    inputs, targets, labels, words = [], [], [], []
-    for c, (center, dist) in enumerate([((4.0, 0.0), (0.9, 0.1)),
-                                        ((0.0, 4.0), (0.1, 0.9))]):
-        for i in range(n_per):
+    inputs, targets = [], []
+    for center, dist in [((4.0, 0.0), (0.9, 0.1)), ((0.0, 4.0), (0.1, 0.9))]:
+        for _ in range(n_per):
             inputs.append(np.array(center) + 0.1 * rng.standard_normal(2))
             targets.append(np.array(dist))
-            labels.append(f"c{c}")
-            words.append(f"w{c}{i}")
-    return ExampleSet(inputs=np.array(inputs), targets=np.array(targets),
-                      labels=labels, words=words)
+    return ExampleSet(inputs=np.array(inputs), targets=np.array(targets))
 
 
 # ------------------------------------------------------------------ config
@@ -61,8 +57,10 @@ def test_config_validation():
         small_config(batch_size=0)
     with pytest.raises(InputError):
         small_config(momentum=1.0)
+    with pytest.raises(InputError, match="seed must be non-negative"):
+        small_config(seed=-1)
     # boundary values that must be accepted
-    small_config(dropout_rate=0.0, learning_rate=0.0, momentum=0.0)
+    small_config(dropout_rate=0.0, learning_rate=0.0, momentum=0.0, seed=0)
 
 
 def test_init_is_seeded_glorot():
@@ -116,9 +114,8 @@ def test_zero_mask_drops_everything():
 
 def test_predict_all_rejects_wrong_input_dim():
     model = init_model(small_config())
-    table = EmbeddingTable(dimension=7, entries={"a": np.ones(7)})
     with pytest.raises(InputError, match="expects 4"):
-        predict_all(model, table, ["a"])
+        predict_all(model, np.ones((1, 7)))
 
 
 # -------------------------------------------------------------------- loss
@@ -258,8 +255,7 @@ def test_training_aborts_on_divergence():
     # weights some hidden unit stays active and the magnitudes keep compounding
     # until the loss (or a parameter) goes non-finite
     ex = ExampleSet(inputs=np.array([[3.0, 1.0], [-3.0, -1.0]]),
-                    targets=np.array([[0.8, 0.2], [0.2, 0.8]]),
-                    labels=["a", "b"], words=["wa", "wb"])
+                    targets=np.array([[0.8, 0.2], [0.2, 0.8]]))
     cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=4, dropout_rate=0.0,
                     learning_rate=1e30, epochs=60, batch_size=2, momentum=0.0, seed=1)
     with pytest.raises(TrainingError, match="non-finite"):
@@ -312,8 +308,7 @@ def test_training_matches_the_per_array_reference_bitwise():
     rng = np.random.default_rng(11)
     targets = rng.random((7, 4))
     ex = ExampleSet(inputs=rng.standard_normal((7, 5)),
-                    targets=targets / targets.sum(axis=1, keepdims=True),
-                    labels=["c"] * 7, words=[f"w{i}" for i in range(7)])
+                    targets=targets / targets.sum(axis=1, keepdims=True))
     cfg = MlpConfig(input_dim=5, output_dim=4, hidden_dim=6, dropout_rate=0.3,
                     learning_rate=0.05, epochs=30, batch_size=3, momentum=0.9, seed=21)
     model, report = train(cfg, ex)
@@ -336,18 +331,17 @@ def test_train_validates_example_shapes():
 def test_predict_all_matches_forward_and_handles_duplicates():
     cfg = small_config(input_dim=3, output_dim=4, seed=9)
     model = init_model(cfg)
-    entries = {"a": np.array([1.0, 2.0, 3.0]), "b": np.array([-1.0, 0.5, 2.0])}
-    table = EmbeddingTable(dimension=3, entries=entries)
-    preds = predict_all(model, table, ["a", "b", "a"])
+    a, b = np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.5, 2.0])
+    preds = predict_all(model, np.stack([a, b, a]))
     assert preds.shape == (3, 4)
     np.testing.assert_allclose(preds.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_array_equal(preds[0], preds[2])
-    np.testing.assert_allclose(preds[1], predictions(model, entries["b"]), atol=1e-15)
+    np.testing.assert_allclose(preds[1], predictions(model, b), atol=1e-15)
 
 
 def test_predict_all_empty_word_list():
     cfg = small_config(output_dim=3)
-    preds = predict_all(init_model(cfg), EmbeddingTable(dimension=4, entries={}), [])
+    preds = predict_all(init_model(cfg), np.zeros((0, 4)))
     assert preds.shape == (0, 3)
 
 

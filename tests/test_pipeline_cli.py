@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cogmap.cli import build_parser, main
-from cogmap.dataset import EmbeddingTable, load_embeddings, save_embeddings
+from cogmap.dataset import save_embeddings
 from cogmap.errors import InputError
 from cogmap.pipeline import (CONFIG_FIELDS, config_hash, parse_config_file,
                              resolve_config, run_pipeline)
@@ -43,7 +43,7 @@ def tiny(tmp_path_factory):
             lex_lines.append(f"{cat[0]}{i},{cat},validation")
 
     emb = root / "embeddings.txt"
-    save_embeddings(EmbeddingTable(dimension=8, entries=entries), emb)
+    save_embeddings(entries, emb)
     lexicon = root / "lexicon.csv"
     lexicon.write_text("\n".join(lex_lines) + "\n", encoding="utf-8")
     cfg = root / "tiny.cfg"
@@ -59,7 +59,8 @@ def tiny(tmp_path_factory):
         "dropout_rate = 0.5\n"
         "seed = 7\n",
         encoding="utf-8")
-    return {"root": root, "embeddings": emb, "lexicon": lexicon, "cfg": cfg}
+    return {"root": root, "embeddings": emb, "entries": entries, "lexicon": lexicon,
+            "cfg": cfg}
 
 
 def run_cli(capsys, *argv):
@@ -141,7 +142,8 @@ def test_resolve_rejects_unknown_file_key():
 
 @pytest.mark.parametrize("key,value", [("epochs", "0"), ("batch_size", "0"),
                                        ("hidden_dim", "0"), ("dropout_rate", "1.0"),
-                                       ("momentum", "1.0"), ("learning_rate", "-1")])
+                                       ("momentum", "1.0"), ("learning_rate", "-1"),
+                                       ("seed", "-1")])
 def test_resolve_rejects_bad_network_settings(key, value):
     # checked when the config resolves, before any stage reads or writes a file
     with pytest.raises(InputError):
@@ -577,10 +579,10 @@ def test_cli_project_rejects_flags_it_never_reads(tmp_path, capsys):
 def test_cli_names_vector_whose_norm_overflows_or_underflows(tiny, tmp_path, capsys,
                                                               command, scale):
     # finite components whose squared norm is inf (1e200) or 0 (1e-200)
-    table = load_embeddings(tiny["embeddings"])
-    table.entries["r0"] = table["r0"] * scale
+    entries = dict(tiny["entries"])
+    entries["r0"] = entries["r0"] * scale
     emb = tmp_path / "scaled.txt"
-    save_embeddings(table, emb)
+    save_embeddings(entries, emb)
     out_dir = tmp_path / "out"
     args = {"build-sr": ["--out-dir", out_dir], "run": ["--out-dir", out_dir],
             "oracle": ["--start", "0"]}
@@ -672,6 +674,19 @@ def test_cli_diverging_training_is_input_error(tiny, tmp_path, capsys, command):
         args += ["--out-dir", out_dir]
     code, _, err = run_cli(capsys, command, *args)
     assert code == 1 and err.startswith("error:") and "non-finite" in err
+
+
+def test_cli_negative_seed_is_input_error(tiny, tmp_path, capsys):
+    # rejected while the config resolves, before any stage reads or writes
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "keep.txt").write_text("previous run\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--config", tiny["cfg"], "--seed", "-1",
+                             "--out-dir", out_dir)
+    assert code == 1 and out == ""
+    assert err == "error: seed must be non-negative, got -1\n"
+    assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
+    assert (out_dir / "keep.txt").read_text(encoding="utf-8") == "previous run\n"
 
 
 def test_cli_internal_error_exit_code(tiny, tmp_path, capsys, monkeypatch):

@@ -5,24 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from cogmap.dataset import EmbeddingTable, Lexicon
 from cogmap.errors import InputError
 from cogmap.sr import (TransitionMatrix, build_transition_matrix, load_sr_json,
                        rollout_occupancy_oracle, save_sr_json, successor_matrix)
 
 
-def chain_from_gram(gram, words=None, categories=None):
+def chain_from_gram(gram):
     """Build a transition matrix from vectors realizing an exact Gram matrix."""
-    gram = np.asarray(gram, dtype=np.float64)
-    chol = np.linalg.cholesky(gram)  # rows have the prescribed inner products
-    n = gram.shape[0]
-    words = words or [f"w{i}" for i in range(n)]
-    entries = {w: chol[i] for i, w in enumerate(words)}
-    table = EmbeddingTable(dimension=n, entries=entries)
-    categories = categories or ["c"] * n
-    lex = Lexicon(training=list(zip(words, categories)), validation=[],
-                  categories=sorted(set(categories), key=categories.index))
-    return build_transition_matrix(table, lex)
+    # the Cholesky factor's rows have the prescribed inner products
+    chol = np.linalg.cholesky(np.asarray(gram, dtype=np.float64))
+    return build_transition_matrix(chol, [f"w{i}" for i in range(len(chol))])
 
 
 # ------------------------------------------------------------- transition
@@ -35,12 +27,8 @@ def test_transition_rows_from_exact_gram():
 
 
 def test_negative_similarities_clamp_to_zero():
-    entries = {"a": np.array([1.0, 0.0]), "b": np.array([-1.0, 0.0]),
-               "c": np.array([0.0, 1.0])}
-    table = EmbeddingTable(dimension=2, entries=entries)
-    lex = Lexicon(training=[("a", "x"), ("b", "x"), ("c", "x")], validation=[],
-                  categories=["x"])
-    t = build_transition_matrix(table, lex)
+    t = build_transition_matrix(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
+                                ["a", "b", "c"])
     # cos(a,b) = -1 clamps to 0: row a = (1, 0, 0)/1
     np.testing.assert_allclose(t.values[0], [1.0, 0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(t.values[1], [0.0, 1.0, 0.0], atol=1e-15)
@@ -49,12 +37,9 @@ def test_negative_similarities_clamp_to_zero():
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 def test_vector_whose_cosines_overflow_or_underflow_is_rejected(scale):
     # finite and non-zero, but its squared norm is inf (1e200) or 0 (1e-200)
-    entries = {"a": np.array([1.0, 0.5]), "b": np.array([0.5, 1.0]) * scale,
-               "c": np.array([0.2, 1.0])}
-    lex = Lexicon(training=[(w, "x") for w in entries], validation=[], categories=["x"])
-    table = EmbeddingTable(dimension=2, entries=entries)
+    vecs = np.array([[1.0, 0.5], [0.5 * scale, scale], [0.2, 1.0]])
     with pytest.raises(InputError, match="vector for 'b' has a norm too large or too small"):
-        build_transition_matrix(table, lex)
+        build_transition_matrix(vecs, ["a", "b", "c"])
 
 
 def test_transition_constructor_validates_rows():
@@ -111,13 +96,20 @@ def test_horizon_recursion():
 
 
 def test_successor_matrix_validates_parameters():
+    # the closed form and the rollout oracle share one check and its messages;
+    # gamma = 10 at horizon 400 would overflow a Python float in its last weight
     t = flip_chain()
-    with pytest.raises(InputError):
-        successor_matrix(t, -0.1, 5)
-    with pytest.raises(InputError):
-        successor_matrix(t, 1.1, 5)
-    with pytest.raises(InputError):
-        successor_matrix(t, 0.5, -1)
+    for compute in (successor_matrix,
+                    lambda t, gamma, horizon: rollout_occupancy_oracle(t, gamma, horizon,
+                                                                       0, 10, 1)):
+        for gamma, horizon, message in [(-0.1, 5, "gamma must be in"),
+                                        (1.1, 5, "gamma must be in"),
+                                        (1.5, 3, "gamma must be in"),
+                                        (10.0, 400, "gamma must be in"),
+                                        (0.5, -1, "horizon must be non-negative"),
+                                        (0.5, -2, "horizon must be non-negative")]:
+            with pytest.raises(InputError, match=message):
+                compute(t, gamma, horizon)
 
 
 def test_successor_matrix_checks_gamma_before_taking_powers():
