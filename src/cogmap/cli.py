@@ -11,8 +11,8 @@ from .errors import InputError
 from .fileio import (dump_json, format_float, load_labeled_points_csv,
                      save_labeled_points_csv, save_matrix_csv)
 from .neural import train, predict_all, save_model, load_model
-from .pipeline import (CONFIG_FIELDS, labeled_words, load_inputs, parse_config_file,
-                       project_map, resolve_config, run_pipeline, split_gdv, _gamma_tag)
+from .pipeline import (CONFIG_FIELDS, load_inputs, parse_config_file, project_map,
+                       resolve_config, run_pipeline, split_gdv, _gamma_tag)
 from .sr import (build_transition_matrix, successor_matrix, rollout_occupancy_oracle,
                  save_sr_json, load_sr_json)
 
@@ -36,7 +36,7 @@ def _resolved(args):
 def _cmd_build_sr(args):
     config = _resolved(args)
     vectors, lex = load_inputs(config)
-    transition = build_transition_matrix(vectors[:lex.n_states], lex.train_words)
+    transition = build_transition_matrix(vectors[:lex.n_states], lex.words[:lex.n_states])
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_matrix_csv(transition.values, out_dir / "transition.csv")
@@ -55,7 +55,7 @@ def _cmd_train(args):
     config = _resolved(args)
     vectors, lex = load_inputs(config)
     sr, state_words = load_sr_json(args.sr)
-    if state_words != lex.train_words:
+    if state_words != lex.words[:lex.n_states]:
         raise InputError("successor-matrix state words do not match the lexicon training order")
     examples = build_examples(vectors[:lex.n_states], sr)
     model, report = train(config.mlp_config(vectors.shape[1], lex.n_states, config.seed),
@@ -70,20 +70,18 @@ def _cmd_predict(args):
     config = _resolved(args)
     vectors, lex = load_inputs(config)
     model = load_model(args.model)
-    words, labels, splits = labeled_words(lex, args.split)
     rows = {"all": slice(None), "train": slice(lex.n_states),
             "validation": slice(lex.n_states, None)}[args.split]
+    words = lex.words[rows]
     predictions = predict_all(model, vectors[rows])
-    save_labeled_points_csv(args.out, words, labels, splits, predictions)
+    save_labeled_points_csv(args.out, words, lex.labels[rows], lex.splits[rows], predictions)
     print(f"wrote {args.out} ({len(words)} distributions over {model.config.output_dim} states)")
     return 0
 
 
 def _cmd_project(args):
     words, labels, splits, values = load_labeled_points_csv(args.predictions)
-    categories = list(dict.fromkeys(labels))  # first-appearance order
-    projection = project_map(values, words, labels, splits, categories,
-                             args.out_csv, args.out_svg)
+    projection = project_map(values, words, labels, splits, args.out_csv, args.out_svg)
     print(f"wrote {args.out_csv} and {args.out_svg} (stress {projection.stress:.6g})")
     return 0
 
@@ -113,11 +111,14 @@ def _cmd_run(args):
 def _cmd_oracle(args):
     config = _resolved(args)
     vectors, lex = load_inputs(config)
-    transition = build_transition_matrix(vectors[:lex.n_states], lex.train_words)
+    states = lex.words[:lex.n_states]
+    transition = build_transition_matrix(vectors[:lex.n_states], states)
     try:
         start = int(args.start)
     except ValueError:
-        start = lex.state_index(args.start)
+        if args.start not in states:
+            raise InputError(f"word {args.start!r} is not a training state") from None
+        start = states.index(args.start)
     gamma = config.gammas[0]
     estimate = rollout_occupancy_oracle(transition, gamma, config.horizon, start,
                                         args.samples, config.seed)

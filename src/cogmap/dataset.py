@@ -5,7 +5,7 @@ words, as one matrix whose rows the pipeline hands to each stage.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,57 +86,29 @@ def save_embeddings(entries, path):
 
 @dataclass
 class Lexicon:
-    """Ordered training words (defining state indices 0..N-1) plus validation words."""
+    """The lexicon's `word,category,split` columns, training rows first.
 
-    training: list
-    validation: list
-    categories: list = field(default_factory=list)
+    Row i < n_states is training state i; the validation rows follow.
+    """
 
-    def __post_init__(self):
-        seen = set()
-        for word, category in self.training + self.validation:
-            if word in seen:
-                raise InputError(f"duplicate word {word!r} in lexicon")
-            seen.add(word)
-            if not category:
-                raise InputError(f"empty category for word {word!r}")
-            if category not in self.categories:
-                raise InputError(f"category {category!r} of {word!r} not in category list")
+    words: list
+    labels: list
+    splits: list
 
     @property
     def n_states(self):
-        return len(self.training)
-
-    @property
-    def train_words(self):
-        return [w for w, _ in self.training]
-
-    @property
-    def train_categories(self):
-        return [c for _, c in self.training]
-
-    @property
-    def validation_words(self):
-        return [w for w, _ in self.validation]
-
-    @property
-    def validation_categories(self):
-        return [c for _, c in self.validation]
-
-    def state_index(self, word):
-        for i, (w, _) in enumerate(self.training):
-            if w == word:
-                return i
-        raise InputError(f"word {word!r} is not a training state")
+        return self.splits.count("train")
 
 
 def load_lexicon(path):
-    """Load a lexicon CSV with required header `word,category,split`.
+    """Load a lexicon CSV with required header `word,category,split` as its three columns.
 
-    Training order equals file order restricted to `train` records; category
-    order is first appearance in the file.
+    The training rows come first, then the validation rows, each in file
+    order; every check on the file is made here. Category order, wherever it
+    matters (the map legend, the GDV classes), is first appearance in these
+    rows: `list(dict.fromkeys(labels))`.
     """
-    training, validation, categories = [], [], []
+    records = []
     seen = set()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -161,10 +133,10 @@ def load_lexicon(path):
             if word in seen:
                 raise InputError(f"{path}: line {lineno}: duplicate word {word!r}")
             seen.add(word)
-            if category not in categories:
-                categories.append(category)
-            (training if split == "train" else validation).append((word, category))
-    return Lexicon(training=training, validation=validation, categories=categories)
+            records.append(rec)
+    records.sort(key=lambda rec: SPLITS.index(rec[2]))  # stable: file order within a split
+    return Lexicon(words=[rec[0] for rec in records], labels=[rec[1] for rec in records],
+                   splits=[rec[2] for rec in records])
 
 
 @dataclass

@@ -149,6 +149,8 @@ def load_labeled_points_csv(path):
             raise InputError(f"{path}: empty file") from None
         if header[:3] != ["word", "category", "split"]:
             raise InputError(f"{path}: expected header starting `word,category,split`")
+        if len(header) == 3:
+            raise InputError(f"{path}: no component columns after `word,category,split`")
         width = len(header) - 3
         for lineno, rec in enumerate(reader, start=2):
             if not rec:

@@ -35,11 +35,7 @@ class LabeledPointSet:
 
     @property
     def classes(self):
-        seen = []
-        for label in self.labels:
-            if label not in seen:
-                seen.append(label)
-        return seen
+        return list(dict.fromkeys(self.labels))  # first appearance, as in the map legend
 
 
 @dataclass

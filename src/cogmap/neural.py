@@ -260,6 +260,8 @@ def load_model(path):
         arrays = {name: np.array(doc[name], dtype=np.float64) for name in _param_shapes(config)}
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed model checkpoint ({exc})") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     for name, shape in _param_shapes(config).items():
         if arrays[name].shape != shape:
             raise InputError(f"{path}: checkpoint shapes do not match its config: {name} is "

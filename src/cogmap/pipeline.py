@@ -145,26 +145,13 @@ def _gamma_tag(gamma):
 
 
 def load_inputs(config):
-    """Load stage: (vectors, lexicon), one vector row per word in `labeled_words` order.
+    """Load stage: (vectors, lexicon), one vector row per lexicon row.
 
     The first `lex.n_states` rows are the training states; the validation
     words follow.
     """
     lex = load_lexicon(config.lexicon_path)
-    return load_embeddings(config.embeddings_path, labeled_words(lex)[0]), lex
-
-
-def labeled_words(lex, split="all"):
-    """(words, categories, split names) of one lexicon split, or of both, training first."""
-    words, labels, splits = [], [], []
-    for name, names, categories in (("train", lex.train_words, lex.train_categories),
-                                    ("validation", lex.validation_words,
-                                     lex.validation_categories)):
-        if split in (name, "all"):
-            words += names
-            labels += categories
-            splits += [name] * len(names)
-    return words, labels, splits
+    return load_embeddings(config.embeddings_path, lex.words), lex
 
 
 def run_pipeline(config):
@@ -185,10 +172,10 @@ def run_pipeline(config):
         train_vectors = vectors[:lex.n_states]
 
         with _stage("transition"):
-            transition = build_transition_matrix(train_vectors, lex.train_words)
+            transition = build_transition_matrix(train_vectors, lex.words[:lex.n_states])
             save_matrix_csv(transition.values, staging / "transition.csv")
 
-        words, labels, splits = labeled_words(lex)
+        words, labels, splits = lex.words, lex.labels, lex.splits
         runs = []
         for index, gamma in enumerate(config.gammas):
             tag = _gamma_tag(gamma)
@@ -218,7 +205,7 @@ def run_pipeline(config):
                                for split in GDV_SPLITS}
 
             with _stage(f"project gamma={tag}"):
-                projection = project_map(predictions, words, labels, splits, lex.categories,
+                projection = project_map(predictions, words, labels, splits,
                                          staging / files["projection_csv"],
                                          staging / files["map_svg"])
                 planar_reports = {split: split_gdv(projection.coordinates, labels, splits, split)
@@ -267,10 +254,10 @@ def split_gdv(points, labels, splits, split):
                                labels=[labels[i] for i in keep]))
 
 
-def project_map(points, words, labels, splits, categories, csv_path, svg_path):
+def project_map(points, words, labels, splits, csv_path, svg_path):
     """Project the points to 2-D by MDS; writes the coordinate CSV and the SVG map."""
     projection = classical_mds(pairwise_euclidean(points))
     save_labeled_points_csv(csv_path, words, labels, splits, projection.coordinates,
                             component_names=("x", "y"))
-    render_svg(projection.coordinates, words, labels, splits, categories, svg_path)
+    render_svg(projection.coordinates, words, labels, splits, svg_path)
     return projection

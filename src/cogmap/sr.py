@@ -155,6 +155,8 @@ def load_sr_json(path):
         words = list(doc["state_words"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed successor-matrix envelope ({exc})") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     if not np.isfinite(m.values).all():
         raise InputError(f"{path}: non-finite value in values")
     if len(words) != m.n:

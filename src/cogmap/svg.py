@@ -12,11 +12,12 @@ PALETTE = ["#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02"]
 RING_COLOR = "#d62728"
 
 
-def render_svg(coordinates, words, labels, splits, categories, out_path, timestamp=None):
+def render_svg(coordinates, words, labels, splits, out_path, timestamp=None):
     """Write a square, axis-free scatter map.
 
     One circle per point, filled by category; validation points carry a
-    distinct ring stroke. Output is deterministic for fixed input except for
+    distinct ring stroke. The legend lists the categories in order of first
+    appearance in `labels`. Output is deterministic for fixed input except for
     the ISO-8601 timestamp comment.
     """
     n = len(coordinates)
@@ -24,14 +25,6 @@ def render_svg(coordinates, words, labels, splits, categories, out_path, timesta
         raise InputError("cannot render an empty projection")
     if not (len(words) == len(labels) == len(splits) == n):
         raise InputError("coordinates, words, labels, and splits must have equal length")
-    if not categories:
-        raise InputError("category list is empty")
-    for label in labels:
-        if label not in categories:
-            raise InputError(f"point category {label!r} is not in the category list")
-    for cat in categories:
-        if cat not in labels:
-            raise InputError(f"category {cat!r} has no points")
 
     xs = [float(c[0]) for c in coordinates]
     ys = [float(c[1]) for c in coordinates]
@@ -44,6 +37,7 @@ def render_svg(coordinates, words, labels, splits, categories, out_path, timesta
         # y flipped: SVG y grows downward
         return (CANVAS / 2.0 + (x - cx) * scale, CANVAS / 2.0 - (y - cy) * scale)
 
+    categories = list(dict.fromkeys(labels))
     color = {cat: PALETTE[i % len(PALETTE)] for i, cat in enumerate(categories)}
     ts = timestamp if timestamp is not None else datetime.now(timezone.utc).isoformat(timespec="seconds")
 

@@ -11,7 +11,7 @@ import pytest
 from cogmap.dataset import (Lexicon, build_examples, load_embeddings, load_lexicon,
                             save_embeddings)
 from cogmap.errors import InputError
-from cogmap.pipeline import labeled_words, load_inputs, resolve_config
+from cogmap.pipeline import load_inputs, resolve_config
 from cogmap.sr import SuccessorMatrix, build_transition_matrix, successor_matrix
 
 REPO = Path(__file__).resolve().parents[1]
@@ -148,19 +148,30 @@ def test_shipped_data_regenerates_byte_for_byte(tmp_path):
 def test_shipped_lexicon_shape():
     lex = load_lexicon(DATA_DIR / "lexicon.csv")
     assert lex.n_states == 60
-    assert len(lex.validation) == 30
-    assert lex.categories == ["animals", "vehicles", "furniture"]
-    for cat in lex.categories:
-        assert lex.train_categories.count(cat) == 20
-        assert lex.validation_categories.count(cat) == 10
+    assert lex.splits == ["train"] * 60 + ["validation"] * 30
+    assert list(dict.fromkeys(lex.labels)) == ["animals", "vehicles", "furniture"]
+    for cat in ("animals", "vehicles", "furniture"):
+        assert lex.labels[:60].count(cat) == 20
+        assert lex.labels[60:].count(cat) == 10
 
 
 def test_single_record_lexicon(tmp_path):
     p = write(tmp_path / "l.csv", "word,category,split\ndog,animal,train\n")
     lex = load_lexicon(p)
     assert lex.n_states == 1
-    assert lex.training == [("dog", "animal")]
-    assert lex.validation == []
+    assert (lex.words, lex.labels, lex.splits) == (["dog"], ["animal"], ["train"])
+
+
+def test_lexicon_rows_put_training_first(tmp_path):
+    # a validation word listed before training rows still follows every training row
+    p = write(tmp_path / "l.csv", "word,category,split\ndog,animal,train\n"
+              "bus,vehicle,validation\nchair,furniture,train\ncar,vehicle,train\n"
+              "pup,animal,validation\n")
+    lex = load_lexicon(p)
+    assert lex.n_states == 3
+    assert lex.words == ["dog", "chair", "car", "bus", "pup"]
+    assert lex.labels == ["animal", "furniture", "vehicle", "vehicle", "animal"]
+    assert lex.splits == ["train"] * 3 + ["validation"] * 2
 
 
 def test_duplicate_lexicon_word(tmp_path):
@@ -196,15 +207,15 @@ def toy_vectors_and_lexicon():
                         [0.9, 0.2, 0.0],     # cat
                         [0.0, 0.1, 1.0],     # car
                         [1.0, 0.05, 0.05]])  # pup, a validation word: never an example
-    lex = Lexicon(training=[("dog", "animal"), ("cat", "animal"), ("car", "vehicle")],
-                  validation=[("pup", "animal")],
-                  categories=["animal", "vehicle"])
+    lex = Lexicon(words=["dog", "cat", "car", "pup"],
+                  labels=["animal", "animal", "vehicle", "animal"],
+                  splits=["train", "train", "train", "validation"])
     return vectors, lex
 
 
 def test_train_targets_are_distributions():
     vectors, lex = toy_vectors_and_lexicon()
-    t = build_transition_matrix(vectors[:3], lex.train_words)
+    t = build_transition_matrix(vectors[:3], lex.words[:3])
     sr = successor_matrix(t, 0.7, 3)
     ex = build_examples(vectors[:3], sr)
     assert len(ex) == 3
@@ -214,7 +225,7 @@ def test_train_targets_are_distributions():
 
 def test_identity_sr_gives_one_hot_targets():
     vectors, lex = toy_vectors_and_lexicon()
-    t = build_transition_matrix(vectors[:3], lex.train_words)
+    t = build_transition_matrix(vectors[:3], lex.words[:3])
     sr = successor_matrix(t, 0.0, 5)
     ex = build_examples(vectors[:3], sr)
     np.testing.assert_array_equal(ex.targets, np.eye(3))
@@ -231,7 +242,7 @@ def test_hand_built_sr_rows_become_targets():
 
 def test_examples_must_match_the_successor_matrix():
     vectors, lex = toy_vectors_and_lexicon()
-    sr = successor_matrix(build_transition_matrix(vectors[:3], lex.train_words), 0.7, 3)
+    sr = successor_matrix(build_transition_matrix(vectors[:3], lex.words[:3]), 0.7, 3)
     with pytest.raises(InputError, match=r"successor matrix is \(3, 3\), lexicon has 4"):
         build_examples(vectors, sr)
 
@@ -240,7 +251,7 @@ def test_missing_embedding_reported_by_word(tmp_path):
     # the load stage names the first lexicon word that the file lacks
     vectors, lex = toy_vectors_and_lexicon()
     emb = tmp_path / "e.txt"
-    save_embeddings(dict(zip(labeled_words(lex)[0], vectors)), emb)
+    save_embeddings(dict(zip(lex.words, vectors)), emb)
     lexicon = write(tmp_path / "l.csv", "word,category,split\ndog,animal,train\n"
                     "yeti,vehicle,train\npup,animal,validation\nnessie,animal,validation\n")
     config = resolve_config({"embeddings": str(emb), "lexicon": str(lexicon)})

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cogmap import neural, pipeline, sr
+from cogmap.cli import main
 from cogmap.errors import InputError
 from cogmap.fileio import (_plain, dump_json, load_json, load_labeled_points_csv,
                            save_labeled_points_csv, save_matrix_csv)
@@ -102,6 +103,21 @@ def test_labeled_points_reader_rejects_nonfinite_naming_the_file(tmp_path, token
                     encoding="utf-8")
     with pytest.raises(InputError, match="p.csv: non-finite value"):
         load_labeled_points_csv(path)
+
+
+def test_labeled_points_reader_rejects_header_without_components(tmp_path, capsys):
+    # no component columns: `gdv` would print nan and `project` draw an all-zero map
+    path = tmp_path / "p.csv"
+    path.write_text("word,category,split\na,x,train\nb,y,train\n", encoding="utf-8")
+    with pytest.raises(InputError, match="p.csv: no component columns"):
+        load_labeled_points_csv(path)
+    for argv in (["gdv", "--points", path],
+                 ["project", "--predictions", path, "--out-csv", tmp_path / "r.csv",
+                  "--out-svg", tmp_path / "r.svg"]):
+        assert main([str(a) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path}: no component columns")
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def one_call(obj):

@@ -391,11 +391,17 @@ def _huge_int_b1(doc):
     doc["b1"][0] = 10 ** 400
 
 
+def _bad_dropout(doc):
+    doc["config"]["dropout_rate"] = 1.5
+
+
 @pytest.mark.parametrize("edit,match", [(_short_b1, "shapes .* b1"), (_short_b2, "shapes .* b2"),
-                                        (_ragged_w1, "malformed"), (_huge_int_b1, "malformed")],
-                         ids=["short-b1", "short-b2", "ragged-w1", "huge-int-b1"])
+                                        (_ragged_w1, "malformed"), (_huge_int_b1, "malformed"),
+                                        (_bad_dropout, r"dropout rate must be in \[0, 1\)")],
+                         ids=["short-b1", "short-b2", "ragged-w1", "huge-int-b1", "bad-config"])
 def test_checkpoint_arrays_checked_against_config(tmp_path, edit, match):
-    # a short bias, a ragged matrix or an integer beyond float range names the file
+    # a short bias, a ragged matrix, an integer beyond float range or a config
+    # its own checks reject names the file
     p = tmp_path / "model.json"
     save_model(init_model(small_config()), p)
     doc = json.loads(p.read_text(encoding="utf-8"))

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from cogmap.cli import build_parser, main
-from cogmap.dataset import save_embeddings
+from cogmap.dataset import load_lexicon, save_embeddings
 from cogmap.errors import InputError
 from cogmap.pipeline import (CONFIG_FIELDS, config_hash, parse_config_file,
                              resolve_config, run_pipeline)
@@ -387,6 +388,57 @@ def test_cli_run_is_deterministic(tiny, tmp_path, capsys, monkeypatch):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+INTERLEAVED_LEXICON = """word,category,split
+r0,reds,train
+b3,blues,validation
+g0,greens,train
+r3,reds,validation
+r1,reds,train
+g1,greens,train
+b0,blues,train
+g3,greens,validation
+b1,blues,train
+r2,reds,train
+b4,blues,validation
+g2,greens,train
+r4,reds,validation
+b2,blues,train
+g4,greens,validation
+"""
+
+
+def test_interleaved_lexicon_gives_one_category_order(tiny, tmp_path, capsys):
+    # a blues validation word precedes the greens training rows in the file; the
+    # run's legend, its GDV classes and a `project` rerun all order categories
+    # by first appearance among the rows, training rows first
+    lexicon = tmp_path / "lexicon.csv"
+    lexicon.write_text(INTERLEAVED_LEXICON, encoding="utf-8")
+    lex = load_lexicon(lexicon)
+    assert lex.words == ["r0", "g0", "r1", "g1", "b0", "b1", "r2", "g2", "b2",
+                         "b3", "r3", "g3", "b4", "r4", "g4"]
+    assert lex.splits == ["train"] * 9 + ["validation"] * 6
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", "--config", tiny["cfg"], "--lexicon", lexicon,
+                           "--epochs", "2", "--out-dir", out_dir)
+    assert code == 0, err
+    for tag in ("1.0", "0.3"):
+        run_svg = out_dir / f"map_gamma_{tag}.svg"
+        code, _, err = run_cli(capsys, "project",
+                               "--predictions", out_dir / f"predictions_gamma_{tag}.csv",
+                               "--out-csv", tmp_path / "proj.csv",
+                               "--out-svg", tmp_path / "map.svg")
+        assert code == 0, err
+        assert (tmp_path / "proj.csv").read_bytes() == \
+            (out_dir / f"projection_gamma_{tag}.csv").read_bytes()
+        assert svg_payload(tmp_path / "map.svg") == svg_payload(run_svg)
+        legend = re.findall(r'<text x="38"[^>]*>([^<]*)</text>',
+                            run_svg.read_text(encoding="utf-8"))
+        assert legend == ["reds", "greens", "blues", "validation"]
+        gdv_doc = json.loads((out_dir / f"gdv_gamma_{tag}.json").read_text(encoding="utf-8"))
+        for space in ("prediction_space", "projection_2d"):
+            assert gdv_doc[space]["all"]["classes"] == legend[:-1]
+
+
 # ---------------------------------------------------------- CLI: build-sr
 
 def test_cli_build_sr_gamma_zero_identity(tiny, tmp_path, capsys):
@@ -483,7 +535,16 @@ def _edit_sr_ragged(doc):
     doc["values"][1].pop()
 
 
-@pytest.mark.parametrize("edit", [_edit_sr_nan, _edit_sr_ragged], ids=["nan", "ragged"])
+def _edit_sr_negative(doc):
+    doc["values"][0][1] = -0.5
+
+
+def _edit_sr_gamma(doc):
+    doc["gamma"] = 5
+
+
+@pytest.mark.parametrize("edit", [_edit_sr_nan, _edit_sr_ragged, _edit_sr_negative, _edit_sr_gamma],
+                         ids=["nan", "ragged", "negative", "gamma-5"])
 def test_cli_train_rejects_bad_sr_envelope(tiny, tmp_path, capsys, edit):
     # reported against the file, not as a training failure or a numpy error
     out_dir = tmp_path / "flow"
@@ -707,8 +768,7 @@ def test_svg_structure(tmp_path):
     labels = ["one", "one", "two", "two"]
     splits = ["train", "train", "validation", "train"]
     out = tmp_path / "m.svg"
-    render_svg(coords, words, labels, splits, ["one", "two"], out,
-               timestamp="2026-01-01T00:00:00+00:00")
+    render_svg(coords, words, labels, splits, out, timestamp="2026-01-01T00:00:00+00:00")
     text = out.read_text(encoding="utf-8")
     assert text.count("<circle") == 4
     assert text.count('stroke="#d62728"') == 2  # one ringed point + legend swatch
@@ -717,20 +777,13 @@ def test_svg_structure(tmp_path):
     assert "2026-01-01T00:00:00+00:00" in text
     # fixed timestamp makes the render reproducible byte for byte
     out2 = tmp_path / "m2.svg"
-    render_svg(coords, words, labels, splits, ["one", "two"], out2,
-               timestamp="2026-01-01T00:00:00+00:00")
+    render_svg(coords, words, labels, splits, out2, timestamp="2026-01-01T00:00:00+00:00")
     assert out.read_bytes() == out2.read_bytes()
 
 
 def test_svg_validation():
     coords = np.zeros((2, 2))
     with pytest.raises(InputError, match="empty"):
-        render_svg(np.zeros((0, 2)), [], [], [], ["x"], "unused.svg")
+        render_svg(np.zeros((0, 2)), [], [], [], "unused.svg")
     with pytest.raises(InputError, match="equal length"):
-        render_svg(coords, ["a"], ["x", "x"], ["train", "train"], ["x"], "unused.svg")
-    with pytest.raises(InputError, match="not in the category list"):
-        render_svg(coords, ["a", "b"], ["x", "y"], ["train", "train"], ["x"],
-                   "unused.svg")
-    with pytest.raises(InputError, match="has no points"):
-        render_svg(coords, ["a", "b"], ["x", "x"], ["train", "train"], ["x", "y"],
-                   "unused.svg")
+        render_svg(coords, ["a"], ["x", "x"], ["train", "train"], "unused.svg")
