@@ -2,6 +2,7 @@
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +92,7 @@ def _cmd_gdv(args):
     report = split_gdv(values, labels, splits, args.split)
     print(f"{report.gdv:.4f}")
     if args.out:
-        dump_json(report.to_dict(), args.out)
+        dump_json(asdict(report), args.out)
     return 0
 
 

@@ -133,15 +133,16 @@ def save_labeled_points_csv(path, words, categories, splits, values, component_n
         raise InputError("component_names length must match the point dimension")
     header = ["word", "category", "split"] + list(component_names)
     with replacing(path) as fh:
-        fh.write(",".join(header) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")  # quotes a name only if it needs it
+        writer.writerow(header)
         for word, cat, split, row in zip(words, categories, splits, values.tolist()):
-            fh.write(",".join([word, cat, split, *map(repr, row)]) + "\n")
+            writer.writerow([word, cat, split, *map(repr, row)])
 
 
 def load_labeled_points_csv(path):
     """Returns (words, categories, splits, values) from a labeled point CSV."""
     words, cats, splits, rows = [], [], [], []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

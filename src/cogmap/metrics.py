@@ -8,11 +8,15 @@ then mean intra-class and inter-class Euclidean distances combine into
 
     GDV = 1/sqrt(D) [ mean_l intra(C_l) - (2/(L(L-1))) sum_{l<m} inter(C_l, C_m) ].
 
-0 means fully overlapping classes; more negative means better separated. The
-z-scoring makes the value invariant under global scaling/shifting, and the
-Euclidean distance under permutation of components.
+With Y the n x L class-indicator matrix, S = Y^T dist Y holds every class
+pair's distance sum: intra(C_l) = S_ll / (n_l (n_l - 1)) and
+inter(C_l, C_m) = S_lm / (n_l n_m). 0 means fully overlapping classes; more
+negative means better separated. The z-scoring makes the value invariant under
+global scaling/shifting, and the Euclidean distance under permutation of
+components.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +37,6 @@ class LabeledPointSet:
         if len(self.labels) != len(self.points):
             raise InputError("points and labels must have equal length")
 
-    @property
-    def classes(self):
-        return list(dict.fromkeys(self.labels))  # first appearance, as in the map legend
-
 
 @dataclass
 class GdvReport:
@@ -47,11 +47,16 @@ class GdvReport:
     classes: list
     class_pairs: list
 
-    def to_dict(self):
-        return {"gdv": self.gdv, "mean_intra_per_class": self.mean_intra_per_class,
-                "mean_inter_per_pair": self.mean_inter_per_pair,
-                "dimension": self.dimension, "classes": self.classes,
-                "class_pairs": [list(p) for p in self.class_pairs]}
+
+def gdv_classes(labels):
+    """Classes of `labels` by first appearance; the GDV needs >= 2, of >= 2 points each."""
+    counts = Counter(labels)
+    if len(counts) < 2:
+        raise InputError(f"GDV needs at least 2 classes, got {len(counts)}")
+    for c, size in counts.items():
+        if size < 2:
+            raise InputError(f"class {c!r} has {size} point(s); GDV needs at least 2")
+    return list(counts)
 
 
 def zscore_half(points):
@@ -68,33 +73,18 @@ def zscore_half(points):
 
 
 def gdv(pointset):
-    """GDV of a labeled point set; needs >= 2 classes and >= 2 points per class."""
-    classes = pointset.classes
-    if len(classes) < 2:
-        raise InputError(f"GDV needs at least 2 classes, got {len(classes)}")
-    labels = np.asarray(pointset.labels, dtype=object)
-    members = {c: np.flatnonzero(labels == c) for c in classes}
-    for c, idx in members.items():
-        if idx.size < 2:
-            raise InputError(f"class {c!r} has {idx.size} point(s); GDV needs at least 2")
-
-    scaled = zscore_half(pointset.points)
-    dist = euclidean_distances(scaled)
-
-    intra = []
-    for c in classes:
-        idx = members[c]
-        iu, ju = np.triu_indices(idx.size, k=1)
-        intra.append(float(dist[idx[iu], idx[ju]].sum() * 2.0 / (idx.size * (idx.size - 1))))
-
-    inter, pairs = [], []
-    for a in range(len(classes) - 1):
-        for b in range(a + 1, len(classes)):
-            ia, ib = members[classes[a]], members[classes[b]]
-            inter.append(float(dist[np.ix_(ia, ib)].sum() / (ia.size * ib.size)))
-            pairs.append((classes[a], classes[b]))
-
+    """GDV of a labeled point set whose labels pass `gdv_classes`, from S = Y^T dist Y."""
+    classes = gdv_classes(pointset.labels)
     n_classes = len(classes)
+    onehot = np.eye(n_classes)[[classes.index(c) for c in pointset.labels]]
+    sizes = onehot.sum(axis=0)
+    sums = onehot.T @ euclidean_distances(zscore_half(pointset.points)) @ onehot
+
+    intra = (np.diag(sums) / (sizes * (sizes - 1))).tolist()
+    a, b = np.triu_indices(n_classes, k=1)
+    inter = (sums[a, b] / (sizes[a] * sizes[b])).tolist()
+    pairs = [(classes[i], classes[j]) for i, j in zip(a, b)]
+
     dimension = pointset.points.shape[1]
     value = (np.mean(intra) - 2.0 / (n_classes * (n_classes - 1)) * np.sum(inter)) / np.sqrt(dimension)
     return GdvReport(gdv=float(value), mean_intra_per_class=intra, mean_inter_per_pair=inter,

@@ -63,7 +63,6 @@ class MlpModel:
 class TrainReport:
     loss_per_epoch: list
     final_train_loss: float
-    seed: int
 
 
 def _param_shapes(config):
@@ -235,8 +234,7 @@ def train(config, examples):
                 raise TrainingError(f"non-finite parameter {name} at epoch {epoch}")
             losses.append(loss_sum / n)
 
-    return model, TrainReport(loss_per_epoch=losses, final_train_loss=losses[-1],
-                              seed=config.seed)
+    return model, TrainReport(loss_per_epoch=losses, final_train_loss=losses[-1])
 
 
 def predict_all(model, vecs):

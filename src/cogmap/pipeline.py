@@ -24,9 +24,9 @@ from . import __version__
 from .dataset import SPLITS, load_embeddings, load_lexicon, build_examples
 from .errors import InputError
 from .fileio import dump_json, save_matrix_csv, save_labeled_points_csv
-from .metrics import LabeledPointSet, gdv
+from .metrics import LabeledPointSet, gdv, gdv_classes
 from .neural import MlpConfig, train, predict_all, save_model
-from .projection import pairwise_euclidean, classical_mds
+from .projection import classical_mds
 from .sr import build_transition_matrix, successor_matrix
 from .svg import render_svg
 
@@ -123,7 +123,9 @@ def resolve_config(file_values=None, overrides=None):
 
 
 def config_hash(config):
-    canon = json.dumps(asdict(config), sort_keys=True)
+    """SHA-256 of the settings that decide the outputs: every config field but output_dir."""
+    science = {key: value for key, value in asdict(config).items() if key != "output_dir"}
+    canon = json.dumps(science, sort_keys=True)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -169,6 +171,8 @@ def run_pipeline(config):
     try:
         with _stage("load"):
             vectors, lex = load_inputs(config)
+            for split in GDV_SPLITS:  # a lexicon the GDV cannot score fails before training
+                gdv_classes([lex.labels[i] for i in _split_rows(lex.splits, split)])
         train_vectors = vectors[:lex.n_states]
 
         with _stage("transition"):
@@ -213,8 +217,8 @@ def run_pipeline(config):
 
             gdv_doc = {
                 "gamma": float(gamma),
-                "prediction_space": {k: r.to_dict() for k, r in raw_reports.items()},
-                "projection_2d": {k: r.to_dict() for k, r in planar_reports.items()},
+                "prediction_space": {k: asdict(r) for k, r in raw_reports.items()},
+                "projection_2d": {k: asdict(r) for k, r in planar_reports.items()},
             }
             dump_json(gdv_doc, staging / files["gdv_json"])
 
@@ -245,18 +249,24 @@ def run_pipeline(config):
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def split_gdv(points, labels, splits, split):
-    """GDV report of the points in one split, "train" or "validation", or of "all" of them."""
+def _split_rows(splits, split):
+    """Indices of the rows in one split, "train" or "validation", or of "all" rows."""
     keep = [i for i, name in enumerate(splits) if split in (name, "all")]
     if not keep:
         raise InputError(f"no points with split {split!r}")
+    return keep
+
+
+def split_gdv(points, labels, splits, split):
+    """GDV report of the points in one split, "train" or "validation", or of "all" of them."""
+    keep = _split_rows(splits, split)
     return gdv(LabeledPointSet(points=np.asarray(points, dtype=np.float64)[keep],
                                labels=[labels[i] for i in keep]))
 
 
 def project_map(points, words, labels, splits, csv_path, svg_path):
     """Project the points to 2-D by MDS; writes the coordinate CSV and the SVG map."""
-    projection = classical_mds(pairwise_euclidean(points))
+    projection = classical_mds(points)
     save_labeled_points_csv(csv_path, words, labels, splits, projection.coordinates,
                             component_names=("x", "y"))
     render_svg(projection.coordinates, words, labels, splits, svg_path)

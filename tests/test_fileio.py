@@ -51,12 +51,16 @@ def test_matrix_csv_roundtrip_is_bit_exact(tmp_path):
 
 
 def test_labeled_points_roundtrip_is_bit_exact(tmp_path):
+    # plain names are written bare; a comma, quote or newline gets CSV quoting
     path = tmp_path / "p.csv"
-    save_labeled_points_csv(path, ["a", "b"], ["x", "y"], ["train", "validation"],
-                            [EDGES, EDGES[::-1]])
+    names = (["a", 'say "hi"', "a\nb"], ["x", "animals, wild", "y"],
+             ["train", "train", "validation"])
+    save_labeled_points_csv(path, *names, [EDGES, EDGES[::-1], EDGES])
+    assert path.read_text(encoding="utf-8").startswith("word,category,split,v0,")
+    assert path.read_text(encoding="utf-8").splitlines()[1].startswith("a,x,train,5e-324,")
     words, cats, splits, values = load_labeled_points_csv(path)
-    assert (words, cats, splits) == (["a", "b"], ["x", "y"], ["train", "validation"])
-    np.testing.assert_array_equal(bits(values), bits([EDGES, EDGES[::-1]]))
+    assert (words, cats, splits) == names
+    np.testing.assert_array_equal(bits(values), bits([EDGES, EDGES[::-1], EDGES]))
 
 
 @pytest.mark.parametrize("bad", NONFINITE)

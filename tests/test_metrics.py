@@ -1,6 +1,8 @@
 """GDV: z-scoring, hand-computed values, invariances, and a brute-force oracle."""
 
+import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -216,7 +218,7 @@ def test_length_mismatch_rejected():
 
 def test_report_to_dict_structure():
     points, labels = random_labeled_set(5)
-    doc = gdv(LabeledPointSet(points=points, labels=labels)).to_dict()
+    doc = json.loads(json.dumps(asdict(gdv(LabeledPointSet(points=points, labels=labels)))))
     assert set(doc) == {"gdv", "mean_intra_per_class", "mean_inter_per_pair",
                         "dimension", "classes", "class_pairs"}
     assert doc["classes"] == ["c0", "c1", "c2"]

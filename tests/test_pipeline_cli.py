@@ -12,6 +12,7 @@ import pytest
 from cogmap.cli import build_parser, main
 from cogmap.dataset import load_lexicon, save_embeddings
 from cogmap.errors import InputError
+from cogmap.fileio import load_labeled_points_csv
 from cogmap.pipeline import (CONFIG_FIELDS, config_hash, parse_config_file,
                              resolve_config, run_pipeline)
 from cogmap.sr import load_sr_json, save_sr_json
@@ -267,6 +268,8 @@ def test_config_hash_is_stable_sha256():
     assert len(config_hash(a)) == 64
     assert set(config_hash(a)) <= set("0123456789abcdef")
     assert config_hash(resolve_config({"seed": "1"})) != config_hash(a)
+    # the same settings written to another directory are the same science
+    assert config_hash(resolve_config({"output_dir": "elsewhere"})) == config_hash(a)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -301,17 +304,42 @@ def test_run_pipeline_horizon_zero_identity_sr(tiny, tmp_path):
 
 
 def test_run_pipeline_cleans_up_after_failure(tiny, tmp_path):
-    # a single validation word gives the validation split one singleton class,
-    # so the gdv stage fails after several artifacts were already written
-    bad_lexicon = tmp_path / "bad.csv"
-    lines = tiny["lexicon"].read_text(encoding="utf-8").splitlines()
-    bad_lexicon.write_text("\n".join(lines[:11]) + "\n", encoding="utf-8")
+    # training diverges after transition.csv and the first SR file were
+    # written to the staging directory; none of them may be left behind
     out_dir = tmp_path / "out"
     config = resolve_config(parse_config_file(tiny["cfg"]),
-                            {"lexicon": str(bad_lexicon), "output_dir": str(out_dir)})
-    with pytest.raises(InputError, match="stage gdv"):
+                            {"learning_rate": "1e300", "output_dir": str(out_dir)})
+    with pytest.raises(InputError, match="stage train"):
         run_pipeline(config)
     assert list(out_dir.glob("*")) == []
+
+
+def shipped_lexicon_lines(keep):
+    """The shipped lexicon's lines for which `keep(word, category, split)` holds."""
+    lines = (DATA_DIR / "lexicon.csv").read_text(encoding="utf-8").splitlines()
+    return lines[:1] + [line for line in lines[1:] if keep(*line.split(","))]
+
+
+@pytest.mark.parametrize("keep, message", [
+    # one furniture validation word: the validation split has a singleton class
+    (lambda w, c, s: s == "train" or c != "furniture" or w == "futon",
+     "class 'furniture' has 1 point(s); GDV needs at least 2"),
+    (lambda w, c, s: c == "animals", "GDV needs at least 2 classes, got 1"),
+    (lambda w, c, s: s == "train", "no points with split 'validation'"),
+], ids=["singleton-class", "one-class", "no-validation"])
+def test_run_rejects_lexicon_the_gdv_cannot_score_in_load(tmp_path, capsys, keep, message):
+    lexicon = tmp_path / "lexicon.csv"
+    lexicon.write_text("\n".join(shipped_lexicon_lines(keep)) + "\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "manifest.json").write_text("previous run\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--config", REPO / "default.cfg",
+                             "--embeddings", DATA_DIR / "embeddings_300d.txt",
+                             "--lexicon", lexicon, "--out-dir", out_dir)
+    assert code == 1 and out == ""
+    assert err == f"error: stage load: {message}\n"
+    assert [(p.name, p.read_text(encoding="utf-8")) for p in out_dir.iterdir()] == \
+        [("manifest.json", "previous run\n")]
 
 
 def test_failed_rerun_leaves_previous_tree_untouched(tiny, tmp_path):
@@ -437,6 +465,34 @@ def test_interleaved_lexicon_gives_one_category_order(tiny, tmp_path, capsys):
         gdv_doc = json.loads((out_dir / f"gdv_gamma_{tag}.json").read_text(encoding="utf-8"))
         for space in ("prediction_space", "projection_2d"):
             assert gdv_doc[space]["all"]["classes"] == legend[:-1]
+
+
+def test_names_with_commas_survive_the_run_csvs(tiny, tmp_path, capsys):
+    # a quoted category "reds, warm" and word "r,0" are valid lexicon CSV; the
+    # run's predictions CSV must read back in `gdv` and `project`
+    emb = tmp_path / "embeddings.txt"
+    save_embeddings({("r,0" if w == "r0" else w): v for w, v in tiny["entries"].items()}, emb)
+    lexicon = tmp_path / "lexicon.csv"
+    text = tiny["lexicon"].read_text(encoding="utf-8")
+    lexicon.write_text(text.replace(",reds,", ',"reds, warm",').replace("r0,", '"r,0",'),
+                       encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", "--config", tiny["cfg"], "--embeddings", emb,
+                           "--lexicon", lexicon, "--gammas", "1.0", "--epochs", "2",
+                           "--out-dir", out_dir)
+    assert code == 0, err
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    predictions = out_dir / "predictions_gamma_1.0.csv"
+    code, out, err = run_cli(capsys, "gdv", "--points", predictions)
+    assert code == 0, err
+    assert out == f"{manifest['runs'][0]['gdv_prediction_space']['all']:.4f}\n"
+    code, _, err = run_cli(capsys, "project", "--predictions", predictions,
+                           "--out-csv", tmp_path / "proj.csv", "--out-svg", tmp_path / "map.svg")
+    assert code == 0, err
+    assert (tmp_path / "proj.csv").read_bytes() == \
+        (out_dir / "projection_gamma_1.0.csv").read_bytes()
+    words = load_labeled_points_csv(tmp_path / "proj.csv")[0]
+    assert words[0] == "r,0"
 
 
 # ---------------------------------------------------------- CLI: build-sr
