@@ -63,7 +63,7 @@ def _cmd_train(args):
                           examples)
     save_model(model, args.out)
     print(f"wrote {args.out} (first-epoch loss {report.loss_per_epoch[0]:.6f}, "
-          f"final loss {report.final_train_loss:.6f})")
+          f"final loss {report.loss_per_epoch[-1]:.6f})")
     return 0
 
 
@@ -71,25 +71,23 @@ def _cmd_predict(args):
     config = _resolved(args)
     vectors, lex = load_inputs(config)
     model = load_model(args.model)
-    rows = {"all": slice(None), "train": slice(lex.n_states),
-            "validation": slice(lex.n_states, None)}[args.split]
-    words = lex.words[rows]
+    rows = lex.rows(args.split)
     predictions = predict_all(model, vectors[rows])
-    save_labeled_points_csv(args.out, words, lex.labels[rows], lex.splits[rows], predictions)
-    print(f"wrote {args.out} ({len(words)} distributions over {model.config.output_dim} states)")
+    save_labeled_points_csv(args.out, lex.subset(rows), predictions)
+    print(f"wrote {args.out} ({len(rows)} distributions over {model.config.output_dim} states)")
     return 0
 
 
 def _cmd_project(args):
-    words, labels, splits, values = load_labeled_points_csv(args.predictions)
-    projection = project_map(values, words, labels, splits, args.out_csv, args.out_svg)
+    lex, values = load_labeled_points_csv(args.predictions)
+    projection = project_map(values, lex, args.out_csv, args.out_svg)
     print(f"wrote {args.out_csv} and {args.out_svg} (stress {projection.stress:.6g})")
     return 0
 
 
 def _cmd_gdv(args):
-    words, labels, splits, values = load_labeled_points_csv(args.points)
-    report = split_gdv(values, labels, splits, args.split)
+    lex, values = load_labeled_points_csv(args.points)
+    report = split_gdv(values, lex, args.split)
     print(f"{report.gdv:.4f}")
     if args.out:
         dump_json(asdict(report), args.out)

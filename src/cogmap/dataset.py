@@ -1,18 +1,16 @@
-"""Word-vector file parsing, the labeled lexicon, and training-example assembly.
+"""Word-vector file parsing and training-example assembly.
 
 The loader checks every line of a vector file but keeps only the requested
 words, as one matrix whose rows the pipeline hands to each stage.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .fileio import format_float, replacing
-
-SPLITS = ("train", "validation")
+# the lexicon names are re-exported: fileio reads every CSV keyed by word,category,split
+from .fileio import SPLITS, Lexicon, format_float, load_lexicon, replacing  # noqa: F401
 
 
 def load_embeddings(path, words):
@@ -82,61 +80,6 @@ def save_embeddings(entries, path):
         fh.write(f"{len(entries)} {dim}\n")
         for word, vec in entries.items():
             fh.write(word + " " + " ".join(format_float(x) for x in vec) + "\n")
-
-
-@dataclass
-class Lexicon:
-    """The lexicon's `word,category,split` columns, training rows first.
-
-    Row i < n_states is training state i; the validation rows follow.
-    """
-
-    words: list
-    labels: list
-    splits: list
-
-    @property
-    def n_states(self):
-        return self.splits.count("train")
-
-
-def load_lexicon(path):
-    """Load a lexicon CSV with required header `word,category,split` as its three columns.
-
-    The training rows come first, then the validation rows, each in file
-    order; every check on the file is made here. Category order, wherever it
-    matters (the map legend, the GDV classes), is first appearance in these
-    rows: `list(dict.fromkeys(labels))`.
-    """
-    records = []
-    seen = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty lexicon file") from None
-        if header != ["word", "category", "split"]:
-            raise InputError(f"{path}: line 1: expected header `word,category,split`")
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 3:
-                raise InputError(f"{path}: line {lineno}: expected 3 fields, found {len(rec)}")
-            word, category, split = rec
-            if not word:
-                raise InputError(f"{path}: line {lineno}: empty word")
-            if not category:
-                raise InputError(f"{path}: line {lineno}: empty category for {word!r}")
-            if split not in SPLITS:
-                raise InputError(f"{path}: line {lineno}: unknown split {split!r}")
-            if word in seen:
-                raise InputError(f"{path}: line {lineno}: duplicate word {word!r}")
-            seen.add(word)
-            records.append(rec)
-    records.sort(key=lambda rec: SPLITS.index(rec[2]))  # stable: file order within a split
-    return Lexicon(words=[rec[0] for rec in records], labels=[rec[1] for rec in records],
-                   splits=[rec[2] for rec in records])
 
 
 @dataclass

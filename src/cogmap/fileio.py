@@ -1,4 +1,5 @@
-"""Deterministic file formats: JSON documents, CSV matrices, labeled point CSVs.
+"""Deterministic file formats: JSON documents, CSV matrices, and the CSVs keyed by
+the lexicon's `word,category,split` columns (the lexicon itself and labeled points).
 
 Every float is written as its shortest round-trip text (Python's `repr`), so
 parsing any artifact recovers the exact float64 bits. Every writer fills a
@@ -12,7 +13,8 @@ import json
 import math
 import os
 import secrets
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,53 +123,118 @@ def save_matrix_csv(values, path):
             fh.write(",".join(map(repr, row)) + "\n")
 
 
-def save_labeled_points_csv(path, words, categories, splits, values, component_names=None):
-    """CSV with `word,category,split` key columns followed by one column per component."""
-    values = _finite_array(values)
-    if not (len(words) == len(categories) == len(splits) == len(values)):
-        raise InputError("words, categories, splits, and values must have equal length")
-    width = values.shape[1] if values.ndim == 2 else 0
-    if component_names is None:
-        component_names = [f"v{i}" for i in range(width)]
-    elif len(component_names) != width:
-        raise InputError("component_names length must match the point dimension")
-    header = ["word", "category", "split"] + list(component_names)
-    with replacing(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")  # quotes a name only if it needs it
-        writer.writerow(header)
-        for word, cat, split, row in zip(words, categories, splits, values.tolist()):
-            writer.writerow([word, cat, split, *map(repr, row)])
+SPLITS = ("train", "validation")
+KEY_COLUMNS = ["word", "category", "split"]
 
 
-def load_labeled_points_csv(path):
-    """Returns (words, categories, splits, values) from a labeled point CSV."""
-    words, cats, splits, rows = [], [], [], []
+@dataclass
+class Lexicon:
+    """The `word,category,split` columns of a keyed CSV. A loaded lexicon lists its
+    training rows first: row i < n_states is training state i."""
+
+    words: list
+    labels: list
+    splits: list
+
+    def __post_init__(self):
+        if not len(self.words) == len(self.labels) == len(self.splits):
+            raise InputError("words, labels and splits must have equal length")
+
+    @property
+    def n_states(self):
+        return self.splits.count("train")
+
+    def rows(self, split):
+        """Indices of the rows in one split, "train" or "validation", or of "all" rows."""
+        keep = [i for i, name in enumerate(self.splits) if split in (name, "all")]
+        if not keep:
+            raise InputError(f"no points with split {split!r}")
+        return keep
+
+    def subset(self, rows):
+        """The record of the given rows, in that order."""
+        return Lexicon(*([column[i] for i in rows] for column in (self.words, self.labels, self.splits)))
+
+
+def _keyed_rows(path):
+    """Read a CSV whose columns start `word,category,split`: yields the header, then
+    `(line number, fields)` per row, blank lines skipped. Every check on the key
+    columns is made here, naming the file and line: the header prefix, the field
+    count, an empty word or category, the split name, a duplicate word, and a
+    file with no rows.
+    """
+    seen = set()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        if header[:3] != ["word", "category", "split"]:
-            raise InputError(f"{path}: expected header starting `word,category,split`")
-        if len(header) == 3:
-            raise InputError(f"{path}: no component columns after `word,category,split`")
-        width = len(header) - 3
+        header = next(reader, [])
+        if header[:3] != KEY_COLUMNS:
+            raise InputError(f"{path}: line 1: expected header starting `word,category,split`")
+        yield header
         for lineno, rec in enumerate(reader, start=2):
             if not rec:
                 continue
             if len(rec) != len(header):
                 raise InputError(f"{path}: line {lineno}: expected {len(header)} fields, found {len(rec)}")
-            words.append(rec[0])
-            cats.append(rec[1])
-            splits.append(rec[2])
+            word, category, split = rec[:3]
+            if not word:
+                raise InputError(f"{path}: line {lineno}: empty word")
+            if not category:
+                raise InputError(f"{path}: line {lineno}: empty category for {word!r}")
+            if split not in SPLITS:
+                raise InputError(f"{path}: line {lineno}: unknown split {split!r}")
+            if word in seen:
+                raise InputError(f"{path}: line {lineno}: duplicate word {word!r}")
+            seen.add(word)
+            yield lineno, rec
+    if not seen:
+        raise InputError(f"{path}: no data rows")
+
+
+def load_lexicon(path):
+    """Load a lexicon CSV with header exactly `word,category,split`.
+
+    The training rows come first, then the validation rows, each in file
+    order. Category order, wherever it matters (the map legend, the GDV
+    classes), is first appearance in these rows: `list(dict.fromkeys(labels))`.
+    """
+    with closing(_keyed_rows(path)) as rows:
+        if next(rows) != KEY_COLUMNS:
+            raise InputError(f"{path}: line 1: expected header `word,category,split`")
+        records = sorted((rec for _, rec in rows), key=lambda rec: SPLITS.index(rec[2]))  # stable
+    return Lexicon(*map(list, zip(*records)))
+
+
+def save_labeled_points_csv(path, lex, values, component_names=None):
+    """CSV with the `word,category,split` columns of `lex` followed by one column per component."""
+    values = _finite_array(values)
+    if len(lex.words) != len(values):
+        raise InputError(f"{len(lex.words)} lexicon rows for {len(values)} points")
+    width = values.shape[1] if values.ndim == 2 else 0
+    if component_names is None:
+        component_names = [f"v{i}" for i in range(width)]
+    elif len(component_names) != width:
+        raise InputError("component_names length must match the point dimension")
+    with replacing(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # quotes a name only if it needs it
+        writer.writerow(KEY_COLUMNS + list(component_names))
+        for word, cat, split, row in zip(lex.words, lex.labels, lex.splits, values.tolist()):
+            writer.writerow([word, cat, split, *map(repr, row)])
+
+
+def load_labeled_points_csv(path):
+    """Returns (lex, values) from a labeled point CSV, rows in file order."""
+    keys, values = [], []
+    with closing(_keyed_rows(path)) as rows:
+        width = len(next(rows)) - 3
+        if width == 0:
+            raise InputError(f"{path}: no component columns after `word,category,split`")
+        for lineno, rec in rows:
+            keys.append(rec[:3])
             try:
-                rows.append([float(tok) for tok in rec[3:]])
+                values.append([float(tok) for tok in rec[3:]])
             except ValueError:
                 raise InputError(f"{path}: line {lineno}: non-numeric component") from None
-    if not words:
-        raise InputError(f"{path}: no data rows")
     try:
-        return words, cats, splits, _finite_array(np.array(rows).reshape(len(words), width))
+        return Lexicon(*map(list, zip(*keys))), _finite_array(np.array(values).reshape(len(keys), width))
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None

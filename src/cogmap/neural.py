@@ -62,7 +62,6 @@ class MlpModel:
 @dataclass
 class TrainReport:
     loss_per_epoch: list
-    final_train_loss: float
 
 
 def _param_shapes(config):
@@ -234,7 +233,7 @@ def train(config, examples):
                 raise TrainingError(f"non-finite parameter {name} at epoch {epoch}")
             losses.append(loss_sum / n)
 
-    return model, TrainReport(loss_per_epoch=losses, final_train_loss=losses[-1])
+    return model, TrainReport(loss_per_epoch=losses)
 
 
 def predict_all(model, vecs):

@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import SPLITS, load_embeddings, load_lexicon, build_examples
+from .dataset import load_embeddings, build_examples
 from .errors import InputError
-from .fileio import dump_json, save_matrix_csv, save_labeled_points_csv
+from .fileio import SPLITS, dump_json, load_lexicon, save_matrix_csv, save_labeled_points_csv
 from .metrics import LabeledPointSet, gdv, gdv_classes
 from .neural import MlpConfig, train, predict_all, save_model
 from .projection import classical_mds
@@ -123,10 +123,17 @@ def resolve_config(file_values=None, overrides=None):
 
 
 def config_hash(config):
-    """SHA-256 of the settings that decide the outputs: every config field but output_dir."""
-    science = {key: value for key, value in asdict(config).items() if key != "output_dir"}
-    canon = json.dumps(science, sort_keys=True)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    """SHA-256 of what decides the outputs: every config field but output_dir, with
+    each input file's SHA-256, read in 1 MiB chunks, in place of its path."""
+    science = asdict(config)
+    del science["output_dir"]
+    for name in _PATH_KEYS:
+        digest = hashlib.sha256()
+        with open(science[name], "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+        science[name] = digest.hexdigest()
+    return hashlib.sha256(json.dumps(science, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 @contextmanager
@@ -147,11 +154,8 @@ def _gamma_tag(gamma):
 
 
 def load_inputs(config):
-    """Load stage: (vectors, lexicon), one vector row per lexicon row.
-
-    The first `lex.n_states` rows are the training states; the validation
-    words follow.
-    """
+    """Load stage: (vectors, lexicon), one vector row per lexicon row; the first
+    `lex.n_states` rows are the training states, and the validation words follow."""
     lex = load_lexicon(config.lexicon_path)
     return load_embeddings(config.embeddings_path, lex.words), lex
 
@@ -172,14 +176,14 @@ def run_pipeline(config):
         with _stage("load"):
             vectors, lex = load_inputs(config)
             for split in GDV_SPLITS:  # a lexicon the GDV cannot score fails before training
-                gdv_classes([lex.labels[i] for i in _split_rows(lex.splits, split)])
+                gdv_classes(lex.subset(lex.rows(split)).labels)
+            inputs_hash = config_hash(config)
         train_vectors = vectors[:lex.n_states]
 
         with _stage("transition"):
             transition = build_transition_matrix(train_vectors, lex.words[:lex.n_states])
             save_matrix_csv(transition.values, staging / "transition.csv")
 
-        words, labels, splits = lex.words, lex.labels, lex.splits
         runs = []
         for index, gamma in enumerate(config.gammas):
             tag = _gamma_tag(gamma)
@@ -201,18 +205,15 @@ def run_pipeline(config):
 
             with _stage(f"predict gamma={tag}"):
                 predictions = predict_all(model, vectors)
-                save_labeled_points_csv(staging / files["predictions_csv"],
-                                        words, labels, splits, predictions)
+                save_labeled_points_csv(staging / files["predictions_csv"], lex, predictions)
 
             with _stage(f"gdv gamma={tag}"):
-                raw_reports = {split: split_gdv(predictions, labels, splits, split)
-                               for split in GDV_SPLITS}
+                raw_reports = {split: split_gdv(predictions, lex, split) for split in GDV_SPLITS}
 
             with _stage(f"project gamma={tag}"):
-                projection = project_map(predictions, words, labels, splits,
-                                         staging / files["projection_csv"],
+                projection = project_map(predictions, lex, staging / files["projection_csv"],
                                          staging / files["map_svg"])
-                planar_reports = {split: split_gdv(projection.coordinates, labels, splits, split)
+                planar_reports = {split: split_gdv(projection.coordinates, lex, split)
                                   for split in GDV_SPLITS}
 
             gdv_doc = {
@@ -227,7 +228,7 @@ def run_pipeline(config):
                 "seed": seed,
                 "files": files,
                 "first_epoch_loss": report.loss_per_epoch[0],
-                "final_train_loss": report.final_train_loss,
+                "final_train_loss": report.loss_per_epoch[-1],
                 "mds_stress": projection.stress,
                 "gdv_prediction_space": {k: r.gdv for k, r in raw_reports.items()},
                 "gdv_projection_2d": {k: r.gdv for k, r in planar_reports.items()},
@@ -236,7 +237,7 @@ def run_pipeline(config):
         manifest = {
             "tool_version": __version__,
             "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "config_hash": config_hash(config),
+            "config_hash": inputs_hash,
             "config": asdict(config),
             "transition_csv": "transition.csv",
             "runs": runs,
@@ -249,25 +250,16 @@ def run_pipeline(config):
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def _split_rows(splits, split):
-    """Indices of the rows in one split, "train" or "validation", or of "all" rows."""
-    keep = [i for i, name in enumerate(splits) if split in (name, "all")]
-    if not keep:
-        raise InputError(f"no points with split {split!r}")
-    return keep
-
-
-def split_gdv(points, labels, splits, split):
-    """GDV report of the points in one split, "train" or "validation", or of "all" of them."""
-    keep = _split_rows(splits, split)
+def split_gdv(points, lex, split):
+    """GDV report of the points in one split of `lex`, "train" or "validation", or of "all"."""
+    keep = lex.rows(split)
     return gdv(LabeledPointSet(points=np.asarray(points, dtype=np.float64)[keep],
-                               labels=[labels[i] for i in keep]))
+                               labels=lex.subset(keep).labels))
 
 
-def project_map(points, words, labels, splits, csv_path, svg_path):
+def project_map(points, lex, csv_path, svg_path):
     """Project the points to 2-D by MDS; writes the coordinate CSV and the SVG map."""
     projection = classical_mds(points)
-    save_labeled_points_csv(csv_path, words, labels, splits, projection.coordinates,
-                            component_names=("x", "y"))
-    render_svg(projection.coordinates, words, labels, splits, svg_path)
+    save_labeled_points_csv(csv_path, lex, projection.coordinates, component_names=("x", "y"))
+    render_svg(projection.coordinates, lex, svg_path)
     return projection

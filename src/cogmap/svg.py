@@ -12,19 +12,19 @@ PALETTE = ["#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02"]
 RING_COLOR = "#d62728"
 
 
-def render_svg(coordinates, words, labels, splits, out_path, timestamp=None):
+def render_svg(coordinates, lex, out_path, timestamp=None):
     """Write a square, axis-free scatter map.
 
     One circle per point, filled by category; validation points carry a
     distinct ring stroke. The legend lists the categories in order of first
-    appearance in `labels`. Output is deterministic for fixed input except for
+    appearance in `lex.labels`. Output is deterministic for fixed input except for
     the ISO-8601 timestamp comment.
     """
     n = len(coordinates)
     if n == 0:
         raise InputError("cannot render an empty projection")
-    if not (len(words) == len(labels) == len(splits) == n):
-        raise InputError("coordinates, words, labels, and splits must have equal length")
+    if len(lex.words) != n:
+        raise InputError(f"{len(lex.words)} lexicon rows for {n} points")
 
     xs = [float(c[0]) for c in coordinates]
     ys = [float(c[1]) for c in coordinates]
@@ -37,7 +37,7 @@ def render_svg(coordinates, words, labels, splits, out_path, timestamp=None):
         # y flipped: SVG y grows downward
         return (CANVAS / 2.0 + (x - cx) * scale, CANVAS / 2.0 - (y - cy) * scale)
 
-    categories = list(dict.fromkeys(labels))
+    categories = list(dict.fromkeys(lex.labels))
     color = {cat: PALETTE[i % len(PALETTE)] for i, cat in enumerate(categories)}
     ts = timestamp if timestamp is not None else datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -47,7 +47,7 @@ def render_svg(coordinates, words, labels, splits, out_path, timestamp=None):
         f"<!-- generated {ts} -->",
         f'<rect width="{CANVAS}" height="{CANVAS}" fill="white"/>',
     ]
-    for word, label, split, x, y in zip(words, labels, splits, xs, ys):
+    for word, label, split, x, y in zip(lex.words, lex.labels, lex.splits, xs, ys):
         px, py = place(x, y)
         ring = f' stroke="{RING_COLOR}" stroke-width="2.5"' if split == "validation" else ""
         lines.append(

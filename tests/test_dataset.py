@@ -199,6 +199,19 @@ def test_lexicon_header_required(tmp_path):
         load_lexicon(p)
 
 
+def test_lexicon_takes_exactly_the_three_key_columns(tmp_path):
+    # a labeled-points header is not a lexicon header, though its rows pass the row checks
+    p = write(tmp_path / "l.csv", "word,category,split,v0\ndog,animal,train,1.0\n")
+    with pytest.raises(InputError, match="l.csv: line 1: expected header `word,category,split`"):
+        load_lexicon(p)
+
+
+def test_empty_lexicon_rejected(tmp_path):
+    p = write(tmp_path / "l.csv", "word,category,split\n")
+    with pytest.raises(InputError, match="l.csv: no data rows"):
+        load_lexicon(p)
+
+
 # ---------------------------------------------------------------- examples
 
 def toy_vectors_and_lexicon():

@@ -15,7 +15,7 @@ import pytest
 from cogmap import neural, pipeline, sr
 from cogmap.cli import main
 from cogmap.errors import InputError
-from cogmap.fileio import (_plain, dump_json, load_json, load_labeled_points_csv,
+from cogmap.fileio import (Lexicon, _plain, dump_json, load_json, load_labeled_points_csv,
                            save_labeled_points_csv, save_matrix_csv)
 from cogmap.neural import MlpConfig, MlpModel, save_model
 from cogmap.pipeline import resolve_config, run_pipeline
@@ -53,13 +53,13 @@ def test_matrix_csv_roundtrip_is_bit_exact(tmp_path):
 def test_labeled_points_roundtrip_is_bit_exact(tmp_path):
     # plain names are written bare; a comma, quote or newline gets CSV quoting
     path = tmp_path / "p.csv"
-    names = (["a", 'say "hi"', "a\nb"], ["x", "animals, wild", "y"],
-             ["train", "train", "validation"])
-    save_labeled_points_csv(path, *names, [EDGES, EDGES[::-1], EDGES])
+    lex = Lexicon(["a", 'say "hi"', "a\nb"], ["x", "animals, wild", "y"],
+                  ["train", "train", "validation"])
+    save_labeled_points_csv(path, lex, [EDGES, EDGES[::-1], EDGES])
     assert path.read_text(encoding="utf-8").startswith("word,category,split,v0,")
     assert path.read_text(encoding="utf-8").splitlines()[1].startswith("a,x,train,5e-324,")
-    words, cats, splits, values = load_labeled_points_csv(path)
-    assert (words, cats, splits) == names
+    back, values = load_labeled_points_csv(path)
+    assert back == lex
     np.testing.assert_array_equal(bits(values), bits([EDGES, EDGES[::-1], EDGES]))
 
 
@@ -88,8 +88,21 @@ def test_csv_writers_reject_nonfinite(tmp_path, bad):
         save_matrix_csv(rows, matrix)
     assert not matrix.exists()
     with pytest.raises(InputError, match="non-finite"):
-        save_labeled_points_csv(points, ["a", "b"], ["x", "y"], ["train", "train"], rows)
+        save_labeled_points_csv(points, Lexicon(["a", "b"], ["x", "y"], ["train", "train"]), rows)
     assert not points.exists()
+
+
+def test_labeled_points_writer_rejects_a_lexicon_of_another_length(tmp_path):
+    path = tmp_path / "p.csv"
+    with pytest.raises(InputError, match="1 lexicon rows for 2 points"):
+        save_labeled_points_csv(path, Lexicon(["a"], ["x"], ["train"]), [[1.0], [2.0]])
+    assert not path.exists()
+
+
+def test_lexicon_columns_must_have_equal_length():
+    # a ragged record would let zip drop rows from every writer silently
+    with pytest.raises(InputError, match="equal length"):
+        Lexicon(["a", "b"], ["x"], ["train", "train"])
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -211,7 +224,7 @@ def test_written_files_get_the_mode_of_a_plain_open(tmp_path):
         pass
     dump_json({"values": np.eye(2)}, tmp_path / "doc.json")
     save_matrix_csv(np.eye(2), tmp_path / "m.csv")
-    save_labeled_points_csv(tmp_path / "p.csv", ["a"], ["x"], ["train"], [[1.0]])
+    save_labeled_points_csv(tmp_path / "p.csv", Lexicon(["a"], ["x"], ["train"]), [[1.0]])
     modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode)
              for name in ("plain", "doc.json", "m.csv", "p.csv")}
     assert set(modes.values()) == {modes["plain"]}, modes

@@ -96,9 +96,9 @@ def test_hand_fixture_value():
 
 
 def test_shipped_fixture_file_matches_hand_value():
-    words, cats, splits, values = load_labeled_points_csv(DATA_DIR / "gdv_fixture_1d.csv")
-    assert words == ["a0", "a1", "b0", "b1"]
-    report = gdv(LabeledPointSet(points=values, labels=cats))
+    lex, values = load_labeled_points_csv(DATA_DIR / "gdv_fixture_1d.csv")
+    assert lex.words == ["a0", "a1", "b0", "b1"]
+    report = gdv(LabeledPointSet(points=values, labels=lex.labels))
     assert report.gdv == pytest.approx(-0.8955334711889903, abs=1e-12)
 
 

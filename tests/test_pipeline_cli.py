@@ -12,7 +12,7 @@ import pytest
 from cogmap.cli import build_parser, main
 from cogmap.dataset import load_lexicon, save_embeddings
 from cogmap.errors import InputError
-from cogmap.fileio import load_labeled_points_csv
+from cogmap.fileio import Lexicon, load_labeled_points_csv
 from cogmap.pipeline import (CONFIG_FIELDS, config_hash, parse_config_file,
                              resolve_config, run_pipeline)
 from cogmap.sr import load_sr_json, save_sr_json
@@ -261,15 +261,34 @@ def test_cli_unparsable_value_names_its_key(tiny, tmp_path, capsys, flag, key):
     assert not out_dir.exists()
 
 
+SHIPPED_INPUTS = {"embeddings": str(DATA_DIR / "embeddings_300d.txt"),
+                  "lexicon": str(DATA_DIR / "lexicon.csv")}
+
+
 def test_config_hash_is_stable_sha256():
-    a = resolve_config()
-    b = resolve_config()
+    a = resolve_config(SHIPPED_INPUTS)
+    b = resolve_config(SHIPPED_INPUTS)
     assert config_hash(a) == config_hash(b)
     assert len(config_hash(a)) == 64
     assert set(config_hash(a)) <= set("0123456789abcdef")
-    assert config_hash(resolve_config({"seed": "1"})) != config_hash(a)
+    assert config_hash(resolve_config(SHIPPED_INPUTS, {"seed": "1"})) != config_hash(a)
     # the same settings written to another directory are the same science
-    assert config_hash(resolve_config({"output_dir": "elsewhere"})) == config_hash(a)
+    assert config_hash(resolve_config(SHIPPED_INPUTS, {"output_dir": "elsewhere"})) == \
+        config_hash(a)
+
+
+def test_config_hash_covers_input_bytes_not_path_text(tmp_path, monkeypatch):
+    monkeypatch.chdir(REPO)
+    digest = config_hash(resolve_config(SHIPPED_INPUTS))
+    for spelling in ("data/lexicon.csv", "./data/lexicon.csv"):
+        assert config_hash(resolve_config(SHIPPED_INPUTS, {"lexicon": spelling})) == digest
+    copy = tmp_path / "lexicon.csv"
+    shutil.copyfile(DATA_DIR / "lexicon.csv", copy)
+    assert config_hash(resolve_config(SHIPPED_INPUTS, {"lexicon": copy})) == digest
+    data = bytearray(copy.read_bytes())
+    data[-2] ^= 1  # the last character of the last split name
+    copy.write_bytes(bytes(data))
+    assert config_hash(resolve_config(SHIPPED_INPUTS, {"lexicon": copy})) != digest
 
 
 # ---------------------------------------------------------------- pipeline
@@ -491,8 +510,8 @@ def test_names_with_commas_survive_the_run_csvs(tiny, tmp_path, capsys):
     assert code == 0, err
     assert (tmp_path / "proj.csv").read_bytes() == \
         (out_dir / "projection_gamma_1.0.csv").read_bytes()
-    words = load_labeled_points_csv(tmp_path / "proj.csv")[0]
-    assert words[0] == "r,0"
+    lex = load_labeled_points_csv(tmp_path / "proj.csv")[0]
+    assert lex.words[0] == "r,0"
 
 
 # ---------------------------------------------------------- CLI: build-sr
@@ -569,6 +588,24 @@ def test_cli_predict_validation_split(tiny, tmp_path, capsys):
     lines = preds.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 7
     assert all(line.split(",")[2] == "validation" for line in lines[1:])
+
+
+def test_cli_predict_rejects_a_split_the_lexicon_lacks(tiny, tmp_path, capsys):
+    # the training states match the model; the lexicon just has no validation rows
+    out_dir = tmp_path / "flow"
+    run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)
+    model = out_dir / "model.json"
+    run_cli(capsys, "train", "--config", tiny["cfg"],
+            "--sr", out_dir / "sr_gamma_1.0.json", "--out", model)
+    lexicon = tmp_path / "train_only.csv"
+    lines = tiny["lexicon"].read_text(encoding="utf-8").splitlines()
+    lexicon.write_text("\n".join(line for line in lines if not line.endswith(",validation"))
+                       + "\n", encoding="utf-8")
+    preds = out_dir / "val.csv"
+    code, out, err = run_cli(capsys, "predict", "--config", tiny["cfg"], "--lexicon", lexicon,
+                             "--model", model, "--split", "validation", "--out", preds)
+    assert code == 1 and out == "" and err == "error: no points with split 'validation'\n"
+    assert not preds.exists()
 
 
 def test_cli_train_rejects_mismatched_state_words(tiny, tmp_path, capsys):
@@ -680,6 +717,24 @@ def test_cli_nonfinite_points_are_input_errors(tmp_path, capsys, command, token)
                            "--out-svg", tmp_path / "r.svg"]}
     code, out, err = run_cli(capsys, command, *outputs[command])
     assert code == 1 and out == "" and err == f"error: {points}: non-finite value {token}\n"
+    assert sorted(tmp_path.iterdir()) == [points]
+
+
+@pytest.mark.parametrize("command", ["gdv", "project"])
+@pytest.mark.parametrize("row, message", [
+    ("a0,A,train,1.0", "duplicate word 'a0'"),
+    ("a1,,train,1.0", "empty category for 'a1'"),
+    ("a1,A,trian,1.0", "unknown split 'trian'"),
+], ids=["duplicate-word", "empty-category", "misspelt-split"])
+def test_cli_points_csv_gets_the_lexicon_row_checks(tmp_path, capsys, command, row, message):
+    points = tmp_path / "points.csv"
+    text = (DATA_DIR / "gdv_fixture_1d.csv").read_text(encoding="utf-8")
+    points.write_text(text.replace("a1,A,train,1.0", row), encoding="utf-8")
+    outputs = {"gdv": ["--points", points, "--out", tmp_path / "r.json"],
+               "project": ["--predictions", points, "--out-csv", tmp_path / "r.csv",
+                           "--out-svg", tmp_path / "r.svg"]}
+    code, out, err = run_cli(capsys, command, *outputs[command])
+    assert code == 1 and out == "" and err == f"error: {points}: line 3: {message}\n"
     assert sorted(tmp_path.iterdir()) == [points]
 
 
@@ -820,11 +875,10 @@ def test_cli_internal_error_exit_code(tiny, tmp_path, capsys, monkeypatch):
 
 def test_svg_structure(tmp_path):
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    words = ["a", "b<c", "d&e", "f"]
-    labels = ["one", "one", "two", "two"]
-    splits = ["train", "train", "validation", "train"]
+    lex = Lexicon(words=["a", "b<c", "d&e", "f"], labels=["one", "one", "two", "two"],
+                  splits=["train", "train", "validation", "train"])
     out = tmp_path / "m.svg"
-    render_svg(coords, words, labels, splits, out, timestamp="2026-01-01T00:00:00+00:00")
+    render_svg(coords, lex, out, timestamp="2026-01-01T00:00:00+00:00")
     text = out.read_text(encoding="utf-8")
     assert text.count("<circle") == 4
     assert text.count('stroke="#d62728"') == 2  # one ringed point + legend swatch
@@ -833,13 +887,13 @@ def test_svg_structure(tmp_path):
     assert "2026-01-01T00:00:00+00:00" in text
     # fixed timestamp makes the render reproducible byte for byte
     out2 = tmp_path / "m2.svg"
-    render_svg(coords, words, labels, splits, out2, timestamp="2026-01-01T00:00:00+00:00")
+    render_svg(coords, lex, out2, timestamp="2026-01-01T00:00:00+00:00")
     assert out.read_bytes() == out2.read_bytes()
 
 
 def test_svg_validation():
     coords = np.zeros((2, 2))
     with pytest.raises(InputError, match="empty"):
-        render_svg(np.zeros((0, 2)), [], [], [], "unused.svg")
-    with pytest.raises(InputError, match="equal length"):
-        render_svg(coords, ["a"], ["x", "x"], ["train", "train"], "unused.svg")
+        render_svg(np.zeros((0, 2)), Lexicon([], [], []), "unused.svg")
+    with pytest.raises(InputError, match="1 lexicon rows for 2 points"):
+        render_svg(coords, Lexicon(["a"], ["x"], ["train"]), "unused.svg")
