@@ -3,11 +3,15 @@
 Architecture: input -> inverted dropout -> hidden ReLU layer -> softmax output.
 Trained with softmax cross-entropy against normalized successor rows, plain
 SGD with momentum, analytic backprop. The model's arrays are views into one
-flat float64 parameter vector (w1, b1, w2, b2); training writes gradients into
-a buffer of that layout and steps on whole vectors in place. One batched pass,
+flat float64 parameter vector (w1, b1, w2, b2). w1 is stored input-major
+(input x hidden), so the forward product x @ w1.T reads a C-contiguous matrix;
+`model.w1` is its hidden x input transpose. Training shuffles, gathers and
+drops out a whole epoch of inputs at once, writes gradients into a buffer of
+the parameter layout and steps on whole vectors in place. One batched pass,
 `_forward_backward`, serves training, inference and the gradient check.
-Everything is driven by one seeded generator so a (config, examples) pair
-determines the trained model bitwise.
+Trained and loaded models share the layout, so they predict through the same
+kernel. Everything is driven by one seeded generator so a (config, examples)
+pair determines the trained model bitwise.
 """
 
 import math
@@ -52,7 +56,7 @@ class MlpConfig:
 
 @dataclass
 class MlpModel:
-    w1: np.ndarray  # hidden x input
+    w1: np.ndarray  # hidden x input (the transpose of its input-major storage)
     b1: np.ndarray
     w2: np.ndarray  # output x hidden
     b2: np.ndarray
@@ -71,11 +75,16 @@ def _param_shapes(config):
 
 
 def _views(flat, config):
-    """Reshaped views into a flat vector laid out like the parameters, keyed by name."""
+    """Views into a flat vector laid out like the parameters, keyed by name.
+
+    Each block is reshaped to its parameter's shape, except w1's, which holds
+    the input x hidden matrix and is returned as its hidden x input transpose.
+    """
     views, start = {}, 0
     for name, shape in _param_shapes(config).items():
         stop = start + math.prod(shape)
-        views[name] = flat[start:stop].reshape(shape)
+        block = flat[start:stop]
+        views[name] = block.reshape(shape[::-1]).T if name == "w1" else block.reshape(shape)
         start = stop
     return views
 
@@ -105,30 +114,36 @@ def init_model(config):
 
 
 def _softmax(z):
-    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def loss(prediction, target):
     """Cross-entropy -sum t_j ln p_j over the last axis, predictions clamped at 1e-12."""
     prediction = np.asarray(prediction, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    return -np.sum(target * np.log(np.maximum(prediction, LOG_CLAMP)), axis=-1)
+    return -np.add.reduce(target * np.log(np.maximum(prediction, LOG_CLAMP)), axis=-1)
 
 
-def _forward_backward(model, x, target=None, mask=None, grad=None):
-    """Batched pass over the rows of x: (predictions, per-row losses, gradients).
+def _dropout(x, rng, rate):
+    """Inverted dropout on x in place, which it returns.
 
-    Predictions are softmax(w2 relu(w1 x + b1) + b2). A 0/1 `mask` applies
-    inverted dropout (survivors scaled by 1/(1-rate)). With a target, the
-    gradients are those of the mean loss over the rows, written into `grad`
-    (a flat vector laid out like the parameters, allocated if None) and
-    returned as views into it keyed by parameter name; without a target,
-    losses and gradients are None.
+    One uniform draw per entry, in row-major order; an entry whose draw is
+    below `rate` is zeroed and every survivor is scaled by 1/(1-rate).
     """
-    if mask is not None:
-        x = x * mask
-        x /= 1.0 - model.config.dropout_rate
+    x *= rng.random(x.shape) >= rate
+    x /= 1.0 - rate
+    return x
+
+
+def _forward_backward(model, x, target=None, grads=None):
+    """Batched pass over the rows of x: (predictions, per-row losses).
+
+    Predictions are softmax(w2 relu(w1 x + b1) + b2); the losses are None
+    without a target. With a target and `grads` (the `_views` of a flat
+    gradient buffer), the gradients of the mean loss over the rows are
+    written into `grads`.
+    """
     z1 = x @ model.w1.T
     z1 += model.b1
     h = np.maximum(z1, 0.0)
@@ -136,19 +151,17 @@ def _forward_backward(model, x, target=None, mask=None, grad=None):
     z2 += model.b2
     p = _softmax(z2)
     if target is None:
-        return p, None, None
-    if grad is None:
-        grad = np.empty(_param_count(model.config))
-    grads = _views(grad, model.config)
-    dz2 = p - target
-    dz2 /= len(x)
-    dz1 = dz2 @ model.w2
-    dz1 *= z1 > 0
-    np.matmul(dz2.T, h, out=grads["w2"])
-    dz2.sum(axis=0, out=grads["b2"])
-    np.matmul(dz1.T, x, out=grads["w1"])
-    dz1.sum(axis=0, out=grads["b1"])
-    return p, loss(p, target), grads
+        return p, None
+    if grads is not None:
+        dz2 = p - target
+        dz2 /= len(x)
+        dz1 = dz2 @ model.w2
+        dz1 *= z1 > 0
+        np.matmul(dz2.T, h, out=grads["w2"])
+        np.add.reduce(dz2, axis=0, out=grads["b2"])
+        np.matmul(x.T, dz1, out=grads["w1"].T)
+        np.add.reduce(dz1, axis=0, out=grads["b1"])
+    return p, loss(p, target)
 
 
 def gradient_check(config, example, epsilon=1e-5):
@@ -164,7 +177,7 @@ def gradient_check(config, example, epsilon=1e-5):
     target = np.asarray(target, dtype=np.float64)[None, :]
     theta, model = _init_params(config, np.random.default_rng(config.seed))
     grad = np.empty_like(theta)
-    _forward_backward(model, x, target, grad=grad)
+    _forward_backward(model, x, target, _views(grad, config))
     worst = 0.0
     for i in range(theta.size):
         orig = theta[i]
@@ -182,15 +195,17 @@ def gradient_check(config, example, epsilon=1e-5):
 def train(config, examples):
     """Train against an ExampleSet; returns (model, per-epoch mean loss report).
 
-    Each epoch shuffles the examples with the seeded generator, walks batches
-    of `batch_size` (last batch may be short), draws a fresh dropout mask per
-    example presentation, and applies one SGD-with-momentum step per batch on
-    the mean batch loss. The model's arrays are views into one flat vector
-    theta; the velocity and the gradient buffer share its layout and are
-    allocated once, and the step vel *= momentum; grad *= learning_rate;
-    vel -= grad; theta += vel runs in place on whole vectors. Aborts on a
-    non-finite loss or parameter; numpy's overflow and invalid-value warnings
-    are silenced inside the loop, because those checks report the divergence.
+    Each epoch shuffles the examples with the seeded generator, gathers the
+    shuffled inputs and targets once and drops out the whole epoch's inputs
+    in one draw (the doubles per-batch draws would take, in the same order).
+    It walks batches of `batch_size` as slices of those arrays (last batch
+    may be short) and applies one SGD-with-momentum step per batch on the
+    mean batch loss. The model's arrays are views into one flat vector
+    theta; the velocity, the gradient buffer and its views are made once,
+    and the step vel *= momentum; grad *= learning_rate; vel -= grad;
+    theta += vel runs in place on whole vectors. Aborts on a non-finite loss
+    or parameter; numpy's overflow and invalid-value warnings are silenced
+    inside the loop, because those checks report the divergence.
     """
     n = len(examples)
     if n == 0:
@@ -206,19 +221,19 @@ def train(config, examples):
     theta, model = _init_params(config, rng)
     vel = np.zeros_like(theta)
     grad = np.empty_like(theta)
-    inputs, targets = examples.inputs, examples.targets
+    grads = _views(grad, config)
     losses = []
 
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             order = rng.permutation(n)
+            inputs = _dropout(examples.inputs[order], rng, config.dropout_rate)
+            targets = examples.targets[order]
             loss_sum = 0.0
             for lo in range(0, n, config.batch_size):
-                idx = order[lo:lo + config.batch_size]
-                xb = inputs[idx]
-                mask = rng.random(xb.shape) >= config.dropout_rate
-                _, example_losses, _ = _forward_backward(model, xb, targets[idx], mask, grad)
-                batch_loss = float(example_losses.sum())
+                hi = lo + config.batch_size
+                _, example_losses = _forward_backward(model, inputs[lo:hi], targets[lo:hi], grads)
+                batch_loss = float(np.add.reduce(example_losses))
                 if not math.isfinite(batch_loss):
                     raise TrainingError(f"non-finite loss at epoch {epoch}")
                 loss_sum += batch_loss
@@ -259,10 +274,12 @@ def load_model(path):
         raise InputError(f"{path}: malformed model checkpoint ({exc})") from None
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
-    for name, shape in _param_shapes(config).items():
-        if arrays[name].shape != shape:
+    params = _views(np.empty(_param_count(config)), config)
+    for name, param in params.items():
+        if arrays[name].shape != param.shape:
             raise InputError(f"{path}: checkpoint shapes do not match its config: {name} is "
-                             f"{arrays[name].shape}, expected {shape}")
+                             f"{arrays[name].shape}, expected {param.shape}")
         if not np.isfinite(arrays[name]).all():
             raise InputError(f"{path}: non-finite value in {name}")
-    return MlpModel(**arrays, config=config)
+        param[...] = arrays[name]
+    return MlpModel(**params, config=config)

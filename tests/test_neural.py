@@ -8,9 +8,9 @@ import pytest
 
 from cogmap.dataset import ExampleSet
 from cogmap.errors import InputError, TrainingError
-from cogmap.neural import (MlpConfig, MlpModel, _forward_backward, gradient_check,
-                           init_model, load_model, loss, predict_all, save_model,
-                           train)
+from cogmap.neural import (MlpConfig, MlpModel, _dropout, _forward_backward, _param_count,
+                           _views, gradient_check, init_model, load_model, loss,
+                           predict_all, save_model, train)
 
 
 def small_config(**overrides):
@@ -80,10 +80,19 @@ def test_init_is_seeded_glorot():
 
 # ----------------------------------------------------------------- forward
 
-def predictions(model, x, mask=None):
+def predictions(model, x):
     """Forward pass of a single input vector."""
-    return _forward_backward(model, np.asarray(x)[None, :],
-                             mask=None if mask is None else np.asarray(mask)[None, :])[0][0]
+    return _forward_backward(model, np.asarray(x)[None, :])[0][0]
+
+
+class FixedDraws:
+    """Stands in for a Generator whose uniform draws all equal `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, shape):
+        return np.full(shape, self.value)
 
 
 def test_zero_model_predicts_uniform():
@@ -100,16 +109,35 @@ def test_all_ones_mask_matches_scaled_input():
     cfg = small_config(dropout_rate=0.8, seed=3)
     model = init_model(cfg)
     x = np.random.default_rng(5).standard_normal(cfg.input_dim)
-    masked = predictions(model, x, mask=np.ones(cfg.input_dim))
-    np.testing.assert_allclose(masked, predictions(model, 5.0 * x), rtol=1e-12)
+    masked = _dropout(x.copy(), FixedDraws(0.9), cfg.dropout_rate)
+    np.testing.assert_allclose(predictions(model, masked), predictions(model, 5.0 * x),
+                               rtol=1e-12)
 
 
 def test_zero_mask_drops_everything():
     cfg = small_config(dropout_rate=0.5, seed=3)
     model = init_model(cfg)
-    x = np.full(cfg.input_dim, 2.0)
-    dropped = predictions(model, x, mask=np.zeros(cfg.input_dim))
-    np.testing.assert_array_equal(dropped, predictions(model, np.zeros(cfg.input_dim)))
+    dropped = _dropout(np.full(cfg.input_dim, 2.0), FixedDraws(0.1), cfg.dropout_rate)
+    np.testing.assert_array_equal(predictions(model, dropped),
+                                  predictions(model, np.zeros(cfg.input_dim)))
+
+
+def test_epoch_dropout_draws_what_per_batch_draws_would():
+    # one draw for a whole epoch of 7 rows gives the doubles that batches of 3,
+    # 3 and 1 drew one after another, so the masks and the generator state
+    # after the epoch are the same bits
+    rate = 0.3
+    x = np.random.default_rng(4).standard_normal((7, 5))
+    epoch_rng, batch_rng = np.random.default_rng(21), np.random.default_rng(21)
+    epoch = _dropout(x.copy(), epoch_rng, rate)
+    batches = [x[lo:lo + 3] * (batch_rng.random(x[lo:lo + 3].shape) >= rate) / (1.0 - rate)
+               for lo in range(0, 7, 3)]
+    assert epoch.tobytes() == np.concatenate(batches).tobytes()
+    assert epoch_rng.random() == batch_rng.random()
+    # survivors are scaled by 1/(1-rate), everything else is zero
+    kept = epoch != 0.0
+    assert 0 < kept.sum() < x.size
+    assert epoch[kept].tobytes() == (x[kept] / (1.0 - rate)).tobytes()
 
 
 def test_predict_all_rejects_wrong_input_dim():
@@ -146,11 +174,18 @@ def test_loss_clamps_zero_predictions():
 
 # --------------------------------------------------------------- gradients
 
+def forward_backward(model, x, target):
+    """(predictions, per-row losses, gradient views) of one batched pass."""
+    grads = _views(np.empty(_param_count(model.config)), model.config)
+    p, losses = _forward_backward(model, x, target, grads)
+    return p, losses, grads
+
+
 def test_zero_model_output_gradient_is_prediction_minus_target():
     cfg = small_config()
     model = zero_model(cfg)
     target = np.array([1.0, 0.0, 0.0])
-    _, _, grads = _forward_backward(model, np.ones((1, cfg.input_dim)), target[None, :])
+    _, _, grads = forward_backward(model, np.ones((1, cfg.input_dim)), target[None, :])
     uniform = np.full(cfg.output_dim, 1.0 / cfg.output_dim)
     np.testing.assert_allclose(grads["b2"], uniform - target, atol=1e-15)
     # hidden activations are zero, so every upstream gradient vanishes
@@ -164,7 +199,7 @@ def test_gradient_zero_when_target_equals_prediction():
     model = init_model(cfg)
     x = np.random.default_rng(2).standard_normal((3, cfg.input_dim))
     target = _forward_backward(model, x)[0]
-    _, _, grads = _forward_backward(model, x, target)
+    _, _, grads = forward_backward(model, x, target)
     for g in grads.values():
         assert np.linalg.norm(g) < 1e-9
 
@@ -176,32 +211,38 @@ def test_batch_gradient_is_mean_of_row_gradients():
     x = rng.standard_normal((3, cfg.input_dim))
     t = rng.random((3, cfg.output_dim))
     t /= t.sum(axis=1, keepdims=True)
-    _, losses, batch = _forward_backward(model, x, t)
-    rows = [_forward_backward(model, x[i:i + 1], t[i:i + 1]) for i in range(3)]
+    _, losses, batch = forward_backward(model, x, t)
+    rows = [forward_backward(model, x[i:i + 1], t[i:i + 1]) for i in range(3)]
     np.testing.assert_allclose(losses, [r[1][0] for r in rows], rtol=1e-14)
     for name, g in batch.items():
         np.testing.assert_allclose(g, sum(r[2][name] for r in rows) / 3, atol=1e-15)
 
 
 def test_gradient_buffer_holds_the_same_bits_as_fresh_gradients():
-    cfg = small_config(dropout_rate=0.5, seed=4)
+    cfg = small_config(seed=4)
     model = init_model(cfg)
     rng = np.random.default_rng(6)
     x = rng.standard_normal((3, cfg.input_dim))
     t = rng.random((3, cfg.output_dim))
     t /= t.sum(axis=1, keepdims=True)
-    mask = rng.random(x.shape) >= cfg.dropout_rate
-    p_fresh, losses_fresh, fresh = _forward_backward(model, x, t, mask)
+    fresh = _views(np.zeros(_param_count(cfg)), cfg)
+    p_fresh, losses_fresh = _forward_backward(model, x, t, fresh)
     # stale contents of the buffer must not leak into the gradients
-    buf = np.full(sum(g.size for g in fresh.values()), np.nan)
-    p, losses, grads = _forward_backward(model, x, t, mask, grad=buf)
+    buf = np.full(_param_count(cfg), np.nan)
+    grads = _views(buf, cfg)
+    p, losses = _forward_backward(model, x, t, grads)
     assert p.tobytes() == p_fresh.tobytes() and losses.tobytes() == losses_fresh.tobytes()
+    # without gradient views the pass computes the same predictions and losses only
+    p_only, losses_only = _forward_backward(model, x, t)
+    assert p_only.tobytes() == p.tobytes() and losses_only.tobytes() == losses.tobytes()
     assert list(grads) == ["w1", "b1", "w2", "b2"]
     for name, g in grads.items():
         assert g.shape == fresh[name].shape and g.tobytes() == fresh[name].tobytes()
         assert g.base is buf
-    # laid end to end in parameter order, the views are the whole buffer
-    assert np.concatenate([g.ravel() for g in grads.values()]).tobytes() == buf.tobytes()
+    # laid end to end in parameter order, w1 input-major, the views are the whole buffer
+    assert grads["w1"].shape == (cfg.hidden_dim, cfg.input_dim) and grads["w1"].T.flags.c_contiguous
+    stored = [grads["w1"].T] + [grads[name] for name in ("b1", "w2", "b2")]
+    assert np.concatenate([g.ravel() for g in stored]).tobytes() == buf.tobytes()
 
 
 def test_gradient_check_small_network():
@@ -264,8 +305,11 @@ def test_training_aborts_on_divergence():
 def reference_train(config, examples):
     """Reference for `train`: the same float operations, one array per parameter.
 
-    A dict of velocities updated as vel = m*vel - lr*g, a float dropout mask,
-    and the forward/backward pass written out in full.
+    A dict of velocities updated as vel = m*vel - lr*g, a float dropout mask
+    drawn per batch, and the forward/backward pass written out in full. The
+    forward product reads w1 as an input x hidden C-contiguous matrix, as
+    `train`'s input-major storage does: on a one-row batch the two orientations
+    of that product round differently.
     """
     rng = np.random.default_rng(config.seed)
     lim1 = np.sqrt(6.0 / (config.input_dim + config.hidden_dim))
@@ -285,7 +329,7 @@ def reference_train(config, examples):
             x, t = examples.inputs[idx], examples.targets[idx]
             mask = (rng.random(x.shape) >= config.dropout_rate).astype(np.float64)
             x = x * mask / (1.0 - config.dropout_rate)
-            z1 = x @ params["w1"].T + params["b1"]
+            z1 = x @ np.ascontiguousarray(params["w1"].T) + params["b1"]
             h = np.maximum(z1, 0.0)
             z2 = h @ params["w2"].T + params["b2"]
             e = np.exp(z2 - np.max(z2, axis=-1, keepdims=True))
@@ -361,6 +405,29 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
         trained, loaded = getattr(model, name), getattr(back, name)
         assert loaded.shape == trained.shape
         assert loaded.tobytes() == trained.tobytes()
+
+
+def test_loaded_checkpoint_predicts_the_trained_models_bits(tmp_path):
+    # at input 50 and hidden 16 the hidden x input and input x hidden
+    # orientations of the w1 product round differently, on a batch and on a
+    # single row; a loaded model gives the trained model's bits only if it
+    # stores w1 input-major too
+    rng = np.random.default_rng(3)
+    targets = rng.random((12, 6))
+    ex = ExampleSet(inputs=rng.standard_normal((12, 50)),
+                    targets=targets / targets.sum(axis=1, keepdims=True))
+    cfg = MlpConfig(input_dim=50, output_dim=6, hidden_dim=16, dropout_rate=0.2,
+                    learning_rate=0.05, epochs=3, batch_size=4, momentum=0.9, seed=8)
+    model, _ = train(cfg, ex)
+    p = tmp_path / "model.json"
+    save_model(model, p)
+    back = load_model(p)
+    assert back.w1.base is back.b2.base and back.w1.T.flags.c_contiguous
+    vecs = rng.standard_normal((20, 50))
+    assert predict_all(back, vecs).tobytes() == predict_all(model, vecs).tobytes()
+    for row in vecs:
+        assert predict_all(back, row[None, :]).tobytes() == \
+            predict_all(model, row[None, :]).tobytes()
 
 
 def test_checkpoint_shape_mismatch_rejected(tmp_path):

@@ -575,6 +575,22 @@ def test_cli_staged_flow(tiny, tmp_path, capsys):
     assert code == 0
 
 
+def test_cli_chain_reproduces_run_byte_for_byte(tiny, tmp_path, capsys):
+    # `run` seeds its i-th gamma with seed + i and `train` seeds with --seed as
+    # given, so the chain gets run's model and predictions from --seed 7 + i
+    run_dir, flow = tmp_path / "run", tmp_path / "flow"
+    assert run_cli(capsys, "run", "--config", tiny["cfg"], "--out-dir", run_dir)[0] == 0
+    assert run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", flow)[0] == 0
+    for i, tag in enumerate(["1.0", "0.3"]):
+        model, preds = flow / f"model_gamma_{tag}.json", flow / f"predictions_gamma_{tag}.csv"
+        assert run_cli(capsys, "train", "--config", tiny["cfg"], "--seed", 7 + i,
+                       "--sr", flow / f"sr_gamma_{tag}.json", "--out", model)[0] == 0
+        assert run_cli(capsys, "predict", "--config", tiny["cfg"], "--model", model,
+                       "--split", "all", "--out", preds)[0] == 0
+        for path in (model, preds):
+            assert path.read_bytes() == (run_dir / path.name).read_bytes(), path.name
+
+
 def test_cli_predict_validation_split(tiny, tmp_path, capsys):
     out_dir = tmp_path / "flow"
     run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)
