@@ -9,8 +9,7 @@ import numpy as np
 
 from .dataset import build_examples
 from .errors import InputError
-from .fileio import (dump_json, format_float, load_labeled_points_csv,
-                     save_labeled_points_csv, save_matrix_csv)
+from .fileio import dump_json, load_labeled_points_csv, save_labeled_points_csv, save_matrix_csv
 from .neural import train, predict_all, save_model, load_model
 from .pipeline import (CONFIG_FIELDS, load_inputs, parse_config_file, project_map,
                        resolve_config, run_pipeline, split_gdv, _gamma_tag)
@@ -59,11 +58,9 @@ def _cmd_train(args):
     if state_words != lex.words[:lex.n_states]:
         raise InputError("successor-matrix state words do not match the lexicon training order")
     examples = build_examples(vectors[:lex.n_states], sr)
-    model, report = train(config.mlp_config(vectors.shape[1], lex.n_states, config.seed),
-                          examples)
+    model, losses = train(config.mlp_config(vectors.shape[1], lex.n_states, config.seed), examples)
     save_model(model, args.out)
-    print(f"wrote {args.out} (first-epoch loss {report.loss_per_epoch[0]:.6f}, "
-          f"final loss {report.loss_per_epoch[-1]:.6f})")
+    print(f"wrote {args.out} (first-epoch loss {losses[0]:.6f}, final loss {losses[-1]:.6f})")
     return 0
 
 
@@ -121,10 +118,10 @@ def _cmd_oracle(args):
     gamma = config.gammas[0]
     estimate = rollout_occupancy_oracle(transition, gamma, config.horizon, start,
                                         args.samples, config.seed)
-    print(",".join(format_float(x) for x in estimate))
+    print(",".join(map(repr, estimate.tolist())))
     if args.compare:
         closed = successor_matrix(transition, gamma, config.horizon).values[start]
-        print(",".join(format_float(x) for x in closed))
+        print(",".join(map(repr, closed.tolist())))
         print(f"max-abs-difference {np.max(np.abs(estimate - closed)):.6g}")
     if args.out:
         save_matrix_csv(estimate[None, :], args.out)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InputError
 # the lexicon names are re-exported: fileio reads every CSV keyed by word,category,split
-from .fileio import SPLITS, Lexicon, format_float, load_lexicon, replacing  # noqa: F401
+from .fileio import SPLITS, Lexicon, _finite_array, load_lexicon, replacing  # noqa: F401
 
 
 def load_embeddings(path, words):
@@ -74,12 +74,15 @@ def load_embeddings(path, words):
 
 
 def save_embeddings(entries, path):
-    """Write a `{word: vector}` dict as vector-text; every component reloads bit-exactly."""
+    """Write a `{word: vector}` dict as vector-text; every component reloads bit-exactly.
+
+    Each vector is checked for a non-finite component as it is written.
+    """
     dim = len(next(iter(entries.values()), ()))
     with replacing(path) as fh:
         fh.write(f"{len(entries)} {dim}\n")
         for word, vec in entries.items():
-            fh.write(word + " " + " ".join(format_float(x) for x in vec) + "\n")
+            fh.write(word + " " + " ".join(map(repr, _finite_array(vec).tolist())) + "\n")
 
 
 @dataclass
@@ -90,6 +93,8 @@ class ExampleSet:
     targets: np.ndarray
 
     def __post_init__(self):
+        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        self.targets = np.asarray(self.targets, dtype=np.float64)
         if len(self.inputs) != len(self.targets):
             raise InputError("inputs and targets must have equal length")
         if len(self) and (np.any(self.targets < 0)

@@ -1,4 +1,4 @@
-"""Deterministic file formats: JSON documents, CSV matrices, and the CSVs keyed by
+"""Deterministic file formats: JSON objects, CSV matrices, and the CSVs keyed by
 the lexicon's `word,category,split` columns (the lexicon itself and labeled points).
 
 Every float is written as its shortest round-trip text (Python's `repr`), so
@@ -10,7 +10,6 @@ and an existing file stays as it was.
 
 import csv
 import json
-import math
 import os
 import secrets
 from contextlib import closing, contextmanager
@@ -19,14 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-
-
-def format_float(x):
-    """The shortest text that parses back to the same float64 (`repr`)."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise InputError(f"cannot serialize non-finite value {x!r}")
-    return repr(x)
 
 
 def _finite_array(values):
@@ -82,16 +73,13 @@ def _dumps(value):
 
 
 def dump_json(obj, path):
-    """Write `json.dumps(obj)` as one line, floats as `repr`.
+    """Write `json.dumps(obj)` of a dict as one line, floats as `repr`.
 
-    A 2-D array value of a top-level dict is encoded and written one row at a
-    time, so memory stays near one row's text; the bytes are those of one
-    `json.dumps` call. A non-finite value leaves no file.
+    A 2-D array value is encoded and written one row at a time, so memory
+    stays near one row's text; the bytes are those of one `json.dumps` call.
+    A non-finite value leaves no file.
     """
     with replacing(path) as fh:
-        if not isinstance(obj, dict):
-            fh.write(_dumps(obj) + "\n")
-            return
         fh.write("{")
         for i, (key, value) in enumerate(obj.items()):
             fh.write(", " if i else "")

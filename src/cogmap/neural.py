@@ -23,6 +23,7 @@ from .errors import InputError, TrainingError
 from .fileio import dump_json, load_json
 
 LOG_CLAMP = 1e-12
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -61,11 +62,6 @@ class MlpModel:
     w2: np.ndarray  # output x hidden
     b2: np.ndarray
     config: MlpConfig
-
-
-@dataclass
-class TrainReport:
-    loss_per_epoch: list
 
 
 def _param_shapes(config):
@@ -164,8 +160,8 @@ def _forward_backward(model, x, target=None, grads=None):
     return p, loss(p, target)
 
 
-def gradient_check(config, example, epsilon=1e-5):
-    """Max relative error of analytic vs central finite-difference gradients.
+def gradient_check(config, example):
+    """Max relative error of analytic vs central finite-difference (step FD_STEP) gradients.
 
     Runs `_forward_backward` on a freshly initialized model with dropout
     disabled, perturbing one entry of the flat parameter vector at a time;
@@ -181,19 +177,19 @@ def gradient_check(config, example, epsilon=1e-5):
     worst = 0.0
     for i in range(theta.size):
         orig = theta[i]
-        theta[i] = orig + epsilon
+        theta[i] = orig + FD_STEP
         hi = _forward_backward(model, x, target)[1][0]
-        theta[i] = orig - epsilon
+        theta[i] = orig - FD_STEP
         lo = _forward_backward(model, x, target)[1][0]
         theta[i] = orig
-        numeric = (hi - lo) / (2.0 * epsilon)
+        numeric = (hi - lo) / (2.0 * FD_STEP)
         err = abs(grad[i] - numeric) / max(1e-8, abs(grad[i]) + abs(numeric))
         worst = max(worst, err)
     return worst
 
 
 def train(config, examples):
-    """Train against an ExampleSet; returns (model, per-epoch mean loss report).
+    """Train against an ExampleSet; returns (model, list of per-epoch mean losses).
 
     Each epoch shuffles the examples with the seeded generator, gathers the
     shuffled inputs and targets once and drops out the whole epoch's inputs
@@ -248,7 +244,7 @@ def train(config, examples):
                 raise TrainingError(f"non-finite parameter {name} at epoch {epoch}")
             losses.append(loss_sum / n)
 
-    return model, TrainReport(loss_per_epoch=losses)
+    return model, losses
 
 
 def predict_all(model, vecs):

@@ -199,7 +199,7 @@ def run_pipeline(config):
 
             with _stage(f"train gamma={tag}"):
                 examples = build_examples(train_vectors, sr)
-                model, report = train(config.mlp_config(vectors.shape[1], lex.n_states, seed),
+                model, losses = train(config.mlp_config(vectors.shape[1], lex.n_states, seed),
                                       examples)
                 save_model(model, staging / files["model_json"])
 
@@ -227,8 +227,8 @@ def run_pipeline(config):
                 "gamma": float(gamma),
                 "seed": seed,
                 "files": files,
-                "first_epoch_loss": report.loss_per_epoch[0],
-                "final_train_loss": report.loss_per_epoch[-1],
+                "first_epoch_loss": losses[0],
+                "final_train_loss": losses[-1],
                 "mds_stress": projection.stress,
                 "gdv_prediction_space": {k: r.gdv for k, r in raw_reports.items()},
                 "gdv_projection_2d": {k: r.gdv for k, r in planar_reports.items()},

@@ -23,18 +23,19 @@ _TINY = np.finfo(np.float64).tiny
 
 @dataclass
 class TransitionMatrix:
-    """Row-stochastic N x N matrix over the training states."""
+    """Row-stochastic N x N matrix over the N training states in `state_words`."""
 
-    n: int
     values: np.ndarray
     state_words: list
+
+    @property
+    def n(self):
+        return len(self.state_words)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (self.n, self.n):
-            raise InputError(f"transition matrix must be {self.n}x{self.n}")
-        if len(self.state_words) != self.n:
-            raise InputError("state_words length must equal n")
+            raise InputError(f"transition matrix must be {self.n}x{self.n}, got {self.values.shape}")
         if not np.isfinite(self.values).all():
             raise InputError("transition entries must be finite")
         if np.any(self.values < 0.0) or np.any(self.values > 1.0):
@@ -53,18 +54,21 @@ def _check_scale(gamma, horizon):
 
 @dataclass
 class SuccessorMatrix:
-    """Discounted occupancy matrix M = sum_{k=0}^{horizon} gamma^k T^k."""
+    """Discounted occupancy matrix M = sum_{k=0}^{horizon} gamma^k T^k over N states."""
 
-    n: int
     gamma: float
     horizon: int
     values: np.ndarray
 
+    @property
+    def n(self):
+        return len(self.values)
+
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         _check_scale(self.gamma, self.horizon)
-        if self.values.shape != (self.n, self.n):
-            raise InputError(f"successor matrix must be {self.n}x{self.n}")
+        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
+            raise InputError(f"successor matrix must be square, got shape {self.values.shape}")
         if np.any(self.values < 0.0):
             raise InputError("successor entries must be non-negative")
 
@@ -89,8 +93,7 @@ def build_transition_matrix(vecs, words):
     norms = np.sqrt(squared_norms)
     raw = np.maximum((vecs @ vecs.T) / np.outer(norms, norms), 0.0)
     np.fill_diagonal(raw, 1.0)
-    return TransitionMatrix(n=len(words), values=raw / raw.sum(axis=1)[:, None],
-                            state_words=list(words))
+    return TransitionMatrix(values=raw / raw.sum(axis=1)[:, None], state_words=list(words))
 
 
 def successor_matrix(t, gamma, horizon):
@@ -99,7 +102,7 @@ def successor_matrix(t, gamma, horizon):
     The T^0 term is built first, so SuccessorMatrix checks gamma and horizon
     before any power is taken.
     """
-    m = SuccessorMatrix(n=t.n, gamma=float(gamma), horizon=int(horizon), values=np.eye(t.n))
+    m = SuccessorMatrix(gamma=float(gamma), horizon=int(horizon), values=np.eye(t.n))
     if m.gamma > 0.0:
         power = np.eye(t.n)
         for k in range(1, m.horizon + 1):
@@ -138,7 +141,7 @@ def rollout_occupancy_oracle(t, gamma, horizon, start, samples, seed):
 
 
 def save_sr_json(m, state_words, path):
-    """JSON envelope with n, gamma, horizon, state words, and values."""
+    """JSON envelope with n (the matrix size), gamma, horizon, state words, and values."""
     if len(state_words) != m.n:
         raise InputError("state_words length must equal matrix size")
     dump_json({"n": m.n, "gamma": m.gamma, "horizon": m.horizon,
@@ -146,12 +149,12 @@ def save_sr_json(m, state_words, path):
 
 
 def load_sr_json(path):
-    """Returns (SuccessorMatrix, state_words) from a JSON envelope."""
+    """Returns (SuccessorMatrix, state_words) from a JSON envelope whose n fits its values."""
     doc = load_json(path)
     try:
-        m = SuccessorMatrix(n=int(doc["n"]), gamma=float(doc["gamma"]),
-                            horizon=int(doc["horizon"]),
+        m = SuccessorMatrix(gamma=float(doc["gamma"]), horizon=int(doc["horizon"]),
                             values=np.array(doc["values"], dtype=np.float64))
+        n = int(doc["n"])
         words = list(doc["state_words"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed successor-matrix envelope ({exc})") from None
@@ -159,6 +162,8 @@ def load_sr_json(path):
         raise InputError(f"{path}: {exc}") from None
     if not np.isfinite(m.values).all():
         raise InputError(f"{path}: non-finite value in values")
+    if n != m.n:
+        raise InputError(f"{path}: n is {n} but values are {m.n}x{m.n}")
     if len(words) != m.n:
         raise InputError(f"{path}: state_words length does not match n")
     return m, words

@@ -12,13 +12,13 @@ PALETTE = ["#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02"]
 RING_COLOR = "#d62728"
 
 
-def render_svg(coordinates, lex, out_path, timestamp=None):
+def render_svg(coordinates, lex, out_path):
     """Write a square, axis-free scatter map.
 
     One circle per point, filled by category; validation points carry a
     distinct ring stroke. The legend lists the categories in order of first
     appearance in `lex.labels`. Output is deterministic for fixed input except for
-    the ISO-8601 timestamp comment.
+    the `<!-- generated ... -->` comment, which holds the current UTC time in ISO 8601.
     """
     n = len(coordinates)
     if n == 0:
@@ -39,7 +39,7 @@ def render_svg(coordinates, lex, out_path, timestamp=None):
 
     categories = list(dict.fromkeys(lex.labels))
     color = {cat: PALETTE[i % len(PALETTE)] for i, cat in enumerate(categories)}
-    ts = timestamp if timestamp is not None else datetime.now(timezone.utc).isoformat(timespec="seconds")
+    ts = datetime.now(timezone.utc).isoformat(timespec="seconds")
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" height="{CANVAS}" '

@@ -173,7 +173,7 @@ def test_criterion_5_sr_oracle(criterion_log):
         n = int(rng.integers(2, 6))  # N <= 5
         horizon = int(rng.integers(0, 7))  # H <= 6
         raw = rng.random((n, n)) + 1e-3
-        t = TransitionMatrix(n=n, values=raw / raw.sum(axis=1, keepdims=True),
+        t = TransitionMatrix(values=raw / raw.sum(axis=1, keepdims=True),
                              state_words=[f"s{i}" for i in range(n)])
         start = int(rng.integers(0, n))
         for gamma in (0.0, 0.3, 0.7, 1.0):

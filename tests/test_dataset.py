@@ -247,8 +247,7 @@ def test_identity_sr_gives_one_hot_targets():
 def test_hand_built_sr_rows_become_targets():
     # two-state chain by hand: T = [[.2,.8],[.8,.2]], gamma=1, horizon=1
     # M = I + T = [[1.2,.8],[.8,1.2]]; rows normalize to (.6,.4)/(.4,.6)
-    sr = SuccessorMatrix(n=2, gamma=1.0, horizon=1,
-                         values=np.array([[1.2, 0.8], [0.8, 1.2]]))
+    sr = SuccessorMatrix(gamma=1.0, horizon=1, values=np.array([[1.2, 0.8], [0.8, 1.2]]))
     ex = build_examples(np.eye(2), sr)
     np.testing.assert_allclose(ex.targets, [[0.6, 0.4], [0.4, 0.6]], atol=1e-15)
 

@@ -157,7 +157,7 @@ def test_pipeline_documents_match_one_dumps_call(tmp_path, monkeypatch):
                                  "output_dir": str(tmp_path), "epochs": "2"}))
     # the SR envelope is written by `cogmap build-sr`, not by `cogmap run`
     values = np.loadtxt(tmp_path / "sr_gamma_1.0.csv", delimiter=",")
-    sr.save_sr_json(sr.SuccessorMatrix(n=len(values), gamma=1.0, horizon=5, values=values),
+    sr.save_sr_json(sr.SuccessorMatrix(gamma=1.0, horizon=5, values=values),
                     [f"w{i}" for i in range(len(values))], tmp_path / "sr_gamma_1.0.json")
     assert {"manifest.json", "model_gamma_1.0.json", "sr_gamma_1.0.json",
             "gdv_gamma_1.0.json"} <= set(expected)
@@ -173,11 +173,8 @@ def test_pipeline_documents_match_one_dumps_call(tmp_path, monkeypatch):
     {1: np.eye(2), 2.5: None, None: np.ones((1, 1)), True: "text \u00e9 \"quoted\""},
     {"nested": {"inner": np.eye(2)}, "empty": {}},
     {},
-    [np.eye(2), 1.5],
-    np.eye(3),
-    np.float64(-0.0),
 ], ids=["0-rows", "0-cols", "1-d-and-scalars", "edge-values", "non-str-keys", "nested",
-        "empty-dict", "top-level-list", "top-level-array", "top-level-scalar"])
+        "empty-dict"])
 def test_json_bytes_match_one_dumps_call(tmp_path, obj):
     path = tmp_path / "doc.json"
     dump_json(obj, path)

@@ -261,13 +261,13 @@ def test_zero_lr_single_epoch_preserves_init_bitwise():
     ex = toy_examples()
     cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=4, dropout_rate=0.5,
                     learning_rate=0.0, epochs=1, batch_size=2, momentum=0.9, seed=17)
-    model, report = train(cfg, ex)
+    model, losses = train(cfg, ex)
     ref = init_model(cfg)
     np.testing.assert_array_equal(model.w1, ref.w1)
     np.testing.assert_array_equal(model.b1, ref.b1)
     np.testing.assert_array_equal(model.w2, ref.w2)
     np.testing.assert_array_equal(model.b2, ref.b2)
-    assert len(report.loss_per_epoch) == 1
+    assert len(losses) == 1
 
 
 def test_training_is_deterministic_bitwise():
@@ -278,16 +278,16 @@ def test_training_is_deterministic_bitwise():
     m2, r2 = train(cfg, ex)
     np.testing.assert_array_equal(m1.w1, m2.w1)
     np.testing.assert_array_equal(m1.w2, m2.w2)
-    assert r1.loss_per_epoch == r2.loss_per_epoch
+    assert r1 == r2
 
 
 def test_training_reduces_loss_on_separable_toy():
     ex = toy_examples()
     cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=8, dropout_rate=0.0,
                     learning_rate=0.05, epochs=200, batch_size=3, momentum=0.9, seed=2)
-    _, report = train(cfg, ex)
-    assert report.loss_per_epoch[-1] < report.loss_per_epoch[0]
-    assert len(report.loss_per_epoch) == 200
+    _, losses = train(cfg, ex)
+    assert losses[-1] < losses[0]
+    assert len(losses) == 200
 
 
 def test_training_aborts_on_divergence():
@@ -354,11 +354,30 @@ def test_training_matches_the_per_array_reference_bitwise():
                     targets=targets / targets.sum(axis=1, keepdims=True))
     cfg = MlpConfig(input_dim=5, output_dim=4, hidden_dim=6, dropout_rate=0.3,
                     learning_rate=0.05, epochs=30, batch_size=3, momentum=0.9, seed=21)
-    model, report = train(cfg, ex)
-    params, losses = reference_train(cfg, ex)
+    model, losses = train(cfg, ex)
+    params, reference_losses = reference_train(cfg, ex)
     for name, param in params.items():
         assert getattr(model, name).tobytes() == param.tobytes(), name
-    assert np.array(report.loss_per_epoch).tobytes() == np.array(losses).tobytes()
+    assert np.array(losses).tobytes() == np.array(reference_losses).tobytes()
+
+
+def test_integer_inputs_train_like_their_float64_values():
+    # the dropout scaling divides the epoch's inputs in place, which an integer array cannot hold
+    inputs = np.array([[3, 1], [-3, -1], [2, 0], [0, 2]])
+    targets = np.array([[1, 0], [0, 1], [1, 0], [0, 1]])
+    cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=4, dropout_rate=0.5,
+                    learning_rate=0.05, epochs=10, batch_size=3, momentum=0.9, seed=3)
+    as_ints = train(cfg, ExampleSet(inputs=inputs, targets=targets))
+    as_floats = train(cfg, ExampleSet(inputs=inputs.astype(np.float64),
+                                      targets=targets.astype(np.float64)))
+    for name in ("w1", "b1", "w2", "b2"):
+        assert getattr(as_ints[0], name).tobytes() == getattr(as_floats[0], name).tobytes(), name
+    assert as_ints[1] == as_floats[1]
+    # float64 arrays are kept as given, not copied
+    ex = ExampleSet(inputs=inputs.astype(np.float64), targets=targets.astype(np.float64))
+    assert ex.inputs.dtype == ex.targets.dtype == np.float64
+    view = ex.inputs[:2]
+    assert ExampleSet(inputs=view, targets=ex.targets[:2]).inputs is view
 
 
 def test_train_validates_example_shapes():

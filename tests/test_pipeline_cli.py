@@ -2,8 +2,11 @@
 
 import argparse
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -591,6 +594,24 @@ def test_cli_chain_reproduces_run_byte_for_byte(tiny, tmp_path, capsys):
             assert path.read_bytes() == (run_dir / path.name).read_bytes(), path.name
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # training's GEMMs run on one BLAS thread or two; every file must come out the
+    # same, apart from the run's timestamps and its own output directory
+    volatile = re.compile(r'"created_utc": "[^"]*"|"output_dir": "[^"]*"|<!-- generated [^>]* -->')
+    trees = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "cogmap.cli", "run", "--config", "default.cfg",
+                        "--epochs", "20", "--out-dir", str(out_dir)],
+                       cwd=REPO, env=env, check=True, capture_output=True)
+        trees.append({p.name: volatile.sub("", p.read_text(encoding="utf-8"))
+                      for p in out_dir.iterdir()})
+    assert len(trees[0]) == 14 and trees[0].keys() == trees[1].keys()
+    assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []
+
+
 def test_cli_predict_validation_split(tiny, tmp_path, capsys):
     out_dir = tmp_path / "flow"
     run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)
@@ -652,8 +673,13 @@ def _edit_sr_gamma(doc):
     doc["gamma"] = 5
 
 
-@pytest.mark.parametrize("edit", [_edit_sr_nan, _edit_sr_ragged, _edit_sr_negative, _edit_sr_gamma],
-                         ids=["nan", "ragged", "negative", "gamma-5"])
+def _edit_sr_n(doc):
+    doc["n"] = len(doc["values"]) + 1
+
+
+@pytest.mark.parametrize("edit", [_edit_sr_nan, _edit_sr_ragged, _edit_sr_negative, _edit_sr_gamma,
+                                  _edit_sr_n],
+                         ids=["nan", "ragged", "negative", "gamma-5", "n-mismatch"])
 def test_cli_train_rejects_bad_sr_envelope(tiny, tmp_path, capsys, edit):
     # reported against the file, not as a training failure or a numpy error
     out_dir = tmp_path / "flow"
@@ -894,17 +920,18 @@ def test_svg_structure(tmp_path):
     lex = Lexicon(words=["a", "b<c", "d&e", "f"], labels=["one", "one", "two", "two"],
                   splits=["train", "train", "validation", "train"])
     out = tmp_path / "m.svg"
-    render_svg(coords, lex, out, timestamp="2026-01-01T00:00:00+00:00")
+    render_svg(coords, lex, out)
     text = out.read_text(encoding="utf-8")
     assert text.count("<circle") == 4
     assert text.count('stroke="#d62728"') == 2  # one ringed point + legend swatch
     assert "<title>b&lt;c</title>" in text and "<title>d&amp;e</title>" in text
     assert ">one</text>" in text and ">two</text>" in text and ">validation</text>" in text
-    assert "2026-01-01T00:00:00+00:00" in text
-    # fixed timestamp makes the render reproducible byte for byte
+    assert re.fullmatch(r"<!-- generated \d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00 -->",
+                        text.splitlines()[1])
+    # with the timestamp comment masked, the render is reproducible line for line
     out2 = tmp_path / "m2.svg"
-    render_svg(coords, lex, out2, timestamp="2026-01-01T00:00:00+00:00")
-    assert out.read_bytes() == out2.read_bytes()
+    render_svg(coords, lex, out2)
+    assert svg_payload(out) == svg_payload(out2)
 
 
 def test_svg_validation():

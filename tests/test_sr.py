@@ -1,12 +1,13 @@
 """Transition matrix, truncated successor representation, and the rollout oracle."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from cogmap.errors import InputError
-from cogmap.sr import (TransitionMatrix, build_transition_matrix, load_sr_json,
+from cogmap.sr import (SuccessorMatrix, TransitionMatrix, build_transition_matrix, load_sr_json,
                        rollout_occupancy_oracle, save_sr_json, successor_matrix)
 
 
@@ -45,21 +46,29 @@ def test_vector_whose_cosines_overflow_or_underflow_is_rejected(scale):
 def test_transition_constructor_validates_rows():
     bad = np.array([[0.6, 0.3], [0.5, 0.5]])
     with pytest.raises(InputError):
-        TransitionMatrix(n=2, values=bad, state_words=["a", "b"])
+        TransitionMatrix(values=bad, state_words=["a", "b"])
     with pytest.raises(InputError):
-        TransitionMatrix(n=2, values=np.array([[1.2, -0.2], [0.5, 0.5]]),
-                         state_words=["a", "b"])
+        TransitionMatrix(values=np.array([[1.2, -0.2], [0.5, 0.5]]), state_words=["a", "b"])
     # NaN compares false, so the range and row-sum checks let it through
     with pytest.raises(InputError, match="finite"):
-        TransitionMatrix(n=2, values=np.array([[np.nan, 1.0], [0.5, 0.5]]),
-                         state_words=["a", "b"])
+        TransitionMatrix(values=np.array([[np.nan, 1.0], [0.5, 0.5]]), state_words=["a", "b"])
+
+
+def test_matrix_sizes_come_from_the_data():
+    # n is read from the state words and the values, so it cannot disagree with them
+    assert TransitionMatrix(values=np.eye(3), state_words=list("abc")).n == 3
+    with pytest.raises(InputError, match=r"transition matrix must be 2x2, got \(3, 3\)"):
+        TransitionMatrix(values=np.eye(3), state_words=["a", "b"])
+    assert SuccessorMatrix(gamma=0.5, horizon=1, values=np.eye(4)).n == 4
+    for values in (np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(InputError, match=re.escape(f"must be square, got shape {values.shape}")):
+            SuccessorMatrix(gamma=0.5, horizon=1, values=values)
 
 
 # --------------------------------------------------------------------- SR
 
 def flip_chain():
-    return TransitionMatrix(n=2, values=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                            state_words=["a", "b"])
+    return TransitionMatrix(values=np.array([[0.0, 1.0], [1.0, 0.0]]), state_words=["a", "b"])
 
 
 def test_flip_chain_closed_form():
@@ -86,7 +95,7 @@ def test_horizon_recursion():
     rng = np.random.default_rng(3)
     raw = rng.random((4, 4)) + 1e-3
     values = raw / raw.sum(axis=1, keepdims=True)
-    t = TransitionMatrix(n=4, values=values, state_words=list("abcd"))
+    t = TransitionMatrix(values=values, state_words=list("abcd"))
     for gamma in (0.3, 0.7, 1.0):
         m5 = successor_matrix(t, gamma, 5).values
         m4 = successor_matrix(t, gamma, 4).values
@@ -127,7 +136,7 @@ def test_oracle_gamma_zero_is_exact_one_hot():
 
 
 def test_oracle_absorbing_state_is_exact():
-    t = TransitionMatrix(n=2, values=np.eye(2), state_words=["a", "b"])
+    t = TransitionMatrix(values=np.eye(2), state_words=["a", "b"])
     occ = rollout_occupancy_oracle(t, 0.5, 2, start=0, samples=200, seed=1)
     # every rollout stays put: 1 + .5 + .25 = 1.75 exactly
     np.testing.assert_array_equal(occ, [1.75, 0.0])
