@@ -61,21 +61,15 @@ def build_vectors(dim, base_weight, category_weight, noise_weight, scale,
     raw = rng.standard_normal((1 + len(WORDS), dim))
     q, _ = np.linalg.qr(raw.T)
     base = q[:, 0]
-    cat_dirs = {name: q[:, 1 + i] for i, name in enumerate(WORDS)}
+    # lexicon words first, then the distractors, which have no category direction
+    directions = [(word, q[:, 1 + i]) for i, splits in enumerate(WORDS.values())
+                  for split in ("train", "validation") for word in splits[split]]
+    directions += [(word, np.zeros(dim)) for word in DISTRACTORS]
 
     vectors = {}
-    for name, splits in WORDS.items():
-        for split in ("train", "validation"):
-            for word in splits[split]:
-                noise = rng.standard_normal(dim) / np.sqrt(dim)
-                v = base_weight * base + category_weight * cat_dirs[name] \
-                    + noise_weight * noise
-                v /= np.linalg.norm(v)
-                v *= scale * (1.0 + norm_jitter * (rng.random() - 0.5))
-                vectors[word] = v
-    for word in DISTRACTORS:
+    for word, direction in directions:
         noise = rng.standard_normal(dim) / np.sqrt(dim)
-        v = base_weight * base + noise_weight * noise
+        v = base_weight * base + category_weight * direction + noise_weight * noise
         v /= np.linalg.norm(v)
         v *= scale * (1.0 + norm_jitter * (rng.random() - 0.5))
         vectors[word] = v

@@ -2,4 +2,4 @@
 
 __version__ = "0.1.0"
 
-from .errors import InputError, TrainingError
+from .errors import InputError

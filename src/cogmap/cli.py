@@ -11,7 +11,7 @@ from .dataset import build_examples
 from .errors import InputError
 from .fileio import dump_json, load_labeled_points_csv, save_labeled_points_csv, save_matrix_csv
 from .neural import train, predict_all, save_model, load_model
-from .pipeline import (CONFIG_FIELDS, load_inputs, parse_config_file, project_map,
+from .pipeline import (CONFIG_FIELDS, GDV_SPLITS, load_inputs, parse_config_file, project_map,
                        resolve_config, run_pipeline, split_gdv, _gamma_tag)
 from .sr import (build_transition_matrix, successor_matrix, rollout_occupancy_oracle,
                  save_sr_json, load_sr_json)
@@ -28,8 +28,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _resolved(args):
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {key: value for key, value in vars(args).items()
-                 if key in CONFIG_FIELDS and value is not None}
+    overrides = {key: value for key, value in vars(args).items() if key in CONFIG_FIELDS}
     return resolve_config(file_values, overrides)
 
 
@@ -154,7 +153,7 @@ def build_parser():
     p = commands.add_parser("predict", help="checkpoint + lexicon words -> distributions CSV")
     _add_config_flags(p, INPUTS)
     p.add_argument("--model", required=True)
-    p.add_argument("--split", choices=["train", "validation", "all"], default="all")
+    p.add_argument("--split", choices=GDV_SPLITS, default="all")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)
 
@@ -166,7 +165,7 @@ def build_parser():
 
     p = commands.add_parser("gdv", help="labeled points CSV -> cluster-separability score")
     p.add_argument("--points", required=True, help="CSV with word,category,split,components")
-    p.add_argument("--split", choices=["all", "train", "validation"], default="all")
+    p.add_argument("--split", choices=GDV_SPLITS, default="all")
     p.add_argument("--out", help="optional JSON report path")
     p.set_defaults(func=_cmd_gdv)
 
@@ -196,8 +195,6 @@ def main(argv=None):
         # unreadable/missing paths are user input problems, not crashes
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit:
-        raise
     except Exception as exc:  # noqa: BLE001 - boundary between exit codes 1 and 2
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -30,11 +30,8 @@ def load_embeddings(path, words):
         header = fh.readline()
         if not header:
             raise InputError(f"{path}: line 1: empty file, expected `<count> <dimension>` header")
-        parts = header.rstrip("\n").split(" ")
-        if len(parts) != 2:
-            raise InputError(f"{path}: line 1: malformed header {header.strip()!r}")
-        try:
-            count, dim = int(parts[0]), int(parts[1])
+        try:  # two space-separated integers; a wrong field count fails the unpacking
+            count, dim = map(int, header.rstrip("\n").split(" "))
         except ValueError:
             raise InputError(f"{path}: line 1: malformed header {header.strip()!r}") from None
         if count < 0 or dim < 1:

@@ -10,6 +10,7 @@ and an existing file stays as it was.
 
 import csv
 import json
+import numbers
 import os
 import secrets
 from contextlib import closing, contextmanager
@@ -27,6 +28,13 @@ def _finite_array(values):
     if not finite.all():
         raise InputError(f"non-finite value {float(values[~finite][0])!r}")
     return values
+
+
+def require_int(name, value):
+    """`value` if it is an integer (a numpy one too) but not a bool; else an InputError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @contextmanager

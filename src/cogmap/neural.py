@@ -19,8 +19,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import InputError, TrainingError
-from .fileio import dump_json, load_json
+from .errors import InputError
+from .fileio import dump_json, load_json, require_int
 
 LOG_CLAMP = 1e-12
 FD_STEP = 1e-5
@@ -39,6 +39,8 @@ class MlpConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("input_dim", "output_dim", "hidden_dim", "epochs", "batch_size", "seed"):
+            require_int(name, getattr(self, name))
         if self.input_dim < 1 or self.hidden_dim < 1 or self.output_dim < 1:
             raise InputError("layer sizes must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -231,7 +233,7 @@ def train(config, examples):
                 _, example_losses = _forward_backward(model, inputs[lo:hi], targets[lo:hi], grads)
                 batch_loss = float(np.add.reduce(example_losses))
                 if not math.isfinite(batch_loss):
-                    raise TrainingError(f"non-finite loss at epoch {epoch}")
+                    raise InputError(f"non-finite loss at epoch {epoch}")
                 loss_sum += batch_loss
                 vel *= config.momentum
                 grad *= config.learning_rate
@@ -241,7 +243,7 @@ def train(config, examples):
             if not np.isfinite(theta).all():
                 name = next(name for name, param in _views(theta, config).items()
                             if not np.isfinite(param).all())
-                raise TrainingError(f"non-finite parameter {name} at epoch {epoch}")
+                raise InputError(f"non-finite parameter {name} at epoch {epoch}")
             losses.append(loss_sum / n)
 
     return model, losses

@@ -27,7 +27,7 @@ from .fileio import SPLITS, dump_json, load_lexicon, save_matrix_csv, save_label
 from .metrics import LabeledPointSet, gdv, gdv_classes
 from .neural import MlpConfig, train, predict_all, save_model
 from .projection import classical_mds
-from .sr import build_transition_matrix, successor_matrix
+from .sr import _check_scale, build_transition_matrix, successor_matrix
 from .svg import render_svg
 
 GDV_SPLITS = ("all",) + SPLITS
@@ -54,10 +54,7 @@ class PipelineConfig:
         if not self.gammas:
             raise InputError("gammas must be a nonempty list")
         for g in self.gammas:
-            if not 0.0 <= g <= 1.0:
-                raise InputError(f"gamma {g} outside [0, 1]")
-        if self.horizon < 0:
-            raise InputError(f"horizon must be non-negative, got {self.horizon}")
+            _check_scale(g, self.horizon)
         tags = [_gamma_tag(g) for g in self.gammas]
         if len(set(tags)) != len(tags):
             raise InputError(f"gammas must be distinct, got {', '.join(tags)}")
@@ -140,9 +137,7 @@ def config_hash(config):
 def _stage(name):
     try:
         yield
-    except InputError as exc:
-        raise InputError(f"stage {name}: {exc}") from None
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         # unreadable/missing files are input problems, not internal failures
         raise InputError(f"stage {name}: {exc}") from None
     except Exception as exc:

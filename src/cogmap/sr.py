@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .fileio import dump_json, load_json
+from .fileio import dump_json, load_json, require_int
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -152,9 +152,9 @@ def load_sr_json(path):
     """Returns (SuccessorMatrix, state_words) from a JSON envelope whose n fits its values."""
     doc = load_json(path)
     try:
-        m = SuccessorMatrix(gamma=float(doc["gamma"]), horizon=int(doc["horizon"]),
+        n, horizon = require_int("n", doc["n"]), require_int("horizon", doc["horizon"])
+        m = SuccessorMatrix(gamma=float(doc["gamma"]), horizon=horizon,
                             values=np.array(doc["values"], dtype=np.float64))
-        n = int(doc["n"])
         words = list(doc["state_words"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed successor-matrix envelope ({exc})") from None

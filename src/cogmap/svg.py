@@ -1,5 +1,6 @@
 """Static SVG scatter plots of 2-D projections, one color per category."""
 
+import colorsys
 from datetime import datetime, timezone
 
 from .errors import InputError
@@ -38,7 +39,10 @@ def render_svg(coordinates, lex, out_path):
         return (CANVAS / 2.0 + (x - cx) * scale, CANVAS / 2.0 - (y - cy) * scale)
 
     categories = list(dict.fromkeys(lex.labels))
-    color = {cat: PALETTE[i % len(PALETTE)] for i, cat in enumerate(categories)}
+    hues = [(i + 0.5) / len(categories) for i in range(len(categories))]
+    fills = PALETTE if len(categories) <= len(PALETTE) else [  # one evenly spaced hue each
+        "#" + bytes(round(255 * c) for c in colorsys.hsv_to_rgb(h, 0.85, 0.75)).hex() for h in hues]
+    color = dict(zip(categories, fills))
     ts = datetime.now(timezone.utc).isoformat(timespec="seconds")
 
     lines = [

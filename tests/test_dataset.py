@@ -105,6 +105,17 @@ def test_trailing_spaces_load_like_clean_file(tmp_path):
     np.testing.assert_array_equal(b, a)
 
 
+def test_blank_vector_lines_are_skipped(tmp_path):
+    words = ["apple", "car"]
+    clean = load_embeddings(write(tmp_path / "clean.txt", "2 2\napple 1 0\ncar 0 1\n"), words)
+    blank = write(tmp_path / "blank.txt", "2 2\n\napple 1 0\n\ncar 0 1\n\n")
+    np.testing.assert_array_equal(load_embeddings(blank, words), clean)
+    # a skipped line still counts toward the line numbers in errors
+    bad = write(tmp_path / "bad.txt", "2 2\n\napple 1 0\ncar 0\n")
+    with pytest.raises(InputError, match="bad.txt: line 4: expected 2 components for 'car'"):
+        load_embeddings(bad, words)
+
+
 def test_embedding_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(7)
     entries = {f"w{i}": rng.standard_normal(8) * 10.0 ** rng.integers(-12, 12)
@@ -160,6 +171,17 @@ def test_single_record_lexicon(tmp_path):
     lex = load_lexicon(p)
     assert lex.n_states == 1
     assert (lex.words, lex.labels, lex.splits) == (["dog"], ["animal"], ["train"])
+
+
+def test_blank_lexicon_lines_are_skipped(tmp_path):
+    p = write(tmp_path / "l.csv", "word,category,split\n\ndog,animal,train\n\n"
+              "car,vehicle,validation\n\n")
+    lex = load_lexicon(p)
+    assert (lex.words, lex.labels, lex.splits) == (["dog", "car"], ["animal", "vehicle"],
+                                                   ["train", "validation"])
+    bad = write(tmp_path / "bad.csv", "word,category,split\n\ndog,animal,train,x\n")
+    with pytest.raises(InputError, match="bad.csv: line 3: expected 3 fields, found 4"):
+        load_lexicon(bad)
 
 
 def test_lexicon_rows_put_training_first(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cogmap.dataset import ExampleSet
-from cogmap.errors import InputError, TrainingError
+from cogmap.errors import InputError
 from cogmap.neural import (MlpConfig, MlpModel, _dropout, _forward_backward, _param_count,
                            _views, gradient_check, init_model, load_model, loss,
                            predict_all, save_model, train)
@@ -59,8 +59,13 @@ def test_config_validation():
         small_config(momentum=1.0)
     with pytest.raises(InputError, match="seed must be non-negative"):
         small_config(seed=-1)
-    # boundary values that must be accepted
+    with pytest.raises(InputError, match="input_dim must be an integer, got 4.0"):
+        small_config(input_dim=4.0)
+    with pytest.raises(InputError, match="output_dim must be an integer, got True"):
+        small_config(output_dim=True)
+    # boundary values that must be accepted, and numpy integers
     small_config(dropout_rate=0.0, learning_rate=0.0, momentum=0.0, seed=0)
+    small_config(hidden_dim=np.int64(5), seed=np.uint32(7))
 
 
 def test_init_is_seeded_glorot():
@@ -298,7 +303,7 @@ def test_training_aborts_on_divergence():
                     targets=np.array([[0.8, 0.2], [0.2, 0.8]]))
     cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=4, dropout_rate=0.0,
                     learning_rate=1e30, epochs=60, batch_size=2, momentum=0.0, seed=1)
-    with pytest.raises(TrainingError, match="non-finite"):
+    with pytest.raises(InputError, match="non-finite"):
         train(cfg, ex)
 
 
@@ -480,13 +485,24 @@ def _bad_dropout(doc):
     doc["config"]["dropout_rate"] = 1.5
 
 
-@pytest.mark.parametrize("edit,match", [(_short_b1, "shapes .* b1"), (_short_b2, "shapes .* b2"),
-                                        (_ragged_w1, "malformed"), (_huge_int_b1, "malformed"),
-                                        (_bad_dropout, r"dropout rate must be in \[0, 1\)")],
-                         ids=["short-b1", "short-b2", "ragged-w1", "huge-int-b1", "bad-config"])
+def _config_value(key, value):
+    def edit(doc):
+        doc["config"][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,match", [
+    (_short_b1, "shapes .* b1"), (_short_b2, "shapes .* b2"), (_ragged_w1, "malformed"),
+    (_huge_int_b1, "malformed"), (_bad_dropout, r"dropout rate must be in \[0, 1\)"),
+    (_config_value("hidden_dim", 5.0), "hidden_dim must be an integer, got 5.0"),
+    (_config_value("seed", 1.5), "seed must be an integer, got 1.5"),
+    (_config_value("epochs", 2.5), "epochs must be an integer, got 2.5"),
+    (_config_value("batch_size", True), "batch_size must be an integer, got True"),
+], ids=["short-b1", "short-b2", "ragged-w1", "huge-int-b1", "bad-config", "float-hidden-dim",
+        "float-seed", "float-epochs", "bool-batch-size"])
 def test_checkpoint_arrays_checked_against_config(tmp_path, edit, match):
     # a short bias, a ragged matrix, an integer beyond float range or a config
-    # its own checks reject names the file
+    # its own checks reject (a non-integer size among them) names the file
     p = tmp_path / "model.json"
     save_model(init_model(small_config()), p)
     doc = json.loads(p.read_text(encoding="utf-8"))

@@ -131,7 +131,7 @@ def test_resolve_parses_gammas():
         resolve_config({"gammas": "abc"})
     with pytest.raises(InputError, match="unknown config key"):
         resolve_config(overrides={"velocity": "1"})
-    with pytest.raises(InputError, match="outside"):
+    with pytest.raises(InputError, match=r"gamma must be in \[0, 1\], got 1.5"):
         resolve_config({"gammas": "1.5"})
     with pytest.raises(InputError, match="horizon"):
         resolve_config({"horizon": "-1"})
@@ -531,6 +531,37 @@ def test_cli_build_sr_gamma_zero_identity(tiny, tmp_path, capsys):
     assert "sr_gamma_0.0.csv" in out
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: empty file, expected `<count> <dimension>` header"),
+    ("2.5 8\n", "line 1: malformed header '2.5 8'"),
+    ("-1 8\n", "line 1: header needs count >= 0 and dimension >= 1"),
+], ids=["empty", "non-integer-count", "negative-count"])
+def test_cli_build_sr_rejects_bad_embeddings_header(tiny, tmp_path, capsys, text, message):
+    embeddings = tmp_path / "e.txt"
+    embeddings.write_text(text, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "build-sr", "--config", tiny["cfg"],
+                             "--embeddings", embeddings, "--out-dir", out_dir)
+    assert code == 1 and out == "" and err == f"error: {embeddings}: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["r0,reds,train,extra"], "{lexicon}: line 2: expected 3 fields, found 4"),
+    ([",reds,train"], "{lexicon}: line 2: empty word"),
+    (["r3,reds,validation", "g3,greens,validation"], "lexicon has no training words"),
+], ids=["four-fields", "empty-word", "no-training-rows"])
+def test_cli_build_sr_rejects_bad_lexicon(tiny, tmp_path, capsys, rows, message):
+    lexicon = tmp_path / "lexicon.csv"
+    lexicon.write_text("\n".join(["word,category,split", *rows]) + "\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "build-sr", "--config", tiny["cfg"],
+                             "--lexicon", lexicon, "--out-dir", out_dir)
+    assert code == 1 and out == ""
+    assert err == f"error: {message.format(lexicon=lexicon)}\n"
+    assert not out_dir.exists()
+
+
 def test_cli_build_sr_default_gammas(tiny, tmp_path, capsys):
     out_dir = tmp_path / "sr-out"
     code, _, _ = run_cli(capsys, "build-sr", "--config", tiny["cfg"],
@@ -677,10 +708,27 @@ def _edit_sr_n(doc):
     doc["n"] = len(doc["values"]) + 1
 
 
-@pytest.mark.parametrize("edit", [_edit_sr_nan, _edit_sr_ragged, _edit_sr_negative, _edit_sr_gamma,
-                                  _edit_sr_n],
-                         ids=["nan", "ragged", "negative", "gamma-5", "n-mismatch"])
-def test_cli_train_rejects_bad_sr_envelope(tiny, tmp_path, capsys, edit):
+def _edit_sr_fractional_horizon(doc):
+    doc["horizon"] = 2.7
+
+
+def _edit_sr_fractional_n(doc):
+    doc["n"] = len(doc["values"]) + 0.5
+
+
+def _edit_sr_short_state_words(doc):
+    doc["state_words"].pop()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_edit_sr_nan, "non-finite value"), (_edit_sr_ragged, "malformed"),
+    (_edit_sr_negative, "non-negative"), (_edit_sr_gamma, "gamma must be in [0, 1], got 5.0"),
+    (_edit_sr_n, "n is"), (_edit_sr_fractional_horizon, "horizon must be an integer, got 2.7"),
+    (_edit_sr_fractional_n, "n must be an integer, got"),
+    (_edit_sr_short_state_words, "state_words length does not match n"),
+], ids=["nan", "ragged", "negative", "gamma-5", "n-mismatch", "horizon-2.7", "n-fraction",
+        "short-state-words"])
+def test_cli_train_rejects_bad_sr_envelope(tiny, tmp_path, capsys, edit, message):
     # reported against the file, not as a training failure or a numpy error
     out_dir = tmp_path / "flow"
     run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)
@@ -691,6 +739,22 @@ def test_cli_train_rejects_bad_sr_envelope(tiny, tmp_path, capsys, edit):
     code, _, err = run_cli(capsys, "train", "--config", tiny["cfg"],
                            "--sr", sr, "--out", out_dir / "m.json")
     assert code == 1 and err.startswith(f"error: {sr}") and "loss" not in err
+    assert message in err
+    assert not (out_dir / "m.json").exists()
+
+
+def test_cli_train_rejects_sr_envelope_with_an_all_zero_row(tiny, tmp_path, capsys):
+    # a row with no mass gives no target distribution
+    out_dir = tmp_path / "flow"
+    run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)
+    sr = out_dir / "sr_gamma_1.0.json"
+    doc = json.loads(sr.read_text(encoding="utf-8"))
+    doc["values"][0] = [0.0] * len(doc["values"])
+    sr.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "train", "--config", tiny["cfg"],
+                             "--sr", sr, "--out", out_dir / "m.json")
+    assert code == 1 and out == ""
+    assert err == "error: successor matrix has a non-positive row sum\n"
     assert not (out_dir / "m.json").exists()
 
 
@@ -767,7 +831,8 @@ def test_cli_nonfinite_points_are_input_errors(tmp_path, capsys, command, token)
     ("a0,A,train,1.0", "duplicate word 'a0'"),
     ("a1,,train,1.0", "empty category for 'a1'"),
     ("a1,A,trian,1.0", "unknown split 'trian'"),
-], ids=["duplicate-word", "empty-category", "misspelt-split"])
+    ("a1,A,train,one", "non-numeric component"),
+], ids=["duplicate-word", "empty-category", "misspelt-split", "non-numeric-component"])
 def test_cli_points_csv_gets_the_lexicon_row_checks(tmp_path, capsys, command, row, message):
     points = tmp_path / "points.csv"
     text = (DATA_DIR / "gdv_fixture_1d.csv").read_text(encoding="utf-8")
@@ -847,7 +912,15 @@ def test_cli_oracle_bad_start(tiny, capsys):
 def test_cli_oracle_validates_gamma(tiny, capsys, gamma):
     code, out, err = run_cli(capsys, "oracle", "--config", tiny["cfg"], "--start", "r0",
                              "--gamma", gamma, "--samples", "10")
-    assert code == 1 and out == "" and f"gamma {float(gamma)} outside" in err
+    assert code == 1 and out == "" and f"gamma must be in [0, 1], got {float(gamma)}" in err
+
+
+def test_cli_oracle_rejects_zero_samples(tiny, tmp_path, capsys):
+    est_csv = tmp_path / "est.csv"
+    code, out, err = run_cli(capsys, "oracle", "--config", tiny["cfg"], "--start", "r0",
+                             "--samples", "0", "--out", est_csv)
+    assert code == 1 and out == "" and err == "error: samples must be positive, got 0\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # -------------------------------------------------------- CLI: exit codes
@@ -913,6 +986,22 @@ def test_cli_internal_error_exit_code(tiny, tmp_path, capsys, monkeypatch):
     assert code == 2 and "internal error:" in err and "wires crossed" in err
 
 
+def test_cli_stage_fault_is_internal_error_and_keeps_previous_tree(tiny, tmp_path, capsys,
+                                                                  monkeypatch):
+    out_dir = tmp_path / "out"
+    assert run_cli(capsys, "run", "--config", tiny["cfg"], "--out-dir", out_dir)[0] == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    def boom(model, vecs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("cogmap.pipeline.predict_all", boom)
+    code, out, err = run_cli(capsys, "run", "--config", tiny["cfg"], "--out-dir", out_dir)
+    assert code == 2 and out == ""
+    assert err == "internal error: RuntimeError: stage predict gamma=1.0: boom\n"
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
 # --------------------------------------------------------------------- SVG
 
 def test_svg_structure(tmp_path):
@@ -932,6 +1021,19 @@ def test_svg_structure(tmp_path):
     out2 = tmp_path / "m2.svg"
     render_svg(coords, lex, out2)
     assert svg_payload(out) == svg_payload(out2)
+
+
+def test_svg_gives_each_category_beyond_the_palette_its_own_color(tmp_path):
+    labels = [f"c{i}" for i in range(7)]
+    lex = Lexicon(words=[f"w{i}" for i in range(7)], labels=labels, splits=["train"] * 7)
+    out = tmp_path / "m.svg"
+    render_svg(np.array([[float(i), float(i % 3)] for i in range(7)]), lex, out)
+    text = out.read_text(encoding="utf-8")
+    legend = re.findall(r'<rect x="16" y="[^"]*" width="14" height="14" fill="(#[0-9a-f]{6})"/>',
+                        text)
+    assert len(legend) == 7 and len(set(legend)) == 7
+    circles = re.findall(r'<circle [^>]* fill="(#[0-9a-f]{6})"', text)
+    assert circles == legend  # one point per category, in legend order
 
 
 def test_svg_validation():
