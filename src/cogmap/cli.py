@@ -2,7 +2,6 @@
 
 import argparse
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -76,17 +75,17 @@ def _cmd_predict(args):
 
 def _cmd_project(args):
     lex, values = load_labeled_points_csv(args.predictions)
-    projection = project_map(values, lex, args.out_csv, args.out_svg)
-    print(f"wrote {args.out_csv} and {args.out_svg} (stress {projection.stress:.6g})")
+    _, stress = project_map(values, lex, args.out_csv, args.out_svg)
+    print(f"wrote {args.out_csv} and {args.out_svg} (stress {stress:.6g})")
     return 0
 
 
 def _cmd_gdv(args):
     lex, values = load_labeled_points_csv(args.points)
     report = split_gdv(values, lex, args.split)
-    print(f"{report.gdv:.4f}")
+    print(f"{report['gdv']:.4f}")
     if args.out:
-        dump_json(asdict(report), args.out)
+        dump_json(report, args.out)
     return 0
 
 

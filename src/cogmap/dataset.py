@@ -106,13 +106,11 @@ def build_examples(vecs, sr):
     """Training examples against a successor matrix over the training states.
 
     Row i of `vecs` is the embedding of training state i; its target is SR
-    row i normalized to sum 1.
+    row i normalized to sum 1 (SuccessorMatrix makes every row sum positive).
     """
     n = len(vecs)
     values = np.asarray(sr.values, dtype=np.float64)
     if values.shape != (n, n):
         raise InputError(f"successor matrix is {values.shape}, lexicon has {n} training states")
     row_sums = values.sum(axis=1)
-    if np.any(row_sums <= 0):
-        raise InputError("successor matrix has a non-positive row sum")
     return ExampleSet(inputs=vecs, targets=values / row_sums[:, None])

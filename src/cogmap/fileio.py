@@ -37,6 +37,13 @@ def require_int(name, value):
     return value
 
 
+def require_real(name, value):
+    """`value` as a float if it is a real number (a numpy one too) but not a bool; else an InputError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @contextmanager
 def replacing(path):
     """A text file for writing that replaces `path` only if the block completes.

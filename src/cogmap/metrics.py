@@ -38,16 +38,6 @@ class LabeledPointSet:
             raise InputError("points and labels must have equal length")
 
 
-@dataclass
-class GdvReport:
-    gdv: float
-    mean_intra_per_class: list
-    mean_inter_per_pair: list
-    dimension: int
-    classes: list
-    class_pairs: list
-
-
 def gdv_classes(labels):
     """Classes of `labels` by first appearance; the GDV needs >= 2, of >= 2 points each."""
     counts = Counter(labels)
@@ -73,7 +63,8 @@ def zscore_half(points):
 
 
 def gdv(pointset):
-    """GDV of a labeled point set whose labels pass `gdv_classes`, from S = Y^T dist Y."""
+    """GDV of a labeled point set whose labels pass `gdv_classes`, from S = Y^T dist Y,
+    as the report dict that a GDV JSON file holds."""
     classes = gdv_classes(pointset.labels)
     n_classes = len(classes)
     onehot = np.eye(n_classes)[[classes.index(c) for c in pointset.labels]]
@@ -87,5 +78,5 @@ def gdv(pointset):
 
     dimension = pointset.points.shape[1]
     value = (np.mean(intra) - 2.0 / (n_classes * (n_classes - 1)) * np.sum(inter)) / np.sqrt(dimension)
-    return GdvReport(gdv=float(value), mean_intra_per_class=intra, mean_inter_per_pair=inter,
-                     dimension=dimension, classes=classes, class_pairs=pairs)
+    return {"gdv": float(value), "mean_intra_per_class": intra, "mean_inter_per_pair": inter,
+            "dimension": dimension, "classes": classes, "class_pairs": pairs}

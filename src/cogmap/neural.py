@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import InputError
-from .fileio import dump_json, load_json, require_int
+from .fileio import dump_json, load_json, require_int, require_real
 
 LOG_CLAMP = 1e-12
 FD_STEP = 1e-5
@@ -41,6 +41,8 @@ class MlpConfig:
     def __post_init__(self):
         for name in ("input_dim", "output_dim", "hidden_dim", "epochs", "batch_size", "seed"):
             require_int(name, getattr(self, name))
+        for name in ("dropout_rate", "learning_rate", "momentum"):
+            require_real(name, getattr(self, name))
         if self.input_dim < 1 or self.hidden_dim < 1 or self.output_dim < 1:
             raise InputError("layer sizes must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:

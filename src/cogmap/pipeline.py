@@ -206,17 +206,12 @@ def run_pipeline(config):
                 raw_reports = {split: split_gdv(predictions, lex, split) for split in GDV_SPLITS}
 
             with _stage(f"project gamma={tag}"):
-                projection = project_map(predictions, lex, staging / files["projection_csv"],
-                                         staging / files["map_svg"])
-                planar_reports = {split: split_gdv(projection.coordinates, lex, split)
-                                  for split in GDV_SPLITS}
+                coordinates, stress = project_map(predictions, lex, staging / files["projection_csv"],
+                                                  staging / files["map_svg"])
+                planar_reports = {split: split_gdv(coordinates, lex, split) for split in GDV_SPLITS}
 
-            gdv_doc = {
-                "gamma": float(gamma),
-                "prediction_space": {k: asdict(r) for k, r in raw_reports.items()},
-                "projection_2d": {k: asdict(r) for k, r in planar_reports.items()},
-            }
-            dump_json(gdv_doc, staging / files["gdv_json"])
+            dump_json({"gamma": float(gamma), "prediction_space": raw_reports,
+                       "projection_2d": planar_reports}, staging / files["gdv_json"])
 
             runs.append({
                 "gamma": float(gamma),
@@ -224,9 +219,9 @@ def run_pipeline(config):
                 "files": files,
                 "first_epoch_loss": losses[0],
                 "final_train_loss": losses[-1],
-                "mds_stress": projection.stress,
-                "gdv_prediction_space": {k: r.gdv for k, r in raw_reports.items()},
-                "gdv_projection_2d": {k: r.gdv for k, r in planar_reports.items()},
+                "mds_stress": stress,
+                "gdv_prediction_space": {k: r["gdv"] for k, r in raw_reports.items()},
+                "gdv_projection_2d": {k: r["gdv"] for k, r in planar_reports.items()},
             })
 
         manifest = {
@@ -246,15 +241,16 @@ def run_pipeline(config):
 
 
 def split_gdv(points, lex, split):
-    """GDV report of the points in one split of `lex`, "train" or "validation", or of "all"."""
+    """GDV report dict of the points in one split of `lex`, "train" or "validation", or of "all"."""
     keep = lex.rows(split)
     return gdv(LabeledPointSet(points=np.asarray(points, dtype=np.float64)[keep],
                                labels=lex.subset(keep).labels))
 
 
 def project_map(points, lex, csv_path, svg_path):
-    """Project the points to 2-D by MDS; writes the coordinate CSV and the SVG map."""
-    projection = classical_mds(points)
-    save_labeled_points_csv(csv_path, lex, projection.coordinates, component_names=("x", "y"))
-    render_svg(projection.coordinates, lex, svg_path)
-    return projection
+    """Project the points to 2-D by MDS, write the coordinate CSV and the SVG map, and
+    return (coordinates, stress)."""
+    coordinates, stress = classical_mds(points)
+    save_labeled_points_csv(csv_path, lex, coordinates, component_names=("x", "y"))
+    render_svg(coordinates, lex, svg_path)
+    return coordinates, stress

@@ -9,17 +9,9 @@ top two eigenvectors are scaled by the square roots of their
 so each coordinate column's largest-magnitude entry is positive.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
-
-
-@dataclass
-class Projection2D:
-    coordinates: np.ndarray
-    stress: float
 
 
 def euclidean_distances(x):
@@ -45,7 +37,7 @@ def pairwise_euclidean(points):
 
 
 def classical_mds(points):
-    """Project the rows of `points` to 2-D coordinates plus a normalized stress.
+    """Project the rows of `points` to the plane; returns (n x 2 coordinates, normalized stress).
 
     Stress is sqrt(sum_{i<j} (d_ij - dhat_ij)^2 / sum_{i<j} d_ij^2) where d
     are the distances of the points and dhat those of the projected points.
@@ -66,4 +58,4 @@ def classical_mds(points):
     recovered = euclidean_distances(coords)
     denom = float((dist * dist).sum())
     stress = float(np.sqrt(((dist - recovered) ** 2).sum() / denom)) if denom > 0.0 else 0.0
-    return Projection2D(coordinates=coords, stress=stress)
+    return coords, stress

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .fileio import dump_json, load_json, require_int
+from .fileio import dump_json, load_json, require_int, require_real
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -45,11 +45,14 @@ class TransitionMatrix:
 
 
 def _check_scale(gamma, horizon):
-    """Reject a discount outside [0, 1] or a negative horizon."""
+    """Reject a discount that is not a real number in [0, 1] or a horizon that is not a
+    non-negative integer; returns the discount as a float."""
+    gamma = require_real("gamma", gamma)
     if not 0.0 <= gamma <= 1.0:
         raise InputError(f"gamma must be in [0, 1], got {gamma}")
-    if horizon < 0:
+    if require_int("horizon", horizon) < 0:
         raise InputError(f"horizon must be non-negative, got {horizon}")
+    return gamma
 
 
 @dataclass
@@ -66,11 +69,13 @@ class SuccessorMatrix:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        _check_scale(self.gamma, self.horizon)
+        self.gamma = _check_scale(self.gamma, self.horizon)
         if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
             raise InputError(f"successor matrix must be square, got shape {self.values.shape}")
         if np.any(self.values < 0.0):
             raise InputError("successor entries must be non-negative")
+        if np.any(self.values.sum(axis=1) <= 0.0):  # each row normalizes to a training target
+            raise InputError("successor matrix has a non-positive row sum")
 
 
 def build_transition_matrix(vecs, words):
@@ -102,12 +107,11 @@ def successor_matrix(t, gamma, horizon):
     The T^0 term is built first, so SuccessorMatrix checks gamma and horizon
     before any power is taken.
     """
-    m = SuccessorMatrix(gamma=float(gamma), horizon=int(horizon), values=np.eye(t.n))
-    if m.gamma > 0.0:
-        power = np.eye(t.n)
-        for k in range(1, m.horizon + 1):
-            power = power @ t.values
-            m.values = m.values + (m.gamma ** k) * power
+    m = SuccessorMatrix(gamma=gamma, horizon=horizon, values=np.eye(t.n))
+    power = np.eye(t.n)
+    for k in range(1, m.horizon + 1):
+        power = power @ t.values
+        m.values = m.values + (m.gamma ** k) * power
     return m
 
 
@@ -117,26 +121,22 @@ def rollout_occupancy_oracle(t, gamma, horizon, start, samples, seed):
     Samples trajectories of length `horizon` from T and averages
     sum_{k=0}^{horizon} gamma^k 1(s_k = s'). Independent of the closed-form
     accumulation in `successor_matrix`, which it validates; deterministic for
-    a fixed seed. gamma = 0 returns the one-hot start vector exactly.
+    a fixed seed. gamma = 0 or horizon = 0 returns the one-hot start vector exactly.
     """
-    gamma = float(gamma)
-    horizon = int(horizon)
-    samples = int(samples)
-    _check_scale(gamma, horizon)
-    if samples < 1:
+    gamma = _check_scale(gamma, horizon)
+    if require_int("samples", samples) < 1:
         raise InputError(f"samples must be positive, got {samples}")
     if not 0 <= start < t.n:
         raise InputError(f"start state {start} out of range 0..{t.n - 1}")
     occ = np.zeros(t.n)
     occ[start] = float(samples)
-    if gamma > 0.0 and horizon > 0:
-        rng = np.random.default_rng(seed)
-        cum = np.cumsum(t.values, axis=1)
-        states = np.full(samples, start, dtype=np.int64)
-        for k in range(1, horizon + 1):
-            u = rng.random(samples)
-            states = np.minimum((cum[states] < u[:, None]).sum(axis=1), t.n - 1)
-            occ += (gamma ** k) * np.bincount(states, minlength=t.n)
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(t.values, axis=1)
+    states = np.full(samples, start, dtype=np.int64)
+    for k in range(1, horizon + 1):
+        u = rng.random(samples)
+        states = np.minimum((cum[states] < u[:, None]).sum(axis=1), t.n - 1)
+        occ += (gamma ** k) * np.bincount(states, minlength=t.n)
     return occ / samples
 
 
@@ -152,8 +152,8 @@ def load_sr_json(path):
     """Returns (SuccessorMatrix, state_words) from a JSON envelope whose n fits its values."""
     doc = load_json(path)
     try:
-        n, horizon = require_int("n", doc["n"]), require_int("horizon", doc["horizon"])
-        m = SuccessorMatrix(gamma=float(doc["gamma"]), horizon=horizon,
+        n = require_int("n", doc["n"])
+        m = SuccessorMatrix(gamma=doc["gamma"], horizon=doc["horizon"],
                             values=np.array(doc["values"], dtype=np.float64))
         words = list(doc["state_words"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -109,7 +109,7 @@ def test_criterion_2_per_split_ordering(pipeline_runs, criterion_log):
 
 def test_criterion_3_gdv_fixture_and_brute_force(criterion_log):
     fixture = gdv(LabeledPointSet(points=np.array([[0.0], [1.0], [10.0], [11.0]]),
-                                  labels=["A", "A", "B", "B"])).gdv
+                                  labels=["A", "A", "B", "B"]))["gdv"]
     fixture_ok = abs(fixture - (-0.8955)) <= 1e-3
 
     rng = np.random.default_rng(321)
@@ -123,7 +123,7 @@ def test_criterion_3_gdv_fixture_and_brute_force(criterion_log):
             labels += [f"c{c}"] * count
             rows.append(rng.standard_normal((count, d)) + 2.0 * rng.standard_normal(d))
         points = np.vstack(rows)
-        value = gdv(LabeledPointSet(points=points, labels=labels)).gdv
+        value = gdv(LabeledPointSet(points=points, labels=labels))["gdv"]
         max_err = max(max_err, abs(value - gdv_reference(points, labels)))
     passed = fixture_ok and max_err <= 1e-12
     record(criterion_log, 3, "GDV hand fixture + brute force", passed,
@@ -143,19 +143,19 @@ def test_criterion_4_gdv_invariances(criterion_log):
             labels += [f"c{c}"] * count
             rows.append(rng.standard_normal((count, d)) + 2.0 * rng.standard_normal(d))
         points = np.vstack(rows)
-        base = gdv(LabeledPointSet(points=points, labels=labels)).gdv
+        base = gdv(LabeledPointSet(points=points, labels=labels))["gdv"]
 
         scale = float(rng.uniform(0.1, 10.0))
         shift = float(rng.uniform(-5.0, 5.0))
-        affine = gdv(LabeledPointSet(points=scale * points + shift, labels=labels)).gdv
+        affine = gdv(LabeledPointSet(points=scale * points + shift, labels=labels))["gdv"]
         worst["affine"] = max(worst["affine"], abs(affine - base))
 
         perm = rng.permutation(d)
-        permuted = gdv(LabeledPointSet(points=points[:, perm], labels=labels)).gdv
+        permuted = gdv(LabeledPointSet(points=points[:, perm], labels=labels))["gdv"]
         worst["dim-permutation"] = max(worst["dim-permutation"], abs(permuted - base))
 
         renamed = gdv(LabeledPointSet(points=points,
-                                      labels=[f"class-{l}" for l in labels])).gdv
+                                      labels=[f"class-{l}" for l in labels]))["gdv"]
         worst["relabel"] = max(worst["relabel"], abs(renamed - base))
     passed = all(v < 1e-9 for v in worst.values())
     record(criterion_log, 4, "GDV invariances", passed,
@@ -228,12 +228,12 @@ def test_criterion_7_mds_recovery(criterion_log):
     for seed in range(20):
         rng = np.random.default_rng(5000 + seed)
         points = rng.standard_normal((10, 2)) * rng.uniform(0.5, 5.0)
-        proj = classical_mds(points)
+        coords, stress = classical_mds(points)
         iu = np.triu_indices(10, k=1)
-        recovered = pairwise_euclidean(proj.coordinates)[iu]
+        recovered = pairwise_euclidean(coords)[iu]
         given = pairwise_euclidean(points)[iu]
         worst_dist = max(worst_dist, float(np.max(np.abs(recovered - given))))
-        worst_stress = max(worst_stress, proj.stress)
+        worst_stress = max(worst_stress, stress)
     passed = worst_dist <= 1e-8 and worst_stress < 1e-9
     record(criterion_log, 7, "MDS planar recovery", passed,
            f"20 exact-2-D configurations (n=10): max pairwise-distance error "

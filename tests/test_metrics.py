@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -85,21 +84,21 @@ def test_hand_fixture_value():
     # inter = 5/sigma, GDV = -4.5/sigma = -0.8955334711889903
     points = np.array([[0.0], [1.0], [10.0], [11.0]])
     report = gdv(LabeledPointSet(points=points, labels=["A", "A", "B", "B"]))
-    assert report.gdv == pytest.approx(-0.8955334711889903, abs=1e-12)
-    np.testing.assert_allclose(report.mean_intra_per_class,
+    assert report["gdv"] == pytest.approx(-0.8955334711889903, abs=1e-12)
+    np.testing.assert_allclose(report["mean_intra_per_class"],
                                [0.09950371902099892, 0.09950371902099892], atol=1e-12)
-    np.testing.assert_allclose(report.mean_inter_per_pair,
+    np.testing.assert_allclose(report["mean_inter_per_pair"],
                                [0.9950371902099892], atol=1e-12)
-    assert report.dimension == 1
-    assert report.classes == ["A", "B"]
-    assert report.class_pairs == [("A", "B")]
+    assert report["dimension"] == 1
+    assert report["classes"] == ["A", "B"]
+    assert report["class_pairs"] == [("A", "B")]
 
 
 def test_shipped_fixture_file_matches_hand_value():
     lex, values = load_labeled_points_csv(DATA_DIR / "gdv_fixture_1d.csv")
     assert lex.words == ["a0", "a1", "b0", "b1"]
     report = gdv(LabeledPointSet(points=values, labels=lex.labels))
-    assert report.gdv == pytest.approx(-0.8955334711889903, abs=1e-12)
+    assert report["gdv"] == pytest.approx(-0.8955334711889903, abs=1e-12)
 
 
 def test_coincident_classes_give_positive_value():
@@ -107,14 +106,14 @@ def test_coincident_classes_give_positive_value():
     # but inter includes the zero-distance coincident pairs, so GDV = +0.5
     points = np.array([[0.0], [1.0], [0.0], [1.0]])
     report = gdv(LabeledPointSet(points=points, labels=["A", "A", "B", "B"]))
-    assert report.gdv == pytest.approx(0.5, abs=1e-15)
+    assert report["gdv"] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_fully_degenerate_points_give_zero():
     points = np.ones((6, 3))
     report = gdv(LabeledPointSet(points=points, labels=["A"] * 3 + ["B"] * 3))
-    assert report.gdv == 0.0
-    assert math.isfinite(report.gdv)
+    assert report["gdv"] == 0.0
+    assert math.isfinite(report["gdv"])
 
 
 # ------------------------------------------------------------------ oracle
@@ -131,7 +130,7 @@ def test_matches_brute_force_reference():
             rows.append(rng.standard_normal((count, d)) + 3.0 * rng.standard_normal(d))
         points = np.vstack(rows)
         report = gdv(LabeledPointSet(points=points, labels=labels))
-        assert report.gdv == pytest.approx(gdv_reference(points, labels), abs=1e-12)
+        assert report["gdv"] == pytest.approx(gdv_reference(points, labels), abs=1e-12)
 
 
 # -------------------------------------------------------------- invariances
@@ -148,23 +147,23 @@ def random_labeled_set(seed, n_classes=3, per_class=6, d=4):
 @pytest.mark.parametrize("seed", range(20))
 def test_affine_and_permutation_invariance(seed):
     points, labels = random_labeled_set(seed)
-    base = gdv(LabeledPointSet(points=points, labels=labels)).gdv
+    base = gdv(LabeledPointSet(points=points, labels=labels))["gdv"]
 
-    scaled = gdv(LabeledPointSet(points=3.7 * points - 11.0, labels=labels)).gdv
+    scaled = gdv(LabeledPointSet(points=3.7 * points - 11.0, labels=labels))["gdv"]
     assert scaled == pytest.approx(base, abs=1e-9)
 
     perm_dims = points[:, ::-1].copy()
-    assert gdv(LabeledPointSet(points=perm_dims, labels=labels)).gdv == \
+    assert gdv(LabeledPointSet(points=perm_dims, labels=labels))["gdv"] == \
         pytest.approx(base, abs=1e-9)
 
     rng = np.random.default_rng(seed + 1000)
     order = rng.permutation(len(points))
     shuffled = gdv(LabeledPointSet(points=points[order],
-                                   labels=[labels[i] for i in order])).gdv
+                                   labels=[labels[i] for i in order]))["gdv"]
     assert shuffled == pytest.approx(base, abs=1e-9)
 
     renamed = gdv(LabeledPointSet(points=points,
-                                  labels=[l.upper() for l in labels])).gdv
+                                  labels=[l.upper() for l in labels]))["gdv"]
     assert renamed == base
 
 
@@ -172,8 +171,8 @@ def test_per_dimension_scaling_changes_nothing():
     # z-scoring normalizes each dimension, so anisotropic scaling is absorbed
     points, labels = random_labeled_set(3)
     scales = np.array([1.0, 10.0, 0.1, 5.0])
-    rescaled = gdv(LabeledPointSet(points=points * scales, labels=labels)).gdv
-    base = gdv(LabeledPointSet(points=points, labels=labels)).gdv
+    rescaled = gdv(LabeledPointSet(points=points * scales, labels=labels))["gdv"]
+    base = gdv(LabeledPointSet(points=points, labels=labels))["gdv"]
     assert rescaled == pytest.approx(base, abs=1e-9)
 
 
@@ -187,7 +186,7 @@ def test_gdv_decreases_with_separation():
     values = []
     for gap in (0.0, 2.5, 5.0, 7.5, 10.0):
         points = np.vstack([cloud_a, cloud_b + np.array([gap, 0.0])])
-        values.append(gdv(LabeledPointSet(points=points, labels=labels)).gdv)
+        values.append(gdv(LabeledPointSet(points=points, labels=labels))["gdv"])
     assert all(b < a for a, b in zip(values, values[1:]))
     assert abs(values[0]) < 0.05  # overlapping clouds sit near zero
 
@@ -196,7 +195,7 @@ def test_overlapping_large_clouds_near_zero():
     rng = np.random.default_rng(12)
     points = rng.standard_normal((300, 3))
     labels = ["A"] * 150 + ["B"] * 150
-    assert abs(gdv(LabeledPointSet(points=points, labels=labels)).gdv) < 0.05
+    assert abs(gdv(LabeledPointSet(points=points, labels=labels))["gdv"]) < 0.05
 
 
 # ------------------------------------------------------------------ errors
@@ -218,7 +217,7 @@ def test_length_mismatch_rejected():
 
 def test_report_to_dict_structure():
     points, labels = random_labeled_set(5)
-    doc = json.loads(json.dumps(asdict(gdv(LabeledPointSet(points=points, labels=labels)))))
+    doc = json.loads(json.dumps(gdv(LabeledPointSet(points=points, labels=labels))))
     assert set(doc) == {"gdv", "mean_intra_per_class", "mean_inter_per_pair",
                         "dimension", "classes", "class_pairs"}
     assert doc["classes"] == ["c0", "c1", "c2"]

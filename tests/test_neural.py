@@ -498,8 +498,13 @@ def _config_value(key, value):
     (_config_value("seed", 1.5), "seed must be an integer, got 1.5"),
     (_config_value("epochs", 2.5), "epochs must be an integer, got 2.5"),
     (_config_value("batch_size", True), "batch_size must be an integer, got True"),
+    (_config_value("learning_rate", True), "learning_rate must be a real number, got True"),
+    (_config_value("momentum", False), "momentum must be a real number, got False"),
+    (_config_value("dropout_rate", False), "dropout_rate must be a real number, got False"),
+    (_config_value("learning_rate", "0.1"), "learning_rate must be a real number, got '0.1'"),
 ], ids=["short-b1", "short-b2", "ragged-w1", "huge-int-b1", "bad-config", "float-hidden-dim",
-        "float-seed", "float-epochs", "bool-batch-size"])
+        "float-seed", "float-epochs", "bool-batch-size", "bool-learning-rate", "bool-momentum",
+        "bool-dropout-rate", "string-learning-rate"])
 def test_checkpoint_arrays_checked_against_config(tmp_path, edit, match):
     # a short bias, a ragged matrix, an integer beyond float range or a config
     # its own checks reject (a non-integer size among them) names the file

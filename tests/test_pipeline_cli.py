@@ -720,14 +720,22 @@ def _edit_sr_short_state_words(doc):
     doc["state_words"].pop()
 
 
+def _edit_sr_gamma_to(value):
+    def edit(doc):
+        doc["gamma"] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit,message", [
     (_edit_sr_nan, "non-finite value"), (_edit_sr_ragged, "malformed"),
     (_edit_sr_negative, "non-negative"), (_edit_sr_gamma, "gamma must be in [0, 1], got 5.0"),
     (_edit_sr_n, "n is"), (_edit_sr_fractional_horizon, "horizon must be an integer, got 2.7"),
     (_edit_sr_fractional_n, "n must be an integer, got"),
     (_edit_sr_short_state_words, "state_words length does not match n"),
+    (_edit_sr_gamma_to(True), "gamma must be a real number, got True"),
+    (_edit_sr_gamma_to("0.5"), "gamma must be a real number, got '0.5'"),
 ], ids=["nan", "ragged", "negative", "gamma-5", "n-mismatch", "horizon-2.7", "n-fraction",
-        "short-state-words"])
+        "short-state-words", "gamma-true", "gamma-string"])
 def test_cli_train_rejects_bad_sr_envelope(tiny, tmp_path, capsys, edit, message):
     # reported against the file, not as a training failure or a numpy error
     out_dir = tmp_path / "flow"
@@ -754,7 +762,7 @@ def test_cli_train_rejects_sr_envelope_with_an_all_zero_row(tiny, tmp_path, caps
     code, out, err = run_cli(capsys, "train", "--config", tiny["cfg"],
                              "--sr", sr, "--out", out_dir / "m.json")
     assert code == 1 and out == ""
-    assert err == "error: successor matrix has a non-positive row sum\n"
+    assert err == f"error: {sr}: successor matrix has a non-positive row sum\n"
     assert not (out_dir / "m.json").exists()
 
 

@@ -56,18 +56,18 @@ def test_recovers_planar_configurations():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         points = rng.standard_normal((10, 2)) * rng.uniform(0.5, 4.0)
-        proj = classical_mds(points)
-        assert proj.coordinates.shape == (10, 2)
-        assert proj.stress < 1e-9
-        np.testing.assert_allclose(condensed(proj.coordinates), condensed(points),
+        coords, stress = classical_mds(points)
+        assert coords.shape == (10, 2)
+        assert stress < 1e-9
+        np.testing.assert_allclose(condensed(coords), condensed(points),
                                    atol=1e-8)
 
 
 def test_unit_square_distance_multiset():
     square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-    proj = classical_mds(square)
-    assert proj.stress < 1e-9
-    np.testing.assert_allclose(np.sort(condensed(proj.coordinates)),
+    coords, stress = classical_mds(square)
+    assert stress < 1e-9
+    np.testing.assert_allclose(np.sort(condensed(coords)),
                                [1.0, 1.0, 1.0, 1.0, math.sqrt(2.0), math.sqrt(2.0)],
                                atol=1e-8)
 
@@ -76,37 +76,37 @@ def test_tetrahedron_cannot_be_flattened():
     # four mutually equidistant points need 3 dimensions; stress must be real
     points = np.eye(4) / np.sqrt(2.0)
     np.testing.assert_allclose(condensed(points), 1.0, rtol=1e-15)
-    proj = classical_mds(points)
-    assert proj.coordinates.shape == (4, 2)
-    assert 0.05 < proj.stress < 0.8
+    coords, stress = classical_mds(points)
+    assert coords.shape == (4, 2)
+    assert 0.05 < stress < 0.8
 
 
 def test_scale_equivariance():
     rng = np.random.default_rng(9)
     points = rng.standard_normal((7, 2))
-    a = classical_mds(points).coordinates
-    b = classical_mds(2.0 * points).coordinates
+    a, _ = classical_mds(points)
+    b, _ = classical_mds(2.0 * points)
     np.testing.assert_allclose(b, 2.0 * a, atol=1e-9)
 
 
 def test_first_component_carries_most_variance():
     rng = np.random.default_rng(4)
     points = rng.standard_normal((12, 2)) * np.array([5.0, 1.0])
-    proj = classical_mds(points)
-    variances = proj.coordinates.var(axis=0)
+    coords, stress = classical_mds(points)
+    variances = coords.var(axis=0)
     assert variances[0] > variances[1]
 
 
 def test_deterministic_with_positive_peak_sign():
     rng = np.random.default_rng(14)
     points = rng.standard_normal((9, 3))
-    a = classical_mds(points)
-    b = classical_mds(points)
-    np.testing.assert_array_equal(a.coordinates, b.coordinates)
-    assert a.stress == b.stress
+    a, a_stress = classical_mds(points)
+    b, b_stress = classical_mds(points)
+    np.testing.assert_array_equal(a, b)
+    assert a_stress == b_stress
     for col in range(2):
-        peak = np.argmax(np.abs(a.coordinates[:, col]))
-        assert a.coordinates[peak, col] > 0.0
+        peak = np.argmax(np.abs(a[:, col]))
+        assert a[peak, col] > 0.0
 
 
 def test_too_few_points_rejected():
@@ -126,10 +126,10 @@ def test_matches_double_centering_oracle(seed):
     rng = np.random.default_rng(300 + seed)
     n, dim = int(rng.integers(3, 40)), int(rng.integers(2, 12))
     points = rng.standard_normal((n, dim)) * rng.uniform(0.01, 100.0) + rng.uniform(-50, 50, dim)
-    proj = classical_mds(points)
+    coords, stress = classical_mds(points)
     oracle = condensed(double_centering_mds(points))
-    np.testing.assert_allclose(condensed(proj.coordinates), oracle,
+    np.testing.assert_allclose(condensed(coords), oracle,
                                rtol=0, atol=1e-12 * oracle.max())
     given = condensed(points)
     oracle_stress = np.sqrt(((given - oracle) ** 2).sum() / (given ** 2).sum())
-    assert abs(proj.stress - oracle_stress) <= 1e-12
+    assert abs(stress - oracle_stress) <= 1e-12

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cogmap.errors import InputError
+from cogmap.pipeline import PipelineConfig
 from cogmap.sr import (SuccessorMatrix, TransitionMatrix, build_transition_matrix, load_sr_json,
                        rollout_occupancy_oracle, save_sr_json, successor_matrix)
 
@@ -121,6 +122,21 @@ def test_successor_matrix_validates_parameters():
                 compute(t, gamma, horizon)
 
 
+@pytest.mark.parametrize("gamma,horizon,message", [
+    (1.0, 2.7, "horizon must be an integer, got 2.7"),
+    (True, 5, "gamma must be a real number, got True"),
+    ("0.5", 5, "gamma must be a real number, got '0.5'"),
+], ids=["horizon-2.7", "bool-gamma", "string-gamma"])
+def test_scale_is_a_real_gamma_and_an_integer_horizon(gamma, horizon, message):
+    # a truncated horizon 2.7 would build the SR at H = 2 while the manifest records 2.7
+    t = flip_chain()
+    for make in (lambda: PipelineConfig(gammas=[gamma], horizon=horizon),
+                 lambda: successor_matrix(t, gamma, horizon),
+                 lambda: rollout_occupancy_oracle(t, gamma, horizon, 0, 10, 1)):
+        with pytest.raises(InputError, match=re.escape(message)):
+            make()
+
+
 def test_successor_matrix_checks_gamma_before_taking_powers():
     # the weight 10^400 of the last power would overflow a Python float
     with pytest.raises(InputError, match="gamma must be in"):
@@ -129,9 +145,10 @@ def test_successor_matrix_checks_gamma_before_taking_powers():
 
 # ------------------------------------------------------------------ oracle
 
-def test_oracle_gamma_zero_is_exact_one_hot():
+@pytest.mark.parametrize("gamma,horizon", [(0.0, 5), (0.5, 0)], ids=["gamma-0", "horizon-0"])
+def test_oracle_gamma_zero_is_exact_one_hot(gamma, horizon):
     t = chain_from_gram([[1.0, 0.8, 0.2], [0.8, 1.0, 0.5], [0.2, 0.5, 1.0]])
-    occ = rollout_occupancy_oracle(t, 0.0, 5, start=1, samples=500, seed=9)
+    occ = rollout_occupancy_oracle(t, gamma, horizon, start=1, samples=500, seed=9)
     np.testing.assert_array_equal(occ, [0.0, 1.0, 0.0])
 
 
