@@ -8,7 +8,8 @@ import numpy as np
 
 from .dataset import build_examples
 from .errors import InputError
-from .fileio import dump_json, load_labeled_points_csv, save_labeled_points_csv, save_matrix_csv
+from .fileio import (dump_json, float_text, load_labeled_points_csv, save_labeled_points_csv,
+                     save_matrix_csv)
 from .neural import train, predict_all, save_model, load_model
 from .pipeline import (CONFIG_FIELDS, GDV_SPLITS, load_inputs, parse_config_file, project_map,
                        resolve_config, run_pipeline, split_gdv, _gamma_tag)
@@ -116,10 +117,10 @@ def _cmd_oracle(args):
     gamma = config.gammas[0]
     estimate = rollout_occupancy_oracle(transition, gamma, config.horizon, start,
                                         args.samples, config.seed)
-    print(",".join(map(repr, estimate.tolist())))
+    print(float_text(estimate, ","))
     if args.compare:
         closed = successor_matrix(transition, gamma, config.horizon).values[start]
-        print(",".join(map(repr, closed.tolist())))
+        print(float_text(closed, ","))
         print(f"max-abs-difference {np.max(np.abs(estimate - closed)):.6g}")
     if args.out:
         save_matrix_csv(estimate[None, :], args.out)

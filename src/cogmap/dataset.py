@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InputError
 # the lexicon names are re-exported: fileio reads every CSV keyed by word,category,split
-from .fileio import SPLITS, Lexicon, _finite_array, load_lexicon, replacing  # noqa: F401
+from .fileio import SPLITS, Lexicon, float_text, load_lexicon, replacing  # noqa: F401
 
 
 def load_embeddings(path, words):
@@ -79,7 +79,7 @@ def save_embeddings(entries, path):
     with replacing(path) as fh:
         fh.write(f"{len(entries)} {dim}\n")
         for word, vec in entries.items():
-            fh.write(word + " " + " ".join(map(repr, _finite_array(vec).tolist())) + "\n")
+            fh.write(word + " " + float_text(vec, " ") + "\n")
 
 
 @dataclass

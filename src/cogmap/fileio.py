@@ -2,10 +2,12 @@
 the lexicon's `word,category,split` columns (the lexicon itself and labeled points).
 
 Every float is written as its shortest round-trip text (Python's `repr`), so
-parsing any artifact recovers the exact float64 bits. Every writer fills a
-temporary file beside its target and renames it onto the target only when the
-whole text is written, so a rejected value or a failed write leaves no file
-and an existing file stays as it was.
+parsing any artifact recovers the exact float64 bits. `float_text` is that rule
+for delimited text: it formats one row, so the CSV and vector-text writers hold
+one row's text at a time, as `dump_json` does for a matrix. Every writer fills
+a temporary file beside its target and renames it onto the target only when
+the whole text is written, so a rejected value or a failed write leaves no
+file and an existing file stays as it was.
 """
 
 import csv
@@ -30,11 +32,19 @@ def _finite_array(values):
     return values
 
 
+def float_text(values, sep):
+    """The `repr` of each entry of one 1-D row, joined by `sep`; rejects a non-finite entry."""
+    values = _finite_array(values)
+    if values.ndim != 1:
+        raise InputError(f"expected one row of values, got shape {values.shape}")
+    return sep.join(map(repr, values.tolist()))
+
+
 def require_int(name, value):
-    """`value` if it is an integer (a numpy one too) but not a bool; else an InputError."""
+    """`value` as an int if it is an integer (a numpy one too) but not a bool; else an InputError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InputError(f"{name} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def require_real(name, value):
@@ -120,10 +130,9 @@ def load_json(path):
 
 def save_matrix_csv(values, path):
     """One row per line, comma separated, shortest round-trip decimals."""
-    values = _finite_array(values)
     with replacing(path) as fh:
-        for row in values.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+        for row in np.asarray(values, dtype=np.float64):
+            fh.write(float_text(row, ",") + "\n")
 
 
 SPLITS = ("train", "validation")
@@ -207,21 +216,29 @@ def load_lexicon(path):
     return Lexicon(*map(list, zip(*records)))
 
 
+def _csv_field(name):
+    """`name` bare, or in double quotes with inner quotes doubled if it holds `,`, `"`, CR or LF."""
+    name = str(name)
+    return '"' + name.replace('"', '""') + '"' if any(c in name for c in ',"\r\n') else name
+
+
 def save_labeled_points_csv(path, lex, values, component_names=None):
-    """CSV with the `word,category,split` columns of `lex` followed by one column per component."""
-    values = _finite_array(values)
+    """CSV with the `word,category,split` columns of `lex` followed by one column per
+    component, written one row at a time. `values` is an (n, >= 1) array, n >= 1,
+    as `load_labeled_points_csv` reads back."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or 0 in values.shape:
+        raise InputError(f"points must be an (n, >= 1) array with n >= 1, got shape {values.shape}")
     if len(lex.words) != len(values):
         raise InputError(f"{len(lex.words)} lexicon rows for {len(values)} points")
-    width = values.shape[1] if values.ndim == 2 else 0
     if component_names is None:
-        component_names = [f"v{i}" for i in range(width)]
-    elif len(component_names) != width:
+        component_names = [f"v{i}" for i in range(values.shape[1])]
+    elif len(component_names) != values.shape[1]:
         raise InputError("component_names length must match the point dimension")
     with replacing(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")  # quotes a name only if it needs it
-        writer.writerow(KEY_COLUMNS + list(component_names))
-        for word, cat, split, row in zip(lex.words, lex.labels, lex.splits, values.tolist()):
-            writer.writerow([word, cat, split, *map(repr, row)])
+        fh.write(",".join(map(_csv_field, KEY_COLUMNS + list(component_names))) + "\n")
+        for *keys, row in zip(lex.words, lex.labels, lex.splits, values):
+            fh.write(",".join(map(_csv_field, keys)) + "," + float_text(row, ",") + "\n")
 
 
 def load_labeled_points_csv(path):

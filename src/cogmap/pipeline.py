@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__
 from .dataset import load_embeddings, build_examples
 from .errors import InputError
-from .fileio import SPLITS, dump_json, load_lexicon, save_matrix_csv, save_labeled_points_csv
+from .fileio import (SPLITS, dump_json, load_lexicon, require_int, require_real, save_matrix_csv,
+                     save_labeled_points_csv)
 from .metrics import LabeledPointSet, gdv, gdv_classes
 from .neural import MlpConfig, train, predict_all, save_model
 from .projection import classical_mds
@@ -51,10 +52,14 @@ class PipelineConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
+        # numbers are stored as plain ints and floats, so one run has one config_hash
+        for f in fields(self):
+            if f.type in (int, float):
+                rule = require_int if f.type is int else require_real
+                setattr(self, f.name, rule(f.name, getattr(self, f.name)))
         if not self.gammas:
             raise InputError("gammas must be a nonempty list")
-        for g in self.gammas:
-            _check_scale(g, self.horizon)
+        self.gammas = [_check_scale(g, self.horizon) for g in self.gammas]
         tags = [_gamma_tag(g) for g in self.gammas]
         if len(set(tags)) != len(tags):
             raise InputError(f"gammas must be distinct, got {', '.join(tags)}")

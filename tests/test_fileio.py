@@ -1,6 +1,8 @@
 """File writers: floats read back bit for bit, non-finite values are rejected,
 JSON bytes equal one `json.dumps` call, and a target is replaced only on success."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -61,6 +63,64 @@ def test_labeled_points_roundtrip_is_bit_exact(tmp_path):
     back, values = load_labeled_points_csv(path)
     assert back == lex
     np.testing.assert_array_equal(bits(values), bits([EDGES, EDGES[::-1], EDGES]))
+    # with no CR in a name, the bytes are those of the stdlib csv writer
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(["word", "category", "split"] + [f"v{i}" for i in range(len(EDGES))])
+    for word, category, split, row in zip(lex.words, lex.labels, lex.splits, values.tolist()):
+        writer.writerow([word, category, split, *map(repr, row)])
+    assert path.read_text(encoding="utf-8") == reference.getvalue()
+
+
+def test_labeled_points_quote_a_carriage_return(tmp_path):
+    # csv.writer before Python 3.13 leaves a bare CR unquoted, which the reader
+    # then takes for the end of a row
+    path = tmp_path / "p.csv"
+    lex = Lexicon(["a\rb", "c"], ["x\ry", "z"], ["train", "validation"])
+    save_labeled_points_csv(path, lex, [[1.0, 2.0], [3.0, 4.0]])
+    assert path.read_bytes().split(b"\n")[1] == b'"a\rb","x\ry",train,1.0,2.0'
+    back, values = load_labeled_points_csv(path)
+    assert back == lex
+    np.testing.assert_array_equal(values, [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 0), (2, 1, 1)], ids=["1-d", "no-components", "3-d"])
+def test_labeled_points_writer_takes_what_the_reader_reads(tmp_path, shape):
+    # the reader needs one row per word and at least one component column
+    path = tmp_path / "p.csv"
+    with pytest.raises(InputError, match=r"points must be an \(n, >= 1\) array"):
+        save_labeled_points_csv(path, Lexicon(["a", "b"], ["x", "y"], ["train", "train"]),
+                                np.ones(shape))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 1, 1)], ids=["1-d", "3-d"])
+def test_matrix_writer_takes_rows_of_numbers(tmp_path, shape):
+    # a 3-D array used to be written as the text of nested lists
+    path = tmp_path / "m.csv"
+    with pytest.raises(InputError, match="expected one row of values"):
+        save_matrix_csv(np.ones(shape), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, values: save_matrix_csv(values, path),
+    lambda path, values: save_labeled_points_csv(
+        path, Lexicon([f"w{i}" for i in range(len(values))], ["x"] * len(values),
+                      ["train"] * len(values)), values),
+], ids=["matrix", "labeled-points"])
+def test_csv_writer_heap_stays_near_one_row(tmp_path, write):
+    # converting the whole 1000 x 200 matrix to Python floats first peaks at about 6 MB
+    values = np.random.default_rng(0).standard_normal((1000, 200))
+    tracemalloc.start()
+    try:
+        write(tmp_path / "m.csv", values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    last = (tmp_path / "m.csv").read_text(encoding="utf-8").splitlines()[-1]
+    assert last.endswith(",".join(map(repr, values[-1].tolist())))
 
 
 @pytest.mark.parametrize("bad", NONFINITE)

@@ -16,7 +16,7 @@ from cogmap.cli import build_parser, main
 from cogmap.dataset import load_lexicon, save_embeddings
 from cogmap.errors import InputError
 from cogmap.fileio import Lexicon, load_labeled_points_csv
-from cogmap.pipeline import (CONFIG_FIELDS, config_hash, parse_config_file,
+from cogmap.pipeline import (CONFIG_FIELDS, PipelineConfig, config_hash, parse_config_file,
                              resolve_config, run_pipeline)
 from cogmap.sr import load_sr_json, save_sr_json
 from cogmap.svg import render_svg
@@ -278,6 +278,20 @@ def test_config_hash_is_stable_sha256():
     # the same settings written to another directory are the same science
     assert config_hash(resolve_config(SHIPPED_INPUTS, {"output_dir": "elsewhere"})) == \
         config_hash(a)
+
+
+@pytest.mark.parametrize("spelling", [
+    {"gammas": [1, 0.3]},
+    {"horizon": np.int64(5), "seed": np.int64(1234)},
+    {"epochs": np.int64(500), "dropout_rate": np.float64(0.8), "momentum": 0.9},
+], ids=["integer-gamma", "numpy-horizon-and-seed", "numpy-network"])
+def test_config_stores_plain_numbers_so_one_run_has_one_hash(spelling):
+    # a numpy integer used to make the hash raise, and gammas=[1, 0.3] hashed apart from [1.0, 0.3]
+    paths = {"embeddings_path": SHIPPED_INPUTS["embeddings"], "lexicon_path": SHIPPED_INPUTS["lexicon"]}
+    default, config = PipelineConfig(**paths), PipelineConfig(**paths, **spelling)
+    assert config_hash(config) == config_hash(default)
+    assert [type(v) for v in vars(config).values()] == [type(v) for v in vars(default).values()]
+    assert [type(g) for g in config.gammas] == [float, float]
 
 
 def test_config_hash_covers_input_bytes_not_path_text(tmp_path, monkeypatch):
