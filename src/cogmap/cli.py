@@ -8,8 +8,8 @@ import numpy as np
 
 from .dataset import build_examples
 from .errors import InputError
-from .fileio import (dump_json, float_text, load_labeled_points_csv, save_labeled_points_csv,
-                     save_matrix_csv)
+from .fileio import (committing, dump_json, float_text, load_labeled_points_csv,
+                     save_labeled_points_csv, save_matrix_csv)
 from .neural import train, predict_all, save_model, load_model
 from .pipeline import (CONFIG_FIELDS, GDV_SPLITS, load_inputs, parse_config_file, project_map,
                        resolve_config, run_pipeline, split_gdv, _gamma_tag)
@@ -37,14 +37,15 @@ def _cmd_build_sr(args):
     vectors, lex = load_inputs(config)
     transition = build_transition_matrix(vectors[:lex.n_states], lex.words[:lex.n_states])
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_matrix_csv(transition.values, out_dir / "transition.csv")
+    tags = [_gamma_tag(gamma) for gamma in config.gammas]
+    with committing(out_dir) as staging:
+        save_matrix_csv(transition.values, staging / "transition.csv")
+        for gamma, tag in zip(config.gammas, tags):
+            sr = successor_matrix(transition, gamma, config.horizon)
+            save_matrix_csv(sr.values, staging / f"sr_gamma_{tag}.csv")
+            save_sr_json(sr, transition.state_words, staging / f"sr_gamma_{tag}.json")
     print(f"wrote {out_dir / 'transition.csv'}")
-    for gamma in config.gammas:
-        tag = _gamma_tag(gamma)
-        sr = successor_matrix(transition, gamma, config.horizon)
-        save_matrix_csv(sr.values, out_dir / f"sr_gamma_{tag}.csv")
-        save_sr_json(sr, transition.state_words, out_dir / f"sr_gamma_{tag}.json")
+    for tag in tags:
         print(f"wrote {out_dir / f'sr_gamma_{tag}.csv'} and .json (gamma={tag}, "
               f"horizon={config.horizon})")
     return 0

@@ -15,8 +15,11 @@ import json
 import numbers
 import os
 import secrets
+import shutil
+import tempfile
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -82,6 +85,33 @@ def replacing(path):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+@contextmanager
+def committing(out_dir):
+    """A staging directory whose files move into `out_dir`, `manifest.json` last, only if
+    the block completes: `replacing` for a tree. On any error, KeyboardInterrupt included,
+    the staging directory is removed and `out_dir` is left as it was, not created if it
+    did not exist. Staging happens in `out_dir`, or in its nearest existing ancestor."""
+    out_dir = Path(out_dir)
+    chain = (out_dir.absolute(), *out_dir.absolute().parents)
+    try:
+        staging = Path(tempfile.mkdtemp(dir=next(d for d in chain if d.exists())))
+    except OSError as exc:  # name the directory asked for, not the staging one
+        raise OSError(exc.errno, exc.strerror, os.fspath(out_dir)) from None
+    try:
+        yield staging
+        new = [d for d in chain if not d.exists()]  # the directories the commit creates
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for path in sorted(staging.iterdir(), key=lambda p: p.name == "manifest.json"):
+                os.replace(path, out_dir / path.name)
+        except BaseException:
+            if new:
+                shutil.rmtree(new[-1], ignore_errors=True)
+            raise
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _plain(obj):

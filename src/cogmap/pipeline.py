@@ -10,21 +10,17 @@ the two generally differ.
 
 import hashlib
 import json
-import os
-import shutil
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, asdict
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .dataset import load_embeddings, build_examples
 from .errors import InputError
-from .fileio import (SPLITS, dump_json, load_lexicon, require_int, require_real, save_matrix_csv,
-                     save_labeled_points_csv)
+from .fileio import (SPLITS, committing, dump_json, load_lexicon, require_int, require_real,
+                     save_matrix_csv, save_labeled_points_csv)
 from .metrics import LabeledPointSet, gdv, gdv_classes
 from .neural import MlpConfig, train, predict_all, save_model
 from .projection import classical_mds
@@ -164,15 +160,11 @@ def run_pipeline(config):
     """Run every stage for every gamma; returns the manifest dict it also writes.
 
     Artifacts land in config.output_dir: transition.csv, the per-gamma files
-    that each run's `files` entry names, and manifest.json. They are written
-    to a staging directory inside output_dir and moved into place,
-    manifest.json last, only once every stage has succeeded; a failed run
-    leaves output_dir as it found it.
+    that each run's `files` entry names, and manifest.json. They are staged
+    and committed by `fileio.committing`, so they land only once every stage
+    has succeeded, and a failed run leaves output_dir as it found it.
     """
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(dir=out_dir))
-    try:
+    with committing(config.output_dir) as staging:
         with _stage("load"):
             vectors, lex = load_inputs(config)
             for split in GDV_SPLITS:  # a lexicon the GDV cannot score fails before training
@@ -238,11 +230,7 @@ def run_pipeline(config):
             "runs": runs,
         }
         dump_json(manifest, staging / "manifest.json")
-        for path in sorted(staging.iterdir(), key=lambda p: p.name == "manifest.json"):
-            os.replace(path, out_dir / path.name)
-        return manifest
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    return manifest
 
 
 def split_gdv(points, lex, split):

@@ -122,6 +122,8 @@ def rollout_occupancy_oracle(t, gamma, horizon, start, samples, seed):
     sum_{k=0}^{horizon} gamma^k 1(s_k = s'). Independent of the closed-form
     accumulation in `successor_matrix`, which it validates; deterministic for
     a fixed seed. gamma = 0 or horizon = 0 returns the one-hot start vector exactly.
+    Each step moves the samples in one state together, by a binary search of
+    that state's cumulative row, so memory is O(samples + n^2).
     """
     gamma = _check_scale(gamma, horizon)
     if require_int("samples", samples) < 1:
@@ -135,7 +137,10 @@ def rollout_occupancy_oracle(t, gamma, horizon, start, samples, seed):
     states = np.full(samples, start, dtype=np.int64)
     for k in range(1, horizon + 1):
         u = rng.random(samples)
-        states = np.minimum((cum[states] < u[:, None]).sum(axis=1), t.n - 1)
+        groups = np.split(np.argsort(states), np.cumsum(np.bincount(states, minlength=t.n))[:-1])
+        for s, rows in enumerate(groups):
+            # on a nondecreasing row, the left insertion point is (cum[s] < u).sum()
+            states[rows] = np.minimum(np.searchsorted(cum[s], u[rows], side="left"), t.n - 1)
         occ += (gamma ** k) * np.bincount(states, minlength=t.n)
     return occ / samples
 

@@ -17,8 +17,8 @@ import pytest
 from cogmap import neural, pipeline, sr
 from cogmap.cli import main
 from cogmap.errors import InputError
-from cogmap.fileio import (Lexicon, _plain, dump_json, load_json, load_labeled_points_csv,
-                           save_labeled_points_csv, save_matrix_csv)
+from cogmap.fileio import (Lexicon, _plain, committing, dump_json, load_json,
+                           load_labeled_points_csv, save_labeled_points_csv, save_matrix_csv)
 from cogmap.neural import MlpConfig, MlpModel, save_model
 from cogmap.pipeline import resolve_config, run_pipeline
 
@@ -315,3 +315,54 @@ def test_unwritable_target_error_names_the_target(tmp_path):
     with pytest.raises(FileNotFoundError) as info:
         dump_json({"values": [1.0]}, path)
     assert info.value.filename == str(path)
+
+
+# ------------------------------------------------------------- commit rule
+
+def test_commit_moves_every_staged_file_with_the_manifest_last(tmp_path, monkeypatch):
+    out_dir = tmp_path / "fresh" / "nested"
+    moved, replace = [], os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: (moved.append(Path(dst).name),
+                                                         replace(src, dst)))
+    with committing(out_dir) as staging:
+        for name in ("manifest.json", "a.csv", "z.csv"):
+            (staging / name).write_text(name, encoding="utf-8")
+    assert sorted(moved[:2]) == ["a.csv", "z.csv"] and moved[2:] == ["manifest.json"]
+    assert sorted(os.listdir(out_dir)) == ["a.csv", "manifest.json", "z.csv"]
+    assert os.listdir(tmp_path) == ["fresh"] and os.listdir(tmp_path / "fresh") == ["nested"]
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, InputError])
+def test_failed_block_creates_no_directory(tmp_path, error):
+    with pytest.raises(error):
+        with committing(tmp_path / "fresh" / "nested") as staging:
+            (staging / "a.csv").write_text("new\n", encoding="utf-8")
+            raise error("stop")
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_block_leaves_an_existing_tree_as_it_was(tmp_path):
+    (tmp_path / "a.csv").write_text("old\n", encoding="utf-8")
+    with pytest.raises(KeyboardInterrupt):
+        with committing(tmp_path) as staging:
+            (staging / "a.csv").write_text("new\n", encoding="utf-8")
+            (staging / "b.csv").write_text("new\n", encoding="utf-8")
+            raise KeyboardInterrupt
+    assert os.listdir(tmp_path) == ["a.csv"]
+    assert (tmp_path / "a.csv").read_text(encoding="utf-8") == "old\n"
+
+
+def test_failed_commit_removes_the_directories_it_created(tmp_path, monkeypatch):
+    replace = os.replace
+
+    def second_move_fails(src, dst):
+        if os.listdir(Path(dst).parent):
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_move_fails)
+    with pytest.raises(OSError, match="disk full"):
+        with committing(tmp_path / "fresh" / "nested") as staging:
+            for name in ("a.csv", "b.csv"):
+                (staging / name).write_text(name, encoding="utf-8")
+    assert os.listdir(tmp_path) == []

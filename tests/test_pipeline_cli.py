@@ -576,6 +576,50 @@ def test_cli_build_sr_rejects_bad_lexicon(tiny, tmp_path, capsys, rows, message)
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "build-sr"])
+def test_failed_command_creates_no_output_directory(tiny, tmp_path, capsys, command):
+    code, out, err = run_cli(capsys, command, "--config", tiny["cfg"],
+                             "--lexicon", tmp_path / "nonexistent.csv",
+                             "--out-dir", tmp_path / "fresh" / "nested")
+    assert code == 1 and out == "" and "nonexistent.csv" in err
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_failed_build_sr_leaves_the_previous_tree_byte_identical(tiny, tmp_path, capsys,
+                                                                   monkeypatch):
+    out_dir = tmp_path / "sr-out"
+    assert run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)[0] == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    calls = []
+
+    def second_call_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        save_sr_json(*args)
+
+    monkeypatch.setattr("cogmap.cli.save_sr_json", second_call_fails)
+    # another horizon, so every SR file the failed command reached would differ
+    code, out, err = run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--horizon", 3,
+                             "--out-dir", out_dir)
+    assert code == 1 and out == "" and err == "error: disk full\n"
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["run", "build-sr"])
+def test_committed_tree_holds_no_staging_directory(tiny, tmp_path, capsys, command):
+    # the first command stages beside the new directory, the second inside it
+    out_dir = tmp_path / "fresh" / "nested"
+    for _ in range(2):
+        assert run_cli(capsys, command, "--config", tiny["cfg"], "--out-dir", out_dir)[0] == 0
+        assert os.listdir(tmp_path) == ["fresh"] and os.listdir(tmp_path / "fresh") == ["nested"]
+        assert all(p.is_file() for p in out_dir.iterdir())
+    if command == "build-sr":
+        assert sorted(os.listdir(out_dir)) == ["sr_gamma_0.3.csv", "sr_gamma_0.3.json",
+                                               "sr_gamma_1.0.csv", "sr_gamma_1.0.json",
+                                               "transition.csv"]
+
+
 def test_cli_build_sr_default_gammas(tiny, tmp_path, capsys):
     out_dir = tmp_path / "sr-out"
     code, _, _ = run_cli(capsys, "build-sr", "--config", tiny["cfg"],

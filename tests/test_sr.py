@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,48 @@ def test_oracle_is_seeded():
     c = rollout_occupancy_oracle(t, 0.7, 5, start=0, samples=2000, seed=12)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def comparison_oracle(t, gamma, horizon, start, samples, seed):
+    """The oracle's first formula: each step compares every sample's draw with every
+    entry of its state's cumulative row, a samples x n array."""
+    occ = np.zeros(t.n)
+    occ[start] = float(samples)
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(t.values, axis=1)
+    states = np.full(samples, start, dtype=np.int64)
+    for k in range(1, horizon + 1):
+        u = rng.random(samples)
+        states = np.minimum((cum[states] < u[:, None]).sum(axis=1), t.n - 1)
+        occ += (gamma ** k) * np.bincount(states, minlength=t.n)
+    return occ / samples
+
+
+def random_chain(n, seed):
+    # random vectors in a few dimensions: negative cosines clamp, so rows hold zeros
+    vectors = np.random.default_rng(seed).standard_normal((n, 6))
+    return build_transition_matrix(vectors, [f"w{i}" for i in range(n)])
+
+
+@pytest.mark.parametrize("n, gamma, start, seed", [
+    (3, 0.3, 2, 1), (60, 0.5, 0, 2), (60, 1.0, 59, 3), (240, 0.9, 100, 4)])
+def test_oracle_matches_the_comparison_formula_byte_for_byte(n, gamma, start, seed):
+    t = random_chain(n, seed)
+    assert (t.values == 0.0).any()
+    estimate = rollout_occupancy_oracle(t, gamma, 5, start, 5000, seed)
+    assert estimate.tobytes() == comparison_oracle(t, gamma, 5, start, 5000, seed).tobytes()
+
+
+def test_oracle_memory_does_not_grow_with_samples_times_states():
+    # the comparison formula peaks at 55.7 MB here: 100,000 x 60 floats per step
+    t = random_chain(60, 5)
+    tracemalloc.start()
+    try:
+        rollout_occupancy_oracle(t, 0.5, 5, 0, 100_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 # ---------------------------------------------------------------- file I/O
