@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InputError
 # the lexicon names are re-exported: fileio reads every CSV keyed by word,category,split
-from .fileio import SPLITS, Lexicon, float_text, load_lexicon, replacing  # noqa: F401
+from .fileio import SPLITS, Lexicon, float_text, load_lexicon, reading, replacing  # noqa: F401
 
 
 def load_embeddings(path, words):
@@ -26,16 +26,16 @@ def load_embeddings(path, words):
     """
     seen = set()
     kept = dict.fromkeys(words)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, reading(path):
         header = fh.readline()
         if not header:
-            raise InputError(f"{path}: line 1: empty file, expected `<count> <dimension>` header")
+            raise InputError("line 1: empty file, expected `<count> <dimension>` header")
         try:  # two space-separated integers; a wrong field count fails the unpacking
             count, dim = map(int, header.rstrip("\n").split(" "))
         except ValueError:
-            raise InputError(f"{path}: line 1: malformed header {header.strip()!r}") from None
+            raise InputError(f"line 1: malformed header {header.strip()!r}") from None
         if count < 0 or dim < 1:
-            raise InputError(f"{path}: line 1: header needs count >= 0 and dimension >= 1")
+            raise InputError("line 1: header needs count >= 0 and dimension >= 1")
 
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip()
@@ -44,26 +44,23 @@ def load_embeddings(path, words):
             fields = line.split(" ")
             word = fields[0]
             if len(fields) != dim + 1:
-                raise InputError(
-                    f"{path}: line {lineno}: expected {dim} components for {word!r}, "
-                    f"found {len(fields) - 1}"
-                )
+                raise InputError(f"line {lineno}: expected {dim} components for {word!r}, "
+                                 f"found {len(fields) - 1}")
             if word in seen:
-                raise InputError(f"{path}: line {lineno}: duplicate word {word!r}")
+                raise InputError(f"line {lineno}: duplicate word {word!r}")
             seen.add(word)
             try:
                 vec = np.array([float(tok) for tok in fields[1:]], dtype=np.float64)
             except ValueError:
-                raise InputError(f"{path}: line {lineno}: non-numeric component for {word!r}") from None
+                raise InputError(f"line {lineno}: non-numeric component for {word!r}") from None
             if not np.all(np.isfinite(vec)):
-                raise InputError(f"{path}: line {lineno}: non-finite component for {word!r}")
+                raise InputError(f"line {lineno}: non-finite component for {word!r}")
             if not np.any(vec):
-                raise InputError(f"{path}: line {lineno}: zero vector for {word!r}")
+                raise InputError(f"line {lineno}: zero vector for {word!r}")
             if word in kept:
                 kept[word] = vec
-
-    if len(seen) != count:
-        raise InputError(f"{path}: header declares {count} words but file holds {len(seen)}")
+        if len(seen) != count:
+            raise InputError(f"header declares {count} words but file holds {len(seen)}")
     for word, vec in kept.items():
         if vec is None:
             raise InputError(f"lexicon word {word!r} missing from embedding table")

@@ -7,7 +7,9 @@ for delimited text: it formats one row, so the CSV and vector-text writers hold
 one row's text at a time, as `dump_json` does for a matrix. Every writer fills
 a temporary file beside its target and renames it onto the target only when
 the whole text is written, so a rejected value or a failed write leaves no
-file and an existing file stays as it was.
+file and an existing file stays as it was. Every reader parses inside
+`reading(path)`, so a defect in an input file (text that is not UTF-8, JSON or CSV
+that does not parse, a value a check rejects) is an `InputError` naming the file.
 """
 
 import csv
@@ -114,6 +116,15 @@ def committing(out_dir):
         shutil.rmtree(staging, ignore_errors=True)
 
 
+@contextmanager
+def reading(path):
+    """Re-raise an InputError, or text that does not decode or parse, as an InputError naming `path`."""
+    try:
+        yield
+    except (InputError, UnicodeDecodeError, json.JSONDecodeError, csv.Error) as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def _plain(obj):
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
@@ -152,9 +163,9 @@ def dump_json(obj, path):
 def load_json(path):
     """Parse a JSON file; a NaN or Infinity in it is an input error naming the file."""
     def reject(constant):
-        raise InputError(f"{path}: non-finite value {constant}")
+        raise InputError(f"non-finite value {constant}")
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, reading(path):
         return json.load(fh, parse_constant=reject)
 
 
@@ -201,35 +212,35 @@ class Lexicon:
 def _keyed_rows(path):
     """Read a CSV whose columns start `word,category,split`: yields the header, then
     `(line number, fields)` per row, blank lines skipped. Every check on the key
-    columns is made here, naming the file and line: the header prefix, the field
-    count, an empty word or category, the split name, a duplicate word, and a
-    file with no rows.
+    columns is made here, naming the line: the header prefix, the field count, an
+    empty word or category, the split name, a duplicate word, and a file with no
+    rows. Its callers read it inside `reading(path)`, which names the file.
     """
     seen = set()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if header[:3] != KEY_COLUMNS:
-            raise InputError(f"{path}: line 1: expected header starting `word,category,split`")
+            raise InputError("line 1: expected header starting `word,category,split`")
         yield header
         for lineno, rec in enumerate(reader, start=2):
             if not rec:
                 continue
             if len(rec) != len(header):
-                raise InputError(f"{path}: line {lineno}: expected {len(header)} fields, found {len(rec)}")
+                raise InputError(f"line {lineno}: expected {len(header)} fields, found {len(rec)}")
             word, category, split = rec[:3]
             if not word:
-                raise InputError(f"{path}: line {lineno}: empty word")
+                raise InputError(f"line {lineno}: empty word")
             if not category:
-                raise InputError(f"{path}: line {lineno}: empty category for {word!r}")
+                raise InputError(f"line {lineno}: empty category for {word!r}")
             if split not in SPLITS:
-                raise InputError(f"{path}: line {lineno}: unknown split {split!r}")
+                raise InputError(f"line {lineno}: unknown split {split!r}")
             if word in seen:
-                raise InputError(f"{path}: line {lineno}: duplicate word {word!r}")
+                raise InputError(f"line {lineno}: duplicate word {word!r}")
             seen.add(word)
             yield lineno, rec
     if not seen:
-        raise InputError(f"{path}: no data rows")
+        raise InputError("no data rows")
 
 
 def load_lexicon(path):
@@ -239,9 +250,9 @@ def load_lexicon(path):
     order. Category order, wherever it matters (the map legend, the GDV
     classes), is first appearance in these rows: `list(dict.fromkeys(labels))`.
     """
-    with closing(_keyed_rows(path)) as rows:
+    with reading(path), closing(_keyed_rows(path)) as rows:
         if next(rows) != KEY_COLUMNS:
-            raise InputError(f"{path}: line 1: expected header `word,category,split`")
+            raise InputError("line 1: expected header `word,category,split`")
         records = sorted((rec for _, rec in rows), key=lambda rec: SPLITS.index(rec[2]))  # stable
     return Lexicon(*map(list, zip(*records)))
 
@@ -274,17 +285,14 @@ def save_labeled_points_csv(path, lex, values, component_names=None):
 def load_labeled_points_csv(path):
     """Returns (lex, values) from a labeled point CSV, rows in file order."""
     keys, values = [], []
-    with closing(_keyed_rows(path)) as rows:
+    with reading(path), closing(_keyed_rows(path)) as rows:
         width = len(next(rows)) - 3
         if width == 0:
-            raise InputError(f"{path}: no component columns after `word,category,split`")
+            raise InputError("no component columns after `word,category,split`")
         for lineno, rec in rows:
             keys.append(rec[:3])
             try:
                 values.append([float(tok) for tok in rec[3:]])
             except ValueError:
-                raise InputError(f"{path}: line {lineno}: non-numeric component") from None
-    try:
+                raise InputError(f"line {lineno}: non-numeric component") from None
         return Lexicon(*map(list, zip(*keys))), _finite_array(np.array(values).reshape(len(keys), width))
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None

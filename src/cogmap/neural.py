@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import InputError
-from .fileio import dump_json, load_json, require_int, require_real
+from .fileio import dump_json, load_json, reading, require_int, require_real
 
 LOG_CLAMP = 1e-12
 FD_STEP = 1e-5
@@ -267,19 +267,18 @@ def save_model(model, path):
 
 def load_model(path):
     doc = load_json(path)
-    try:
-        config = MlpConfig(**doc["config"])
-        arrays = {name: np.array(doc[name], dtype=np.float64) for name in _param_shapes(config)}
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{path}: malformed model checkpoint ({exc})") from None
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    params = _views(np.empty(_param_count(config)), config)
-    for name, param in params.items():
-        if arrays[name].shape != param.shape:
-            raise InputError(f"{path}: checkpoint shapes do not match its config: {name} is "
-                             f"{arrays[name].shape}, expected {param.shape}")
-        if not np.isfinite(arrays[name]).all():
-            raise InputError(f"{path}: non-finite value in {name}")
-        param[...] = arrays[name]
+    with reading(path):
+        try:
+            config = MlpConfig(**doc["config"])
+            arrays = {name: np.array(doc[name], dtype=np.float64) for name in _param_shapes(config)}
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"malformed model checkpoint ({exc})") from None
+        params = _views(np.empty(_param_count(config)), config)
+        for name, param in params.items():
+            if arrays[name].shape != param.shape:
+                raise InputError(f"checkpoint shapes do not match its config: {name} is "
+                                 f"{arrays[name].shape}, expected {param.shape}")
+            if not np.isfinite(arrays[name]).all():
+                raise InputError(f"non-finite value in {name}")
+            param[...] = arrays[name]
     return MlpModel(**params, config=config)

@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .dataset import load_embeddings, build_examples
 from .errors import InputError
-from .fileio import (SPLITS, committing, dump_json, load_lexicon, require_int, require_real,
-                     save_matrix_csv, save_labeled_points_csv)
+from .fileio import (SPLITS, committing, dump_json, load_lexicon, reading, require_int,
+                     require_real, save_matrix_csv, save_labeled_points_csv)
 from .metrics import LabeledPointSet, gdv, gdv_classes
 from .neural import MlpConfig, train, predict_all, save_model
 from .projection import classical_mds
@@ -53,7 +53,7 @@ class PipelineConfig:
             if f.type in (int, float):
                 rule = require_int if f.type is int else require_real
                 setattr(self, f.name, rule(f.name, getattr(self, f.name)))
-        if not self.gammas:
+        if not isinstance(self.gammas, (list, tuple)) or not self.gammas:
             raise InputError("gammas must be a nonempty list")
         self.gammas = [_check_scale(g, self.horizon) for g in self.gammas]
         tags = [_gamma_tag(g) for g in self.gammas]
@@ -76,19 +76,21 @@ CONFIG_FIELDS = {_PATH_KEYS.get(f.name, f.name): f for f in fields(PipelineConfi
 
 
 def parse_config_file(path):
-    """Flat key=value file; `#` starts a comment, blank lines are skipped."""
+    """Flat key=value file, each key at most once; `#` starts a comment, blank lines are skipped."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, reading(path):
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise InputError(f"{path}: line {lineno}: expected key=value")
+                raise InputError(f"line {lineno}: expected key=value")
             key, _, value = line.partition("=")
             key = key.strip()
             if key not in CONFIG_FIELDS:
-                raise InputError(f"{path}: line {lineno}: unknown config key {key!r}")
+                raise InputError(f"line {lineno}: unknown config key {key!r}")
+            if key in values:
+                raise InputError(f"line {lineno}: duplicate config key {key!r}")
             values[key] = value.strip()
     return values
 
@@ -107,7 +109,8 @@ def _parse_value(text, kind, key):
 
 
 def resolve_config(file_values=None, overrides=None):
-    """Layer defaults < config file < explicit overrides."""
+    """Layer defaults < config file < explicit overrides. Text is parsed by its field's
+    type and a path field's value made text; PipelineConfig checks any other value."""
     raw = {}
     for source in (file_values or {}, overrides or {}):
         for key, value in source.items():
@@ -115,8 +118,9 @@ def resolve_config(file_values=None, overrides=None):
                 continue
             if key not in CONFIG_FIELDS:
                 raise InputError(f"unknown config key {key!r}")
-            raw[key] = value if isinstance(value, str) else str(value)
+            raw[key] = value
     return PipelineConfig(**{f.name: _parse_value(raw[key], f.type, key)
+                             if isinstance(raw[key], str) or f.type is str else raw[key]
                              for key, f in CONFIG_FIELDS.items() if key in raw})
 
 

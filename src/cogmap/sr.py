@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .fileio import dump_json, load_json, require_int, require_real
+from .fileio import dump_json, load_json, reading, require_int, require_real
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -156,19 +156,18 @@ def save_sr_json(m, state_words, path):
 def load_sr_json(path):
     """Returns (SuccessorMatrix, state_words) from a JSON envelope whose n fits its values."""
     doc = load_json(path)
-    try:
-        n = require_int("n", doc["n"])
-        m = SuccessorMatrix(gamma=doc["gamma"], horizon=doc["horizon"],
-                            values=np.array(doc["values"], dtype=np.float64))
-        words = list(doc["state_words"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{path}: malformed successor-matrix envelope ({exc})") from None
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    if not np.isfinite(m.values).all():
-        raise InputError(f"{path}: non-finite value in values")
-    if n != m.n:
-        raise InputError(f"{path}: n is {n} but values are {m.n}x{m.n}")
-    if len(words) != m.n:
-        raise InputError(f"{path}: state_words length does not match n")
+    with reading(path):
+        try:
+            n = require_int("n", doc["n"])
+            m = SuccessorMatrix(gamma=doc["gamma"], horizon=doc["horizon"],
+                                values=np.array(doc["values"], dtype=np.float64))
+            words = list(doc["state_words"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"malformed successor-matrix envelope ({exc})") from None
+        if not np.isfinite(m.values).all():
+            raise InputError("non-finite value in values")
+        if n != m.n:
+            raise InputError(f"n is {n} but values are {m.n}x{m.n}")
+        if len(words) != m.n:
+            raise InputError("state_words length does not match n")
     return m, words

@@ -108,6 +108,18 @@ def test_config_file_requires_key_value(tmp_path):
         parse_config_file(p)
 
 
+def test_config_file_rejects_a_key_given_twice(tmp_path, capsys):
+    p = tmp_path / "c.cfg"
+    p.write_text("epochs = 3\nseed = 1\nepochs = 5\n", encoding="utf-8")
+    message = f"{p}: line 3: duplicate config key 'epochs'"
+    with pytest.raises(InputError) as info:
+        parse_config_file(p)
+    assert str(info.value) == message
+    code, out, err = run_cli(capsys, "build-sr", "--config", p, "--out-dir", tmp_path / "tree")
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "tree").exists()
+
+
 def test_resolve_defaults():
     config = resolve_config()
     assert config.embeddings_path == "data/embeddings_300d.txt"
@@ -306,6 +318,17 @@ def test_config_hash_covers_input_bytes_not_path_text(tmp_path, monkeypatch):
     data[-2] ^= 1  # the last character of the last split name
     copy.write_bytes(bytes(data))
     assert config_hash(resolve_config(SHIPPED_INPUTS, {"lexicon": copy})) != digest
+
+
+def test_resolve_takes_typed_values_as_their_text_spelling():
+    typed = resolve_config(SHIPPED_INPUTS, {"gammas": [1.0, 0.3], "epochs": 2})
+    text = resolve_config(SHIPPED_INPUTS, {"gammas": "1.0,0.3", "epochs": "2"})
+    assert typed == text and config_hash(typed) == config_hash(text)
+    assert resolve_config(overrides={"lexicon": Path("x.csv")}).lexicon_path == "x.csv"
+    with pytest.raises(InputError, match="epochs must be an integer, got True"):
+        resolve_config(overrides={"epochs": True})
+    with pytest.raises(InputError, match="gammas must be a nonempty list"):
+        resolve_config(overrides={"gammas": 0.5})
 
 
 # ---------------------------------------------------------------- pipeline
@@ -1005,6 +1028,94 @@ def test_cli_missing_input_file_is_input_error(tiny, tmp_path, capsys):
                            "--embeddings", tmp_path / "nope.txt",
                            "--out-dir", tmp_path / "out")
     assert code == 1 and "error:" in err
+
+
+@pytest.fixture(scope="module")
+def staged(tiny, tmp_path_factory):
+    """The tiny set's SR envelope (gamma 1) and the checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("staged")
+    sr, model = root / "sr_gamma_1.0.json", root / "model.json"
+    assert main(["build-sr", "--config", str(tiny["cfg"]), "--out-dir", str(root)]) == 0
+    assert main(["train", "--config", str(tiny["cfg"]), "--sr", str(sr), "--out", str(model)]) == 0
+    return {"sr": sr, "model": model}
+
+
+def _with_ff(data):  # a byte that never occurs in UTF-8
+    return data[:30] + b"\xff" + data[30:]
+
+
+def _truncated(data):
+    return data[:len(data) // 2]
+
+
+def _long_word(data):  # over the csv module's 131,072-character field limit
+    return data.replace(b"a1,A,", b"a" * 200_000 + b",A,", 1)
+
+
+def _inputs(f):
+    return ["--config", f["cfg"], "--lexicon", f["lexicon"], "--embeddings", f["embeddings"]]
+
+
+def _build_sr(f, out):
+    return ["build-sr", *_inputs(f), "--out-dir", out / "tree"]
+
+
+def _gdv(f, out):
+    return ["gdv", "--points", f["points"], "--out", out / "r.json"]
+
+
+def _train(f, out):
+    return ["train", *_inputs(f), "--sr", f["sr"], "--out", out / "m.json"]
+
+
+def _predict(f, out):
+    return ["predict", *_inputs(f), "--model", f["model"], "--out", out / "p.csv"]
+
+
+def _project(f, out):
+    return ["project", "--predictions", f["points"], "--out-csv", out / "p.csv",
+            "--out-svg", out / "m.svg"]
+
+
+def _run(f, out):
+    return ["run", *_inputs(f), "--out-dir", out / "tree"]
+
+
+# id -> (the input spoiled, how, the command that reads it)
+UNREADABLE_INPUTS = {
+    "lexicon-byte": ("lexicon", _with_ff, _build_sr),
+    "embeddings-byte": ("embeddings", _with_ff, _build_sr),
+    "config-byte": ("cfg", _with_ff, _build_sr),
+    "points-byte-gdv": ("points", _with_ff, _gdv),
+    "points-byte-project": ("points", _with_ff, _project),
+    "checkpoint-byte": ("model", _with_ff, _predict),
+    "sr-truncated": ("sr", _truncated, _train),
+    "sr-empty": ("sr", lambda data: b"", _train),
+    "checkpoint-truncated": ("model", _truncated, _predict),
+    "points-long-word": ("points", _long_word, _gdv),
+    "run-lexicon-byte": ("lexicon", _with_ff, _run),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_INPUTS)
+def test_cli_input_that_does_not_decode_or_parse_names_its_file(tiny, staged, tmp_path, capsys,
+                                                                case):
+    # one line on stderr, the file named once, exit 1 and no output
+    key, spoil, command = UNREADABLE_INPUTS[case]
+    files = {"cfg": tiny["cfg"], "lexicon": tiny["lexicon"], "embeddings": tiny["embeddings"],
+             "points": DATA_DIR / "gdv_fixture_1d.csv", **staged}
+    bad = tmp_path / f"bad-{files[key].name}"
+    bad.write_bytes(spoil(files[key].read_bytes()))
+    files[key] = bad
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = command(files, out)
+    code, stdout, err = run_cli(capsys, *argv)
+    prefix = "error: stage load: " if argv[0] == "run" else "error: "
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"{prefix}{bad}: ") and err.count("\n") == 1
+    assert err.count(bad.name) == 1
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("rate", ["nan", "inf"])
