@@ -11,13 +11,12 @@ from .errors import InputError
 from .fileio import (committing, dump_json, float_text, load_labeled_points_csv,
                      save_labeled_points_csv, save_matrix_csv)
 from .neural import train, predict_all, save_model, load_model
-from .pipeline import (CONFIG_FIELDS, GDV_SPLITS, load_inputs, parse_config_file, project_map,
-                       resolve_config, run_pipeline, split_gdv, _gamma_tag)
+from .pipeline import (CONFIG_FIELDS, GDV_SPLITS, NETWORK, load_inputs, parse_config_file,
+                       project_map, resolve_config, run_pipeline, split_gdv, _gamma_tag)
 from .sr import (build_transition_matrix, successor_matrix, rollout_occupancy_oracle,
                  save_sr_json, load_sr_json)
 
 INPUTS = ("embeddings", "lexicon")
-NETWORK = ("hidden_dim", "dropout_rate", "learning_rate", "epochs", "batch_size", "momentum")
 
 
 class _Parser(argparse.ArgumentParser):

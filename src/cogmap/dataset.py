@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InputError
 # the lexicon names are re-exported: fileio reads every CSV keyed by word,category,split
-from .fileio import SPLITS, Lexicon, float_text, load_lexicon, reading, replacing  # noqa: F401
+from .fileio import Lexicon, float_text, load_lexicon, plain_fields, reading, replacing  # noqa: F401
 
 
 def load_embeddings(path, words):
@@ -87,8 +87,7 @@ class ExampleSet:
     targets: np.ndarray
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.targets = np.asarray(self.targets, dtype=np.float64)
+        plain_fields(self)
         if len(self.inputs) != len(self.targets):
             raise InputError("inputs and targets must have equal length")
         if len(self) and (np.any(self.targets < 0)
@@ -106,8 +105,6 @@ def build_examples(vecs, sr):
     row i normalized to sum 1 (SuccessorMatrix makes every row sum positive).
     """
     n = len(vecs)
-    values = np.asarray(sr.values, dtype=np.float64)
-    if values.shape != (n, n):
-        raise InputError(f"successor matrix is {values.shape}, lexicon has {n} training states")
-    row_sums = values.sum(axis=1)
-    return ExampleSet(inputs=vecs, targets=values / row_sums[:, None])
+    if sr.values.shape != (n, n):
+        raise InputError(f"successor matrix is {sr.values.shape}, lexicon has {n} training states")
+    return ExampleSet(inputs=vecs, targets=sr.values / sr.values.sum(axis=1)[:, None])

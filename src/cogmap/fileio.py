@@ -10,6 +10,8 @@ the whole text is written, so a rejected value or a failed write leaves no
 file and an existing file stays as it was. Every reader parses inside
 `reading(path)`, so a defect in an input file (text that is not UTF-8, JSON or CSV
 that does not parse, a value a check rejects) is an `InputError` naming the file.
+A record whose fields are declared `int`, `float`, `str` (a path) or `np.ndarray` calls
+`plain_fields` first in `__post_init__`: one rule per type checks each and stores it plain.
 """
 
 import csv
@@ -20,7 +22,7 @@ import secrets
 import shutil
 import tempfile
 from contextlib import closing, contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +59,23 @@ def require_real(name, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InputError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def require_path(name, value):
+    """`value` as text if it is a str or an os.PathLike naming one; else an InputError."""
+    if isinstance(value, (str, os.PathLike)) and isinstance(os.fspath(value), str):
+        return os.fspath(value)
+    raise InputError(f"{name} must be a path, got {value!r}")
+
+
+def plain_fields(record):
+    """Store each `int`, `float`, `str` or `np.ndarray` field of a dataclass record, a frozen
+    one too, as the int, float, path text or finite float64 array its rule returns."""
+    rules = {int: require_int, float: require_real, str: require_path,
+             np.ndarray: lambda name, value: _finite_array(value)}
+    for f in fields(record):
+        if f.type in rules:
+            object.__setattr__(record, f.name, rules[f.type](f.name, getattr(record, f.name)))
 
 
 @contextmanager
@@ -161,12 +180,15 @@ def dump_json(obj, path):
 
 
 def load_json(path):
-    """Parse a JSON file; a NaN or Infinity in it is an input error naming the file."""
+    """Parse a JSON file; a NaN or Infinity, or nesting too deep to parse, is an InputError."""
     def reject(constant):
         raise InputError(f"non-finite value {constant}")
 
     with open(path, encoding="utf-8") as fh, reading(path):
-        return json.load(fh, parse_constant=reject)
+        try:
+            return json.load(fh, parse_constant=reject)
+        except RecursionError:  # only here: elsewhere one is the program's own fault
+            raise InputError("JSON nested too deeply to parse") from None
 
 
 def save_matrix_csv(values, path):

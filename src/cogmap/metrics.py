@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .fileio import plain_fields
 from .projection import euclidean_distances
 
 
@@ -31,7 +32,7 @@ class LabeledPointSet:
     labels: list
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
+        plain_fields(self)
         if self.points.ndim != 2:
             raise InputError("points must form an (n, D) array")
         if len(self.labels) != len(self.points):

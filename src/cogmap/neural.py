@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import InputError
-from .fileio import dump_json, load_json, reading, require_int, require_real
+from .fileio import dump_json, load_json, plain_fields, reading
 
 LOG_CLAMP = 1e-12
 FD_STEP = 1e-5
@@ -39,10 +39,7 @@ class MlpConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("input_dim", "output_dim", "hidden_dim", "epochs", "batch_size", "seed"):
-            require_int(name, getattr(self, name))
-        for name in ("dropout_rate", "learning_rate", "momentum"):
-            require_real(name, getattr(self, name))
+        plain_fields(self)
         if self.input_dim < 1 or self.hidden_dim < 1 or self.output_dim < 1:
             raise InputError("layer sizes must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:

@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .dataset import load_embeddings, build_examples
 from .errors import InputError
-from .fileio import (SPLITS, committing, dump_json, load_lexicon, reading, require_int,
-                     require_real, save_matrix_csv, save_labeled_points_csv)
+from .fileio import (SPLITS, committing, dump_json, load_lexicon, plain_fields, reading,
+                     save_matrix_csv, save_labeled_points_csv)
 from .metrics import LabeledPointSet, gdv, gdv_classes
 from .neural import MlpConfig, train, predict_all, save_model
 from .projection import classical_mds
@@ -28,6 +28,7 @@ from .sr import _check_scale, build_transition_matrix, successor_matrix
 from .svg import render_svg
 
 GDV_SPLITS = ("all",) + SPLITS
+NETWORK = tuple(f.name for f in fields(MlpConfig) if f.name not in ("input_dim", "output_dim", "seed"))
 
 
 @dataclass
@@ -48,11 +49,7 @@ class PipelineConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
-        # numbers are stored as plain ints and floats, so one run has one config_hash
-        for f in fields(self):
-            if f.type in (int, float):
-                rule = require_int if f.type is int else require_real
-                setattr(self, f.name, rule(f.name, getattr(self, f.name)))
+        plain_fields(self)  # plain numbers and path text, so one run has one config_hash
         if not isinstance(self.gammas, (list, tuple)) or not self.gammas:
             raise InputError("gammas must be a nonempty list")
         self.gammas = [_check_scale(g, self.horizon) for g in self.gammas]
@@ -64,10 +61,8 @@ class PipelineConfig:
 
     def mlp_config(self, input_dim, output_dim, seed):
         """The network configuration for one training run."""
-        return MlpConfig(input_dim=input_dim, output_dim=output_dim,
-                         hidden_dim=self.hidden_dim, dropout_rate=self.dropout_rate,
-                         learning_rate=self.learning_rate, epochs=self.epochs,
-                         batch_size=self.batch_size, momentum=self.momentum, seed=seed)
+        return MlpConfig(input_dim=input_dim, output_dim=output_dim, seed=seed,
+                         **{name: getattr(self, name) for name in NETWORK})
 
 
 # config key -> PipelineConfig field: the field name, or a short name for the input paths
@@ -110,7 +105,7 @@ def _parse_value(text, kind, key):
 
 def resolve_config(file_values=None, overrides=None):
     """Layer defaults < config file < explicit overrides. Text is parsed by its field's
-    type and a path field's value made text; PipelineConfig checks any other value."""
+    type; PipelineConfig checks any other value."""
     raw = {}
     for source in (file_values or {}, overrides or {}):
         for key, value in source.items():
@@ -120,7 +115,7 @@ def resolve_config(file_values=None, overrides=None):
                 raise InputError(f"unknown config key {key!r}")
             raw[key] = value
     return PipelineConfig(**{f.name: _parse_value(raw[key], f.type, key)
-                             if isinstance(raw[key], str) or f.type is str else raw[key]
+                             if isinstance(raw[key], str) else raw[key]
                              for key, f in CONFIG_FIELDS.items() if key in raw})
 
 

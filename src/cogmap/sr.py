@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .fileio import dump_json, load_json, reading, require_int, require_real
+from .fileio import dump_json, load_json, plain_fields, reading, require_int, require_real
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -33,11 +33,9 @@ class TransitionMatrix:
         return len(self.state_words)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        plain_fields(self)
         if self.values.shape != (self.n, self.n):
             raise InputError(f"transition matrix must be {self.n}x{self.n}, got {self.values.shape}")
-        if not np.isfinite(self.values).all():
-            raise InputError("transition entries must be finite")
         if np.any(self.values < 0.0) or np.any(self.values > 1.0):
             raise InputError("transition entries must lie in [0, 1]")
         if self.n and np.max(np.abs(self.values.sum(axis=1) - 1.0)) > 1e-9:
@@ -68,8 +66,8 @@ class SuccessorMatrix:
         return len(self.values)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.gamma = _check_scale(self.gamma, self.horizon)
+        plain_fields(self)
+        _check_scale(self.gamma, self.horizon)
         if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
             raise InputError(f"successor matrix must be square, got shape {self.values.shape}")
         if np.any(self.values < 0.0):
@@ -159,13 +157,10 @@ def load_sr_json(path):
     with reading(path):
         try:
             n = require_int("n", doc["n"])
-            m = SuccessorMatrix(gamma=doc["gamma"], horizon=doc["horizon"],
-                                values=np.array(doc["values"], dtype=np.float64))
+            m = SuccessorMatrix(gamma=doc["gamma"], horizon=doc["horizon"], values=doc["values"])
             words = list(doc["state_words"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed successor-matrix envelope ({exc})") from None
-        if not np.isfinite(m.values).all():
-            raise InputError("non-finite value in values")
         if n != m.n:
             raise InputError(f"n is {n} but values are {m.n}x{m.n}")
         if len(words) != m.n:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cogmap.dataset import (Lexicon, build_examples, load_embeddings, load_lexicon,
+from cogmap.dataset import (ExampleSet, Lexicon, build_examples, load_embeddings, load_lexicon,
                             save_embeddings)
 from cogmap.errors import InputError
 from cogmap.pipeline import load_inputs, resolve_config
@@ -279,6 +279,18 @@ def test_examples_must_match_the_successor_matrix():
     sr = successor_matrix(build_transition_matrix(vectors[:3], lex.words[:3]), 0.7, 3)
     with pytest.raises(InputError, match=r"successor matrix is \(3, 3\), lexicon has 4"):
         build_examples(vectors, sr)
+
+
+@pytest.mark.parametrize("targets, message", [
+    (np.full((2, 2), 0.5), "inputs and targets must have equal length"),
+    ([[0.5, 0.6], [0.5, 0.5], [1.0, 0.0]], "every target must be a probability distribution"),
+    ([[1.5, -0.5], [0.5, 0.5], [1.0, 0.0]], "every target must be a probability distribution"),
+    ([[np.nan, 1.0], [0.5, 0.5], [1.0, 0.0]], "non-finite value nan"),
+], ids=["lengths", "row-sum", "negative", "nan"])
+def test_example_set_checks_its_targets(targets, message):
+    # NaN compares false, so the distribution check alone lets it through
+    with pytest.raises(InputError, match=message):
+        ExampleSet(inputs=np.ones((3, 2)), targets=targets)
 
 
 def test_missing_embedding_reported_by_word(tmp_path):

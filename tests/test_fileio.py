@@ -159,6 +159,14 @@ def test_labeled_points_writer_rejects_a_lexicon_of_another_length(tmp_path):
     assert not path.exists()
 
 
+def test_labeled_points_writer_needs_one_name_per_component(tmp_path):
+    path = tmp_path / "p.csv"
+    with pytest.raises(InputError, match="component_names length must match the point dimension"):
+        save_labeled_points_csv(path, Lexicon(["a"], ["x"], ["train"]), [[1.0, 2.0]],
+                                component_names=["v0"])
+    assert not path.exists()
+
+
 def test_lexicon_columns_must_have_equal_length():
     # a ragged record would let zip drop rows from every writer silently
     with pytest.raises(InputError, match="equal length"):

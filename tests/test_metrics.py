@@ -215,6 +215,16 @@ def test_length_mismatch_rejected():
         LabeledPointSet(points=np.zeros((3, 2)), labels=["A", "B"])
 
 
+@pytest.mark.parametrize("points, message", [
+    (np.zeros(3), r"points must form an \(n, D\) array"),
+    (np.zeros((3, 2, 1)), r"points must form an \(n, D\) array"),
+    ([[0.0, np.inf], [1.0, 1.0], [2.0, 2.0]], "non-finite value inf"),
+], ids=["1-d", "3-d", "inf"])
+def test_points_must_be_a_finite_n_by_d_array(points, message):
+    with pytest.raises(InputError, match=message):
+        LabeledPointSet(points=points, labels=["A", "A", "B"])
+
+
 def test_report_to_dict_structure():
     points, labels = random_labeled_set(5)
     doc = json.loads(json.dumps(gdv(LabeledPointSet(points=points, labels=labels))))

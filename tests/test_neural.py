@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -66,6 +67,14 @@ def test_config_validation():
     # boundary values that must be accepted, and numpy integers
     small_config(dropout_rate=0.0, learning_rate=0.0, momentum=0.0, seed=0)
     small_config(hidden_dim=np.int64(5), seed=np.uint32(7))
+
+
+def test_config_stores_the_plain_number_of_a_numpy_scalar():
+    # so a config built from numpy sizes or rates holds the types its fields declare
+    cfg = small_config(hidden_dim=np.int64(5), epochs=np.int8(2), seed=np.uint32(7),
+                       learning_rate=np.float32(0.5), momentum=np.float64(0.9))
+    assert {name: type(value) for name, value in vars(cfg).items()} == \
+        {f.name: f.type for f in fields(MlpConfig)}
 
 
 def test_init_is_seeded_glorot():

@@ -306,6 +306,41 @@ def test_config_stores_plain_numbers_so_one_run_has_one_hash(spelling):
     assert [type(g) for g in config.gammas] == [float, float]
 
 
+@pytest.mark.parametrize("value", ["pipe-fd", None, b"data/lexicon.csv"], ids=["fd", "none", "bytes"])
+@pytest.mark.parametrize("name", ["embeddings_path", "lexicon_path", "output_dir"])
+def test_config_rejects_a_path_that_is_not_text(tmp_path, monkeypatch, name, value):
+    # an int used to be opened as a file descriptor: read, then closed under its owner
+    monkeypatch.chdir(tmp_path)
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"word,category,split\n")
+    os.close(write_end)
+    try:
+        value = read_end if value == "pipe-fd" else value
+        with pytest.raises(InputError, match=f"^{name} must be a path, got {re.escape(repr(value))}$"):
+            run_pipeline(PipelineConfig(**{name: value}))
+        assert os.read(read_end, 100) == b"word,category,split\n"  # still open, nothing read
+    finally:
+        os.close(read_end)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_path_settings_run_like_their_text(tiny, tmp_path):
+    # a Path used to train every gamma and then fail to serialize into the manifest
+    text = resolve_config(parse_config_file(tiny["cfg"]),
+                          {"output_dir": str(tmp_path / "out"), "epochs": "2"})
+    paths = PipelineConfig(**{**vars(text), "embeddings_path": Path(text.embeddings_path),
+                              "lexicon_path": Path(text.lexicon_path),
+                              "output_dir": Path(text.output_dir)})
+    assert paths == text and config_hash(paths) == config_hash(text)
+    manifests = []
+    for config in (text, paths):
+        run_pipeline(config)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+        del manifest["created_utc"]
+        manifests.append(manifest)
+    assert manifests[1] == manifests[0]
+
+
 def test_config_hash_covers_input_bytes_not_path_text(tmp_path, monkeypatch):
     monkeypatch.chdir(REPO)
     digest = config_hash(resolve_config(SHIPPED_INPUTS))
@@ -1052,6 +1087,10 @@ def _long_word(data):  # over the csv module's 131,072-character field limit
     return data.replace(b"a1,A,", b"a" * 200_000 + b",A,", 1)
 
 
+def _deep(data):  # nested past the JSON parser's recursion limit
+    return b"[" * 100_000
+
+
 def _inputs(f):
     return ["--config", f["cfg"], "--lexicon", f["lexicon"], "--embeddings", f["embeddings"]]
 
@@ -1093,6 +1132,8 @@ UNREADABLE_INPUTS = {
     "sr-empty": ("sr", lambda data: b"", _train),
     "checkpoint-truncated": ("model", _truncated, _predict),
     "points-long-word": ("points", _long_word, _gdv),
+    "sr-deep": ("sr", _deep, _train),
+    "checkpoint-deep": ("model", _deep, _predict),
     "run-lexicon-byte": ("lexicon", _with_ff, _run),
 }
 

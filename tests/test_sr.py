@@ -67,6 +67,13 @@ def test_matrix_sizes_come_from_the_data():
             SuccessorMatrix(gamma=0.5, horizon=1, values=values)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_successor_matrix_rejects_a_non_finite_entry(bad):
+    # NaN compares false and inf sums positive, so the range and row-sum checks let both through
+    with pytest.raises(InputError, match="non-finite value"):
+        SuccessorMatrix(gamma=0.5, horizon=1, values=[[bad, 1.0], [1.0, 1.0]])
+
+
 # --------------------------------------------------------------------- SR
 
 def flip_chain():
@@ -239,6 +246,13 @@ def test_sr_json_is_plain_json(tmp_path):
     assert doc["gamma"] == 0.5
     assert doc["horizon"] == 2
     assert doc["state_words"] == ["a", "b"]
+
+
+def test_sr_json_writer_needs_one_word_per_state(tmp_path):
+    p = tmp_path / "sr.json"
+    with pytest.raises(InputError, match="state_words length must equal matrix size"):
+        save_sr_json(successor_matrix(flip_chain(), 0.5, 2), ["a"], p)
+    assert not p.exists()
 
 
 def test_sr_json_ragged_values_name_the_file(tmp_path):
