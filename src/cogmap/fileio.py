@@ -30,13 +30,19 @@ import numpy as np
 from .errors import InputError
 
 
-def _finite_array(values):
-    """`values` as a float64 array, rejected if any entry is NaN or infinite."""
-    values = np.asarray(values, dtype=np.float64)
-    finite = np.isfinite(values)
+def _finite_array(values, name=None):
+    """`values` as a float64 array of finite entries, each real by `require_real` (checked once
+    per entry type, unless `values` is an int or float array); errors name the field `name`."""
+    where = f" in {name}" if name else ""
+    array = np.asarray(values, dtype=np.float64)
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        entries = np.asarray(values, dtype=object).ravel()
+        for value in dict(zip(map(type, entries), entries)).values():
+            require_real(f"each entry{where}", value)
+    finite = np.isfinite(array)
     if not finite.all():
-        raise InputError(f"non-finite value {float(values[~finite][0])!r}")
-    return values
+        raise InputError(f"non-finite value {float(array[~finite][0])!r}{where}")
+    return array
 
 
 def float_text(values, sep):
@@ -72,7 +78,7 @@ def plain_fields(record):
     """Store each `int`, `float`, `str` or `np.ndarray` field of a dataclass record, a frozen
     one too, as the int, float, path text or finite float64 array its rule returns."""
     rules = {int: require_int, float: require_real, str: require_path,
-             np.ndarray: lambda name, value: _finite_array(value)}
+             np.ndarray: lambda name, value: _finite_array(value, name)}
     for f in fields(record):
         if f.type in rules:
             object.__setattr__(record, f.name, rules[f.type](f.name, getattr(record, f.name)))

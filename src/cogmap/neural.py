@@ -2,16 +2,16 @@
 
 Architecture: input -> inverted dropout -> hidden ReLU layer -> softmax output.
 Trained with softmax cross-entropy against normalized successor rows, plain
-SGD with momentum, analytic backprop. The model's arrays are views into one
-flat float64 parameter vector (w1, b1, w2, b2). w1 is stored input-major
-(input x hidden), so the forward product x @ w1.T reads a C-contiguous matrix;
-`model.w1` is its hidden x input transpose. Training shuffles, gathers and
-drops out a whole epoch of inputs at once, writes gradients into a buffer of
-the parameter layout and steps on whole vectors in place. One batched pass,
-`_forward_backward`, serves training, inference and the gradient check.
-Trained and loaded models share the layout, so they predict through the same
-kernel. Everything is driven by one seeded generator so a (config, examples)
-pair determines the trained model bitwise.
+SGD with momentum, analytic backprop. Every model, drawn, trained, loaded or
+built from arrays, holds its arrays as views into one flat float64 parameter
+vector, `model.theta` (w1, b1, w2, b2), so all predict the same bits. w1 is
+stored input-major (input x hidden), so the forward product x @ w1.T reads a
+C-contiguous matrix; `model.w1` is its hidden x input transpose. Training
+shuffles, gathers and drops out a whole epoch of inputs at once, writes
+gradients into a buffer of the parameter layout and steps on whole vectors in
+place. One batched pass, `_forward_backward`, serves training, inference and
+the gradient check. Everything is driven by one seeded generator, so a
+(config, examples) pair determines the trained model bitwise.
 """
 
 import math
@@ -58,11 +58,24 @@ class MlpConfig:
 
 @dataclass
 class MlpModel:
+    """The network's parameters, each checked against the config and stored as a view into
+    one flat float64 vector, `theta`, laid out as `_views` gives them."""
+
     w1: np.ndarray  # hidden x input (the transpose of its input-major storage)
     b1: np.ndarray
     w2: np.ndarray  # output x hidden
     b2: np.ndarray
     config: MlpConfig
+
+    def __post_init__(self):
+        plain_fields(self)
+        self.theta = np.empty(_param_count(self.config))
+        for name, view in _views(self.theta, self.config).items():
+            if getattr(self, name).shape != view.shape:
+                raise InputError(f"parameter shapes do not match the config: {name} is "
+                                 f"{getattr(self, name).shape}, expected {view.shape}")
+            view[...] = getattr(self, name)
+            setattr(self, name, view)
 
 
 def _param_shapes(config):
@@ -91,23 +104,19 @@ def _param_count(config):
 
 
 def _init_params(config, rng):
-    """(flat parameter vector, model whose arrays are views into it).
-
-    Weights are uniform(+-sqrt(6/(fan_in+fan_out))) per matrix, w1 drawn
-    first; biases are zero.
-    """
-    theta = np.zeros(_param_count(config))
-    model = MlpModel(**_views(theta, config), config=config)
+    """A model drawn from `rng`: weights uniform(+-sqrt(6/(fan_in+fan_out))) per matrix,
+    w1 drawn first; biases zero."""
     lim1 = np.sqrt(6.0 / (config.input_dim + config.hidden_dim))
-    model.w1[...] = rng.uniform(-lim1, lim1, size=model.w1.shape)
+    w1 = rng.uniform(-lim1, lim1, size=(config.hidden_dim, config.input_dim))
     lim2 = np.sqrt(6.0 / (config.hidden_dim + config.output_dim))
-    model.w2[...] = rng.uniform(-lim2, lim2, size=model.w2.shape)
-    return theta, model
+    w2 = rng.uniform(-lim2, lim2, size=(config.output_dim, config.hidden_dim))
+    return MlpModel(w1=w1, b1=np.zeros(config.hidden_dim), w2=w2,
+                    b2=np.zeros(config.output_dim), config=config)
 
 
 def init_model(config):
     """Seeded initial model; `train` starts from exactly these parameters."""
-    return _init_params(config, np.random.default_rng(config.seed))[1]
+    return _init_params(config, np.random.default_rng(config.seed))
 
 
 def _softmax(z):
@@ -172,7 +181,8 @@ def gradient_check(config, example):
     x, target = example
     x = np.asarray(x, dtype=np.float64)[None, :]
     target = np.asarray(target, dtype=np.float64)[None, :]
-    theta, model = _init_params(config, np.random.default_rng(config.seed))
+    model = init_model(config)
+    theta = model.theta
     grad = np.empty_like(theta)
     _forward_backward(model, x, target, _views(grad, config))
     worst = 0.0
@@ -215,7 +225,8 @@ def train(config, examples):
                          f"config says {config.output_dim}")
 
     rng = np.random.default_rng(config.seed)
-    theta, model = _init_params(config, rng)
+    model = _init_params(config, rng)
+    theta = model.theta
     vel = np.zeros_like(theta)
     grad = np.empty_like(theta)
     grads = _views(grad, config)
@@ -267,15 +278,6 @@ def load_model(path):
     with reading(path):
         try:
             config = MlpConfig(**doc["config"])
-            arrays = {name: np.array(doc[name], dtype=np.float64) for name in _param_shapes(config)}
+            return MlpModel(**{name: doc[name] for name in _param_shapes(config)}, config=config)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed model checkpoint ({exc})") from None
-        params = _views(np.empty(_param_count(config)), config)
-        for name, param in params.items():
-            if arrays[name].shape != param.shape:
-                raise InputError(f"checkpoint shapes do not match its config: {name} is "
-                                 f"{arrays[name].shape}, expected {param.shape}")
-            if not np.isfinite(arrays[name]).all():
-                raise InputError(f"non-finite value in {name}")
-            param[...] = arrays[name]
-    return MlpModel(**params, config=config)

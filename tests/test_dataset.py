@@ -293,6 +293,27 @@ def test_example_set_checks_its_targets(targets, message):
         ExampleSet(inputs=np.ones((3, 2)), targets=targets)
 
 
+@pytest.mark.parametrize("targets, message", [
+    ([[np.nan, 1.0], [0.5, 0.5]], "non-finite value nan in targets"),
+    ([[0.5, "0.5"], [0.5, 0.5]], "each entry in targets must be a real number, got '0.5'"),
+    ([[True, 0.0], [0.5, 0.5]], "each entry in targets must be a real number, got True"),
+    ([[None, 1.0], [0.5, 0.5]], "each entry in targets must be a real number, got None"),
+    (np.array([[True, False], [False, True]]),
+     "each entry in targets must be a real number, got True"),
+], ids=["nan", "string", "bool", "none", "bool-array"])
+def test_array_fields_take_finite_real_numbers_only(targets, message):
+    # the array rule names the field, as the scalar rules do
+    with pytest.raises(InputError, match=f"^{message}$"):
+        ExampleSet(inputs=np.ones((2, 2)), targets=targets)
+
+
+def test_array_fields_take_numpy_numbers_and_numeric_arrays():
+    ex = ExampleSet(inputs=np.ones((2, 2), dtype=np.int32),
+                    targets=[[np.float32(0.5), np.float64(0.5)], [np.int64(1), 0]])
+    assert ex.inputs.dtype == ex.targets.dtype == np.float64
+    assert ex.targets.tolist() == [[0.5, 0.5], [1.0, 0.0]]
+
+
 def test_missing_embedding_reported_by_word(tmp_path):
     # the load stage names the first lexicon word that the file lacks
     vectors, lex = toy_vectors_and_lexicon()

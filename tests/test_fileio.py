@@ -349,6 +349,18 @@ def test_failed_block_creates_no_directory(tmp_path, error):
     assert os.listdir(tmp_path) == []
 
 
+def test_staging_failure_names_the_requested_directory(tmp_path):
+    # the nearest existing ancestor is a regular file, so no staging directory
+    # can be made in it, whatever the permissions
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out_dir = tmp_path / "file" / "out"
+    with pytest.raises(NotADirectoryError) as info:
+        with committing(out_dir):
+            pass
+    assert info.value.filename == str(out_dir)
+    assert os.listdir(tmp_path) == ["file"]
+
+
 def test_failed_block_leaves_an_existing_tree_as_it_was(tmp_path):
     (tmp_path / "a.csv").write_text("old\n", encoding="utf-8")
     with pytest.raises(KeyboardInterrupt):

@@ -394,6 +394,22 @@ def test_integer_inputs_train_like_their_float64_values():
     assert ExampleSet(inputs=view, targets=ex.targets[:2]).inputs is view
 
 
+def test_train_rejects_an_empty_example_set():
+    with pytest.raises(InputError, match="^cannot train on an empty example set$"):
+        train(small_config(), ExampleSet(inputs=np.zeros((0, 4)), targets=np.zeros((0, 3))))
+
+
+def test_training_names_the_first_non_finite_parameter():
+    # one batch per epoch: the epoch's loss, taken before its only step, is
+    # finite, and that step overflows w1 to infinity
+    ex = ExampleSet(inputs=np.array([[30.0, 10.0], [-30.0, -10.0]]),
+                    targets=np.array([[0.8, 0.2], [0.2, 0.8]]))
+    cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=4, dropout_rate=0.0,
+                    learning_rate=1e308, epochs=3, batch_size=2, momentum=0.0, seed=1)
+    with pytest.raises(InputError, match="^non-finite parameter w1 at epoch 0$"):
+        train(cfg, ex)
+
+
 def test_train_validates_example_shapes():
     ex = toy_examples()
     with pytest.raises(InputError, match="input dim"):
@@ -463,6 +479,27 @@ def test_loaded_checkpoint_predicts_the_trained_models_bits(tmp_path):
             predict_all(model, row[None, :]).tobytes()
 
 
+def test_model_built_from_arrays_predicts_its_checkpoints_bits(tmp_path):
+    # at input 50 and hidden 16 the two orientations of the w1 product round
+    # differently, so a model built from arrays predicts its reloaded
+    # checkpoint's bits only if the constructor stores w1 input-major too
+    rng = np.random.default_rng(5)
+    cfg = MlpConfig(input_dim=50, output_dim=6, hidden_dim=16, dropout_rate=0.2,
+                    learning_rate=0.05, epochs=3, batch_size=4, momentum=0.9, seed=8)
+    model = MlpModel(w1=rng.standard_normal((16, 50)), b1=rng.standard_normal(16),
+                     w2=rng.standard_normal((6, 16)), b2=rng.standard_normal(6), config=cfg)
+    p = tmp_path / "model.json"
+    save_model(model, p)
+    back = load_model(p)
+    vecs = rng.standard_normal((20, 50))
+    assert predict_all(back, vecs).tobytes() == predict_all(model, vecs).tobytes()
+    for row in vecs:
+        assert predict_all(back, row[None, :]).tobytes() == \
+            predict_all(model, row[None, :]).tobytes()
+    assert model.theta.tobytes() == back.theta.tobytes()
+    assert all(getattr(model, name).base is model.theta for name in ("w1", "b1", "w2", "b2"))
+
+
 def test_checkpoint_shape_mismatch_rejected(tmp_path):
     cfg = small_config()
     model = init_model(cfg)
@@ -490,6 +527,13 @@ def _huge_int_b1(doc):
     doc["b1"][0] = 10 ** 400
 
 
+def _first_entry(name, value):
+    def edit(doc):
+        array = doc[name]
+        (array[0] if isinstance(array[0], list) else array)[0] = value
+    return edit
+
+
 def _bad_dropout(doc):
     doc["config"]["dropout_rate"] = 1.5
 
@@ -511,9 +555,12 @@ def _config_value(key, value):
     (_config_value("momentum", False), "momentum must be a real number, got False"),
     (_config_value("dropout_rate", False), "dropout_rate must be a real number, got False"),
     (_config_value("learning_rate", "0.1"), "learning_rate must be a real number, got '0.1'"),
+    (_first_entry("b2", "0.5"), "each entry in b2 must be a real number, got '0.5'"),
+    (_first_entry("w1", True), "each entry in w1 must be a real number, got True"),
+    (_first_entry("w2", None), "each entry in w2 must be a real number, got None"),
 ], ids=["short-b1", "short-b2", "ragged-w1", "huge-int-b1", "bad-config", "float-hidden-dim",
         "float-seed", "float-epochs", "bool-batch-size", "bool-learning-rate", "bool-momentum",
-        "bool-dropout-rate", "string-learning-rate"])
+        "bool-dropout-rate", "string-learning-rate", "string-b2", "bool-w1", "null-w2"])
 def test_checkpoint_arrays_checked_against_config(tmp_path, edit, match):
     # a short bias, a ragged matrix, an integer beyond float range or a config
     # its own checks reject (a non-integer size among them) names the file
@@ -523,4 +570,15 @@ def test_checkpoint_arrays_checked_against_config(tmp_path, edit, match):
     edit(doc)
     p.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(InputError, match=f"model.json: .*{match}"):
+        load_model(p)
+
+
+def test_out_of_range_checkpoint_entry_names_its_array(tmp_path):
+    # JSON 1e400 parses to inf, which the array rule reports with the field's name
+    p = tmp_path / "model.json"
+    save_model(init_model(small_config()), p)
+    doc = json.loads(p.read_text(encoding="utf-8"))
+    doc["b2"][-1] = 1234.5
+    p.write_text(json.dumps(doc).replace("1234.5", "1e400"), encoding="utf-8")
+    with pytest.raises(InputError, match="model.json: non-finite value inf in b2$"):
         load_model(p)

@@ -836,6 +836,18 @@ def _edit_sr_short_state_words(doc):
     doc["state_words"].pop()
 
 
+def _edit_sr_values_to_strings(doc):
+    doc["values"] = [[str(value) for value in row] for row in doc["values"]]
+
+
+def _edit_sr_true_value(doc):
+    doc["values"][0][0] = True
+
+
+def _edit_sr_null_values(doc):
+    doc["values"] = None
+
+
 def _edit_sr_gamma_to(value):
     def edit(doc):
         doc["gamma"] = value
@@ -850,8 +862,12 @@ def _edit_sr_gamma_to(value):
     (_edit_sr_short_state_words, "state_words length does not match n"),
     (_edit_sr_gamma_to(True), "gamma must be a real number, got True"),
     (_edit_sr_gamma_to("0.5"), "gamma must be a real number, got '0.5'"),
+    (_edit_sr_values_to_strings, "each entry in values must be a real number, got '"),
+    (_edit_sr_true_value, "each entry in values must be a real number, got True"),
+    (_edit_sr_null_values, "each entry in values must be a real number, got None"),
 ], ids=["nan", "ragged", "negative", "gamma-5", "n-mismatch", "horizon-2.7", "n-fraction",
-        "short-state-words", "gamma-true", "gamma-string"])
+        "short-state-words", "gamma-true", "gamma-string", "values-string", "values-true",
+        "values-null"])
 def test_cli_train_rejects_bad_sr_envelope(tiny, tmp_path, capsys, edit, message):
     # reported against the file, not as a training failure or a numpy error
     out_dir = tmp_path / "flow"
