@@ -8,11 +8,12 @@ import numpy as np
 
 from .dataset import build_examples
 from .errors import InputError
-from .fileio import (committing, dump_json, float_text, load_labeled_points_csv,
+from .fileio import (LabeledPoints, committing, dump_json, float_text, load_labeled_points_csv,
                      save_labeled_points_csv, save_matrix_csv)
+from .metrics import gdv
 from .neural import train, predict_all, save_model, load_model
 from .pipeline import (CONFIG_FIELDS, GDV_SPLITS, NETWORK, load_inputs, parse_config_file,
-                       project_map, resolve_config, run_pipeline, split_gdv, _gamma_tag)
+                       project_map, resolve_config, run_pipeline, _gamma_tag)
 from .sr import (build_transition_matrix, successor_matrix, rollout_occupancy_oracle,
                  save_sr_json, load_sr_json)
 
@@ -33,8 +34,8 @@ def _resolved(args):
 
 def _cmd_build_sr(args):
     config = _resolved(args)
-    vectors, lex = load_inputs(config)
-    transition = build_transition_matrix(vectors[:lex.n_states], lex.words[:lex.n_states])
+    states = load_inputs(config).split("train")
+    transition = build_transition_matrix(states.points, states.lex.words)
     out_dir = Path(config.output_dir)
     tags = [_gamma_tag(gamma) for gamma in config.gammas]
     with committing(out_dir) as staging:
@@ -42,7 +43,7 @@ def _cmd_build_sr(args):
         for gamma, tag in zip(config.gammas, tags):
             sr = successor_matrix(transition, gamma, config.horizon)
             save_matrix_csv(sr.values, staging / f"sr_gamma_{tag}.csv")
-            save_sr_json(sr, transition.state_words, staging / f"sr_gamma_{tag}.json")
+            save_sr_json(sr, staging / f"sr_gamma_{tag}.json")
     print(f"wrote {out_dir / 'transition.csv'}")
     for tag in tags:
         print(f"wrote {out_dir / f'sr_gamma_{tag}.csv'} and .json (gamma={tag}, "
@@ -52,12 +53,12 @@ def _cmd_build_sr(args):
 
 def _cmd_train(args):
     config = _resolved(args)
-    vectors, lex = load_inputs(config)
-    sr, state_words = load_sr_json(args.sr)
-    if state_words != lex.words[:lex.n_states]:
+    states = load_inputs(config).split("train")
+    sr = load_sr_json(args.sr)
+    if sr.state_words != states.lex.words:
         raise InputError("successor-matrix state words do not match the lexicon training order")
-    examples = build_examples(vectors[:lex.n_states], sr)
-    model, losses = train(config.mlp_config(vectors.shape[1], lex.n_states, config.seed), examples)
+    examples = build_examples(states.points, sr)
+    model, losses = train(config.mlp_config(states.points.shape[1], sr.n, config.seed), examples)
     save_model(model, args.out)
     print(f"wrote {args.out} (first-epoch loss {losses[0]:.6f}, final loss {losses[-1]:.6f})")
     return 0
@@ -65,25 +66,23 @@ def _cmd_train(args):
 
 def _cmd_predict(args):
     config = _resolved(args)
-    vectors, lex = load_inputs(config)
+    inputs = load_inputs(config)
     model = load_model(args.model)
-    rows = lex.rows(args.split)
-    predictions = predict_all(model, vectors[rows])
-    save_labeled_points_csv(args.out, lex.subset(rows), predictions)
-    print(f"wrote {args.out} ({len(rows)} distributions over {model.config.output_dim} states)")
+    rows = inputs.split(args.split)
+    save_labeled_points_csv(args.out, LabeledPoints(rows.lex, predict_all(model, rows.points)))
+    print(f"wrote {args.out} ({len(rows.points)} distributions over "
+          f"{model.config.output_dim} states)")
     return 0
 
 
 def _cmd_project(args):
-    lex, values = load_labeled_points_csv(args.predictions)
-    _, stress = project_map(values, lex, args.out_csv, args.out_svg)
+    _, stress = project_map(load_labeled_points_csv(args.predictions), args.out_csv, args.out_svg)
     print(f"wrote {args.out_csv} and {args.out_svg} (stress {stress:.6g})")
     return 0
 
 
 def _cmd_gdv(args):
-    lex, values = load_labeled_points_csv(args.points)
-    report = split_gdv(values, lex, args.split)
+    report = gdv(load_labeled_points_csv(args.points).split(args.split))
     print(f"{report['gdv']:.4f}")
     if args.out:
         dump_json(report, args.out)
@@ -105,15 +104,14 @@ def _cmd_run(args):
 
 def _cmd_oracle(args):
     config = _resolved(args)
-    vectors, lex = load_inputs(config)
-    states = lex.words[:lex.n_states]
-    transition = build_transition_matrix(vectors[:lex.n_states], states)
+    states = load_inputs(config).split("train")
+    transition = build_transition_matrix(states.points, states.lex.words)
     try:
         start = int(args.start)
     except ValueError:
-        if args.start not in states:
+        if args.start not in transition.state_words:
             raise InputError(f"word {args.start!r} is not a training state") from None
-        start = states.index(args.start)
+        start = transition.state_words.index(args.start)
     gamma = config.gammas[0]
     estimate = rollout_occupancy_oracle(transition, gamma, config.horizon, start,
                                         args.samples, config.seed)

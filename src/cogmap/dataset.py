@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-# the lexicon names are re-exported: fileio reads every CSV keyed by word,category,split
+# load_lexicon is re-exported, with Lexicon: the benchmark's tracer looks it up in cogmap.dataset
 from .fileio import Lexicon, float_text, load_lexicon, plain_fields, reading, replacing  # noqa: F401
 
 

@@ -1,6 +1,11 @@
 """Deterministic file formats: JSON objects, CSV matrices, and the CSVs keyed by
 the lexicon's `word,category,split` columns (the lexicon itself and labeled points).
 
+`LabeledPoints` is the record of words and their rows that every stage passes on:
+a `Lexicon` and one finite float64 row per lexicon row (an embedding, a predicted
+distribution, a map position), checked once when it is built. `split(name)` gives
+the rows of one split in order, so the training states are `points.split("train")`.
+
 Every float is written as its shortest round-trip text (Python's `repr`), so
 parsing any artifact recovers the exact float64 bits. `float_text` is that rule
 for delimited text: it formats one row, so the CSV and vector-text writers hold
@@ -32,13 +37,18 @@ from .errors import InputError
 
 def _finite_array(values, name=None):
     """`values` as a float64 array of finite entries, each real by `require_real` (checked once
-    per entry type, unless `values` is an int or float array); errors name the field `name`."""
+    per entry type, before the conversion, unless `values` is an int or float array); errors
+    name the field `name`. A ragged nesting or an int beyond float range is `malformed`."""
     where = f" in {name}" if name else ""
-    array = np.asarray(values, dtype=np.float64)
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
-        entries = np.asarray(values, dtype=object).ravel()
-        for value in dict(zip(map(type, entries), entries)).values():
-            require_real(f"each entry{where}", value)
+    try:
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+            entries = np.asarray(values, dtype=object).ravel()
+            for value in dict(zip(map(type, entries), entries)).values():
+                if not isinstance(value, (list, tuple, np.ndarray)):  # a row of a ragged nesting
+                    require_real(f"each entry{where}", value)
+        array = np.asarray(values, dtype=np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise InputError(f"malformed {name or 'array'} ({exc})") from None
     finite = np.isfinite(array)
     if not finite.all():
         raise InputError(f"non-finite value {float(array[~finite][0])!r}{where}")
@@ -210,8 +220,7 @@ KEY_COLUMNS = ["word", "category", "split"]
 
 @dataclass
 class Lexicon:
-    """The `word,category,split` columns of a keyed CSV. A loaded lexicon lists its
-    training rows first: row i < n_states is training state i."""
+    """The `word,category,split` columns of a keyed CSV."""
 
     words: list
     labels: list
@@ -221,20 +230,31 @@ class Lexicon:
         if not len(self.words) == len(self.labels) == len(self.splits):
             raise InputError("words, labels and splits must have equal length")
 
-    @property
-    def n_states(self):
-        return self.splits.count("train")
 
-    def rows(self, split):
-        """Indices of the rows in one split, "train" or "validation", or of "all" rows."""
-        keep = [i for i, name in enumerate(self.splits) if split in (name, "all")]
-        if not keep:
-            raise InputError(f"no points with split {split!r}")
-        return keep
+@dataclass
+class LabeledPoints:
+    """A lexicon and one finite float64 row per lexicon row, with at least one row and one
+    component: the words and their embeddings, predicted distributions or map positions."""
 
-    def subset(self, rows):
-        """The record of the given rows, in that order."""
-        return Lexicon(*([column[i] for i in rows] for column in (self.words, self.labels, self.splits)))
+    lex: Lexicon
+    points: np.ndarray
+
+    def __post_init__(self):
+        plain_fields(self)
+        if self.points.ndim != 2 or 0 in self.points.shape:
+            raise InputError("points must be an (n, >= 1) array with n >= 1, "
+                             f"got shape {self.points.shape}")
+        if len(self.lex.words) != len(self.points):
+            raise InputError(f"{len(self.lex.words)} lexicon rows for {len(self.points)} points")
+
+    def split(self, name):
+        """The record of the rows in one split ("train", "validation" or "all"), in order."""
+        rows = [i for i, split in enumerate(self.lex.splits) if name in (split, "all")]
+        if not rows:
+            raise InputError(f"no points with split {name!r}")
+        columns = (self.lex.words, self.lex.labels, self.lex.splits)
+        lex = Lexicon(*([column[i] for i in rows] for column in columns))
+        return LabeledPoints(lex, self.points[rows])
 
 
 def _keyed_rows(path):
@@ -275,8 +295,9 @@ def load_lexicon(path):
     """Load a lexicon CSV with header exactly `word,category,split`.
 
     The training rows come first, then the validation rows, each in file
-    order. Category order, wherever it matters (the map legend, the GDV
-    classes), is first appearance in these rows: `list(dict.fromkeys(labels))`.
+    order, so row i of the training split is training state i. Category
+    order, wherever it matters (the map legend, the GDV classes), is first
+    appearance in these rows: `list(dict.fromkeys(labels))`.
     """
     with reading(path), closing(_keyed_rows(path)) as rows:
         if next(rows) != KEY_COLUMNS:
@@ -291,15 +312,10 @@ def _csv_field(name):
     return '"' + name.replace('"', '""') + '"' if any(c in name for c in ',"\r\n') else name
 
 
-def save_labeled_points_csv(path, lex, values, component_names=None):
-    """CSV with the `word,category,split` columns of `lex` followed by one column per
-    component, written one row at a time. `values` is an (n, >= 1) array, n >= 1,
-    as `load_labeled_points_csv` reads back."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or 0 in values.shape:
-        raise InputError(f"points must be an (n, >= 1) array with n >= 1, got shape {values.shape}")
-    if len(lex.words) != len(values):
-        raise InputError(f"{len(lex.words)} lexicon rows for {len(values)} points")
+def save_labeled_points_csv(path, points, component_names=None):
+    """CSV of a `LabeledPoints` record: the `word,category,split` columns followed by one
+    column per component, written one row at a time, as `load_labeled_points_csv` reads back."""
+    lex, values = points.lex, points.points
     if component_names is None:
         component_names = [f"v{i}" for i in range(values.shape[1])]
     elif len(component_names) != values.shape[1]:
@@ -311,7 +327,7 @@ def save_labeled_points_csv(path, lex, values, component_names=None):
 
 
 def load_labeled_points_csv(path):
-    """Returns (lex, values) from a labeled point CSV, rows in file order."""
+    """The `LabeledPoints` of a labeled point CSV, rows in file order."""
     keys, values = [], []
     with reading(path), closing(_keyed_rows(path)) as rows:
         width = len(next(rows)) - 3
@@ -323,4 +339,5 @@ def load_labeled_points_csv(path):
                 values.append([float(tok) for tok in rec[3:]])
             except ValueError:
                 raise InputError(f"line {lineno}: non-numeric component") from None
-        return Lexicon(*map(list, zip(*keys))), _finite_array(np.array(values).reshape(len(keys), width))
+        lex = Lexicon(*map(list, zip(*keys)))
+        return LabeledPoints(lex, np.array(values).reshape(len(keys), width))

@@ -14,29 +14,17 @@ inter(C_l, C_m) = S_lm / (n_l n_m). 0 means fully overlapping classes; more
 negative means better separated. The z-scoring makes the value invariant under
 global scaling/shifting, and the Euclidean distance under permutation of
 components.
+
+`gdv` scores a `fileio.LabeledPoints` record by its labels, so the GDV of one
+split of a point set is `gdv(points.split(name))`.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .fileio import plain_fields
 from .projection import euclidean_distances
-
-
-@dataclass
-class LabeledPointSet:
-    points: np.ndarray
-    labels: list
-
-    def __post_init__(self):
-        plain_fields(self)
-        if self.points.ndim != 2:
-            raise InputError("points must form an (n, D) array")
-        if len(self.labels) != len(self.points):
-            raise InputError("points and labels must have equal length")
 
 
 def gdv_classes(labels):
@@ -64,11 +52,12 @@ def zscore_half(points):
 
 
 def gdv(pointset):
-    """GDV of a labeled point set whose labels pass `gdv_classes`, from S = Y^T dist Y,
+    """GDV of a `LabeledPoints` record whose labels pass `gdv_classes`, from S = Y^T dist Y,
     as the report dict that a GDV JSON file holds."""
-    classes = gdv_classes(pointset.labels)
+    labels = pointset.lex.labels
+    classes = gdv_classes(labels)
     n_classes = len(classes)
-    onehot = np.eye(n_classes)[[classes.index(c) for c in pointset.labels]]
+    onehot = np.eye(n_classes)[[classes.index(c) for c in labels]]
     sizes = onehot.sum(axis=0)
     sums = onehot.T @ euclidean_distances(zscore_half(pointset.points)) @ onehot
 

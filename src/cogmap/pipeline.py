@@ -14,14 +14,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, asdict
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .dataset import load_embeddings, build_examples
 from .errors import InputError
-from .fileio import (SPLITS, committing, dump_json, load_lexicon, plain_fields, reading,
-                     save_matrix_csv, save_labeled_points_csv)
-from .metrics import LabeledPointSet, gdv, gdv_classes
+from .fileio import (SPLITS, LabeledPoints, committing, dump_json, load_lexicon, plain_fields,
+                     reading, save_matrix_csv, save_labeled_points_csv)
+from .metrics import gdv, gdv_classes
 from .neural import MlpConfig, train, predict_all, save_model
 from .projection import classical_mds
 from .sr import _check_scale, build_transition_matrix, successor_matrix
@@ -149,10 +147,10 @@ def _gamma_tag(gamma):
 
 
 def load_inputs(config):
-    """Load stage: (vectors, lexicon), one vector row per lexicon row; the first
-    `lex.n_states` rows are the training states, and the validation words follow."""
+    """Load stage: the lexicon's words and their embeddings as `LabeledPoints`, the
+    training states first, so `split("train")` gives them in order."""
     lex = load_lexicon(config.lexicon_path)
-    return load_embeddings(config.embeddings_path, lex.words), lex
+    return LabeledPoints(lex, load_embeddings(config.embeddings_path, lex.words))
 
 
 def run_pipeline(config):
@@ -165,14 +163,14 @@ def run_pipeline(config):
     """
     with committing(config.output_dir) as staging:
         with _stage("load"):
-            vectors, lex = load_inputs(config)
+            inputs = load_inputs(config)
             for split in GDV_SPLITS:  # a lexicon the GDV cannot score fails before training
-                gdv_classes(lex.subset(lex.rows(split)).labels)
+                gdv_classes(inputs.split(split).lex.labels)
+            states = inputs.split("train")
             inputs_hash = config_hash(config)
-        train_vectors = vectors[:lex.n_states]
 
         with _stage("transition"):
-            transition = build_transition_matrix(train_vectors, lex.words[:lex.n_states])
+            transition = build_transition_matrix(states.points, states.lex.words)
             save_matrix_csv(transition.values, staging / "transition.csv")
 
         runs = []
@@ -189,22 +187,22 @@ def run_pipeline(config):
                 save_matrix_csv(sr.values, staging / files["sr_csv"])
 
             with _stage(f"train gamma={tag}"):
-                examples = build_examples(train_vectors, sr)
-                model, losses = train(config.mlp_config(vectors.shape[1], lex.n_states, seed),
+                examples = build_examples(states.points, sr)
+                model, losses = train(config.mlp_config(states.points.shape[1], sr.n, seed),
                                       examples)
                 save_model(model, staging / files["model_json"])
 
             with _stage(f"predict gamma={tag}"):
-                predictions = predict_all(model, vectors)
-                save_labeled_points_csv(staging / files["predictions_csv"], lex, predictions)
+                predictions = LabeledPoints(inputs.lex, predict_all(model, inputs.points))
+                save_labeled_points_csv(staging / files["predictions_csv"], predictions)
 
             with _stage(f"gdv gamma={tag}"):
-                raw_reports = {split: split_gdv(predictions, lex, split) for split in GDV_SPLITS}
+                raw_reports = {split: gdv(predictions.split(split)) for split in GDV_SPLITS}
 
             with _stage(f"project gamma={tag}"):
-                coordinates, stress = project_map(predictions, lex, staging / files["projection_csv"],
+                coordinates, stress = project_map(predictions, staging / files["projection_csv"],
                                                   staging / files["map_svg"])
-                planar_reports = {split: split_gdv(coordinates, lex, split) for split in GDV_SPLITS}
+                planar_reports = {split: gdv(coordinates.split(split)) for split in GDV_SPLITS}
 
             dump_json({"gamma": float(gamma), "prediction_space": raw_reports,
                        "projection_2d": planar_reports}, staging / files["gdv_json"])
@@ -232,17 +230,11 @@ def run_pipeline(config):
     return manifest
 
 
-def split_gdv(points, lex, split):
-    """GDV report dict of the points in one split of `lex`, "train" or "validation", or of "all"."""
-    keep = lex.rows(split)
-    return gdv(LabeledPointSet(points=np.asarray(points, dtype=np.float64)[keep],
-                               labels=lex.subset(keep).labels))
-
-
-def project_map(points, lex, csv_path, svg_path):
-    """Project the points to 2-D by MDS, write the coordinate CSV and the SVG map, and
-    return (coordinates, stress)."""
-    coordinates, stress = classical_mds(points)
-    save_labeled_points_csv(csv_path, lex, coordinates, component_names=("x", "y"))
-    render_svg(coordinates, lex, svg_path)
+def project_map(points, csv_path, svg_path):
+    """Project a `LabeledPoints` record to 2-D by MDS, write the coordinate CSV and the SVG
+    map, and return (coordinates, stress), the coordinates as `LabeledPoints` of the same words."""
+    xy, stress = classical_mds(points.points)
+    coordinates = LabeledPoints(points.lex, xy)
+    save_labeled_points_csv(csv_path, coordinates, component_names=("x", "y"))
+    render_svg(coordinates, svg_path)
     return coordinates, stress

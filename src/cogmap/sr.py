@@ -9,6 +9,10 @@ normalized to sum 1. The successor matrix at scale gamma is the truncated sum
 accumulated by repeated matrix multiplication in float64. The truncated sum is
 used instead of the (I - gamma T)^-1 closed form because the series diverges
 at gamma = 1.
+
+Both matrices name their states: row and column i belong to `state_words[i]`, the
+i-th training word, and an SR envelope (`save_sr_json`, `load_sr_json`) carries
+the words with the matrix.
 """
 
 from dataclasses import dataclass
@@ -55,21 +59,23 @@ def _check_scale(gamma, horizon):
 
 @dataclass
 class SuccessorMatrix:
-    """Discounted occupancy matrix M = sum_{k=0}^{horizon} gamma^k T^k over N states."""
+    """Discounted occupancy matrix M = sum_{k=0}^{horizon} gamma^k T^k over the N training
+    states in `state_words`."""
 
     gamma: float
     horizon: int
     values: np.ndarray
+    state_words: list
 
     @property
     def n(self):
-        return len(self.values)
+        return len(self.state_words)
 
     def __post_init__(self):
         plain_fields(self)
         _check_scale(self.gamma, self.horizon)
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise InputError(f"successor matrix must be square, got shape {self.values.shape}")
+        if self.values.shape != (self.n, self.n):
+            raise InputError(f"successor matrix must be {self.n}x{self.n}, got {self.values.shape}")
         if np.any(self.values < 0.0):
             raise InputError("successor entries must be non-negative")
         if np.any(self.values.sum(axis=1) <= 0.0):  # each row normalizes to a training target
@@ -105,7 +111,7 @@ def successor_matrix(t, gamma, horizon):
     The T^0 term is built first, so SuccessorMatrix checks gamma and horizon
     before any power is taken.
     """
-    m = SuccessorMatrix(gamma=gamma, horizon=horizon, values=np.eye(t.n))
+    m = SuccessorMatrix(gamma=gamma, horizon=horizon, values=np.eye(t.n), state_words=t.state_words)
     power = np.eye(t.n)
     for k in range(1, m.horizon + 1):
         power = power @ t.values
@@ -143,26 +149,22 @@ def rollout_occupancy_oracle(t, gamma, horizon, start, samples, seed):
     return occ / samples
 
 
-def save_sr_json(m, state_words, path):
+def save_sr_json(m, path):
     """JSON envelope with n (the matrix size), gamma, horizon, state words, and values."""
-    if len(state_words) != m.n:
-        raise InputError("state_words length must equal matrix size")
     dump_json({"n": m.n, "gamma": m.gamma, "horizon": m.horizon,
-               "state_words": list(state_words), "values": m.values}, path)
+               "state_words": m.state_words, "values": m.values}, path)
 
 
 def load_sr_json(path):
-    """Returns (SuccessorMatrix, state_words) from a JSON envelope whose n fits its values."""
+    """The SuccessorMatrix of a JSON envelope whose n fits its values."""
     doc = load_json(path)
     with reading(path):
         try:
             n = require_int("n", doc["n"])
-            m = SuccessorMatrix(gamma=doc["gamma"], horizon=doc["horizon"], values=doc["values"])
-            words = list(doc["state_words"])
+            m = SuccessorMatrix(gamma=doc["gamma"], horizon=doc["horizon"], values=doc["values"],
+                                state_words=list(doc["state_words"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed successor-matrix envelope ({exc})") from None
         if n != m.n:
             raise InputError(f"n is {n} but values are {m.n}x{m.n}")
-        if len(words) != m.n:
-            raise InputError("state_words length does not match n")
-    return m, words
+    return m

@@ -1,9 +1,12 @@
-"""Static SVG scatter plots of 2-D projections, one color per category."""
+"""Static SVG scatter plots of 2-D projections, one color per category.
+
+The map is drawn from one `fileio.LabeledPoints` record, whose rows are the
+words' positions, so the words and the points line up by construction.
+"""
 
 import colorsys
 from datetime import datetime, timezone
 
-from .errors import InputError
 from .fileio import replacing
 
 CANVAS = 800
@@ -13,22 +16,17 @@ PALETTE = ["#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02"]
 RING_COLOR = "#d62728"
 
 
-def render_svg(coordinates, lex, out_path):
-    """Write a square, axis-free scatter map.
+def render_svg(coordinates, out_path):
+    """Write a square, axis-free scatter map of the (x, y) rows of a `LabeledPoints` record.
 
     One circle per point, filled by category; validation points carry a
     distinct ring stroke. The legend lists the categories in order of first
-    appearance in `lex.labels`. Output is deterministic for fixed input except for
+    appearance in the labels. Output is deterministic for fixed input except for
     the `<!-- generated ... -->` comment, which holds the current UTC time in ISO 8601.
     """
-    n = len(coordinates)
-    if n == 0:
-        raise InputError("cannot render an empty projection")
-    if len(lex.words) != n:
-        raise InputError(f"{len(lex.words)} lexicon rows for {n} points")
-
-    xs = [float(c[0]) for c in coordinates]
-    ys = [float(c[1]) for c in coordinates]
+    lex = coordinates.lex
+    xs = [float(c[0]) for c in coordinates.points]
+    ys = [float(c[1]) for c in coordinates.points]
     span = max(max(xs) - min(xs), max(ys) - min(ys))
     scale = (CANVAS - 2 * MARGIN) / span if span > 0.0 else 1.0
     cx = (max(xs) + min(xs)) / 2.0

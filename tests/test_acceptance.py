@@ -18,14 +18,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cogmap.metrics import LabeledPointSet, gdv
+from cogmap.metrics import gdv
 from cogmap.neural import MlpConfig, gradient_check
 from cogmap.pipeline import parse_config_file, resolve_config, run_pipeline
 from cogmap.projection import classical_mds, pairwise_euclidean
 from cogmap.sr import (TransitionMatrix, rollout_occupancy_oracle,
                        successor_matrix)
 
-from test_metrics import gdv_reference
+from test_metrics import gdv_reference, labeled
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -108,8 +108,8 @@ def test_criterion_2_per_split_ordering(pipeline_runs, criterion_log):
 
 
 def test_criterion_3_gdv_fixture_and_brute_force(criterion_log):
-    fixture = gdv(LabeledPointSet(points=np.array([[0.0], [1.0], [10.0], [11.0]]),
-                                  labels=["A", "A", "B", "B"]))["gdv"]
+    fixture = gdv(labeled(np.array([[0.0], [1.0], [10.0], [11.0]]),
+                          ["A", "A", "B", "B"]))["gdv"]
     fixture_ok = abs(fixture - (-0.8955)) <= 1e-3
 
     rng = np.random.default_rng(321)
@@ -123,7 +123,7 @@ def test_criterion_3_gdv_fixture_and_brute_force(criterion_log):
             labels += [f"c{c}"] * count
             rows.append(rng.standard_normal((count, d)) + 2.0 * rng.standard_normal(d))
         points = np.vstack(rows)
-        value = gdv(LabeledPointSet(points=points, labels=labels))["gdv"]
+        value = gdv(labeled(points, labels))["gdv"]
         max_err = max(max_err, abs(value - gdv_reference(points, labels)))
     passed = fixture_ok and max_err <= 1e-12
     record(criterion_log, 3, "GDV hand fixture + brute force", passed,
@@ -143,19 +143,18 @@ def test_criterion_4_gdv_invariances(criterion_log):
             labels += [f"c{c}"] * count
             rows.append(rng.standard_normal((count, d)) + 2.0 * rng.standard_normal(d))
         points = np.vstack(rows)
-        base = gdv(LabeledPointSet(points=points, labels=labels))["gdv"]
+        base = gdv(labeled(points, labels))["gdv"]
 
         scale = float(rng.uniform(0.1, 10.0))
         shift = float(rng.uniform(-5.0, 5.0))
-        affine = gdv(LabeledPointSet(points=scale * points + shift, labels=labels))["gdv"]
+        affine = gdv(labeled(scale * points + shift, labels))["gdv"]
         worst["affine"] = max(worst["affine"], abs(affine - base))
 
         perm = rng.permutation(d)
-        permuted = gdv(LabeledPointSet(points=points[:, perm], labels=labels))["gdv"]
+        permuted = gdv(labeled(points[:, perm], labels))["gdv"]
         worst["dim-permutation"] = max(worst["dim-permutation"], abs(permuted - base))
 
-        renamed = gdv(LabeledPointSet(points=points,
-                                      labels=[f"class-{l}" for l in labels]))["gdv"]
+        renamed = gdv(labeled(points, [f"class-{l}" for l in labels]))["gdv"]
         worst["relabel"] = max(worst["relabel"], abs(renamed - base))
     passed = all(v < 1e-9 for v in worst.values())
     record(criterion_log, 4, "GDV invariances", passed,

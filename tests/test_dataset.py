@@ -158,7 +158,7 @@ def test_shipped_data_regenerates_byte_for_byte(tmp_path):
 
 def test_shipped_lexicon_shape():
     lex = load_lexicon(DATA_DIR / "lexicon.csv")
-    assert lex.n_states == 60
+    assert lex.splits.count("train") == 60
     assert lex.splits == ["train"] * 60 + ["validation"] * 30
     assert list(dict.fromkeys(lex.labels)) == ["animals", "vehicles", "furniture"]
     for cat in ("animals", "vehicles", "furniture"):
@@ -169,7 +169,7 @@ def test_shipped_lexicon_shape():
 def test_single_record_lexicon(tmp_path):
     p = write(tmp_path / "l.csv", "word,category,split\ndog,animal,train\n")
     lex = load_lexicon(p)
-    assert lex.n_states == 1
+    assert lex.splits.count("train") == 1
     assert (lex.words, lex.labels, lex.splits) == (["dog"], ["animal"], ["train"])
 
 
@@ -190,7 +190,7 @@ def test_lexicon_rows_put_training_first(tmp_path):
               "bus,vehicle,validation\nchair,furniture,train\ncar,vehicle,train\n"
               "pup,animal,validation\n")
     lex = load_lexicon(p)
-    assert lex.n_states == 3
+    assert lex.splits.count("train") == 3
     assert lex.words == ["dog", "chair", "car", "bus", "pup"]
     assert lex.labels == ["animal", "furniture", "vehicle", "vehicle", "animal"]
     assert lex.splits == ["train"] * 3 + ["validation"] * 2
@@ -269,7 +269,8 @@ def test_identity_sr_gives_one_hot_targets():
 def test_hand_built_sr_rows_become_targets():
     # two-state chain by hand: T = [[.2,.8],[.8,.2]], gamma=1, horizon=1
     # M = I + T = [[1.2,.8],[.8,1.2]]; rows normalize to (.6,.4)/(.4,.6)
-    sr = SuccessorMatrix(gamma=1.0, horizon=1, values=np.array([[1.2, 0.8], [0.8, 1.2]]))
+    sr = SuccessorMatrix(gamma=1.0, horizon=1, values=np.array([[1.2, 0.8], [0.8, 1.2]]),
+                         state_words=["a", "b"])
     ex = build_examples(np.eye(2), sr)
     np.testing.assert_allclose(ex.targets, [[0.6, 0.4], [0.4, 0.6]], atol=1e-15)
 
@@ -300,7 +301,10 @@ def test_example_set_checks_its_targets(targets, message):
     ([[None, 1.0], [0.5, 0.5]], "each entry in targets must be a real number, got None"),
     (np.array([[True, False], [False, True]]),
      "each entry in targets must be a real number, got True"),
-], ids=["nan", "string", "bool", "none", "bool-array"])
+    ([[0.5, "abc"], [0.5, 0.5]], "each entry in targets must be a real number, got 'abc'"),
+    ([[0.5, 0.5], [0.5]], r"malformed targets \(setting an array element with a sequence\..*\)"),
+    ([[10**400, 0.0], [0.5, 0.5]], r"malformed targets \(int too large to convert to float\)"),
+], ids=["nan", "string", "bool", "none", "bool-array", "non-numeric-string", "ragged", "huge-int"])
 def test_array_fields_take_finite_real_numbers_only(targets, message):
     # the array rule names the field, as the scalar rules do
     with pytest.raises(InputError, match=f"^{message}$"):

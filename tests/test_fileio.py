@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import tracemalloc
 from dataclasses import asdict
@@ -17,7 +18,7 @@ import pytest
 from cogmap import neural, pipeline, sr
 from cogmap.cli import main
 from cogmap.errors import InputError
-from cogmap.fileio import (Lexicon, _plain, committing, dump_json, load_json,
+from cogmap.fileio import (LabeledPoints, Lexicon, _plain, committing, dump_json, load_json,
                            load_labeled_points_csv, save_labeled_points_csv, save_matrix_csv)
 from cogmap.neural import MlpConfig, MlpModel, save_model
 from cogmap.pipeline import resolve_config, run_pipeline
@@ -57,10 +58,11 @@ def test_labeled_points_roundtrip_is_bit_exact(tmp_path):
     path = tmp_path / "p.csv"
     lex = Lexicon(["a", 'say "hi"', "a\nb"], ["x", "animals, wild", "y"],
                   ["train", "train", "validation"])
-    save_labeled_points_csv(path, lex, [EDGES, EDGES[::-1], EDGES])
+    save_labeled_points_csv(path, LabeledPoints(lex, [EDGES, EDGES[::-1], EDGES]))
     assert path.read_text(encoding="utf-8").startswith("word,category,split,v0,")
     assert path.read_text(encoding="utf-8").splitlines()[1].startswith("a,x,train,5e-324,")
-    back, values = load_labeled_points_csv(path)
+    read = load_labeled_points_csv(path)
+    back, values = read.lex, read.points
     assert back == lex
     np.testing.assert_array_equal(bits(values), bits([EDGES, EDGES[::-1], EDGES]))
     # with no CR in a name, the bytes are those of the stdlib csv writer
@@ -77,9 +79,10 @@ def test_labeled_points_quote_a_carriage_return(tmp_path):
     # then takes for the end of a row
     path = tmp_path / "p.csv"
     lex = Lexicon(["a\rb", "c"], ["x\ry", "z"], ["train", "validation"])
-    save_labeled_points_csv(path, lex, [[1.0, 2.0], [3.0, 4.0]])
+    save_labeled_points_csv(path, LabeledPoints(lex, [[1.0, 2.0], [3.0, 4.0]]))
     assert path.read_bytes().split(b"\n")[1] == b'"a\rb","x\ry",train,1.0,2.0'
-    back, values = load_labeled_points_csv(path)
+    read = load_labeled_points_csv(path)
+    back, values = read.lex, read.points
     assert back == lex
     np.testing.assert_array_equal(values, [[1.0, 2.0], [3.0, 4.0]])
 
@@ -89,8 +92,8 @@ def test_labeled_points_writer_takes_what_the_reader_reads(tmp_path, shape):
     # the reader needs one row per word and at least one component column
     path = tmp_path / "p.csv"
     with pytest.raises(InputError, match=r"points must be an \(n, >= 1\) array"):
-        save_labeled_points_csv(path, Lexicon(["a", "b"], ["x", "y"], ["train", "train"]),
-                                np.ones(shape))
+        save_labeled_points_csv(path, LabeledPoints(
+            Lexicon(["a", "b"], ["x", "y"], ["train", "train"]), np.ones(shape)))
     assert not path.exists()
 
 
@@ -105,9 +108,9 @@ def test_matrix_writer_takes_rows_of_numbers(tmp_path, shape):
 
 @pytest.mark.parametrize("write", [
     lambda path, values: save_matrix_csv(values, path),
-    lambda path, values: save_labeled_points_csv(
-        path, Lexicon([f"w{i}" for i in range(len(values))], ["x"] * len(values),
-                      ["train"] * len(values)), values),
+    lambda path, values: save_labeled_points_csv(path, LabeledPoints(
+        Lexicon([f"w{i}" for i in range(len(values))], ["x"] * len(values),
+                ["train"] * len(values)), values)),
 ], ids=["matrix", "labeled-points"])
 def test_csv_writer_heap_stays_near_one_row(tmp_path, write):
     # converting the whole 1000 x 200 matrix to Python floats first peaks at about 6 MB
@@ -148,21 +151,44 @@ def test_csv_writers_reject_nonfinite(tmp_path, bad):
         save_matrix_csv(rows, matrix)
     assert not matrix.exists()
     with pytest.raises(InputError, match="non-finite"):
-        save_labeled_points_csv(points, Lexicon(["a", "b"], ["x", "y"], ["train", "train"]), rows)
+        save_labeled_points_csv(points, LabeledPoints(
+            Lexicon(["a", "b"], ["x", "y"], ["train", "train"]), rows))
     assert not points.exists()
 
 
-def test_labeled_points_writer_rejects_a_lexicon_of_another_length(tmp_path):
-    path = tmp_path / "p.csv"
-    with pytest.raises(InputError, match="1 lexicon rows for 2 points"):
-        save_labeled_points_csv(path, Lexicon(["a"], ["x"], ["train"]), [[1.0], [2.0]])
-    assert not path.exists()
+@pytest.mark.parametrize("lex, points, message", [
+    (Lexicon(["a"], ["x"], ["train"]), [[1.0], [2.0]], "1 lexicon rows for 2 points"),
+    (Lexicon(["a", "b"], ["x", "y"], ["train", "train"]), [1.0, 2.0],
+     "points must be an (n, >= 1) array with n >= 1, got shape (2,)"),
+    (Lexicon([], [], []), np.zeros((0, 2)),
+     "points must be an (n, >= 1) array with n >= 1, got shape (0, 2)"),
+    (Lexicon(["a", "b"], ["x", "y"], ["train", "train"]), [[1.0], [math.nan]],
+     "non-finite value nan in points"),
+], ids=["misaligned", "1-d", "empty", "nan"])
+def test_labeled_points_need_one_finite_row_per_lexicon_row(lex, points, message):
+    # checked once, when the record is built, so no writer, map or score sees a misfit
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        LabeledPoints(lex, points)
+
+
+def test_labeled_points_split_keeps_file_order():
+    lex = Lexicon(["a", "b", "c", "d"], ["x", "y", "x", "y"],
+                  ["validation", "train", "validation", "train"])
+    points = LabeledPoints(lex, [[0.0], [1.0], [2.0], [3.0]])
+    validation = points.split("validation")
+    assert validation.lex == Lexicon(["a", "c"], ["x", "x"], ["validation", "validation"])
+    assert validation.points.tolist() == [[0.0], [2.0]]
+    assert points.split("train").lex.words == ["b", "d"]
+    assert points.split("all").lex == lex
+    assert points.split("all").points.tolist() == points.points.tolist()
+    with pytest.raises(InputError, match="^no points with split 'train'$"):
+        points.split("validation").split("train")
 
 
 def test_labeled_points_writer_needs_one_name_per_component(tmp_path):
     path = tmp_path / "p.csv"
     with pytest.raises(InputError, match="component_names length must match the point dimension"):
-        save_labeled_points_csv(path, Lexicon(["a"], ["x"], ["train"]), [[1.0, 2.0]],
+        save_labeled_points_csv(path, LabeledPoints(Lexicon(["a"], ["x"], ["train"]), [[1.0, 2.0]]),
                                 component_names=["v0"])
     assert not path.exists()
 
@@ -225,8 +251,9 @@ def test_pipeline_documents_match_one_dumps_call(tmp_path, monkeypatch):
                                  "output_dir": str(tmp_path), "epochs": "2"}))
     # the SR envelope is written by `cogmap build-sr`, not by `cogmap run`
     values = np.loadtxt(tmp_path / "sr_gamma_1.0.csv", delimiter=",")
-    sr.save_sr_json(sr.SuccessorMatrix(gamma=1.0, horizon=5, values=values),
-                    [f"w{i}" for i in range(len(values))], tmp_path / "sr_gamma_1.0.json")
+    sr.save_sr_json(sr.SuccessorMatrix(gamma=1.0, horizon=5, values=values,
+                                       state_words=[f"w{i}" for i in range(len(values))]),
+                    tmp_path / "sr_gamma_1.0.json")
     assert {"manifest.json", "model_gamma_1.0.json", "sr_gamma_1.0.json",
             "gdv_gamma_1.0.json"} <= set(expected)
     for name, text in expected.items():
@@ -289,7 +316,8 @@ def test_written_files_get_the_mode_of_a_plain_open(tmp_path):
         pass
     dump_json({"values": np.eye(2)}, tmp_path / "doc.json")
     save_matrix_csv(np.eye(2), tmp_path / "m.csv")
-    save_labeled_points_csv(tmp_path / "p.csv", Lexicon(["a"], ["x"], ["train"]), [[1.0]])
+    save_labeled_points_csv(tmp_path / "p.csv",
+                            LabeledPoints(Lexicon(["a"], ["x"], ["train"]), [[1.0]]))
     modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode)
              for name in ("plain", "doc.json", "m.csv", "p.csv")}
     assert set(modes.values()) == {modes["plain"]}, modes

@@ -8,10 +8,16 @@ import numpy as np
 import pytest
 
 from cogmap.errors import InputError
-from cogmap.fileio import load_labeled_points_csv
-from cogmap.metrics import LabeledPointSet, gdv, zscore_half
+from cogmap.fileio import LabeledPoints, Lexicon, load_labeled_points_csv
+from cogmap.metrics import gdv, zscore_half
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
+
+
+def labeled(points, labels):
+    """The `LabeledPoints` of one training word per label."""
+    n = len(labels)
+    return LabeledPoints(Lexicon([f"w{i}" for i in range(n)], list(labels), ["train"] * n), points)
 
 
 def gdv_reference(points, labels):
@@ -83,7 +89,7 @@ def test_hand_fixture_value():
     # two 1-D pairs {0,1} and {10,11}: sigma = sqrt(25.25), intra = .5/sigma,
     # inter = 5/sigma, GDV = -4.5/sigma = -0.8955334711889903
     points = np.array([[0.0], [1.0], [10.0], [11.0]])
-    report = gdv(LabeledPointSet(points=points, labels=["A", "A", "B", "B"]))
+    report = gdv(labeled(points, ["A", "A", "B", "B"]))
     assert report["gdv"] == pytest.approx(-0.8955334711889903, abs=1e-12)
     np.testing.assert_allclose(report["mean_intra_per_class"],
                                [0.09950371902099892, 0.09950371902099892], atol=1e-12)
@@ -95,9 +101,9 @@ def test_hand_fixture_value():
 
 
 def test_shipped_fixture_file_matches_hand_value():
-    lex, values = load_labeled_points_csv(DATA_DIR / "gdv_fixture_1d.csv")
-    assert lex.words == ["a0", "a1", "b0", "b1"]
-    report = gdv(LabeledPointSet(points=values, labels=lex.labels))
+    fixture = load_labeled_points_csv(DATA_DIR / "gdv_fixture_1d.csv")
+    assert fixture.lex.words == ["a0", "a1", "b0", "b1"]
+    report = gdv(fixture)
     assert report["gdv"] == pytest.approx(-0.8955334711889903, abs=1e-12)
 
 
@@ -105,13 +111,13 @@ def test_coincident_classes_give_positive_value():
     # both classes occupy the same two spots: intra (distinct pairs only) is 1.0
     # but inter includes the zero-distance coincident pairs, so GDV = +0.5
     points = np.array([[0.0], [1.0], [0.0], [1.0]])
-    report = gdv(LabeledPointSet(points=points, labels=["A", "A", "B", "B"]))
+    report = gdv(labeled(points, ["A", "A", "B", "B"]))
     assert report["gdv"] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_fully_degenerate_points_give_zero():
     points = np.ones((6, 3))
-    report = gdv(LabeledPointSet(points=points, labels=["A"] * 3 + ["B"] * 3))
+    report = gdv(labeled(points, ["A"] * 3 + ["B"] * 3))
     assert report["gdv"] == 0.0
     assert math.isfinite(report["gdv"])
 
@@ -129,7 +135,7 @@ def test_matches_brute_force_reference():
             labels += [f"c{c}"] * count
             rows.append(rng.standard_normal((count, d)) + 3.0 * rng.standard_normal(d))
         points = np.vstack(rows)
-        report = gdv(LabeledPointSet(points=points, labels=labels))
+        report = gdv(labeled(points, labels))
         assert report["gdv"] == pytest.approx(gdv_reference(points, labels), abs=1e-12)
 
 
@@ -147,23 +153,21 @@ def random_labeled_set(seed, n_classes=3, per_class=6, d=4):
 @pytest.mark.parametrize("seed", range(20))
 def test_affine_and_permutation_invariance(seed):
     points, labels = random_labeled_set(seed)
-    base = gdv(LabeledPointSet(points=points, labels=labels))["gdv"]
+    base = gdv(labeled(points, labels))["gdv"]
 
-    scaled = gdv(LabeledPointSet(points=3.7 * points - 11.0, labels=labels))["gdv"]
+    scaled = gdv(labeled(3.7 * points - 11.0, labels))["gdv"]
     assert scaled == pytest.approx(base, abs=1e-9)
 
     perm_dims = points[:, ::-1].copy()
-    assert gdv(LabeledPointSet(points=perm_dims, labels=labels))["gdv"] == \
+    assert gdv(labeled(perm_dims, labels))["gdv"] == \
         pytest.approx(base, abs=1e-9)
 
     rng = np.random.default_rng(seed + 1000)
     order = rng.permutation(len(points))
-    shuffled = gdv(LabeledPointSet(points=points[order],
-                                   labels=[labels[i] for i in order]))["gdv"]
+    shuffled = gdv(labeled(points[order], [labels[i] for i in order]))["gdv"]
     assert shuffled == pytest.approx(base, abs=1e-9)
 
-    renamed = gdv(LabeledPointSet(points=points,
-                                  labels=[l.upper() for l in labels]))["gdv"]
+    renamed = gdv(labeled(points, [l.upper() for l in labels]))["gdv"]
     assert renamed == base
 
 
@@ -171,8 +175,8 @@ def test_per_dimension_scaling_changes_nothing():
     # z-scoring normalizes each dimension, so anisotropic scaling is absorbed
     points, labels = random_labeled_set(3)
     scales = np.array([1.0, 10.0, 0.1, 5.0])
-    rescaled = gdv(LabeledPointSet(points=points * scales, labels=labels))["gdv"]
-    base = gdv(LabeledPointSet(points=points, labels=labels))["gdv"]
+    rescaled = gdv(labeled(points * scales, labels))["gdv"]
+    base = gdv(labeled(points, labels))["gdv"]
     assert rescaled == pytest.approx(base, abs=1e-9)
 
 
@@ -186,7 +190,7 @@ def test_gdv_decreases_with_separation():
     values = []
     for gap in (0.0, 2.5, 5.0, 7.5, 10.0):
         points = np.vstack([cloud_a, cloud_b + np.array([gap, 0.0])])
-        values.append(gdv(LabeledPointSet(points=points, labels=labels))["gdv"])
+        values.append(gdv(labeled(points, labels))["gdv"])
     assert all(b < a for a, b in zip(values, values[1:]))
     assert abs(values[0]) < 0.05  # overlapping clouds sit near zero
 
@@ -195,39 +199,40 @@ def test_overlapping_large_clouds_near_zero():
     rng = np.random.default_rng(12)
     points = rng.standard_normal((300, 3))
     labels = ["A"] * 150 + ["B"] * 150
-    assert abs(gdv(LabeledPointSet(points=points, labels=labels))["gdv"]) < 0.05
+    assert abs(gdv(labeled(points, labels))["gdv"]) < 0.05
 
 
 # ------------------------------------------------------------------ errors
 
 def test_single_class_rejected():
     with pytest.raises(InputError, match="2 classes"):
-        gdv(LabeledPointSet(points=np.zeros((4, 2)), labels=["A"] * 4))
+        gdv(labeled(np.zeros((4, 2)), ["A"] * 4))
 
 
 def test_singleton_class_rejected():
     with pytest.raises(InputError, match="at least 2"):
-        gdv(LabeledPointSet(points=np.zeros((3, 2)), labels=["A", "A", "B"]))
+        gdv(labeled(np.zeros((3, 2)), ["A", "A", "B"]))
 
 
 def test_length_mismatch_rejected():
     with pytest.raises(InputError):
-        LabeledPointSet(points=np.zeros((3, 2)), labels=["A", "B"])
+        labeled(np.zeros((3, 2)), ["A", "B"])
 
 
 @pytest.mark.parametrize("points, message", [
-    (np.zeros(3), r"points must form an \(n, D\) array"),
-    (np.zeros((3, 2, 1)), r"points must form an \(n, D\) array"),
-    ([[0.0, np.inf], [1.0, 1.0], [2.0, 2.0]], "non-finite value inf"),
+    (np.zeros(3), r"points must be an \(n, >= 1\) array with n >= 1, got shape \(3,\)"),
+    (np.zeros((3, 2, 1)),
+     r"points must be an \(n, >= 1\) array with n >= 1, got shape \(3, 2, 1\)"),
+    ([[0.0, np.inf], [1.0, 1.0], [2.0, 2.0]], "non-finite value inf in points"),
 ], ids=["1-d", "3-d", "inf"])
 def test_points_must_be_a_finite_n_by_d_array(points, message):
     with pytest.raises(InputError, match=message):
-        LabeledPointSet(points=points, labels=["A", "A", "B"])
+        labeled(points, ["A", "A", "B"])
 
 
 def test_report_to_dict_structure():
     points, labels = random_labeled_set(5)
-    doc = json.loads(json.dumps(gdv(LabeledPointSet(points=points, labels=labels))))
+    doc = json.loads(json.dumps(gdv(labeled(points, labels))))
     assert set(doc) == {"gdv", "mean_intra_per_class", "mean_inter_per_pair",
                         "dimension", "classes", "class_pairs"}
     assert doc["classes"] == ["c0", "c1", "c2"]

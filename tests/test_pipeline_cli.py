@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from cogmap.cli import build_parser, main
 from cogmap.dataset import load_lexicon, save_embeddings
 from cogmap.errors import InputError
-from cogmap.fileio import Lexicon, load_labeled_points_csv
+from cogmap.fileio import LabeledPoints, Lexicon, load_labeled_points_csv
 from cogmap.pipeline import (CONFIG_FIELDS, PipelineConfig, config_hash, parse_config_file,
                              resolve_config, run_pipeline)
 from cogmap.sr import load_sr_json, save_sr_json
@@ -585,7 +586,7 @@ def test_names_with_commas_survive_the_run_csvs(tiny, tmp_path, capsys):
     assert code == 0, err
     assert (tmp_path / "proj.csv").read_bytes() == \
         (out_dir / "projection_gamma_1.0.csv").read_bytes()
-    lex = load_labeled_points_csv(tmp_path / "proj.csv")[0]
+    lex = load_labeled_points_csv(tmp_path / "proj.csv").lex
     assert lex.words[0] == "r,0"
 
 
@@ -618,17 +619,29 @@ def test_cli_build_sr_rejects_bad_embeddings_header(tiny, tmp_path, capsys, text
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("rows, message", [
-    (["r0,reds,train,extra"], "{lexicon}: line 2: expected 3 fields, found 4"),
-    ([",reds,train"], "{lexicon}: line 2: empty word"),
-    (["r3,reds,validation", "g3,greens,validation"], "lexicon has no training words"),
-], ids=["four-fields", "empty-word", "no-training-rows"])
-def test_cli_build_sr_rejects_bad_lexicon(tiny, tmp_path, capsys, rows, message):
+NO_TRAINING_ROWS = ["r3,reds,validation", "g3,greens,validation"]
+
+
+@pytest.mark.parametrize("command, rows, message", [
+    ("build-sr", ["r0,reds,train,extra"], "{lexicon}: line 2: expected 3 fields, found 4"),
+    ("build-sr", [",reds,train"], "{lexicon}: line 2: empty word"),
+    ("build-sr", NO_TRAINING_ROWS, "no points with split 'train'"),
+    ("train", NO_TRAINING_ROWS, "no points with split 'train'"),
+    ("oracle", NO_TRAINING_ROWS, "no points with split 'train'"),
+], ids=["four-fields", "empty-word", "no-training-rows", "no-training-rows-train",
+        "no-training-rows-oracle"])
+def test_cli_build_sr_rejects_bad_lexicon(tiny, tmp_path, capsys, command, rows, message):
+    # every command that needs the training states says the same when there are none
+    sr_dir = tmp_path / "sr"
+    assert run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", sr_dir)[0] == 0
     lexicon = tmp_path / "lexicon.csv"
     lexicon.write_text("\n".join(["word,category,split", *rows]) + "\n", encoding="utf-8")
     out_dir = tmp_path / "out"
-    code, out, err = run_cli(capsys, "build-sr", "--config", tiny["cfg"],
-                             "--lexicon", lexicon, "--out-dir", out_dir)
+    outputs = {"build-sr": ["--out-dir", out_dir],
+               "train": ["--sr", sr_dir / "sr_gamma_1.0.json", "--out", out_dir / "m.json"],
+               "oracle": ["--start", "0", "--out", out_dir / "estimate.csv"]}
+    code, out, err = run_cli(capsys, command, "--config", tiny["cfg"],
+                             "--lexicon", lexicon, *outputs[command])
     assert code == 1 and out == ""
     assert err == f"error: {message.format(lexicon=lexicon)}\n"
     assert not out_dir.exists()
@@ -685,8 +698,8 @@ def test_cli_build_sr_default_gammas(tiny, tmp_path, capsys):
     assert code == 0
     for tag in ("1.0", "0.3"):
         assert (out_dir / f"sr_gamma_{tag}.csv").is_file()
-        sr, words = load_sr_json(out_dir / f"sr_gamma_{tag}.json")
-        assert sr.horizon == 5 and len(words) == 9
+        sr = load_sr_json(out_dir / f"sr_gamma_{tag}.json")
+        assert sr.horizon == 5 and len(sr.state_words) == 9
 
 
 # ------------------------------------------------- CLI: staged train flow
@@ -795,9 +808,9 @@ def test_cli_predict_rejects_a_split_the_lexicon_lacks(tiny, tmp_path, capsys):
 def test_cli_train_rejects_mismatched_state_words(tiny, tmp_path, capsys):
     out_dir = tmp_path / "flow"
     run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)
-    sr, words = load_sr_json(out_dir / "sr_gamma_1.0.json")
+    sr = load_sr_json(out_dir / "sr_gamma_1.0.json")
     scrambled = out_dir / "scrambled.json"
-    save_sr_json(sr, list(reversed(words)), scrambled)
+    save_sr_json(replace(sr, state_words=list(reversed(sr.state_words))), scrambled)
     code, _, err = run_cli(capsys, "train", "--config", tiny["cfg"],
                            "--sr", scrambled, "--out", out_dir / "m.json")
     assert code == 1
@@ -859,7 +872,7 @@ def _edit_sr_gamma_to(value):
     (_edit_sr_negative, "non-negative"), (_edit_sr_gamma, "gamma must be in [0, 1], got 5.0"),
     (_edit_sr_n, "n is"), (_edit_sr_fractional_horizon, "horizon must be an integer, got 2.7"),
     (_edit_sr_fractional_n, "n must be an integer, got"),
-    (_edit_sr_short_state_words, "state_words length does not match n"),
+    (_edit_sr_short_state_words, "successor matrix must be 8x8, got (9, 9)"),
     (_edit_sr_gamma_to(True), "gamma must be a real number, got True"),
     (_edit_sr_gamma_to("0.5"), "gamma must be a real number, got '0.5'"),
     (_edit_sr_values_to_strings, "each entry in values must be a real number, got '"),
@@ -962,7 +975,8 @@ def test_cli_nonfinite_points_are_input_errors(tmp_path, capsys, command, token)
                "project": ["--predictions", points, "--out-csv", tmp_path / "r.csv",
                            "--out-svg", tmp_path / "r.svg"]}
     code, out, err = run_cli(capsys, command, *outputs[command])
-    assert code == 1 and out == "" and err == f"error: {points}: non-finite value {token}\n"
+    assert code == 1 and out == ""
+    assert err == f"error: {points}: non-finite value {token} in points\n"
     assert sorted(tmp_path.iterdir()) == [points]
 
 
@@ -1243,7 +1257,7 @@ def test_svg_structure(tmp_path):
     lex = Lexicon(words=["a", "b<c", "d&e", "f"], labels=["one", "one", "two", "two"],
                   splits=["train", "train", "validation", "train"])
     out = tmp_path / "m.svg"
-    render_svg(coords, lex, out)
+    render_svg(LabeledPoints(lex, coords), out)
     text = out.read_text(encoding="utf-8")
     assert text.count("<circle") == 4
     assert text.count('stroke="#d62728"') == 2  # one ringed point + legend swatch
@@ -1253,7 +1267,7 @@ def test_svg_structure(tmp_path):
                         text.splitlines()[1])
     # with the timestamp comment masked, the render is reproducible line for line
     out2 = tmp_path / "m2.svg"
-    render_svg(coords, lex, out2)
+    render_svg(LabeledPoints(lex, coords), out2)
     assert svg_payload(out) == svg_payload(out2)
 
 
@@ -1261,7 +1275,7 @@ def test_svg_gives_each_category_beyond_the_palette_its_own_color(tmp_path):
     labels = [f"c{i}" for i in range(7)]
     lex = Lexicon(words=[f"w{i}" for i in range(7)], labels=labels, splits=["train"] * 7)
     out = tmp_path / "m.svg"
-    render_svg(np.array([[float(i), float(i % 3)] for i in range(7)]), lex, out)
+    render_svg(LabeledPoints(lex, np.array([[float(i), float(i % 3)] for i in range(7)])), out)
     text = out.read_text(encoding="utf-8")
     legend = re.findall(r'<rect x="16" y="[^"]*" width="14" height="14" fill="(#[0-9a-f]{6})"/>',
                         text)
@@ -1269,10 +1283,3 @@ def test_svg_gives_each_category_beyond_the_palette_its_own_color(tmp_path):
     circles = re.findall(r'<circle [^>]* fill="(#[0-9a-f]{6})"', text)
     assert circles == legend  # one point per category, in legend order
 
-
-def test_svg_validation():
-    coords = np.zeros((2, 2))
-    with pytest.raises(InputError, match="empty"):
-        render_svg(np.zeros((0, 2)), Lexicon([], [], []), "unused.svg")
-    with pytest.raises(InputError, match="1 lexicon rows for 2 points"):
-        render_svg(coords, Lexicon(["a"], ["x"], ["train"]), "unused.svg")

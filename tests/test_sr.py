@@ -3,6 +3,7 @@
 import json
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,17 +62,19 @@ def test_matrix_sizes_come_from_the_data():
     assert TransitionMatrix(values=np.eye(3), state_words=list("abc")).n == 3
     with pytest.raises(InputError, match=r"transition matrix must be 2x2, got \(3, 3\)"):
         TransitionMatrix(values=np.eye(3), state_words=["a", "b"])
-    assert SuccessorMatrix(gamma=0.5, horizon=1, values=np.eye(4)).n == 4
+    assert SuccessorMatrix(gamma=0.5, horizon=1, values=np.eye(4), state_words=list("abcd")).n == 4
     for values in (np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))):
-        with pytest.raises(InputError, match=re.escape(f"must be square, got shape {values.shape}")):
-            SuccessorMatrix(gamma=0.5, horizon=1, values=values)
+        with pytest.raises(InputError,
+                           match=re.escape(f"successor matrix must be 2x2, got {values.shape}")):
+            SuccessorMatrix(gamma=0.5, horizon=1, values=values, state_words=["a", "b"])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_successor_matrix_rejects_a_non_finite_entry(bad):
     # NaN compares false and inf sums positive, so the range and row-sum checks let both through
     with pytest.raises(InputError, match="non-finite value"):
-        SuccessorMatrix(gamma=0.5, horizon=1, values=[[bad, 1.0], [1.0, 1.0]])
+        SuccessorMatrix(gamma=0.5, horizon=1, values=[[bad, 1.0], [1.0, 1.0]],
+                        state_words=["a", "b"])
 
 
 # --------------------------------------------------------------------- SR
@@ -230,18 +233,16 @@ def test_sr_json_roundtrip(tmp_path):
     t = chain_from_gram([[1.0, 0.8, 0.2], [0.8, 1.0, 0.5], [0.2, 0.5, 1.0]])
     m = successor_matrix(t, 0.3, 5)
     p = tmp_path / "sr.json"
-    save_sr_json(m, t.state_words, p)
-    back, words = load_sr_json(p)
-    assert words == t.state_words
-    assert back.gamma == 0.3 and back.horizon == 5
-    np.testing.assert_array_equal(back.values, m.values)
+    save_sr_json(m, p)
+    back = load_sr_json(p)
+    np.testing.assert_equal(vars(back), vars(m))  # state words included
 
 
 def test_sr_json_is_plain_json(tmp_path):
     t = flip_chain()
     m = successor_matrix(t, 0.5, 2)
     p = tmp_path / "sr.json"
-    save_sr_json(m, t.state_words, p)
+    save_sr_json(m, p)
     doc = json.loads(p.read_text(encoding="utf-8"))
     assert doc["gamma"] == 0.5
     assert doc["horizon"] == 2
@@ -250,15 +251,15 @@ def test_sr_json_is_plain_json(tmp_path):
 
 def test_sr_json_writer_needs_one_word_per_state(tmp_path):
     p = tmp_path / "sr.json"
-    with pytest.raises(InputError, match="state_words length must equal matrix size"):
-        save_sr_json(successor_matrix(flip_chain(), 0.5, 2), ["a"], p)
+    with pytest.raises(InputError, match=re.escape("successor matrix must be 1x1, got (2, 2)")):
+        save_sr_json(replace(successor_matrix(flip_chain(), 0.5, 2), state_words=["a"]), p)
     assert not p.exists()
 
 
 def test_sr_json_ragged_values_name_the_file(tmp_path):
     t = flip_chain()
     p = tmp_path / "sr.json"
-    save_sr_json(successor_matrix(t, 0.5, 2), t.state_words, p)
+    save_sr_json(successor_matrix(t, 0.5, 2), p)
     doc = json.loads(p.read_text(encoding="utf-8"))
     doc["values"][1] = doc["values"][1][:1]
     p.write_text(json.dumps(doc), encoding="utf-8")
