@@ -185,6 +185,13 @@ def test_labeled_points_split_keeps_file_order():
         points.split("validation").split("train")
 
 
+def test_labeled_points_writer_rejects_a_lexicon_of_another_length(tmp_path):
+    path = tmp_path / "p.csv"
+    with pytest.raises(InputError, match="1 lexicon rows for 2 points"):
+        save_labeled_points_csv(path, LabeledPoints(Lexicon(["a"], ["x"], ["train"]), [[1.0], [2.0]]))
+    assert not path.exists()
+
+
 def test_labeled_points_writer_needs_one_name_per_component(tmp_path):
     path = tmp_path / "p.csv"
     with pytest.raises(InputError, match="component_names length must match the point dimension"):

@@ -1271,6 +1271,15 @@ def test_svg_structure(tmp_path):
     assert svg_payload(out) == svg_payload(out2)
 
 
+def test_svg_validation(tmp_path):
+    out = tmp_path / "unused.svg"
+    with pytest.raises(InputError, match="got shape \\(0, 2\\)"):
+        render_svg(LabeledPoints(Lexicon([], [], []), np.zeros((0, 2))), out)
+    with pytest.raises(InputError, match="1 lexicon rows for 2 points"):
+        render_svg(LabeledPoints(Lexicon(["a"], ["x"], ["train"]), np.zeros((2, 2))), out)
+    assert not out.exists()
+
+
 def test_svg_gives_each_category_beyond_the_palette_its_own_color(tmp_path):
     labels = [f"c{i}" for i in range(7)]
     lex = Lexicon(words=[f"w{i}" for i in range(7)], labels=labels, splits=["train"] * 7)
