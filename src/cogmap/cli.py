@@ -8,7 +8,7 @@ import numpy as np
 
 from .dataset import build_examples
 from .errors import InputError
-from .fileio import (LabeledPoints, committing, dump_json, float_text, load_labeled_points_csv,
+from .fileio import (committing, dump_json, float_text, load_labeled_points_csv,
                      save_labeled_points_csv, save_matrix_csv)
 from .metrics import gdv
 from .neural import train, predict_all, save_model, load_model
@@ -35,7 +35,7 @@ def _resolved(args):
 def _cmd_build_sr(args):
     config = _resolved(args)
     states = load_inputs(config).split("train")
-    transition = build_transition_matrix(states.points, states.lex.words)
+    transition = build_transition_matrix(states)
     out_dir = Path(config.output_dir)
     tags = [_gamma_tag(gamma) for gamma in config.gammas]
     with committing(out_dir) as staging:
@@ -55,9 +55,7 @@ def _cmd_train(args):
     config = _resolved(args)
     states = load_inputs(config).split("train")
     sr = load_sr_json(args.sr)
-    if sr.state_words != states.lex.words:
-        raise InputError("successor-matrix state words do not match the lexicon training order")
-    examples = build_examples(states.points, sr)
+    examples = build_examples(states, sr)
     model, losses = train(config.mlp_config(states.points.shape[1], sr.n, config.seed), examples)
     save_model(model, args.out)
     print(f"wrote {args.out} (first-epoch loss {losses[0]:.6f}, final loss {losses[-1]:.6f})")
@@ -68,9 +66,9 @@ def _cmd_predict(args):
     config = _resolved(args)
     inputs = load_inputs(config)
     model = load_model(args.model)
-    rows = inputs.split(args.split)
-    save_labeled_points_csv(args.out, LabeledPoints(rows.lex, predict_all(model, rows.points)))
-    print(f"wrote {args.out} ({len(rows.points)} distributions over "
+    predictions = predict_all(model, inputs.split(args.split))
+    save_labeled_points_csv(args.out, predictions)
+    print(f"wrote {args.out} ({len(predictions.points)} distributions over "
           f"{model.config.output_dim} states)")
     return 0
 
@@ -104,8 +102,7 @@ def _cmd_run(args):
 
 def _cmd_oracle(args):
     config = _resolved(args)
-    states = load_inputs(config).split("train")
-    transition = build_transition_matrix(states.points, states.lex.words)
+    transition = build_transition_matrix(load_inputs(config).split("train"))
     try:
         start = int(args.start)
     except ValueError:

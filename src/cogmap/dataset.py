@@ -1,7 +1,7 @@
 """Word-vector file parsing and training-example assembly.
 
 The loader checks every line of a vector file but keeps only the requested
-words, as one matrix whose rows the pipeline hands to each stage.
+words' rows, which each stage then takes with their words as `LabeledPoints`.
 """
 
 from dataclasses import dataclass
@@ -98,13 +98,10 @@ class ExampleSet:
         return len(self.inputs)
 
 
-def build_examples(vecs, sr):
-    """Training examples against a successor matrix over the training states.
-
-    Row i of `vecs` is the embedding of training state i; its target is SR
-    row i normalized to sum 1 (SuccessorMatrix makes every row sum positive).
-    """
-    n = len(vecs)
-    if sr.values.shape != (n, n):
-        raise InputError(f"successor matrix is {sr.values.shape}, lexicon has {n} training states")
-    return ExampleSet(inputs=vecs, targets=sr.values / sr.values.sum(axis=1)[:, None])
+def build_examples(states, sr):
+    """Training examples from the training states' `LabeledPoints` and an SR over the same words
+    in the same order: the input of state i is its embedding, its target SR row i normalized
+    to sum 1 (SuccessorMatrix makes every row sum positive)."""
+    if list(sr.state_words) != list(states.lex.words):  # a record built in Python may hold tuples
+        raise InputError("successor-matrix state words do not match the lexicon training order")
+    return ExampleSet(inputs=states.points, targets=sr.values / sr.values.sum(axis=1)[:, None])

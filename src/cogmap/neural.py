@@ -9,9 +9,9 @@ stored input-major (input x hidden), so the forward product x @ w1.T reads a
 C-contiguous matrix; `model.w1` is its hidden x input transpose. Training
 shuffles, gathers and drops out a whole epoch of inputs at once, writes
 gradients into a buffer of the parameter layout and steps on whole vectors in
-place. One batched pass, `_forward_backward`, serves training, inference and
-the gradient check. Everything is driven by one seeded generator, so a
-(config, examples) pair determines the trained model bitwise.
+place. One batched pass, `_forward_backward`, serves training, inference on a
+`LabeledPoints` (`predict_all`) and the gradient check. One seeded generator
+drives everything, so a (config, examples) pair determines the model bitwise.
 """
 
 import math
@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import InputError
-from .fileio import dump_json, load_json, plain_fields, reading
+from .fileio import LabeledPoints, dump_json, load_json, plain_fields, reading
 
 LOG_CLAMP = 1e-12
 FD_STEP = 1e-5
@@ -259,12 +259,12 @@ def train(config, examples):
     return model, losses
 
 
-def predict_all(model, vecs):
-    """Inference-mode distributions, one per row of `vecs`, order preserved."""
-    if vecs.shape[1] != model.config.input_dim:
-        raise InputError(f"embeddings have dim {vecs.shape[1]}, "
+def predict_all(model, points):
+    """`points`, a `LabeledPoints`, with each row replaced by its inference-mode distribution."""
+    if points.points.shape[1] != model.config.input_dim:
+        raise InputError(f"embeddings have dim {points.points.shape[1]}, "
                          f"model expects {model.config.input_dim}")
-    return _forward_backward(model, vecs)[0]
+    return LabeledPoints(points.lex, _forward_backward(model, points.points)[0])
 
 
 def save_model(model, path):

@@ -170,7 +170,7 @@ def run_pipeline(config):
             inputs_hash = config_hash(config)
 
         with _stage("transition"):
-            transition = build_transition_matrix(states.points, states.lex.words)
+            transition = build_transition_matrix(states)
             save_matrix_csv(transition.values, staging / "transition.csv")
 
         runs = []
@@ -187,13 +187,13 @@ def run_pipeline(config):
                 save_matrix_csv(sr.values, staging / files["sr_csv"])
 
             with _stage(f"train gamma={tag}"):
-                examples = build_examples(states.points, sr)
+                examples = build_examples(states, sr)
                 model, losses = train(config.mlp_config(states.points.shape[1], sr.n, seed),
                                       examples)
                 save_model(model, staging / files["model_json"])
 
             with _stage(f"predict gamma={tag}"):
-                predictions = LabeledPoints(inputs.lex, predict_all(model, inputs.points))
+                predictions = predict_all(model, inputs)
                 save_labeled_points_csv(staging / files["predictions_csv"], predictions)
 
             with _stage(f"gdv gamma={tag}"):

@@ -10,9 +10,9 @@ accumulated by repeated matrix multiplication in float64. The truncated sum is
 used instead of the (I - gamma T)^-1 closed form because the series diverges
 at gamma = 1.
 
-Both matrices name their states: row and column i belong to `state_words[i]`, the
-i-th training word, and an SR envelope (`save_sr_json`, `load_sr_json`) carries
-the words with the matrix.
+T is built from the training states' `LabeledPoints`, and both matrices name
+their states: row and column i belong to `state_words[i]`, the i-th training
+word. An SR envelope (`save_sr_json`, `load_sr_json`) carries the words too.
 """
 
 from dataclasses import dataclass
@@ -82,41 +82,40 @@ class SuccessorMatrix:
             raise InputError("successor matrix has a non-positive row sum")
 
 
-def build_transition_matrix(vecs, words):
+def build_transition_matrix(states):
     """Clamp pairwise cosine similarities at 0, set the diagonal to 1, and row-normalize.
 
-    Row i of `vecs` is the embedding of training word `words[i]`. Every row
-    sums to at least its diagonal 1, so every row normalizes; a word
-    orthogonal (or opposed) to every other word keeps all its mass on itself.
-    A vector whose squared norm overflows or falls below the smallest normal
-    float64 would make its cosines inf/inf or 0/0, and is rejected by word.
+    `states` holds the training words and their embeddings. Every row sums to
+    at least its diagonal 1, so every row normalizes; a word orthogonal (or
+    opposed) to every other word keeps all its mass on itself. A vector whose
+    squared norm overflows or falls below the smallest normal float64 would
+    make its cosines inf/inf or 0/0, and is rejected by word.
     """
-    if not words:
-        raise InputError("lexicon has no training words")
+    vecs = states.points
     with np.errstate(over="ignore", under="ignore"):
         squared_norms = (vecs * vecs).sum(axis=1)
     bad = np.flatnonzero((squared_norms < _TINY) | (squared_norms == np.inf))
     if bad.size:
-        raise InputError(f"vector for {words[bad[0]]!r} has a norm too large or too small "
-                         "for float64 cosines")
+        raise InputError(f"vector for {states.lex.words[bad[0]]!r} has a norm too large or "
+                         "too small for float64 cosines")
     norms = np.sqrt(squared_norms)
     raw = np.maximum((vecs @ vecs.T) / np.outer(norms, norms), 0.0)
     np.fill_diagonal(raw, 1.0)
-    return TransitionMatrix(values=raw / raw.sum(axis=1)[:, None], state_words=list(words))
+    return TransitionMatrix(values=raw / raw.sum(axis=1)[:, None],
+                            state_words=list(states.lex.words))
 
 
 def successor_matrix(t, gamma, horizon):
     """Accumulate sum_{k=0}^{horizon} gamma^k T^k; gamma = 0 gives the identity exactly.
 
-    The T^0 term is built first, so SuccessorMatrix checks gamma and horizon
-    before any power is taken.
+    The scale is checked before any power is taken, and the record is built from the sum.
     """
-    m = SuccessorMatrix(gamma=gamma, horizon=horizon, values=np.eye(t.n), state_words=t.state_words)
-    power = np.eye(t.n)
-    for k in range(1, m.horizon + 1):
+    gamma = _check_scale(gamma, horizon)
+    values = power = np.eye(t.n)
+    for k in range(1, horizon + 1):
         power = power @ t.values
-        m.values = m.values + (m.gamma ** k) * power
-    return m
+        values = values + (gamma ** k) * power
+    return SuccessorMatrix(gamma=gamma, horizon=horizon, values=values, state_words=t.state_words)
 
 
 def rollout_occupancy_oracle(t, gamma, horizon, start, samples, seed):
@@ -156,13 +155,19 @@ def save_sr_json(m, path):
 
 
 def load_sr_json(path):
-    """The SuccessorMatrix of a JSON envelope whose n fits its values."""
+    """The SuccessorMatrix of a JSON envelope whose n fits its values and whose words are text."""
     doc = load_json(path)
     with reading(path):
         try:
             n = require_int("n", doc["n"])
+            words = doc["state_words"]
+            if not isinstance(words, list):
+                raise InputError(f"state_words must be a list of words, got {words!r}")
+            for word in words:
+                if not isinstance(word, str):
+                    raise InputError(f"each entry in state_words must be a word, got {word!r}")
             m = SuccessorMatrix(gamma=doc["gamma"], horizon=doc["horizon"], values=doc["values"],
-                                state_words=list(doc["state_words"]))
+                                state_words=words)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed successor-matrix envelope ({exc})") from None
         if n != m.n:

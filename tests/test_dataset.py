@@ -11,6 +11,7 @@ import pytest
 from cogmap.dataset import (ExampleSet, Lexicon, build_examples, load_embeddings, load_lexicon,
                             save_embeddings)
 from cogmap.errors import InputError
+from cogmap.fileio import LabeledPoints
 from cogmap.pipeline import load_inputs, resolve_config
 from cogmap.sr import SuccessorMatrix, build_transition_matrix, successor_matrix
 
@@ -248,11 +249,18 @@ def toy_vectors_and_lexicon():
     return vectors, lex
 
 
+def training_states(vectors, words):
+    """The training states `words`, one row of `vectors` each, as one record."""
+    n = len(words)
+    return LabeledPoints(Lexicon(words=list(words), labels=["c"] * n, splits=["train"] * n),
+                         vectors)
+
+
 def test_train_targets_are_distributions():
     vectors, lex = toy_vectors_and_lexicon()
-    t = build_transition_matrix(vectors[:3], lex.words[:3])
-    sr = successor_matrix(t, 0.7, 3)
-    ex = build_examples(vectors[:3], sr)
+    states = training_states(vectors[:3], lex.words[:3])
+    sr = successor_matrix(build_transition_matrix(states), 0.7, 3)
+    ex = build_examples(states, sr)
     assert len(ex) == 3
     np.testing.assert_allclose(ex.targets.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_array_equal(ex.inputs, vectors[:3])
@@ -260,9 +268,9 @@ def test_train_targets_are_distributions():
 
 def test_identity_sr_gives_one_hot_targets():
     vectors, lex = toy_vectors_and_lexicon()
-    t = build_transition_matrix(vectors[:3], lex.words[:3])
-    sr = successor_matrix(t, 0.0, 5)
-    ex = build_examples(vectors[:3], sr)
+    states = training_states(vectors[:3], lex.words[:3])
+    sr = successor_matrix(build_transition_matrix(states), 0.0, 5)
+    ex = build_examples(states, sr)
     np.testing.assert_array_equal(ex.targets, np.eye(3))
 
 
@@ -271,15 +279,20 @@ def test_hand_built_sr_rows_become_targets():
     # M = I + T = [[1.2,.8],[.8,1.2]]; rows normalize to (.6,.4)/(.4,.6)
     sr = SuccessorMatrix(gamma=1.0, horizon=1, values=np.array([[1.2, 0.8], [0.8, 1.2]]),
                          state_words=["a", "b"])
-    ex = build_examples(np.eye(2), sr)
+    ex = build_examples(training_states(np.eye(2), ["a", "b"]), sr)
     np.testing.assert_allclose(ex.targets, [[0.6, 0.4], [0.4, 0.6]], atol=1e-15)
 
 
 def test_examples_must_match_the_successor_matrix():
     vectors, lex = toy_vectors_and_lexicon()
-    sr = successor_matrix(build_transition_matrix(vectors[:3], lex.words[:3]), 0.7, 3)
-    with pytest.raises(InputError, match=r"successor matrix is \(3, 3\), lexicon has 4"):
-        build_examples(vectors, sr)
+    states = training_states(vectors[:3], lex.words[:3])
+    sr = successor_matrix(build_transition_matrix(states), 0.7, 3)
+    message = "^successor-matrix state words do not match the lexicon training order$"
+    with pytest.raises(InputError, match=message):  # the whole lexicon: one more row
+        build_examples(LabeledPoints(lex, vectors), sr)
+    # other words of the same count: the shapes agree, the targets would be misaligned
+    with pytest.raises(InputError, match=message):
+        build_examples(training_states(vectors[:3], ["cat", "dog", "car"]), sr)
 
 
 @pytest.mark.parametrize("targets, message", [

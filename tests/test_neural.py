@@ -9,6 +9,7 @@ import pytest
 
 from cogmap.dataset import ExampleSet
 from cogmap.errors import InputError
+from cogmap.fileio import LabeledPoints, Lexicon
 from cogmap.neural import (MlpConfig, MlpModel, _dropout, _forward_backward, _param_count,
                            _views, gradient_check, init_model, load_model, loss,
                            predict_all, save_model, train)
@@ -99,6 +100,12 @@ def predictions(model, x):
     return _forward_backward(model, np.asarray(x)[None, :])[0][0]
 
 
+def labeled(vecs):
+    """The rows of `vecs` as the record `predict_all` takes, one word each."""
+    n = len(vecs)
+    return LabeledPoints(Lexicon([f"w{i}" for i in range(n)], ["c"] * n, ["train"] * n), vecs)
+
+
 class FixedDraws:
     """Stands in for a Generator whose uniform draws all equal `value`."""
 
@@ -157,7 +164,7 @@ def test_epoch_dropout_draws_what_per_batch_draws_would():
 def test_predict_all_rejects_wrong_input_dim():
     model = init_model(small_config())
     with pytest.raises(InputError, match="expects 4"):
-        predict_all(model, np.ones((1, 7)))
+        predict_all(model, labeled(np.ones((1, 7))))
 
 
 # -------------------------------------------------------------------- loss
@@ -424,17 +431,21 @@ def test_predict_all_matches_forward_and_handles_duplicates():
     cfg = small_config(input_dim=3, output_dim=4, seed=9)
     model = init_model(cfg)
     a, b = np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.5, 2.0])
-    preds = predict_all(model, np.stack([a, b, a]))
+    preds = predict_all(model, labeled(np.stack([a, b, a]))).points
     assert preds.shape == (3, 4)
     np.testing.assert_allclose(preds.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_array_equal(preds[0], preds[2])
     np.testing.assert_allclose(preds[1], predictions(model, b), atol=1e-15)
 
 
-def test_predict_all_empty_word_list():
-    cfg = small_config(output_dim=3)
-    preds = predict_all(init_model(cfg), np.zeros((0, 4)))
-    assert preds.shape == (0, 3)
+def test_predict_all_keeps_the_words_and_gives_the_forward_rows():
+    model = init_model(small_config(input_dim=3, output_dim=4, seed=9))
+    lex = Lexicon(["dog", "cat", "pup"], ["animal", "animal", "animal"],
+                  ["train", "train", "validation"])
+    points = LabeledPoints(lex, np.random.default_rng(2).standard_normal((3, 3)))
+    preds = predict_all(model, points)
+    assert preds.lex is lex and lex.words == ["dog", "cat", "pup"]
+    assert preds.points.tobytes() == _forward_backward(model, points.points)[0].tobytes()
 
 
 # -------------------------------------------------------------- checkpoint
@@ -473,10 +484,11 @@ def test_loaded_checkpoint_predicts_the_trained_models_bits(tmp_path):
     back = load_model(p)
     assert back.w1.base is back.b2.base and back.w1.T.flags.c_contiguous
     vecs = rng.standard_normal((20, 50))
-    assert predict_all(back, vecs).tobytes() == predict_all(model, vecs).tobytes()
+    assert predict_all(back, labeled(vecs)).points.tobytes() == \
+        predict_all(model, labeled(vecs)).points.tobytes()
     for row in vecs:
-        assert predict_all(back, row[None, :]).tobytes() == \
-            predict_all(model, row[None, :]).tobytes()
+        assert predict_all(back, labeled(row[None, :])).points.tobytes() == \
+            predict_all(model, labeled(row[None, :])).points.tobytes()
 
 
 def test_model_built_from_arrays_predicts_its_checkpoints_bits(tmp_path):
@@ -492,10 +504,11 @@ def test_model_built_from_arrays_predicts_its_checkpoints_bits(tmp_path):
     save_model(model, p)
     back = load_model(p)
     vecs = rng.standard_normal((20, 50))
-    assert predict_all(back, vecs).tobytes() == predict_all(model, vecs).tobytes()
+    assert predict_all(back, labeled(vecs)).points.tobytes() == \
+        predict_all(model, labeled(vecs)).points.tobytes()
     for row in vecs:
-        assert predict_all(back, row[None, :]).tobytes() == \
-            predict_all(model, row[None, :]).tobytes()
+        assert predict_all(back, labeled(row[None, :])).points.tobytes() == \
+            predict_all(model, labeled(row[None, :])).points.tobytes()
     assert model.theta.tobytes() == back.theta.tobytes()
     assert all(getattr(model, name).base is model.theta for name in ("w1", "b1", "w2", "b2"))
 

@@ -849,6 +849,19 @@ def _edit_sr_short_state_words(doc):
     doc["state_words"].pop()
 
 
+def _edit_sr_state_words_to_string(doc):
+    # a string of the state count's length: at most the word check can reject it
+    doc["state_words"] = "s" * len(doc["values"])
+
+
+def _edit_sr_state_words_to_ints(doc):
+    doc["state_words"] = list(range(len(doc["values"])))
+
+
+def _edit_sr_nested_state_words(doc):
+    doc["state_words"] = [[word] for word in doc["state_words"]]
+
+
 def _edit_sr_values_to_strings(doc):
     doc["values"] = [[str(value) for value in row] for row in doc["values"]]
 
@@ -878,9 +891,12 @@ def _edit_sr_gamma_to(value):
     (_edit_sr_values_to_strings, "each entry in values must be a real number, got '"),
     (_edit_sr_true_value, "each entry in values must be a real number, got True"),
     (_edit_sr_null_values, "each entry in values must be a real number, got None"),
+    (_edit_sr_state_words_to_string, "state_words must be a list of words, got 'sss"),
+    (_edit_sr_state_words_to_ints, "each entry in state_words must be a word, got 0"),
+    (_edit_sr_nested_state_words, "each entry in state_words must be a word, got ['"),
 ], ids=["nan", "ragged", "negative", "gamma-5", "n-mismatch", "horizon-2.7", "n-fraction",
         "short-state-words", "gamma-true", "gamma-string", "values-string", "values-true",
-        "values-null"])
+        "values-null", "state-words-string", "state-words-ints", "state-words-nested"])
 def test_cli_train_rejects_bad_sr_envelope(tiny, tmp_path, capsys, edit, message):
     # reported against the file, not as a training failure or a numpy error
     out_dir = tmp_path / "flow"

@@ -9,16 +9,24 @@ import numpy as np
 import pytest
 
 from cogmap.errors import InputError
+from cogmap.fileio import LabeledPoints, Lexicon
 from cogmap.pipeline import PipelineConfig
 from cogmap.sr import (SuccessorMatrix, TransitionMatrix, build_transition_matrix, load_sr_json,
                        rollout_occupancy_oracle, save_sr_json, successor_matrix)
+
+
+def training_states(vectors, words):
+    """The training states `words`, one row of `vectors` each, as one record."""
+    n = len(words)
+    return LabeledPoints(Lexicon(words=list(words), labels=["c"] * n, splits=["train"] * n),
+                         vectors)
 
 
 def chain_from_gram(gram):
     """Build a transition matrix from vectors realizing an exact Gram matrix."""
     # the Cholesky factor's rows have the prescribed inner products
     chol = np.linalg.cholesky(np.asarray(gram, dtype=np.float64))
-    return build_transition_matrix(chol, [f"w{i}" for i in range(len(chol))])
+    return build_transition_matrix(training_states(chol, [f"w{i}" for i in range(len(chol))]))
 
 
 # ------------------------------------------------------------- transition
@@ -31,8 +39,8 @@ def test_transition_rows_from_exact_gram():
 
 
 def test_negative_similarities_clamp_to_zero():
-    t = build_transition_matrix(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
-                                ["a", "b", "c"])
+    t = build_transition_matrix(training_states(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
+                                                ["a", "b", "c"]))
     # cos(a,b) = -1 clamps to 0: row a = (1, 0, 0)/1
     np.testing.assert_allclose(t.values[0], [1.0, 0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(t.values[1], [0.0, 1.0, 0.0], atol=1e-15)
@@ -43,7 +51,7 @@ def test_vector_whose_cosines_overflow_or_underflow_is_rejected(scale):
     # finite and non-zero, but its squared norm is inf (1e200) or 0 (1e-200)
     vecs = np.array([[1.0, 0.5], [0.5 * scale, scale], [0.2, 1.0]])
     with pytest.raises(InputError, match="vector for 'b' has a norm too large or too small"):
-        build_transition_matrix(vecs, ["a", "b", "c"])
+        build_transition_matrix(training_states(vecs, ["a", "b", "c"]))
 
 
 def test_transition_constructor_validates_rows():
@@ -203,7 +211,7 @@ def comparison_oracle(t, gamma, horizon, start, samples, seed):
 def random_chain(n, seed):
     # random vectors in a few dimensions: negative cosines clamp, so rows hold zeros
     vectors = np.random.default_rng(seed).standard_normal((n, 6))
-    return build_transition_matrix(vectors, [f"w{i}" for i in range(n)])
+    return build_transition_matrix(training_states(vectors, [f"w{i}" for i in range(n)]))
 
 
 @pytest.mark.parametrize("n, gamma, start, seed", [
