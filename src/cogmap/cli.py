@@ -6,14 +6,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import build_examples
 from .errors import InputError
 from .fileio import (committing, dump_json, float_text, load_labeled_points_csv,
                      save_labeled_points_csv, save_matrix_csv)
 from .metrics import gdv
-from .neural import train, predict_all, save_model, load_model
-from .pipeline import (CONFIG_FIELDS, GDV_SPLITS, NETWORK, load_inputs, parse_config_file,
-                       project_map, resolve_config, run_pipeline, _gamma_tag)
+from .neural import predict_all, save_model, load_model
+from .pipeline import (CONFIG_FIELDS, GDV_SPLITS, NETWORK, fit_model, load_inputs,
+                       parse_config_file, project_map, resolve_config, run_pipeline, save_map,
+                       scale_files)
 from .sr import (build_transition_matrix, successor_matrix, rollout_occupancy_oracle,
                  save_sr_json, load_sr_json)
 
@@ -34,29 +34,25 @@ def _resolved(args):
 
 def _cmd_build_sr(args):
     config = _resolved(args)
-    states = load_inputs(config).split("train")
-    transition = build_transition_matrix(states)
+    transition = build_transition_matrix(load_inputs(config).split("train"))
     out_dir = Path(config.output_dir)
-    tags = [_gamma_tag(gamma) for gamma in config.gammas]
+    names = [scale_files(gamma)["sr_csv"] for gamma in config.gammas]
     with committing(out_dir) as staging:
         save_matrix_csv(transition.values, staging / "transition.csv")
-        for gamma, tag in zip(config.gammas, tags):
+        for gamma, name in zip(config.gammas, names):
             sr = successor_matrix(transition, gamma, config.horizon)
-            save_matrix_csv(sr.values, staging / f"sr_gamma_{tag}.csv")
-            save_sr_json(sr, staging / f"sr_gamma_{tag}.json")
+            save_matrix_csv(sr.values, staging / name)
+            save_sr_json(sr, (staging / name).with_suffix(".json"))
     print(f"wrote {out_dir / 'transition.csv'}")
-    for tag in tags:
-        print(f"wrote {out_dir / f'sr_gamma_{tag}.csv'} and .json (gamma={tag}, "
-              f"horizon={config.horizon})")
+    for gamma, name in zip(config.gammas, names):
+        print(f"wrote {out_dir / name} and .json (gamma={gamma}, horizon={config.horizon})")
     return 0
 
 
 def _cmd_train(args):
     config = _resolved(args)
-    states = load_inputs(config).split("train")
-    sr = load_sr_json(args.sr)
-    examples = build_examples(states, sr)
-    model, losses = train(config.mlp_config(states.points.shape[1], sr.n, config.seed), examples)
+    model, losses, _ = fit_model(load_inputs(config).split("train"), load_sr_json(args.sr),
+                                 config, config.seed)
     save_model(model, args.out)
     print(f"wrote {args.out} (first-epoch loss {losses[0]:.6f}, final loss {losses[-1]:.6f})")
     return 0
@@ -74,7 +70,8 @@ def _cmd_predict(args):
 
 
 def _cmd_project(args):
-    _, stress = project_map(load_labeled_points_csv(args.predictions), args.out_csv, args.out_svg)
+    coordinates, stress = project_map(load_labeled_points_csv(args.predictions))
+    save_map(coordinates, args.out_csv, args.out_svg)
     print(f"wrote {args.out_csv} and {args.out_svg} (stress {stress:.6g})")
     return 0
 

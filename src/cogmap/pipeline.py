@@ -1,28 +1,29 @@
 """Full pipeline: ingest -> transition -> SR -> train -> predict -> project -> score.
 
-Per scale gamma the pipeline trains a fresh network (seed offset by the gamma
-index), predicts all training and validation words, scores three GDVs (all
-points, training only, validation only) on the raw prediction vectors, and
-projects the predictions to 2-D for the map. GDV in prediction space is the
-primary number; the 2-D GDV after MDS is also emitted, clearly labeled, since
-the two generally differ.
+Per scale gamma, `fit_scale` trains a fresh network, predicts all training and
+validation words, scores three GDVs (all points, training only, validation
+only) on the raw prediction vectors, and projects the predictions to 2-D for
+the map, all without file I/O; `run_pipeline` then writes the fit. GDV in
+prediction space is the primary number; the 2-D GDV after MDS is also
+emitted, clearly labeled, since the two generally differ.
 """
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, asdict
 from datetime import datetime, timezone
 
 from . import __version__
-from .dataset import load_embeddings, build_examples
+from .dataset import ExampleSet, load_embeddings, build_examples
 from .errors import InputError
 from .fileio import (SPLITS, LabeledPoints, committing, dump_json, load_lexicon, plain_fields,
                      reading, save_matrix_csv, save_labeled_points_csv)
 from .metrics import gdv, gdv_classes
-from .neural import MlpConfig, train, predict_all, save_model
+from .neural import MlpConfig, MlpModel, loss, train, predict_all, save_model
 from .projection import classical_mds
-from .sr import _check_scale, build_transition_matrix, successor_matrix
+from .sr import SuccessorMatrix, _check_scale, build_transition_matrix, successor_matrix
 from .svg import render_svg
 
 GDV_SPLITS = ("all",) + SPLITS
@@ -153,8 +154,60 @@ def load_inputs(config):
     return LabeledPoints(lex, load_embeddings(config.embeddings_path, lex.words))
 
 
+def scale_files(gamma):
+    """The names of one scale's files, keyed as a run's `files` entry in the manifest."""
+    tag = _gamma_tag(gamma)
+    return {"sr_csv": f"sr_gamma_{tag}.csv", "model_json": f"model_gamma_{tag}.json",
+            "predictions_csv": f"predictions_gamma_{tag}.csv",
+            "projection_csv": f"projection_gamma_{tag}.csv",
+            "map_svg": f"map_gamma_{tag}.svg", "gdv_json": f"gdv_gamma_{tag}.json"}
+
+
+def fit_model(states, sr, config, seed):
+    """Train one network on the training states' SR rows; returns (model, losses, examples)."""
+    examples = build_examples(states, sr)
+    model, losses = train(config.mlp_config(states.points.shape[1], sr.n, seed), examples)
+    return model, losses, examples
+
+
+@dataclass
+class ScaleFit:
+    """One scale's results; the seed is `model.config.seed`, the targets `examples.targets`."""
+
+    sr: SuccessorMatrix
+    model: MlpModel
+    losses: list
+    examples: ExampleSet
+    predictions: LabeledPoints
+    coordinates: LabeledPoints
+    stress: float
+    prediction_space: dict  # GDV report per split, of the predictions
+    projection_2d: dict  # GDV report per split, of the 2-D map
+
+
+def fit_scale(inputs, transition, gamma, config, seed):
+    """Fit one scale without file I/O: the SR of `transition` at `gamma`, a network trained on
+    it with `seed`, its predictions for every word of `inputs`, their 2-D map and the GDV of
+    each split in both spaces."""
+    tag = _gamma_tag(gamma)
+    with _stage(f"sr gamma={tag}"):
+        sr = successor_matrix(transition, gamma, config.horizon)
+    with _stage(f"train gamma={tag}"):
+        model, losses, examples = fit_model(inputs.split("train"), sr, config, seed)
+    with _stage(f"predict gamma={tag}"):
+        predictions = predict_all(model, inputs)
+    with _stage(f"gdv gamma={tag}"):
+        raw_reports = {split: gdv(predictions.split(split)) for split in GDV_SPLITS}
+    with _stage(f"project gamma={tag}"):
+        coordinates, stress = project_map(predictions)
+        planar_reports = {split: gdv(coordinates.split(split)) for split in GDV_SPLITS}
+    return ScaleFit(sr, model, losses, examples, predictions, coordinates, stress, raw_reports,
+                    planar_reports)
+
+
 def run_pipeline(config):
-    """Run every stage for every gamma; returns the manifest dict it also writes.
+    """Fit and write one gamma at a time, the i-th with seed `config.seed` plus i; returns the
+    manifest dict it also writes, whose entry per gamma is built here from its `ScaleFit`.
 
     Artifacts land in config.output_dir: transition.csv, the per-gamma files
     that each run's `files` entry names, and manifest.json. They are staged
@@ -166,57 +219,41 @@ def run_pipeline(config):
             inputs = load_inputs(config)
             for split in GDV_SPLITS:  # a lexicon the GDV cannot score fails before training
                 gdv_classes(inputs.split(split).lex.labels)
-            states = inputs.split("train")
             inputs_hash = config_hash(config)
 
         with _stage("transition"):
-            transition = build_transition_matrix(states)
+            transition = build_transition_matrix(inputs.split("train"))
             save_matrix_csv(transition.values, staging / "transition.csv")
 
         runs = []
         for index, gamma in enumerate(config.gammas):
-            tag = _gamma_tag(gamma)
-            seed = config.seed + index
-            files = {"sr_csv": f"sr_gamma_{tag}.csv", "model_json": f"model_gamma_{tag}.json",
-                     "predictions_csv": f"predictions_gamma_{tag}.csv",
-                     "projection_csv": f"projection_gamma_{tag}.csv",
-                     "map_svg": f"map_gamma_{tag}.svg", "gdv_json": f"gdv_gamma_{tag}.json"}
-
-            with _stage(f"sr gamma={tag}"):
-                sr = successor_matrix(transition, gamma, config.horizon)
-                save_matrix_csv(sr.values, staging / files["sr_csv"])
-
-            with _stage(f"train gamma={tag}"):
-                examples = build_examples(states, sr)
-                model, losses = train(config.mlp_config(states.points.shape[1], sr.n, seed),
-                                      examples)
-                save_model(model, staging / files["model_json"])
-
-            with _stage(f"predict gamma={tag}"):
-                predictions = predict_all(model, inputs)
-                save_labeled_points_csv(staging / files["predictions_csv"], predictions)
-
-            with _stage(f"gdv gamma={tag}"):
-                raw_reports = {split: gdv(predictions.split(split)) for split in GDV_SPLITS}
-
-            with _stage(f"project gamma={tag}"):
-                coordinates, stress = project_map(predictions, staging / files["projection_csv"],
-                                                  staging / files["map_svg"])
-                planar_reports = {split: gdv(coordinates.split(split)) for split in GDV_SPLITS}
-
-            dump_json({"gamma": float(gamma), "prediction_space": raw_reports,
-                       "projection_2d": planar_reports}, staging / files["gdv_json"])
-
+            fit = fit_scale(inputs, transition, gamma, config, config.seed + index)
+            files = scale_files(gamma)
+            with _stage(f"write gamma={_gamma_tag(gamma)}"):
+                save_matrix_csv(fit.sr.values, staging / files["sr_csv"])
+                save_model(fit.model, staging / files["model_json"])
+                save_labeled_points_csv(staging / files["predictions_csv"], fit.predictions)
+                save_map(fit.coordinates, staging / files["projection_csv"],
+                         staging / files["map_svg"])
+                dump_json({"gamma": gamma, "prediction_space": fit.prediction_space,
+                           "projection_2d": fit.projection_2d}, staging / files["gdv_json"])
+            # the targets' mean entropy is the floor of the training loss; ln N is a uniform guess
+            target_entropy = float(loss(fit.examples.targets, fit.examples.targets).mean())
             runs.append({
-                "gamma": float(gamma),
-                "seed": seed,
+                "gamma": gamma,
+                "seed": fit.model.config.seed,
                 "files": files,
-                "first_epoch_loss": losses[0],
-                "final_train_loss": losses[-1],
-                "mds_stress": stress,
-                "gdv_prediction_space": {k: r["gdv"] for k, r in raw_reports.items()},
-                "gdv_projection_2d": {k: r["gdv"] for k, r in planar_reports.items()},
+                "first_epoch_loss": fit.losses[0],
+                "final_train_loss": fit.losses[-1],
+                "loss_per_epoch": fit.losses,
+                "target_entropy": target_entropy,
+                "excess_loss": fit.losses[-1] - target_entropy,
+                "uniform_loss": math.log(fit.sr.n),
+                "mds_stress": fit.stress,
+                "gdv_prediction_space": {k: r["gdv"] for k, r in fit.prediction_space.items()},
+                "gdv_projection_2d": {k: r["gdv"] for k, r in fit.projection_2d.items()},
             })
+            del fit  # so one scale's N x N arrays are freed before the next scale is fitted
 
         manifest = {
             "tool_version": __version__,
@@ -230,11 +267,14 @@ def run_pipeline(config):
     return manifest
 
 
-def project_map(points, csv_path, svg_path):
-    """Project a `LabeledPoints` record to 2-D by MDS, write the coordinate CSV and the SVG
-    map, and return (coordinates, stress), the coordinates as `LabeledPoints` of the same words."""
+def project_map(points):
+    """Project a `LabeledPoints` record to 2-D by MDS; returns (coordinates, stress), the
+    coordinates as `LabeledPoints` of the same words."""
     xy, stress = classical_mds(points.points)
-    coordinates = LabeledPoints(points.lex, xy)
+    return LabeledPoints(points.lex, xy), stress
+
+
+def save_map(coordinates, csv_path, svg_path):
+    """Write a 2-D map's coordinate CSV and its SVG rendering."""
     save_labeled_points_csv(csv_path, coordinates, component_names=("x", "y"))
     render_svg(coordinates, svg_path)
-    return coordinates, stress

@@ -111,9 +111,9 @@ def successor_matrix(t, gamma, horizon):
     The scale is checked before any power is taken, and the record is built from the sum.
     """
     gamma = _check_scale(gamma, horizon)
-    values = power = np.eye(t.n)
+    values = np.eye(t.n)
     for k in range(1, horizon + 1):
-        power = power @ t.values
+        power = t.values if k == 1 else power @ t.values  # I @ T would only copy T's bits
         values = values + (gamma ** k) * power
     return SuccessorMatrix(gamma=gamma, horizon=horizon, values=values, state_words=t.state_words)
 

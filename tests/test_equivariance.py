@@ -1,0 +1,89 @@
+"""Metamorphic relations of one scale's fit: what reordering the words must and must not change.
+
+Each test calls `fit_scale` directly on a small dataset held in memory, so no
+tree is written.
+"""
+
+import builtins
+
+import numpy as np
+import pytest
+
+from cogmap.fileio import LabeledPoints, Lexicon
+from cogmap.pipeline import GDV_SPLITS, PipelineConfig, fit_scale
+from cogmap.sr import build_transition_matrix
+
+CONFIG = PipelineConfig(gammas=[1.0, 0.3], hidden_dim=16, dropout_rate=0.2, learning_rate=0.05,
+                        epochs=4, batch_size=5, seed=11)
+
+
+def words_in_three_categories(n_train, n_validation, dim=10, seed=5):
+    """`n_train` training then `n_validation` validation words per category, near one axis each."""
+    rng = np.random.default_rng(seed)
+    words, labels, splits, rows = [], [], [], []
+    for split, count in (("train", n_train), ("validation", n_validation)):
+        for c, category in enumerate(("reds", "greens", "blues")):
+            for i in range(count):
+                words.append(f"{category}_{split}_{i}")
+                labels.append(category)
+                splits.append(split)
+                rows.append(np.eye(dim)[2 * c] + 0.4 * rng.standard_normal(dim))
+    return LabeledPoints(Lexicon(words, labels, splits), np.array(rows))
+
+
+def reordered(points, order):
+    """The record with its rows taken in `order`."""
+    columns = (points.lex.words, points.lex.labels, points.lex.splits)
+    return LabeledPoints(Lexicon(*([column[i] for i in order] for column in columns)),
+                         points.points[order])
+
+
+def fitted(inputs, gamma):
+    transition = build_transition_matrix(inputs.split("train"))
+    return transition, fit_scale(inputs, transition, gamma, CONFIG, CONFIG.seed)
+
+
+@pytest.mark.parametrize("gamma", CONFIG.gammas)
+def test_permuting_the_training_states_permutes_t_the_sr_and_the_targets(gamma):
+    inputs = words_in_three_categories(6, 3)
+    n_train, n = len(inputs.split("train").points), len(inputs.points)
+    perm = np.random.default_rng(1).permutation(n_train)
+    moved = reordered(inputs, list(perm) + list(range(n_train, n)))
+    (t, fit), (t_moved, fit_moved) = fitted(inputs, gamma), fitted(moved, gamma)
+    assert fit_moved.sr.state_words == [fit.sr.state_words[i] for i in perm]
+    for before, after in ((t.values, t_moved.values), (fit.sr.values, fit_moved.sr.values),
+                          (fit.examples.targets, fit_moved.examples.targets)):
+        np.testing.assert_allclose(after, before[np.ix_(perm, perm)], rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("gamma", CONFIG.gammas)
+def test_permuting_the_validation_rows_moves_only_their_predictions(gamma):
+    inputs = words_in_three_categories(6, 3)
+    n_train, n = len(inputs.split("train").points), len(inputs.points)
+    order = list(range(n_train)) + list(n_train + np.random.default_rng(2).permutation(n - n_train))
+    fit, fit_moved = fitted(inputs, gamma)[1], fitted(reordered(inputs, order), gamma)[1]
+    assert fit_moved.model.theta.tobytes() == fit.model.theta.tobytes()
+    assert fit_moved.losses == fit.losses
+    assert fit_moved.predictions.lex == reordered(fit.predictions, order).lex
+    assert fit_moved.predictions.points.tobytes() == fit.predictions.points[order].tobytes()
+    for space in ("prediction_space", "projection_2d"):
+        for split in GDV_SPLITS:
+            assert abs(getattr(fit_moved, space)[split]["gdv"]
+                       - getattr(fit, space)[split]["gdv"]) <= 1e-12, (space, split)
+
+
+def test_fit_scale_creates_no_file_and_no_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    inputs = words_in_three_categories(4, 2)
+    transition = build_transition_matrix(inputs.split("train"))
+    opened, real_open = [], builtins.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        opened.append((file, mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    fit = fit_scale(inputs, transition, 0.3, CONFIG, CONFIG.seed)
+    monkeypatch.setattr(builtins, "open", real_open)
+    assert opened == [] and list(tmp_path.iterdir()) == []
+    assert fit.predictions.points.shape == (len(inputs.points), fit.sr.n)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import re
 import shutil
@@ -388,6 +389,22 @@ def test_run_pipeline_manifest_round_trip(tiny, tmp_path):
     assert manifest["config_hash"] == config_hash(config)
 
 
+def test_manifest_records_the_loss_curve_beside_its_floor_and_a_uniform_guess(tiny, tmp_path):
+    out_dir = tmp_path / "out"
+    manifest = run_pipeline(resolve_config(parse_config_file(tiny["cfg"]),
+                                           {"output_dir": str(out_dir), "epochs": "4"}))
+    for run in manifest["runs"]:
+        losses = run["loss_per_epoch"]
+        assert len(losses) == 4
+        assert losses[0] == run["first_epoch_loss"] and losses[-1] == run["final_train_loss"]
+        sr = np.loadtxt(out_dir / run["files"]["sr_csv"], delimiter=",", ndmin=2)
+        assert run["uniform_loss"] == math.log(len(sr))
+        targets = sr / sr.sum(axis=1, keepdims=True)
+        t_ln_t = [t * math.log(t) for row in targets for t in row if t > 0.0]
+        assert abs(run["target_entropy"] + math.fsum(t_ln_t) / len(sr)) <= 1e-12
+        assert run["excess_loss"] == run["final_train_loss"] - run["target_entropy"]
+
+
 def test_run_pipeline_horizon_zero_identity_sr(tiny, tmp_path):
     config = resolve_config(parse_config_file(tiny["cfg"]),
                             {"output_dir": str(tmp_path / "out"),
@@ -750,8 +767,9 @@ def test_cli_chain_reproduces_run_byte_for_byte(tiny, tmp_path, capsys):
                        "--sr", flow / f"sr_gamma_{tag}.json", "--out", model)[0] == 0
         assert run_cli(capsys, "predict", "--config", tiny["cfg"], "--model", model,
                        "--split", "all", "--out", preds)[0] == 0
-        for path in (model, preds):
+        for path in (model, preds, flow / f"sr_gamma_{tag}.csv"):
             assert path.read_bytes() == (run_dir / path.name).read_bytes(), path.name
+    assert (flow / "transition.csv").read_bytes() == (run_dir / "transition.csv").read_bytes()
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -1263,6 +1281,21 @@ def test_cli_stage_fault_is_internal_error_and_keeps_previous_tree(tiny, tmp_pat
     code, out, err = run_cli(capsys, "run", "--config", tiny["cfg"], "--out-dir", out_dir)
     assert code == 2 and out == ""
     assert err == "internal error: RuntimeError: stage predict gamma=1.0: boom\n"
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+def test_cli_run_write_failure_names_the_write_stage_and_keeps_previous_tree(tiny, tmp_path,
+                                                                           capsys, monkeypatch):
+    out_dir = tmp_path / "out"
+    assert run_cli(capsys, "run", "--config", tiny["cfg"], "--out-dir", out_dir)[0] == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    def disk_full(model, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("cogmap.pipeline.save_model", disk_full)
+    code, out, err = run_cli(capsys, "run", "--config", tiny["cfg"], "--out-dir", out_dir)
+    assert code == 1 and out == "" and err == "error: stage write gamma=1.0: disk full\n"
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 

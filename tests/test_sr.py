@@ -124,6 +124,22 @@ def test_horizon_recursion():
                                    atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [5, 60, 240])
+@pytest.mark.parametrize("gamma", [1.0, 0.3])
+def test_successor_matrix_equals_the_sum_whose_first_power_is_identity_times_t(n, gamma):
+    # the sum's first power is T itself; the product I @ T it skips gives the same bits
+    rng = np.random.default_rng(n)
+    raw = rng.random((n, n)) * (rng.random((n, n)) < 0.7)  # zeros, as clamped cosines leave
+    np.fill_diagonal(raw, 1.0)
+    t = TransitionMatrix(values=raw / raw.sum(axis=1, keepdims=True),
+                         state_words=[f"w{i}" for i in range(n)])
+    values = power = np.eye(n)
+    for k in range(1, 6):
+        power = power @ t.values
+        values = values + (gamma ** k) * power
+    assert successor_matrix(t, gamma, 5).values.tobytes() == values.tobytes()
+
+
 def test_successor_matrix_validates_parameters():
     # the closed form and the rollout oracle share one check and its messages;
     # gamma = 10 at horizon 400 would overflow a Python float in its last weight
