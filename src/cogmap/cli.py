@@ -1,21 +1,18 @@
-"""Command-line interface: build-sr, train, predict, project, gdv, run, oracle."""
+"""Command-line interface: build-sr, train, predict, project, gdv, run."""
 
 import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import InputError
-from .fileio import (committing, dump_json, float_text, load_labeled_points_csv,
-                     save_labeled_points_csv, save_matrix_csv)
+from .fileio import (committing, dump_json, load_labeled_points_csv, save_labeled_points_csv,
+                     save_matrix_csv)
 from .metrics import gdv
 from .neural import predict_all, save_model, load_model
 from .pipeline import (CONFIG_FIELDS, GDV_SPLITS, NETWORK, fit_model, load_inputs,
                        parse_config_file, project_map, resolve_config, run_pipeline, save_map,
                        scale_files)
-from .sr import (build_transition_matrix, successor_matrix, rollout_occupancy_oracle,
-                 save_sr_json, load_sr_json)
+from .sr import build_transition_matrix, successor_matrix, save_sr_json, load_sr_json
 
 INPUTS = ("embeddings", "lexicon")
 
@@ -97,28 +94,6 @@ def _cmd_run(args):
     return 0
 
 
-def _cmd_oracle(args):
-    config = _resolved(args)
-    transition = build_transition_matrix(load_inputs(config).split("train"))
-    try:
-        start = int(args.start)
-    except ValueError:
-        if args.start not in transition.state_words:
-            raise InputError(f"word {args.start!r} is not a training state") from None
-        start = transition.state_words.index(args.start)
-    gamma = config.gammas[0]
-    estimate = rollout_occupancy_oracle(transition, gamma, config.horizon, start,
-                                        args.samples, config.seed)
-    print(float_text(estimate, ","))
-    if args.compare:
-        closed = successor_matrix(transition, gamma, config.horizon).values[start]
-        print(float_text(closed, ","))
-        print(f"max-abs-difference {np.max(np.abs(estimate - closed)):.6g}")
-    if args.out:
-        save_matrix_csv(estimate[None, :], args.out)
-    return 0
-
-
 def _add_config_flags(sub, keys):
     """`--config` plus one string flag per config key; values parse in resolve_config."""
     sub.add_argument("--config", help="flat key=value config file")
@@ -164,16 +139,6 @@ def build_parser():
     p = commands.add_parser("run", help="full pipeline; writes the artifact tree + manifest")
     _add_config_flags(p, CONFIG_FIELDS)
     p.set_defaults(func=_cmd_run)
-
-    p = commands.add_parser("oracle", help="Monte Carlo occupancy estimate for one start state, "
-                                "at the first of gammas")
-    _add_config_flags(p, INPUTS + ("seed", "gammas", "horizon"))
-    p.add_argument("--start", required=True, help="state index or training word")
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--compare", action="store_true",
-                   help="also print the closed-form row and the max deviation")
-    p.add_argument("--out", help="optional CSV path for the estimate")
-    p.set_defaults(func=_cmd_oracle)
 
     return parser
 

@@ -2,6 +2,7 @@
 
 The loader checks every line of a vector file but keeps only the requested
 words' rows, which each stage then takes with their words as `LabeledPoints`.
+Vector files are only read: no cogmap stage writes one.
 """
 
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ import numpy as np
 
 from .errors import InputError
 # load_lexicon is re-exported, with Lexicon: the benchmark's tracer looks it up in cogmap.dataset
-from .fileio import Lexicon, float_text, load_lexicon, plain_fields, reading, replacing  # noqa: F401
+from .fileio import Lexicon, load_lexicon, plain_fields, reading  # noqa: F401
 
 
 def load_embeddings(path, words):
@@ -65,18 +66,6 @@ def load_embeddings(path, words):
         if vec is None:
             raise InputError(f"lexicon word {word!r} missing from embedding table")
     return np.array([kept[word] for word in words]).reshape(len(words), dim)
-
-
-def save_embeddings(entries, path):
-    """Write a `{word: vector}` dict as vector-text; every component reloads bit-exactly.
-
-    Each vector is checked for a non-finite component as it is written.
-    """
-    dim = len(next(iter(entries.values()), ()))
-    with replacing(path) as fh:
-        fh.write(f"{len(entries)} {dim}\n")
-        for word, vec in entries.items():
-            fh.write(word + " " + float_text(vec, " ") + "\n")
 
 
 @dataclass

@@ -78,9 +78,12 @@ def require_real(name, value):
 
 
 def require_path(name, value):
-    """`value` as text if it is a str or an os.PathLike naming one; else an InputError."""
-    if isinstance(value, (str, os.PathLike)) and isinstance(os.fspath(value), str):
-        return os.fspath(value)
+    """`value` as text if it is a str or an os.PathLike naming one, and not blank (`Path("")`
+    is the working directory); else an InputError."""
+    if isinstance(value, (str, os.PathLike)):
+        text = os.fspath(value)
+        if isinstance(text, str) and text:
+            return text
     raise InputError(f"{name} must be a path, got {value!r}")
 
 

@@ -9,9 +9,9 @@ stored input-major (input x hidden), so the forward product x @ w1.T reads a
 C-contiguous matrix; `model.w1` is its hidden x input transpose. Training
 shuffles, gathers and drops out a whole epoch of inputs at once, writes
 gradients into a buffer of the parameter layout and steps on whole vectors in
-place. One batched pass, `_forward_backward`, serves training, inference on a
-`LabeledPoints` (`predict_all`) and the gradient check. One seeded generator
-drives everything, so a (config, examples) pair determines the model bitwise.
+place. One batched pass, `_forward_backward`, serves training and inference on
+a `LabeledPoints` (`predict_all`). One seeded generator drives everything, so a
+(config, examples) pair determines the model bitwise.
 """
 
 import math
@@ -23,7 +23,6 @@ from .errors import InputError
 from .fileio import LabeledPoints, dump_json, load_json, plain_fields, reading
 
 LOG_CLAMP = 1e-12
-FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -114,11 +113,6 @@ def _init_params(config, rng):
                     b2=np.zeros(config.output_dim), config=config)
 
 
-def init_model(config):
-    """Seeded initial model; `train` starts from exactly these parameters."""
-    return _init_params(config, np.random.default_rng(config.seed))
-
-
 def _softmax(z):
     e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
     return e / np.add.reduce(e, axis=-1, keepdims=True)
@@ -168,35 +162,6 @@ def _forward_backward(model, x, target=None, grads=None):
         np.matmul(x.T, dz1, out=grads["w1"].T)
         np.add.reduce(dz1, axis=0, out=grads["b1"])
     return p, loss(p, target)
-
-
-def gradient_check(config, example):
-    """Max relative error of analytic vs central finite-difference (step FD_STEP) gradients.
-
-    Runs `_forward_backward` on a freshly initialized model with dropout
-    disabled, perturbing one entry of the flat parameter vector at a time;
-    the error for each entry is
-    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    """
-    x, target = example
-    x = np.asarray(x, dtype=np.float64)[None, :]
-    target = np.asarray(target, dtype=np.float64)[None, :]
-    model = init_model(config)
-    theta = model.theta
-    grad = np.empty_like(theta)
-    _forward_backward(model, x, target, _views(grad, config))
-    worst = 0.0
-    for i in range(theta.size):
-        orig = theta[i]
-        theta[i] = orig + FD_STEP
-        hi = _forward_backward(model, x, target)[1][0]
-        theta[i] = orig - FD_STEP
-        lo = _forward_backward(model, x, target)[1][0]
-        theta[i] = orig
-        numeric = (hi - lo) / (2.0 * FD_STEP)
-        err = abs(grad[i] - numeric) / max(1e-8, abs(grad[i]) + abs(numeric))
-        worst = max(worst, err)
-    return worst
 
 
 def train(config, examples):

@@ -118,36 +118,6 @@ def successor_matrix(t, gamma, horizon):
     return SuccessorMatrix(gamma=gamma, horizon=horizon, values=values, state_words=t.state_words)
 
 
-def rollout_occupancy_oracle(t, gamma, horizon, start, samples, seed):
-    """Monte Carlo estimate of expected discounted occupancy from `start`.
-
-    Samples trajectories of length `horizon` from T and averages
-    sum_{k=0}^{horizon} gamma^k 1(s_k = s'). Independent of the closed-form
-    accumulation in `successor_matrix`, which it validates; deterministic for
-    a fixed seed. gamma = 0 or horizon = 0 returns the one-hot start vector exactly.
-    Each step moves the samples in one state together, by a binary search of
-    that state's cumulative row, so memory is O(samples + n^2).
-    """
-    gamma = _check_scale(gamma, horizon)
-    if require_int("samples", samples) < 1:
-        raise InputError(f"samples must be positive, got {samples}")
-    if not 0 <= start < t.n:
-        raise InputError(f"start state {start} out of range 0..{t.n - 1}")
-    occ = np.zeros(t.n)
-    occ[start] = float(samples)
-    rng = np.random.default_rng(seed)
-    cum = np.cumsum(t.values, axis=1)
-    states = np.full(samples, start, dtype=np.int64)
-    for k in range(1, horizon + 1):
-        u = rng.random(samples)
-        groups = np.split(np.argsort(states), np.cumsum(np.bincount(states, minlength=t.n))[:-1])
-        for s, rows in enumerate(groups):
-            # on a nondecreasing row, the left insertion point is (cum[s] < u).sum()
-            states[rows] = np.minimum(np.searchsorted(cum[s], u[rows], side="left"), t.n - 1)
-        occ += (gamma ** k) * np.bincount(states, minlength=t.n)
-    return occ / samples
-
-
 def save_sr_json(m, path):
     """JSON envelope with n (the matrix size), gamma, horizon, state words, and values."""
     dump_json({"n": m.n, "gamma": m.gamma, "horizon": m.horizon,

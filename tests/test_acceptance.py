@@ -19,12 +19,12 @@ import numpy as np
 import pytest
 
 from cogmap.metrics import gdv
-from cogmap.neural import MlpConfig, gradient_check
+from cogmap.neural import MlpConfig
 from cogmap.pipeline import parse_config_file, resolve_config, run_pipeline
 from cogmap.projection import classical_mds, pairwise_euclidean
-from cogmap.sr import (TransitionMatrix, rollout_occupancy_oracle,
-                       successor_matrix)
+from cogmap.sr import TransitionMatrix, successor_matrix
 
+from oracles import gradient_check, rollout_occupancy_oracle
 from test_metrics import gdv_reference, labeled
 
 REPO = Path(__file__).resolve().parents[1]

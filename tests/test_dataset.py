@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cogmap.dataset import (ExampleSet, Lexicon, build_examples, load_embeddings, load_lexicon,
-                            save_embeddings)
+from cogmap.dataset import ExampleSet, Lexicon, build_examples, load_embeddings, load_lexicon
 from cogmap.errors import InputError
 from cogmap.fileio import LabeledPoints
 from cogmap.pipeline import load_inputs, resolve_config
 from cogmap.sr import SuccessorMatrix, build_transition_matrix, successor_matrix
+
+from oracles import save_embeddings
 
 REPO = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO / "data"

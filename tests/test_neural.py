@@ -11,8 +11,9 @@ from cogmap.dataset import ExampleSet
 from cogmap.errors import InputError
 from cogmap.fileio import LabeledPoints, Lexicon
 from cogmap.neural import (MlpConfig, MlpModel, _dropout, _forward_backward, _param_count,
-                           _views, gradient_check, init_model, load_model, loss,
-                           predict_all, save_model, train)
+                           _views, load_model, loss, predict_all, save_model, train)
+
+from oracles import gradient_check, init_model
 
 
 def small_config(**overrides):

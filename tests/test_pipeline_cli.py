@@ -1,6 +1,7 @@
 """Config resolution, pipeline orchestration, CLI subcommands, and the SVG map."""
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -15,13 +16,15 @@ import numpy as np
 import pytest
 
 from cogmap.cli import build_parser, main
-from cogmap.dataset import load_lexicon, save_embeddings
+from cogmap.dataset import load_lexicon
 from cogmap.errors import InputError
 from cogmap.fileio import LabeledPoints, Lexicon, load_labeled_points_csv
 from cogmap.pipeline import (CONFIG_FIELDS, PipelineConfig, config_hash, parse_config_file,
                              resolve_config, run_pipeline)
 from cogmap.sr import load_sr_json, save_sr_json
 from cogmap.svg import render_svg
+
+from oracles import save_embeddings
 
 REPO = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO / "data"
@@ -147,6 +150,8 @@ def test_resolve_parses_gammas():
         resolve_config(overrides={"velocity": "1"})
     with pytest.raises(InputError, match=r"gamma must be in \[0, 1\], got 1.5"):
         resolve_config({"gammas": "1.5"})
+    with pytest.raises(InputError, match=r"gamma must be in \[0, 1\], got nan"):
+        resolve_config(overrides={"gammas": "nan"})  # NaN fails every comparison
     with pytest.raises(InputError, match="horizon"):
         resolve_config({"horizon": "-1"})
     with pytest.raises(InputError, match="nonempty"):
@@ -308,7 +313,8 @@ def test_config_stores_plain_numbers_so_one_run_has_one_hash(spelling):
     assert [type(g) for g in config.gammas] == [float, float]
 
 
-@pytest.mark.parametrize("value", ["pipe-fd", None, b"data/lexicon.csv"], ids=["fd", "none", "bytes"])
+@pytest.mark.parametrize("value", ["pipe-fd", None, b"data/lexicon.csv", ""],
+                         ids=["fd", "none", "bytes", "blank"])
 @pytest.mark.parametrize("name", ["embeddings_path", "lexicon_path", "output_dir"])
 def test_config_rejects_a_path_that_is_not_text(tmp_path, monkeypatch, name, value):
     # an int used to be opened as a file descriptor: read, then closed under its owner
@@ -644,9 +650,7 @@ NO_TRAINING_ROWS = ["r3,reds,validation", "g3,greens,validation"]
     ("build-sr", [",reds,train"], "{lexicon}: line 2: empty word"),
     ("build-sr", NO_TRAINING_ROWS, "no points with split 'train'"),
     ("train", NO_TRAINING_ROWS, "no points with split 'train'"),
-    ("oracle", NO_TRAINING_ROWS, "no points with split 'train'"),
-], ids=["four-fields", "empty-word", "no-training-rows", "no-training-rows-train",
-        "no-training-rows-oracle"])
+], ids=["four-fields", "empty-word", "no-training-rows", "no-training-rows-train"])
 def test_cli_build_sr_rejects_bad_lexicon(tiny, tmp_path, capsys, command, rows, message):
     # every command that needs the training states says the same when there are none
     sr_dir = tmp_path / "sr"
@@ -655,8 +659,7 @@ def test_cli_build_sr_rejects_bad_lexicon(tiny, tmp_path, capsys, command, rows,
     lexicon.write_text("\n".join(["word,category,split", *rows]) + "\n", encoding="utf-8")
     out_dir = tmp_path / "out"
     outputs = {"build-sr": ["--out-dir", out_dir],
-               "train": ["--sr", sr_dir / "sr_gamma_1.0.json", "--out", out_dir / "m.json"],
-               "oracle": ["--start", "0", "--out", out_dir / "estimate.csv"]}
+               "train": ["--sr", sr_dir / "sr_gamma_1.0.json", "--out", out_dir / "m.json"]}
     code, out, err = run_cli(capsys, command, "--config", tiny["cfg"],
                              "--lexicon", lexicon, *outputs[command])
     assert code == 1 and out == ""
@@ -1041,7 +1044,7 @@ def test_cli_project_rejects_flags_it_never_reads(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["build-sr", "oracle", "run"])
+@pytest.mark.parametrize("command", ["build-sr", "run"])
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 def test_cli_names_vector_whose_norm_overflows_or_underflows(tiny, tmp_path, capsys,
                                                               command, scale):
@@ -1051,64 +1054,11 @@ def test_cli_names_vector_whose_norm_overflows_or_underflows(tiny, tmp_path, cap
     emb = tmp_path / "scaled.txt"
     save_embeddings(entries, emb)
     out_dir = tmp_path / "out"
-    args = {"build-sr": ["--out-dir", out_dir], "run": ["--out-dir", out_dir],
-            "oracle": ["--start", "0"]}
     code, out, err = run_cli(capsys, command, "--config", tiny["cfg"], "--embeddings", emb,
-                             *args[command])
+                             "--out-dir", out_dir)
     assert code == 1 and out == ""
     assert "vector for 'r0' has a norm too large or too small for float64 cosines" in err
-    assert not out_dir.exists() or list(out_dir.iterdir()) == []
-
-
-# ------------------------------------------------------------- CLI: oracle
-
-def test_cli_oracle_compare(tiny, capsys):
-    code, out, _ = run_cli(capsys, "oracle", "--config", tiny["cfg"],
-                           "--start", "r0", "--gamma", "0.5", "--samples", "2000",
-                           "--compare")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 3
-    estimate = [float(tok) for tok in lines[0].split(",")]
-    closed = [float(tok) for tok in lines[1].split(",")]
-    assert len(estimate) == len(closed) == 9
-    assert lines[2].startswith("max-abs-difference ")
-    # both accumulate up to sum_k gamma^k = 1.96875 of discounted mass
-    assert sum(closed) == pytest.approx(1.96875, abs=1e-9)
-
-
-def test_cli_oracle_start_index_and_csv_out(tiny, tmp_path, capsys):
-    est_csv = tmp_path / "est.csv"
-    code, out, _ = run_cli(capsys, "oracle", "--config", tiny["cfg"],
-                           "--start", "0", "--samples", "500", "--out", est_csv)
-    assert code == 0
-    row = np.loadtxt(est_csv, delimiter=",", ndmin=2)
-    assert row.shape == (1, 9)
-    np.testing.assert_allclose(row[0], [float(t) for t in
-                                        out.strip().splitlines()[0].split(",")],
-                               atol=1e-15)
-
-
-def test_cli_oracle_bad_start(tiny, capsys):
-    assert run_cli(capsys, "oracle", "--config", tiny["cfg"],
-                   "--start", "nosuchword")[0] == 1
-    assert run_cli(capsys, "oracle", "--config", tiny["cfg"],
-                   "--start", "99")[0] == 1
-
-
-@pytest.mark.parametrize("gamma", ["5", "nan"])
-def test_cli_oracle_validates_gamma(tiny, capsys, gamma):
-    code, out, err = run_cli(capsys, "oracle", "--config", tiny["cfg"], "--start", "r0",
-                             "--gamma", gamma, "--samples", "10")
-    assert code == 1 and out == "" and f"gamma must be in [0, 1], got {float(gamma)}" in err
-
-
-def test_cli_oracle_rejects_zero_samples(tiny, tmp_path, capsys):
-    est_csv = tmp_path / "est.csv"
-    code, out, err = run_cli(capsys, "oracle", "--config", tiny["cfg"], "--start", "r0",
-                             "--samples", "0", "--out", est_csv)
-    assert code == 1 and out == "" and err == "error: samples must be positive, got 0\n"
-    assert list(tmp_path.iterdir()) == []
+    assert not out_dir.exists()
 
 
 # -------------------------------------------------------- CLI: exit codes
@@ -1119,7 +1069,9 @@ def test_cli_unknown_flag_is_input_error(capsys):
 
 
 def test_cli_unknown_command_is_input_error(capsys):
-    assert run_cli(capsys, "transmogrify")[0] == 1
+    for command in ("transmogrify", "oracle"):
+        code, out, err = run_cli(capsys, command)
+        assert code == 1 and out == "" and f"invalid choice: '{command}'" in err
 
 
 def test_cli_missing_input_file_is_input_error(tiny, tmp_path, capsys):
@@ -1341,3 +1293,23 @@ def test_svg_gives_each_category_beyond_the_palette_its_own_color(tmp_path):
     circles = re.findall(r'<circle [^>]* fill="(#[0-9a-f]{6})"', text)
     assert circles == legend  # one point per category, in legend order
 
+
+
+# ---------------------------------------------------------------- package
+
+def test_every_top_level_function_and_class_in_src_is_used_there():
+    # what only the tests call lives in tests/oracles.py, not in the package
+    defined, users = [], {}
+    for path in sorted((REPO / "src" / "cogmap").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = (path.stem, stmt.name)
+                defined.append(owner)
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    users.setdefault(name, set()).add(owner)
+    unused = [f"{module}.{name}" for module, name in defined
+              if not users.get(name, set()) - {(module, name)}]
+    assert unused == []

@@ -2,7 +2,6 @@
 
 import json
 import re
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +11,9 @@ from cogmap.errors import InputError
 from cogmap.fileio import LabeledPoints, Lexicon
 from cogmap.pipeline import PipelineConfig
 from cogmap.sr import (SuccessorMatrix, TransitionMatrix, build_transition_matrix, load_sr_json,
-                       rollout_occupancy_oracle, save_sr_json, successor_matrix)
+                       save_sr_json, successor_matrix)
+
+from oracles import rollout_occupancy_oracle
 
 
 def training_states(vectors, words):
@@ -141,20 +142,16 @@ def test_successor_matrix_equals_the_sum_whose_first_power_is_identity_times_t(n
 
 
 def test_successor_matrix_validates_parameters():
-    # the closed form and the rollout oracle share one check and its messages;
     # gamma = 10 at horizon 400 would overflow a Python float in its last weight
     t = flip_chain()
-    for compute in (successor_matrix,
-                    lambda t, gamma, horizon: rollout_occupancy_oracle(t, gamma, horizon,
-                                                                       0, 10, 1)):
-        for gamma, horizon, message in [(-0.1, 5, "gamma must be in"),
-                                        (1.1, 5, "gamma must be in"),
-                                        (1.5, 3, "gamma must be in"),
-                                        (10.0, 400, "gamma must be in"),
-                                        (0.5, -1, "horizon must be non-negative"),
-                                        (0.5, -2, "horizon must be non-negative")]:
-            with pytest.raises(InputError, match=message):
-                compute(t, gamma, horizon)
+    for gamma, horizon, message in [(-0.1, 5, "gamma must be in"),
+                                    (1.1, 5, "gamma must be in"),
+                                    (1.5, 3, "gamma must be in"),
+                                    (10.0, 400, "gamma must be in"),
+                                    (0.5, -1, "horizon must be non-negative"),
+                                    (0.5, -2, "horizon must be non-negative")]:
+        with pytest.raises(InputError, match=message):
+            successor_matrix(t, gamma, horizon)
 
 
 @pytest.mark.parametrize("gamma,horizon,message", [
@@ -166,8 +163,7 @@ def test_scale_is_a_real_gamma_and_an_integer_horizon(gamma, horizon, message):
     # a truncated horizon 2.7 would build the SR at H = 2 while the manifest records 2.7
     t = flip_chain()
     for make in (lambda: PipelineConfig(gammas=[gamma], horizon=horizon),
-                 lambda: successor_matrix(t, gamma, horizon),
-                 lambda: rollout_occupancy_oracle(t, gamma, horizon, 0, 10, 1)):
+                 lambda: successor_matrix(t, gamma, horizon)):
         with pytest.raises(InputError, match=re.escape(message)):
             make()
 
@@ -207,48 +203,6 @@ def test_oracle_is_seeded():
     c = rollout_occupancy_oracle(t, 0.7, 5, start=0, samples=2000, seed=12)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def comparison_oracle(t, gamma, horizon, start, samples, seed):
-    """The oracle's first formula: each step compares every sample's draw with every
-    entry of its state's cumulative row, a samples x n array."""
-    occ = np.zeros(t.n)
-    occ[start] = float(samples)
-    rng = np.random.default_rng(seed)
-    cum = np.cumsum(t.values, axis=1)
-    states = np.full(samples, start, dtype=np.int64)
-    for k in range(1, horizon + 1):
-        u = rng.random(samples)
-        states = np.minimum((cum[states] < u[:, None]).sum(axis=1), t.n - 1)
-        occ += (gamma ** k) * np.bincount(states, minlength=t.n)
-    return occ / samples
-
-
-def random_chain(n, seed):
-    # random vectors in a few dimensions: negative cosines clamp, so rows hold zeros
-    vectors = np.random.default_rng(seed).standard_normal((n, 6))
-    return build_transition_matrix(training_states(vectors, [f"w{i}" for i in range(n)]))
-
-
-@pytest.mark.parametrize("n, gamma, start, seed", [
-    (3, 0.3, 2, 1), (60, 0.5, 0, 2), (60, 1.0, 59, 3), (240, 0.9, 100, 4)])
-def test_oracle_matches_the_comparison_formula_byte_for_byte(n, gamma, start, seed):
-    t = random_chain(n, seed)
-    assert (t.values == 0.0).any()
-    estimate = rollout_occupancy_oracle(t, gamma, 5, start, 5000, seed)
-    assert estimate.tobytes() == comparison_oracle(t, gamma, 5, start, 5000, seed).tobytes()
-
-
-def test_oracle_memory_does_not_grow_with_samples_times_states():
-    # the comparison formula peaks at 55.7 MB here: 100,000 x 60 floats per step
-    t = random_chain(60, 5)
-    tracemalloc.start()
-    try:
-        rollout_occupancy_oracle(t, 0.5, 5, 0, 100_000, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8_000_000
 
 
 # ---------------------------------------------------------------- file I/O
