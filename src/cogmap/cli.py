@@ -9,12 +9,10 @@ from .fileio import (committing, dump_json, load_labeled_points_csv, save_labele
                      save_matrix_csv)
 from .metrics import gdv
 from .neural import predict_all, save_model, load_model
-from .pipeline import (CONFIG_FIELDS, GDV_SPLITS, NETWORK, fit_model, load_inputs,
+from .pipeline import (CONFIG_FIELDS, GDV_SPLITS, INPUTS, NETWORK, fit_model, load_inputs,
                        parse_config_file, project_map, resolve_config, run_pipeline, save_map,
                        scale_files)
 from .sr import build_transition_matrix, successor_matrix, save_sr_json, load_sr_json
-
-INPUTS = ("embeddings", "lexicon")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -91,6 +91,6 @@ def build_examples(states, sr):
     """Training examples from the training states' `LabeledPoints` and an SR over the same words
     in the same order: the input of state i is its embedding, its target SR row i normalized
     to sum 1 (SuccessorMatrix makes every row sum positive)."""
-    if list(sr.state_words) != list(states.lex.words):  # a record built in Python may hold tuples
+    if sr.state_words != states.lex.words:
         raise InputError("successor-matrix state words do not match the lexicon training order")
     return ExampleSet(inputs=states.points, targets=sr.values / sr.values.sum(axis=1)[:, None])

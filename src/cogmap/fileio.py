@@ -15,12 +15,13 @@ the whole text is written, so a rejected value or a failed write leaves no
 file and an existing file stays as it was. Every reader parses inside
 `reading(path)`, so a defect in an input file (text that is not UTF-8, JSON or CSV
 that does not parse, a value a check rejects) is an `InputError` naming the file.
-A record whose fields are declared `int`, `float`, `str` (a path) or `np.ndarray` calls
-`plain_fields` first in `__post_init__`: one rule per type checks each and stores it plain.
+A record calls `plain_fields` first in `__post_init__`: one rule per declared field type
+(`int`, `float`, `str` for a path, `list[str]` for words, `np.ndarray`) checks it, stored plain.
 """
 
 import csv
 import json
+import math
 import numbers
 import os
 import secrets
@@ -87,10 +88,20 @@ def require_path(name, value):
     raise InputError(f"{name} must be a path, got {value!r}")
 
 
+def require_words(name, value):
+    """`value` as a list if it is a list or tuple of str; else an InputError."""
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{name} must be a list of words, got {value!r}")
+    for word in value:
+        if not isinstance(word, str):
+            raise InputError(f"each entry in {name} must be a word, got {word!r}")
+    return list(value)
+
+
 def plain_fields(record):
-    """Store each `int`, `float`, `str` or `np.ndarray` field of a dataclass record, a frozen
-    one too, as the int, float, path text or finite float64 array its rule returns."""
-    rules = {int: require_int, float: require_real, str: require_path,
+    """Store each `int`, `float`, `str`, `list[str]` or `np.ndarray` field of a dataclass record,
+    a frozen one too, as the int, float, path text, word list or float64 array its rule returns."""
+    rules = {int: require_int, float: require_real, str: require_path, list[str]: require_words,
              np.ndarray: lambda name, value: _finite_array(value, name)}
     for f in fields(record):
         if f.type in rules:
@@ -225,11 +236,12 @@ KEY_COLUMNS = ["word", "category", "split"]
 class Lexicon:
     """The `word,category,split` columns of a keyed CSV."""
 
-    words: list
-    labels: list
-    splits: list
+    words: list[str]
+    labels: list[str]
+    splits: list[str]
 
     def __post_init__(self):
+        plain_fields(self)
         if not len(self.words) == len(self.labels) == len(self.splits):
             raise InputError("words, labels and splits must have equal length")
 
@@ -306,7 +318,7 @@ def load_lexicon(path):
         if next(rows) != KEY_COLUMNS:
             raise InputError("line 1: expected header `word,category,split`")
         records = sorted((rec for _, rec in rows), key=lambda rec: SPLITS.index(rec[2]))  # stable
-    return Lexicon(*map(list, zip(*records)))
+    return Lexicon(*zip(*records))
 
 
 def _csv_field(name):
@@ -339,8 +351,10 @@ def load_labeled_points_csv(path):
         for lineno, rec in rows:
             keys.append(rec[:3])
             try:
-                values.append([float(tok) for tok in rec[3:]])
+                row = [float(tok) for tok in rec[3:]]
             except ValueError:
                 raise InputError(f"line {lineno}: non-numeric component") from None
-        lex = Lexicon(*map(list, zip(*keys)))
-        return LabeledPoints(lex, np.array(values).reshape(len(keys), width))
+            if not all(map(math.isfinite, row)):
+                raise InputError(f"line {lineno}: non-finite component for {rec[0]!r}")
+            values.append(row)
+        return LabeledPoints(Lexicon(*zip(*keys)), np.array(values).reshape(len(keys), width))

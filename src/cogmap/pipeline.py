@@ -34,8 +34,8 @@ NETWORK = tuple(f.name for f in fields(MlpConfig) if f.name not in ("input_dim",
 class PipelineConfig:
     """Every pipeline setting; the field defaults are the built-in defaults."""
 
-    embeddings_path: str = "data/embeddings_300d.txt"
-    lexicon_path: str = "data/lexicon.csv"
+    embeddings: str = "data/embeddings_300d.txt"
+    lexicon: str = "data/lexicon.csv"
     output_dir: str = "out"
     gammas: list = field(default_factory=lambda: [1.0, 0.3])
     horizon: int = 5
@@ -64,9 +64,9 @@ class PipelineConfig:
                          **{name: getattr(self, name) for name in NETWORK})
 
 
-# config key -> PipelineConfig field: the field name, or a short name for the input paths
-_PATH_KEYS = {"embeddings_path": "embeddings", "lexicon_path": "lexicon"}
-CONFIG_FIELDS = {_PATH_KEYS.get(f.name, f.name): f for f in fields(PipelineConfig)}
+# one name per setting in the config file, the flags, the record and the manifest
+CONFIG_FIELDS = {f.name: f for f in fields(PipelineConfig)}
+INPUTS = ("embeddings", "lexicon")  # the input files, hashed by their bytes
 
 
 def parse_config_file(path):
@@ -113,9 +113,8 @@ def resolve_config(file_values=None, overrides=None):
             if key not in CONFIG_FIELDS:
                 raise InputError(f"unknown config key {key!r}")
             raw[key] = value
-    return PipelineConfig(**{f.name: _parse_value(raw[key], f.type, key)
-                             if isinstance(raw[key], str) else raw[key]
-                             for key, f in CONFIG_FIELDS.items() if key in raw})
+    return PipelineConfig(**{key: _parse_value(value, CONFIG_FIELDS[key].type, key)
+                             if isinstance(value, str) else value for key, value in raw.items()})
 
 
 def config_hash(config):
@@ -123,7 +122,7 @@ def config_hash(config):
     each input file's SHA-256, read in 1 MiB chunks, in place of its path."""
     science = asdict(config)
     del science["output_dir"]
-    for name in _PATH_KEYS:
+    for name in INPUTS:
         digest = hashlib.sha256()
         with open(science[name], "rb") as fh:
             for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -150,8 +149,8 @@ def _gamma_tag(gamma):
 def load_inputs(config):
     """Load stage: the lexicon's words and their embeddings as `LabeledPoints`, the
     training states first, so `split("train")` gives them in order."""
-    lex = load_lexicon(config.lexicon_path)
-    return LabeledPoints(lex, load_embeddings(config.embeddings_path, lex.words))
+    lex = load_lexicon(config.lexicon)
+    return LabeledPoints(lex, load_embeddings(config.embeddings, lex.words))
 
 
 def scale_files(gamma):

@@ -30,7 +30,7 @@ class TransitionMatrix:
     """Row-stochastic N x N matrix over the N training states in `state_words`."""
 
     values: np.ndarray
-    state_words: list
+    state_words: list[str]
 
     @property
     def n(self):
@@ -65,7 +65,7 @@ class SuccessorMatrix:
     gamma: float
     horizon: int
     values: np.ndarray
-    state_words: list
+    state_words: list[str]
 
     @property
     def n(self):
@@ -101,8 +101,7 @@ def build_transition_matrix(states):
     norms = np.sqrt(squared_norms)
     raw = np.maximum((vecs @ vecs.T) / np.outer(norms, norms), 0.0)
     np.fill_diagonal(raw, 1.0)
-    return TransitionMatrix(values=raw / raw.sum(axis=1)[:, None],
-                            state_words=list(states.lex.words))
+    return TransitionMatrix(values=raw / raw.sum(axis=1)[:, None], state_words=states.lex.words)
 
 
 def successor_matrix(t, gamma, horizon):
@@ -130,14 +129,8 @@ def load_sr_json(path):
     with reading(path):
         try:
             n = require_int("n", doc["n"])
-            words = doc["state_words"]
-            if not isinstance(words, list):
-                raise InputError(f"state_words must be a list of words, got {words!r}")
-            for word in words:
-                if not isinstance(word, str):
-                    raise InputError(f"each entry in state_words must be a word, got {word!r}")
             m = SuccessorMatrix(gamma=doc["gamma"], horizon=doc["horizon"], values=doc["values"],
-                                state_words=words)
+                                state_words=doc["state_words"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed successor-matrix envelope ({exc})") from None
         if n != m.n:

@@ -1,17 +1,22 @@
-"""Metamorphic relations of one scale's fit: what reordering the words must and must not change.
+"""Metamorphic relations of one scale's fit: what reordering, rescaling or renaming the words,
+or extra words in the vector file, must and must not change.
 
-Each test calls `fit_scale` directly on a small dataset held in memory, so no
-tree is written.
+The tests call `build_transition_matrix` or `fit_scale` directly on a small dataset held in
+memory, so no tree is written; only the vector-file test writes its inputs, to a temporary
+directory.
 """
 
 import builtins
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cogmap.fileio import LabeledPoints, Lexicon
-from cogmap.pipeline import GDV_SPLITS, PipelineConfig, fit_scale
+from cogmap.pipeline import GDV_SPLITS, PipelineConfig, fit_scale, load_inputs, resolve_config
 from cogmap.sr import build_transition_matrix
+
+from oracles import save_embeddings
 
 CONFIG = PipelineConfig(gammas=[1.0, 0.3], hidden_dim=16, dropout_rate=0.2, learning_rate=0.05,
                         epochs=4, batch_size=5, seed=11)
@@ -87,3 +92,53 @@ def test_fit_scale_creates_no_file_and_no_directory(tmp_path, monkeypatch):
     monkeypatch.setattr(builtins, "open", real_open)
     assert opened == [] and list(tmp_path.iterdir()) == []
     assert fit.predictions.points.shape == (len(inputs.points), fit.sr.n)
+
+
+@pytest.mark.parametrize("factor", [3.7, 1e-3])
+def test_rescaling_every_embedding_leaves_t(factor):
+    states = words_in_three_categories(6, 3).split("train")
+    t = build_transition_matrix(states)
+    scaled = build_transition_matrix(LabeledPoints(states.lex, factor * states.points))
+    assert scaled.state_words == t.state_words
+    np.testing.assert_allclose(scaled.values, t.values, rtol=0.0, atol=1e-15)
+
+
+def test_extra_words_in_the_vector_file_change_no_loaded_row(tmp_path):
+    inputs = words_in_three_categories(4, 2)
+    lexicon = tmp_path / "lexicon.csv"
+    lexicon.write_text("word,category,split\n" + "".join(
+        f"{w},{c},{s}\n" for w, c, s in zip(inputs.lex.words, inputs.lex.labels, inputs.lex.splits)),
+        encoding="utf-8")
+    plain = dict(zip(inputs.lex.words, inputs.points))
+    rng = np.random.default_rng(3)
+    extra = {f"extra_{i}": rng.standard_normal(inputs.points.shape[1]) for i in range(len(plain))}
+    mixed = dict(item for pair in zip(extra.items(), plain.items()) for item in pair)
+    loaded = []
+    for name, entries in (("plain.txt", plain), ("mixed.txt", mixed)):
+        save_embeddings(entries, tmp_path / name)
+        loaded.append(load_inputs(resolve_config({"embeddings": tmp_path / name,
+                                                  "lexicon": lexicon})))
+    for record in loaded:
+        assert record.lex == inputs.lex
+        assert record.points.tobytes() == inputs.points.tobytes()
+
+
+@pytest.mark.parametrize("gamma", CONFIG.gammas)
+def test_renaming_every_word_changes_only_the_words(gamma):
+    inputs = words_in_three_categories(6, 3)
+    # descending names, so a step that sorted or keyed anything by word would move its rows
+    names = [f"z{len(inputs.lex.words) - i:03d}" for i in range(len(inputs.lex.words))]
+    renamed = LabeledPoints(replace(inputs.lex, words=names), inputs.points)
+    (t, fit), (t_renamed, fit_renamed) = fitted(inputs, gamma), fitted(renamed, gamma)
+    assert fit_renamed.sr.state_words == t_renamed.state_words == names[:fit.sr.n]
+    assert t_renamed.values.tobytes() == t.values.tobytes()
+    assert fit_renamed.sr.values.tobytes() == fit.sr.values.tobytes()
+    assert fit_renamed.model.theta.tobytes() == fit.model.theta.tobytes()
+    assert fit_renamed.losses == fit.losses
+    for record in ("predictions", "coordinates"):
+        before, after = getattr(fit, record), getattr(fit_renamed, record)
+        assert after.lex == replace(before.lex, words=names)
+        assert after.points.tobytes() == before.points.tobytes()
+    assert fit_renamed.stress == fit.stress
+    assert fit_renamed.prediction_space == fit.prediction_space
+    assert fit_renamed.projection_2d == fit.projection_2d

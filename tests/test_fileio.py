@@ -206,6 +206,17 @@ def test_lexicon_columns_must_have_equal_length():
         Lexicon(["a", "b"], ["x"], ["train", "train"])
 
 
+@pytest.mark.parametrize("column", ["words", "labels", "splits"])
+def test_lexicon_columns_must_be_lists_of_words(column):
+    # an int word used to pass here and fail in render_svg with an AttributeError
+    columns = {"words": ["a", "b"], "labels": ["x", "y"], "splits": ["train", "train"]}
+    with pytest.raises(InputError, match=f"^each entry in {column} must be a word, got 0$"):
+        Lexicon(**{**columns, column: [columns[column][0], 0]})
+    with pytest.raises(InputError, match=f"^{column} must be a list of words, got 'ab'$"):
+        Lexicon(**{**columns, column: "ab"})
+    assert Lexicon(**{**columns, column: tuple(columns[column])}) == Lexicon(**columns)
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_json_reader_rejects_nonfinite_naming_the_file(tmp_path, token):
     path = tmp_path / "doc.json"
@@ -219,7 +230,7 @@ def test_labeled_points_reader_rejects_nonfinite_naming_the_file(tmp_path, token
     path = tmp_path / "p.csv"
     path.write_text(f"word,category,split,v0\na,x,train,1.0\nb,y,train,{token}\n",
                     encoding="utf-8")
-    with pytest.raises(InputError, match="p.csv: non-finite value"):
+    with pytest.raises(InputError, match="p.csv: line 3: non-finite component for 'b'$"):
         load_labeled_points_csv(path)
 
 

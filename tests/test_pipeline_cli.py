@@ -127,8 +127,8 @@ def test_config_file_rejects_a_key_given_twice(tmp_path, capsys):
 
 def test_resolve_defaults():
     config = resolve_config()
-    assert config.embeddings_path == "data/embeddings_300d.txt"
-    assert config.lexicon_path == "data/lexicon.csv" and config.output_dir == "out"
+    assert config.embeddings == "data/embeddings_300d.txt"
+    assert config.lexicon == "data/lexicon.csv" and config.output_dir == "out"
     assert config.gammas == [1.0, 0.3]
     assert config.horizon == 5 and config.seed == 1234
     assert config.hidden_dim == 128 and config.dropout_rate == 0.8
@@ -306,8 +306,7 @@ def test_config_hash_is_stable_sha256():
 ], ids=["integer-gamma", "numpy-horizon-and-seed", "numpy-network"])
 def test_config_stores_plain_numbers_so_one_run_has_one_hash(spelling):
     # a numpy integer used to make the hash raise, and gammas=[1, 0.3] hashed apart from [1.0, 0.3]
-    paths = {"embeddings_path": SHIPPED_INPUTS["embeddings"], "lexicon_path": SHIPPED_INPUTS["lexicon"]}
-    default, config = PipelineConfig(**paths), PipelineConfig(**paths, **spelling)
+    default, config = PipelineConfig(**SHIPPED_INPUTS), PipelineConfig(**SHIPPED_INPUTS, **spelling)
     assert config_hash(config) == config_hash(default)
     assert [type(v) for v in vars(config).values()] == [type(v) for v in vars(default).values()]
     assert [type(g) for g in config.gammas] == [float, float]
@@ -315,7 +314,8 @@ def test_config_stores_plain_numbers_so_one_run_has_one_hash(spelling):
 
 @pytest.mark.parametrize("value", ["pipe-fd", None, b"data/lexicon.csv", ""],
                          ids=["fd", "none", "bytes", "blank"])
-@pytest.mark.parametrize("name", ["embeddings_path", "lexicon_path", "output_dir"])
+@pytest.mark.parametrize("name", ["embeddings", "lexicon", "output_dir"],
+                         ids=["embeddings_path", "lexicon_path", "output_dir"])  # stable test ids
 def test_config_rejects_a_path_that_is_not_text(tmp_path, monkeypatch, name, value):
     # an int used to be opened as a file descriptor: read, then closed under its owner
     monkeypatch.chdir(tmp_path)
@@ -336,8 +336,8 @@ def test_path_settings_run_like_their_text(tiny, tmp_path):
     # a Path used to train every gamma and then fail to serialize into the manifest
     text = resolve_config(parse_config_file(tiny["cfg"]),
                           {"output_dir": str(tmp_path / "out"), "epochs": "2"})
-    paths = PipelineConfig(**{**vars(text), "embeddings_path": Path(text.embeddings_path),
-                              "lexicon_path": Path(text.lexicon_path),
+    paths = PipelineConfig(**{**vars(text), "embeddings": Path(text.embeddings),
+                              "lexicon": Path(text.lexicon),
                               "output_dir": Path(text.output_dir)})
     assert paths == text and config_hash(paths) == config_hash(text)
     manifests = []
@@ -367,7 +367,7 @@ def test_resolve_takes_typed_values_as_their_text_spelling():
     typed = resolve_config(SHIPPED_INPUTS, {"gammas": [1.0, 0.3], "epochs": 2})
     text = resolve_config(SHIPPED_INPUTS, {"gammas": "1.0,0.3", "epochs": "2"})
     assert typed == text and config_hash(typed) == config_hash(text)
-    assert resolve_config(overrides={"lexicon": Path("x.csv")}).lexicon_path == "x.csv"
+    assert resolve_config(overrides={"lexicon": Path("x.csv")}).lexicon == "x.csv"
     with pytest.raises(InputError, match="epochs must be an integer, got True"):
         resolve_config(overrides={"epochs": True})
     with pytest.raises(InputError, match="gammas must be a nonempty list"):
@@ -393,6 +393,17 @@ def test_run_pipeline_manifest_round_trip(tiny, tmp_path):
             assert (tmp_path / "out" / name).is_file()
     assert manifest["config"]["epochs"] == 3
     assert manifest["config_hash"] == config_hash(config)
+
+
+def test_manifest_config_rebuilds_the_run_config(tiny, tmp_path):
+    # each setting is recorded under its config key, so the record resolves to the same run
+    config = resolve_config(parse_config_file(tiny["cfg"]),
+                            {"output_dir": str(tmp_path / "out"), "epochs": "2"})
+    run_pipeline(config)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert list(manifest["config"]) == list(CONFIG_FIELDS)
+    rebuilt = resolve_config(manifest["config"])
+    assert rebuilt == config and config_hash(rebuilt) == manifest["config_hash"]
 
 
 def test_manifest_records_the_loss_curve_beside_its_floor_and_a_uniform_guess(tiny, tmp_path):
@@ -1013,7 +1024,7 @@ def test_cli_nonfinite_points_are_input_errors(tmp_path, capsys, command, token)
                            "--out-svg", tmp_path / "r.svg"]}
     code, out, err = run_cli(capsys, command, *outputs[command])
     assert code == 1 and out == ""
-    assert err == f"error: {points}: non-finite value {token} in points\n"
+    assert err == f"error: {points}: line 3: non-finite component for 'a1'\n"
     assert sorted(tmp_path.iterdir()) == [points]
 
 

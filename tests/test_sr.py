@@ -216,6 +216,30 @@ def test_sr_json_roundtrip(tmp_path):
     np.testing.assert_equal(vars(back), vars(m))  # state words included
 
 
+@pytest.mark.parametrize("words", [["a", "b"], ("a", "b")], ids=["list", "tuple"])
+def test_sr_json_roundtrip_gives_an_equal_record(tmp_path, words):
+    m = SuccessorMatrix(gamma=0.5, horizon=2, values=np.array([[1.25, 0.5], [0.5, 1.25]]),
+                        state_words=words)
+    p = tmp_path / "sr.json"
+    save_sr_json(m, p)
+    back = load_sr_json(p)
+    assert back.state_words == m.state_words == ["a", "b"]
+    assert (back.gamma, back.horizon) == (m.gamma, m.horizon)
+    assert back.values.tobytes() == m.values.tobytes()
+
+
+@pytest.mark.parametrize("kind", [TransitionMatrix, SuccessorMatrix])
+def test_matrices_take_their_state_words_as_a_list_of_words(kind):
+    # an SR with int words used to be written, then refused by load_sr_json
+    scale = {"gamma": 0.5, "horizon": 2} if kind is SuccessorMatrix else {}
+    values = np.full((2, 2), 0.5)
+    with pytest.raises(InputError, match="^each entry in state_words must be a word, got 0$"):
+        kind(values=values, state_words=[0, 1], **scale)
+    with pytest.raises(InputError, match="^state_words must be a list of words, got 'ab'$"):
+        kind(values=values, state_words="ab", **scale)
+    assert kind(values=values, state_words=("a", "b"), **scale).state_words == ["a", "b"]
+
+
 def test_sr_json_is_plain_json(tmp_path):
     t = flip_chain()
     m = successor_matrix(t, 0.5, 2)
