@@ -10,8 +10,8 @@ from .fileio import (committing, dump_json, load_labeled_points_csv, save_labele
 from .metrics import gdv
 from .neural import predict_all, save_model, load_model
 from .pipeline import (CONFIG_FIELDS, GDV_SPLITS, INPUTS, NETWORK, fit_model, load_inputs,
-                       parse_config_file, project_map, resolve_config, run_pipeline, save_map,
-                       scale_files)
+                       parse_config_file, resolve_config, run_pipeline, save_map, scale_files)
+from .projection import classical_mds
 from .sr import build_transition_matrix, successor_matrix, save_sr_json, load_sr_json
 
 
@@ -65,7 +65,7 @@ def _cmd_predict(args):
 
 
 def _cmd_project(args):
-    coordinates, stress = project_map(load_labeled_points_csv(args.predictions))
+    coordinates, stress = classical_mds(load_labeled_points_csv(args.predictions))
     save_map(coordinates, args.out_csv, args.out_svg)
     print(f"wrote {args.out_csv} and {args.out_svg} (stress {stress:.6g})")
     return 0

@@ -68,11 +68,12 @@ class MlpModel:
 
     def __post_init__(self):
         plain_fields(self)
+        for name, shape in _param_shapes(self.config).items():  # before theta is allocated
+            if getattr(self, name).shape != shape:
+                raise InputError(f"parameter shapes do not match the config: {name} is "
+                                 f"{getattr(self, name).shape}, expected {shape}")
         self.theta = np.empty(_param_count(self.config))
         for name, view in _views(self.theta, self.config).items():
-            if getattr(self, name).shape != view.shape:
-                raise InputError(f"parameter shapes do not match the config: {name} is "
-                                 f"{getattr(self, name).shape}, expected {view.shape}")
             view[...] = getattr(self, name)
             setattr(self, name, view)
 

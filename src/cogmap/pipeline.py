@@ -2,9 +2,9 @@
 
 Per scale gamma, `fit_scale` trains a fresh network, predicts all training and
 validation words, scores three GDVs (all points, training only, validation
-only) on the raw prediction vectors, and projects the predictions to 2-D for
-the map, all without file I/O; `run_pipeline` then writes the fit. GDV in
-prediction space is the primary number; the 2-D GDV after MDS is also
+only) on the raw prediction vectors, and maps the predictions to 2-D with
+`classical_mds`, all without file I/O; `run_pipeline` then writes the fit.
+GDV in prediction space is the primary number; the 2-D GDV after MDS is also
 emitted, clearly labeled, since the two generally differ.
 """
 
@@ -198,7 +198,7 @@ def fit_scale(inputs, transition, gamma, config, seed):
     with _stage(f"gdv gamma={tag}"):
         raw_reports = {split: gdv(predictions.split(split)) for split in GDV_SPLITS}
     with _stage(f"project gamma={tag}"):
-        coordinates, stress = project_map(predictions)
+        coordinates, stress = classical_mds(predictions)
         planar_reports = {split: gdv(coordinates.split(split)) for split in GDV_SPLITS}
     return ScaleFit(sr, model, losses, examples, predictions, coordinates, stress, raw_reports,
                     planar_reports)
@@ -264,13 +264,6 @@ def run_pipeline(config):
         }
         dump_json(manifest, staging / "manifest.json")
     return manifest
-
-
-def project_map(points):
-    """Project a `LabeledPoints` record to 2-D by MDS; returns (coordinates, stress), the
-    coordinates as `LabeledPoints` of the same words."""
-    xy, stress = classical_mds(points.points)
-    return LabeledPoints(points.lex, xy), stress
 
 
 def save_map(coordinates, csv_path, svg_path):

@@ -1,4 +1,4 @@
-"""Classical (Torgerson) multidimensional scaling of points onto the plane.
+"""Classical (Torgerson) multidimensional scaling of a `LabeledPoints` record onto the plane.
 
 For Euclidean distances the double-centered matrix B = -1/2 J D^2 J, with
 J = I - (1/n) 11^T, is the Gram matrix Xc Xc^T of the centered points
@@ -12,6 +12,7 @@ so each coordinate column's largest-magnitude entry is positive.
 import numpy as np
 
 from .errors import InputError
+from .fileio import LabeledPoints
 
 
 def euclidean_distances(x):
@@ -37,17 +38,17 @@ def pairwise_euclidean(points):
 
 
 def classical_mds(points):
-    """Project the rows of `points` to the plane; returns (n x 2 coordinates, normalized stress).
+    """Project a `LabeledPoints` record to the plane; returns (coordinates, normalized stress),
+    the coordinates a record of the same lexicon with one (x, y) row per word.
 
     Stress is sqrt(sum_{i<j} (d_ij - dhat_ij)^2 / sum_{i<j} d_ij^2) where d
     are the distances of the points and dhat those of the projected points.
     """
-    dist = pairwise_euclidean(points)
+    dist = pairwise_euclidean(points.points)
     n = len(dist)
     if n < 3:
         raise InputError(f"need at least 3 points to project to 2-D, got {n}")
-    centered = np.asarray(points, dtype=np.float64)
-    centered = centered - centered.mean(axis=0)
+    centered = points.points - points.points.mean(axis=0)
     evals, evecs = np.linalg.eigh(centered @ centered.T)
     order = np.argsort(-evals, kind="stable")[:2]
     coords = evecs[:, order] * np.sqrt(np.maximum(evals[order], 0.0))[None, :]
@@ -58,4 +59,4 @@ def classical_mds(points):
     recovered = euclidean_distances(coords)
     denom = float((dist * dist).sum())
     stress = float(np.sqrt(((dist - recovered) ** 2).sum() / denom)) if denom > 0.0 else 0.0
-    return coords, stress
+    return LabeledPoints(points.lex, coords), stress

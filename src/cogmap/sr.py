@@ -12,10 +12,10 @@ at gamma = 1.
 
 T is built from the training states' `LabeledPoints`, and both matrices name
 their states: row and column i belong to `state_words[i]`, the i-th training
-word. An SR envelope (`save_sr_json`, `load_sr_json`) carries the words too.
+word. An SR envelope (`save_sr_json`, `load_sr_json`) holds the record's four fields.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -118,21 +118,16 @@ def successor_matrix(t, gamma, horizon):
 
 
 def save_sr_json(m, path):
-    """JSON envelope with n (the matrix size), gamma, horizon, state words, and values."""
-    dump_json({"n": m.n, "gamma": m.gamma, "horizon": m.horizon,
-               "state_words": m.state_words, "values": m.values}, path)
+    """JSON envelope of the record's fields: gamma, horizon, state words and values."""
+    dump_json({"gamma": m.gamma, "horizon": m.horizon, "state_words": m.state_words,
+               "values": m.values}, path)
 
 
 def load_sr_json(path):
-    """The SuccessorMatrix of a JSON envelope whose n fits its values and whose words are text."""
+    """The SuccessorMatrix of a JSON envelope; any key but its fields (an older `n`) is ignored."""
     doc = load_json(path)
     with reading(path):
         try:
-            n = require_int("n", doc["n"])
-            m = SuccessorMatrix(gamma=doc["gamma"], horizon=doc["horizon"], values=doc["values"],
-                                state_words=doc["state_words"])
+            return SuccessorMatrix(**{f.name: doc[f.name] for f in fields(SuccessorMatrix)})
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed successor-matrix envelope ({exc})") from None
-        if n != m.n:
-            raise InputError(f"n is {n} but values are {m.n}x{m.n}")
-    return m

@@ -21,11 +21,12 @@ import pytest
 from cogmap.metrics import gdv
 from cogmap.neural import MlpConfig
 from cogmap.pipeline import parse_config_file, resolve_config, run_pipeline
-from cogmap.projection import classical_mds, pairwise_euclidean
+from cogmap.projection import pairwise_euclidean
 from cogmap.sr import TransitionMatrix, successor_matrix
 
 from oracles import gradient_check, rollout_occupancy_oracle
 from test_metrics import gdv_reference, labeled
+from test_projection import mds
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -227,7 +228,7 @@ def test_criterion_7_mds_recovery(criterion_log):
     for seed in range(20):
         rng = np.random.default_rng(5000 + seed)
         points = rng.standard_normal((10, 2)) * rng.uniform(0.5, 5.0)
-        coords, stress = classical_mds(points)
+        coords, stress = mds(points)
         iu = np.triu_indices(10, k=1)
         recovered = pairwise_euclidean(coords)[iu]
         given = pairwise_euclidean(points)[iu]

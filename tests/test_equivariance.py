@@ -1,9 +1,9 @@
 """Metamorphic relations of one scale's fit: what reordering, rescaling or renaming the words,
 or extra words in the vector file, must and must not change.
 
-The tests call `build_transition_matrix` or `fit_scale` directly on a small dataset held in
-memory, so no tree is written; only the vector-file test writes its inputs, to a temporary
-directory.
+The tests call `build_transition_matrix`, `fit_scale` or `classical_mds` directly on a small
+dataset held in memory, so no tree is written; only the vector-file test writes its inputs, to a
+temporary directory.
 """
 
 import builtins
@@ -14,6 +14,7 @@ import pytest
 
 from cogmap.fileio import LabeledPoints, Lexicon
 from cogmap.pipeline import GDV_SPLITS, PipelineConfig, fit_scale, load_inputs, resolve_config
+from cogmap.projection import classical_mds
 from cogmap.sr import build_transition_matrix
 
 from oracles import save_embeddings
@@ -75,6 +76,20 @@ def test_permuting_the_validation_rows_moves_only_their_predictions(gamma):
         for split in GDV_SPLITS:
             assert abs(getattr(fit_moved, space)[split]["gdv"]
                        - getattr(fit, space)[split]["gdv"]) <= 1e-12, (space, split)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_permuting_a_records_rows_permutes_its_map(seed):
+    predictions = fitted(words_in_three_categories(6, 3), 1.0)[1].predictions
+    order = list(np.random.default_rng(seed).permutation(len(predictions.points)))
+    moved = reordered(predictions, order)
+    coords, stress = classical_mds(predictions)
+    coords_moved, stress_moved = classical_mds(moved)
+    assert coords.lex is predictions.lex and coords_moved.lex is moved.lex
+    scale = np.abs(coords.points).max()
+    np.testing.assert_allclose(coords_moved.points, coords.points[order], rtol=0.0,
+                               atol=1e-12 * scale)
+    assert abs(stress_moved - stress) <= 1e-12
 
 
 def test_fit_scale_creates_no_file_and_no_directory(tmp_path, monkeypatch):

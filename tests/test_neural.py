@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -522,6 +523,19 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     text = p.read_text(encoding="utf-8").replace('"hidden_dim": 5', '"hidden_dim": 6')
     p.write_text(text, encoding="utf-8")
     with pytest.raises(InputError, match="shapes"):
+        load_model(p)
+
+
+def test_checkpoint_arrays_are_checked_before_the_config_sizes_an_allocation(tmp_path):
+    # a billion hidden units would ask for 2.4 TB before the shapes were compared
+    p = tmp_path / "model.json"
+    save_model(init_model(small_config()), p)
+    doc = json.loads(p.read_text(encoding="utf-8"))
+    doc["config"]["hidden_dim"] = 1_000_000_000
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape("model.json: parameter shapes do not match "
+                                                   "the config: w1 is (5, 4), expected "
+                                                   "(1000000000, 4)")):
         load_model(p)
 
 

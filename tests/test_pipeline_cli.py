@@ -865,16 +865,8 @@ def _edit_sr_gamma(doc):
     doc["gamma"] = 5
 
 
-def _edit_sr_n(doc):
-    doc["n"] = len(doc["values"]) + 1
-
-
 def _edit_sr_fractional_horizon(doc):
     doc["horizon"] = 2.7
-
-
-def _edit_sr_fractional_n(doc):
-    doc["n"] = len(doc["values"]) + 0.5
 
 
 def _edit_sr_short_state_words(doc):
@@ -915,8 +907,7 @@ def _edit_sr_gamma_to(value):
 @pytest.mark.parametrize("edit,message", [
     (_edit_sr_nan, "non-finite value"), (_edit_sr_ragged, "malformed"),
     (_edit_sr_negative, "non-negative"), (_edit_sr_gamma, "gamma must be in [0, 1], got 5.0"),
-    (_edit_sr_n, "n is"), (_edit_sr_fractional_horizon, "horizon must be an integer, got 2.7"),
-    (_edit_sr_fractional_n, "n must be an integer, got"),
+    (_edit_sr_fractional_horizon, "horizon must be an integer, got 2.7"),
     (_edit_sr_short_state_words, "successor matrix must be 8x8, got (9, 9)"),
     (_edit_sr_gamma_to(True), "gamma must be a real number, got True"),
     (_edit_sr_gamma_to("0.5"), "gamma must be a real number, got '0.5'"),
@@ -926,9 +917,9 @@ def _edit_sr_gamma_to(value):
     (_edit_sr_state_words_to_string, "state_words must be a list of words, got 'sss"),
     (_edit_sr_state_words_to_ints, "each entry in state_words must be a word, got 0"),
     (_edit_sr_nested_state_words, "each entry in state_words must be a word, got ['"),
-], ids=["nan", "ragged", "negative", "gamma-5", "n-mismatch", "horizon-2.7", "n-fraction",
-        "short-state-words", "gamma-true", "gamma-string", "values-string", "values-true",
-        "values-null", "state-words-string", "state-words-ints", "state-words-nested"])
+], ids=["nan", "ragged", "negative", "gamma-5", "horizon-2.7", "short-state-words",
+        "gamma-true", "gamma-string", "values-string", "values-true", "values-null",
+        "state-words-string", "state-words-ints", "state-words-nested"])
 def test_cli_train_rejects_bad_sr_envelope(tiny, tmp_path, capsys, edit, message):
     # reported against the file, not as a training failure or a numpy error
     out_dir = tmp_path / "flow"
@@ -1183,6 +1174,46 @@ def test_cli_input_that_does_not_decode_or_parse_names_its_file(tiny, staged, tm
     assert code == 1 and stdout == ""
     assert err.startswith(f"{prefix}{bad}: ") and err.count("\n") == 1
     assert err.count(bad.name) == 1
+    assert list(out.iterdir()) == []
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _with_unknown_config_key(doc):
+    return {**doc, "config": {**doc["config"], "width": 3}}
+
+
+# id -> (the input spoiled, the JSON document that replaces it)
+MALFORMED_INPUTS = {
+    "checkpoint-without-w1": ("model", _without("w1")),
+    "checkpoint-unknown-config-key": ("model", _with_unknown_config_key),
+    "checkpoint-array": ("model", lambda doc: [doc]),
+    "sr-without-gamma": ("sr", _without("gamma")),
+    "sr-string": ("sr", lambda doc: "sr"),
+}
+# the input -> (the command that reads it, the start of its error)
+MALFORMED_READERS = {"model": (_predict, "malformed model checkpoint ("),
+                     "sr": (_train, "malformed successor-matrix envelope (")}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_cli_json_input_of_the_wrong_layout_names_its_file(tiny, staged, tmp_path, capsys, case):
+    # valid JSON that is not a checkpoint or an envelope: exit 1, the file named, no output
+    key, spoil = MALFORMED_INPUTS[case]
+    command, message = MALFORMED_READERS[key]
+    files = {"cfg": tiny["cfg"], "lexicon": tiny["lexicon"], "embeddings": tiny["embeddings"],
+             **staged}
+    bad = tmp_path / f"bad-{files[key].name}"
+    bad.write_text(json.dumps(spoil(json.loads(files[key].read_text(encoding="utf-8")))),
+                   encoding="utf-8")
+    files[key] = bad
+    out = tmp_path / "out"
+    out.mkdir()
+    code, stdout, err = run_cli(capsys, *command(files, out))
+    assert code == 1 and stdout == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {bad}: {message}")
     assert list(out.iterdir()) == []
 
 

@@ -8,12 +8,20 @@ import pytest
 from cogmap.errors import InputError
 from cogmap.projection import classical_mds, pairwise_euclidean
 
+from test_metrics import labeled
+
 
 def condensed(points):
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
     return np.array([np.linalg.norm(points[i] - points[j])
                      for i in range(n) for j in range(i + 1, n)])
+
+
+def mds(points):
+    """`classical_mds` of a record of `points`, one word per row; returns (n x 2 array, stress)."""
+    coords, stress = classical_mds(labeled(points, ["c"] * len(points)))
+    return coords.points, stress
 
 
 def double_centering_mds(points):
@@ -56,7 +64,7 @@ def test_recovers_planar_configurations():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         points = rng.standard_normal((10, 2)) * rng.uniform(0.5, 4.0)
-        coords, stress = classical_mds(points)
+        coords, stress = mds(points)
         assert coords.shape == (10, 2)
         assert stress < 1e-9
         np.testing.assert_allclose(condensed(coords), condensed(points),
@@ -65,7 +73,7 @@ def test_recovers_planar_configurations():
 
 def test_unit_square_distance_multiset():
     square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-    coords, stress = classical_mds(square)
+    coords, stress = mds(square)
     assert stress < 1e-9
     np.testing.assert_allclose(np.sort(condensed(coords)),
                                [1.0, 1.0, 1.0, 1.0, math.sqrt(2.0), math.sqrt(2.0)],
@@ -76,7 +84,7 @@ def test_tetrahedron_cannot_be_flattened():
     # four mutually equidistant points need 3 dimensions; stress must be real
     points = np.eye(4) / np.sqrt(2.0)
     np.testing.assert_allclose(condensed(points), 1.0, rtol=1e-15)
-    coords, stress = classical_mds(points)
+    coords, stress = mds(points)
     assert coords.shape == (4, 2)
     assert 0.05 < stress < 0.8
 
@@ -84,15 +92,15 @@ def test_tetrahedron_cannot_be_flattened():
 def test_scale_equivariance():
     rng = np.random.default_rng(9)
     points = rng.standard_normal((7, 2))
-    a, _ = classical_mds(points)
-    b, _ = classical_mds(2.0 * points)
+    a, _ = mds(points)
+    b, _ = mds(2.0 * points)
     np.testing.assert_allclose(b, 2.0 * a, atol=1e-9)
 
 
 def test_first_component_carries_most_variance():
     rng = np.random.default_rng(4)
     points = rng.standard_normal((12, 2)) * np.array([5.0, 1.0])
-    coords, stress = classical_mds(points)
+    coords, stress = mds(points)
     variances = coords.var(axis=0)
     assert variances[0] > variances[1]
 
@@ -100,8 +108,8 @@ def test_first_component_carries_most_variance():
 def test_deterministic_with_positive_peak_sign():
     rng = np.random.default_rng(14)
     points = rng.standard_normal((9, 3))
-    a, a_stress = classical_mds(points)
-    b, b_stress = classical_mds(points)
+    a, a_stress = mds(points)
+    b, b_stress = mds(points)
     np.testing.assert_array_equal(a, b)
     assert a_stress == b_stress
     for col in range(2):
@@ -111,12 +119,12 @@ def test_deterministic_with_positive_peak_sign():
 
 def test_too_few_points_rejected():
     with pytest.raises(InputError, match="at least 3"):
-        classical_mds([[0.0, 0.0], [1.0, 0.0]])
+        mds([[0.0, 0.0], [1.0, 0.0]])
 
 
 def test_ragged_points_rejected():
     with pytest.raises(InputError, match="one dimension"):
-        classical_mds(np.zeros(5))
+        pairwise_euclidean(np.zeros(5))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -126,7 +134,7 @@ def test_matches_double_centering_oracle(seed):
     rng = np.random.default_rng(300 + seed)
     n, dim = int(rng.integers(3, 40)), int(rng.integers(2, 12))
     points = rng.standard_normal((n, dim)) * rng.uniform(0.01, 100.0) + rng.uniform(-50, 50, dim)
-    coords, stress = classical_mds(points)
+    coords, stress = mds(points)
     oracle = condensed(double_centering_mds(points))
     np.testing.assert_allclose(condensed(coords), oracle,
                                rtol=0, atol=1e-12 * oracle.max())

@@ -251,6 +251,19 @@ def test_sr_json_is_plain_json(tmp_path):
     assert doc["state_words"] == ["a", "b"]
 
 
+@pytest.mark.parametrize("n", [2, 3, 2.5], ids=["right", "wrong", "fraction"])
+def test_sr_json_with_an_older_n_key_loads_as_the_same_record(tmp_path, n):
+    # envelopes once led with the matrix size; the size is the state words' count now
+    m = SuccessorMatrix(gamma=0.5, horizon=2, values=np.array([[1.25, 0.5], [0.5, 1.25]]),
+                        state_words=["a", "b"])
+    p = tmp_path / "sr.json"
+    save_sr_json(m, p)
+    doc = json.loads(p.read_text(encoding="utf-8"))
+    assert list(doc) == ["gamma", "horizon", "state_words", "values"]
+    p.write_text(json.dumps({"n": n, **doc}), encoding="utf-8")
+    np.testing.assert_equal(vars(load_sr_json(p)), vars(m))
+
+
 def test_sr_json_writer_needs_one_word_per_state(tmp_path):
     p = tmp_path / "sr.json"
     with pytest.raises(InputError, match=re.escape("successor matrix must be 1x1, got (2, 2)")):
