@@ -16,6 +16,9 @@ from .sr import build_transition_matrix, successor_matrix, save_sr_json, load_sr
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # one spelling per flag: no prefix of a flag matches it
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         # usage problems are validation errors (exit 1), not internal errors
         raise InputError(message)

@@ -11,19 +11,19 @@ import numpy as np
 
 from .errors import InputError
 # load_lexicon is re-exported, with Lexicon: the benchmark's tracer looks it up in cogmap.dataset
-from .fileio import Lexicon, load_lexicon, plain_fields, reading  # noqa: F401
+from .fileio import Lexicon, float_row, load_lexicon, plain_fields, reading  # noqa: F401
 
 
 def load_embeddings(path, words):
     """The vectors of `words`, one float64 row each in that order, from a vector-text file.
 
-    The file is a header `<count> <dimension>`, then `<word> <v1> ... <vD>`
-    lines. Fields are separated by single spaces; trailing whitespace on a
-    vector line (common in fastText `.vec` files) is ignored. Every line is
-    checked, whether or not its word is requested: malformed headers, wrong
-    component counts, duplicates, non-finite components, and zero vectors are
-    all rejected with the offending line number. Only the requested rows are
-    kept, so memory grows with `words`, not with the file.
+    The file is a header `<count> <dimension>`, then `<word> <v1> ... <vD>` lines. Fields
+    are separated by single spaces; trailing whitespace on a vector line (common in
+    fastText `.vec` files) is ignored. Every line is checked, whether or not its word is
+    requested: malformed headers, wrong component counts, duplicates, non-numeric or
+    non-finite components (`float_row`, as for a labeled-points CSV) and zero vectors
+    are rejected with the line number. Only the requested rows are kept, so memory grows
+    with `words`, not with the file.
     """
     seen = set()
     kept = dict.fromkeys(words)
@@ -50,12 +50,7 @@ def load_embeddings(path, words):
             if word in seen:
                 raise InputError(f"line {lineno}: duplicate word {word!r}")
             seen.add(word)
-            try:
-                vec = np.array([float(tok) for tok in fields[1:]], dtype=np.float64)
-            except ValueError:
-                raise InputError(f"line {lineno}: non-numeric component for {word!r}") from None
-            if not np.all(np.isfinite(vec)):
-                raise InputError(f"line {lineno}: non-finite component for {word!r}")
+            vec = np.array(float_row(fields[1:], lineno, word))
             if not np.any(vec):
                 raise InputError(f"line {lineno}: zero vector for {word!r}")
             if word in kept:

@@ -6,15 +6,15 @@ a `Lexicon` and one finite float64 row per lexicon row (an embedding, a predicte
 distribution, a map position), checked once when it is built. `split(name)` gives
 the rows of one split in order, so the training states are `points.split("train")`.
 
-Every float is written as its shortest round-trip text (Python's `repr`), so
-parsing any artifact recovers the exact float64 bits. `float_text` is that rule
-for delimited text: it formats one row, so the CSV and vector-text writers hold
-one row's text at a time, as `dump_json` does for a matrix. Every writer fills
-a temporary file beside its target and renames it onto the target only when
-the whole text is written, so a rejected value or a failed write leaves no
-file and an existing file stays as it was. Every reader parses inside
-`reading(path)`, so a defect in an input file (text that is not UTF-8, JSON or CSV
-that does not parse, a value a check rejects) is an `InputError` naming the file.
+Every float is written as its shortest round-trip text (Python's `repr`), so parsing
+any artifact recovers the exact float64 bits. `float_text` is that rule for one row of
+delimited text, so the writers hold one row's text at a time, as `dump_json` does for a
+matrix; `float_row` reads such a row back. Every writer fills a temporary file beside
+its target and renames it onto the target only when the whole text is written, so a
+rejected value or a failed write leaves no file and an existing file stays as it was.
+Every reader parses inside `reading(path)`, so a defect in an input file (text that is
+not UTF-8, JSON or CSV that does not parse, a value a check rejects, a JSON document
+that `load_json`'s record builder cannot take) is an `InputError` naming the file.
 A record calls `plain_fields` first in `__post_init__`: one rule per declared field type
 (`int`, `float`, `str` for a path, `list[str]` for words, `np.ndarray`) checks it, stored plain.
 """
@@ -62,6 +62,17 @@ def float_text(values, sep):
     if values.ndim != 1:
         raise InputError(f"expected one row of values, got shape {values.shape}")
     return sep.join(map(repr, values.tolist()))
+
+
+def float_row(fields, lineno, word):
+    """One row's text fields as floats; a non-numeric or non-finite field names line and word."""
+    try:
+        row = [float(field) for field in fields]
+    except ValueError:
+        raise InputError(f"line {lineno}: non-numeric component for {word!r}") from None
+    if not all(map(math.isfinite, row)):
+        raise InputError(f"line {lineno}: non-finite component for {word!r}")
+    return row
 
 
 def require_int(name, value):
@@ -209,16 +220,21 @@ def dump_json(obj, path):
         fh.write("}\n")
 
 
-def load_json(path):
-    """Parse a JSON file; a NaN or Infinity, or nesting too deep to parse, is an InputError."""
+def load_json(path, build, what):
+    """`build(doc)` of the JSON document in `path`; a NaN or Infinity, nesting too deep to parse
+    or a Key/Type/Value/OverflowError of `build` (as `malformed <what>`) is an InputError."""
     def reject(constant):
         raise InputError(f"non-finite value {constant}")
 
     with open(path, encoding="utf-8") as fh, reading(path):
         try:
-            return json.load(fh, parse_constant=reject)
+            doc = json.load(fh, parse_constant=reject)
         except RecursionError:  # only here: elsewhere one is the program's own fault
             raise InputError("JSON nested too deeply to parse") from None
+        try:
+            return build(doc)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"malformed {what} ({exc})") from None
 
 
 def save_matrix_csv(values, path):
@@ -350,11 +366,5 @@ def load_labeled_points_csv(path):
             raise InputError("no component columns after `word,category,split`")
         for lineno, rec in rows:
             keys.append(rec[:3])
-            try:
-                row = [float(tok) for tok in rec[3:]]
-            except ValueError:
-                raise InputError(f"line {lineno}: non-numeric component") from None
-            if not all(map(math.isfinite, row)):
-                raise InputError(f"line {lineno}: non-finite component for {rec[0]!r}")
-            values.append(row)
+            values.append(float_row(rec[3:], lineno, rec[0]))
         return LabeledPoints(Lexicon(*zip(*keys)), np.array(values).reshape(len(keys), width))

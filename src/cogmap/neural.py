@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import InputError
-from .fileio import LabeledPoints, dump_json, load_json, plain_fields, reading
+from .fileio import LabeledPoints, dump_json, load_json, plain_fields
 
 LOG_CLAMP = 1e-12
 
@@ -240,10 +240,7 @@ def save_model(model, path):
 
 
 def load_model(path):
-    doc = load_json(path)
-    with reading(path):
-        try:
-            config = MlpConfig(**doc["config"])
-            return MlpModel(**{name: doc[name] for name in _param_shapes(config)}, config=config)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"malformed model checkpoint ({exc})") from None
+    def build(doc):
+        config = MlpConfig(**doc["config"])
+        return MlpModel(**{name: doc[name] for name in _param_shapes(config)}, config=config)
+    return load_json(path, build, "model checkpoint")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InputError
-from .fileio import dump_json, load_json, plain_fields, reading, require_int, require_real
+from .fileio import dump_json, load_json, plain_fields, require_int, require_real
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -125,9 +125,6 @@ def save_sr_json(m, path):
 
 def load_sr_json(path):
     """The SuccessorMatrix of a JSON envelope; any key but its fields (an older `n`) is ignored."""
-    doc = load_json(path)
-    with reading(path):
-        try:
-            return SuccessorMatrix(**{f.name: doc[f.name] for f in fields(SuccessorMatrix)})
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"malformed successor-matrix envelope ({exc})") from None
+    names = [f.name for f in fields(SuccessorMatrix)]
+    return load_json(path, lambda doc: SuccessorMatrix(**{name: doc[name] for name in names}),
+                     "successor-matrix envelope")

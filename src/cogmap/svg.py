@@ -1,11 +1,10 @@
 """Static SVG scatter plots of 2-D projections, one color per category.
 
-The map is drawn from one `fileio.LabeledPoints` record, whose rows are the
-words' positions, so the words and the points line up by construction.
+The map is drawn from one `fileio.LabeledPoints` record, whose rows are the words'
+positions, so the words and the points line up by construction; it has no clock.
 """
 
 import colorsys
-from datetime import datetime, timezone
 
 from .fileio import replacing
 
@@ -21,8 +20,8 @@ def render_svg(coordinates, out_path):
 
     One circle per point, filled by category; validation points carry a
     distinct ring stroke. The legend lists the categories in order of first
-    appearance in the labels. Output is deterministic for fixed input except for
-    the `<!-- generated ... -->` comment, which holds the current UTC time in ISO 8601.
+    appearance in the labels. The bytes are a function of the record alone: no clock,
+    so `cogmap project` on a run's predictions rewrites that run's map byte for byte.
     """
     lex = coordinates.lex
     xs = [float(c[0]) for c in coordinates.points]
@@ -41,12 +40,10 @@ def render_svg(coordinates, out_path):
     fills = PALETTE if len(categories) <= len(PALETTE) else [  # one evenly spaced hue each
         "#" + bytes(round(255 * c) for c in colorsys.hsv_to_rgb(h, 0.85, 0.75)).hex() for h in hues]
     color = dict(zip(categories, fills))
-    ts = datetime.now(timezone.utc).isoformat(timespec="seconds")
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" height="{CANVAS}" '
         f'viewBox="0 0 {CANVAS} {CANVAS}">',
-        f"<!-- generated {ts} -->",
         f'<rect width="{CANVAS}" height="{CANVAS}" fill="white"/>',
     ]
     for word, label, split, x, y in zip(lex.words, lex.labels, lex.splits, xs, ys):

@@ -257,10 +257,6 @@ def test_criterion_8_progress_and_determinism(pipeline_runs, criterion_log):
             doc_b = json.loads(b_path.read_text(encoding="utf-8"))
             doc_a["created_utc"] = doc_b["created_utc"] = "MASKED"
             same = doc_a == doc_b
-        elif name.endswith(".svg"):
-            strip = lambda p: [l for l in p.read_text(encoding="utf-8").splitlines()
-                               if not l.startswith("<!-- generated")]
-            same = strip(a_path) == strip(b_path)
         else:
             same = a_path.read_bytes() == b_path.read_bytes()
         identical &= same
@@ -271,4 +267,4 @@ def test_criterion_8_progress_and_determinism(pipeline_runs, criterion_log):
         f"{run['final_train_loss']:.4f}" for run in manifest_a["runs"])
     record(criterion_log, 8, "training progress + determinism", passed,
            f"{losses}; rerun with identical config+seed: {compared} artifacts "
-           f"byte-identical (manifest/SVG timestamps masked)")
+           f"byte-identical (manifest timestamp masked)")

@@ -39,7 +39,7 @@ def test_json_roundtrip_is_bit_exact(tmp_path):
     path = tmp_path / "doc.json"
     dump_json({"list": EDGES, "array": np.array([EDGES, EDGES[::-1]], dtype=np.float64)},
               path)
-    back = load_json(path)
+    back = load_json(path, dict, "document")
     np.testing.assert_array_equal(bits(back["list"]), bits(EDGES))
     assert type(back["list"][-1]) is int
     np.testing.assert_array_equal(bits(back["array"]), bits([EDGES, EDGES[::-1]]))
@@ -222,7 +222,7 @@ def test_json_reader_rejects_nonfinite_naming_the_file(tmp_path, token):
     path = tmp_path / "doc.json"
     path.write_text(f'{{"values": [1.0, {token}]}}\n', encoding="utf-8")
     with pytest.raises(InputError, match=f"doc.json: non-finite value {token}"):
-        load_json(path)
+        load_json(path, dict, "document")
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])

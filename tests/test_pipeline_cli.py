@@ -79,11 +79,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def svg_payload(path):
-    return [line for line in Path(path).read_text(encoding="utf-8").splitlines()
-            if not line.startswith("<!-- generated")]
-
-
 def masked_manifest(path):
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     doc["created_utc"] = "MASKED"
@@ -232,6 +227,22 @@ def test_cli_removed_flags_are_usage_errors(tmp_path, capsys, command, flags):
     code, out, err = run_cli(capsys, command, *flags, *outputs[command])
     assert code == 1 and out == "" and f"unrecognized arguments: {flags[0]}" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,flags", [("build-sr", ["--gamma", "0.5"]),
+                                           ("run", ["--gamma", "0.5"]),
+                                           ("train", ["--epoch", "2"])])
+def test_cli_flag_prefixes_are_usage_errors(tiny, tmp_path, capsys, command, flags):
+    # each flag has one spelling: `--gamma` is not read as `--gammas`, nor `--epoch` as `--epochs`
+    sr_dir, out_dir = tmp_path / "sr", tmp_path / "out"
+    assert run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", sr_dir)[0] == 0
+    out_dir.mkdir()
+    outputs = {"build-sr": ["--out-dir", out_dir], "run": ["--out-dir", out_dir],
+               "train": ["--sr", sr_dir / "sr_gamma_1.0.json", "--out", out_dir / "model.json"]}
+    code, out, err = run_cli(capsys, command, "--config", tiny["cfg"], *flags, *outputs[command])
+    assert code == 1 and out == ""
+    assert err == f"error: unrecognized arguments: {' '.join(flags)}\n"
+    assert list(out_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("gammas", ["0.5,0.5", "1,1.0"])
@@ -516,7 +527,7 @@ def test_cli_run_end_to_end(tiny, tmp_path, capsys):
 
 def test_cli_run_is_deterministic(tiny, tmp_path, capsys, monkeypatch):
     # identical relative inputs in two working directories must agree byte for
-    # byte everywhere except the recorded timestamps
+    # byte everywhere except the manifest's created_utc
     workspaces = []
     for name in ("a", "b"):
         ws = tmp_path / name
@@ -539,8 +550,6 @@ def test_cli_run_is_deterministic(tiny, tmp_path, capsys, monkeypatch):
     for name in names:
         if name == "manifest.json":
             assert masked_manifest(a / name) == masked_manifest(b / name)
-        elif name.endswith(".svg"):
-            assert svg_payload(a / name) == svg_payload(b / name)
         else:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -587,7 +596,7 @@ def test_interleaved_lexicon_gives_one_category_order(tiny, tmp_path, capsys):
         assert code == 0, err
         assert (tmp_path / "proj.csv").read_bytes() == \
             (out_dir / f"projection_gamma_{tag}.csv").read_bytes()
-        assert svg_payload(tmp_path / "map.svg") == svg_payload(run_svg)
+        assert (tmp_path / "map.svg").read_bytes() == run_svg.read_bytes()
         legend = re.findall(r'<text x="38"[^>]*>([^<]*)</text>',
                             run_svg.read_text(encoding="utf-8"))
         assert legend == ["reds", "greens", "blues", "validation"]
@@ -629,7 +638,7 @@ def test_names_with_commas_survive_the_run_csvs(tiny, tmp_path, capsys):
 def test_cli_build_sr_gamma_zero_identity(tiny, tmp_path, capsys):
     out_dir = tmp_path / "sr-out"
     code, out, _ = run_cli(capsys, "build-sr", "--config", tiny["cfg"],
-                           "--gamma", "0", "--out-dir", out_dir)
+                           "--gammas", "0", "--out-dir", out_dir)
     assert code == 0
     t = np.loadtxt(out_dir / "transition.csv", delimiter=",", ndmin=2)
     np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-12)
@@ -784,12 +793,18 @@ def test_cli_chain_reproduces_run_byte_for_byte(tiny, tmp_path, capsys):
         for path in (model, preds, flow / f"sr_gamma_{tag}.csv"):
             assert path.read_bytes() == (run_dir / path.name).read_bytes(), path.name
     assert (flow / "transition.csv").read_bytes() == (run_dir / "transition.csv").read_bytes()
+    # the map is a function of the predictions alone, so `project` writes run's map too
+    proj, svg = flow / "projection_gamma_1.0.csv", flow / "map_gamma_1.0.svg"
+    assert run_cli(capsys, "project", "--predictions", flow / "predictions_gamma_1.0.csv",
+                   "--out-csv", proj, "--out-svg", svg)[0] == 0
+    for path in (proj, svg):
+        assert path.read_bytes() == (run_dir / path.name).read_bytes(), path.name
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # training's GEMMs run on one BLAS thread or two; every file must come out the
-    # same, apart from the run's timestamps and its own output directory
-    volatile = re.compile(r'"created_utc": "[^"]*"|"output_dir": "[^"]*"|<!-- generated [^>]* -->')
+    # same, apart from the manifest's created_utc and its own output directory
+    volatile = re.compile(r'"created_utc": "[^"]*"|"output_dir": "[^"]*"')
     trees = []
     for threads in ("1", "2"):
         out_dir = tmp_path / f"threads_{threads}"
@@ -1024,7 +1039,7 @@ def test_cli_nonfinite_points_are_input_errors(tmp_path, capsys, command, token)
     ("a0,A,train,1.0", "duplicate word 'a0'"),
     ("a1,,train,1.0", "empty category for 'a1'"),
     ("a1,A,trian,1.0", "unknown split 'trian'"),
-    ("a1,A,train,one", "non-numeric component"),
+    ("a1,A,train,one", "non-numeric component for 'a1'"),
 ], ids=["duplicate-word", "empty-category", "misspelt-split", "non-numeric-component"])
 def test_cli_points_csv_gets_the_lexicon_row_checks(tmp_path, capsys, command, row, message):
     points = tmp_path / "points.csv"
@@ -1306,12 +1321,11 @@ def test_svg_structure(tmp_path):
     assert text.count('stroke="#d62728"') == 2  # one ringed point + legend swatch
     assert "<title>b&lt;c</title>" in text and "<title>d&amp;e</title>" in text
     assert ">one</text>" in text and ">two</text>" in text and ">validation</text>" in text
-    assert re.fullmatch(r"<!-- generated \d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00 -->",
-                        text.splitlines()[1])
-    # with the timestamp comment masked, the render is reproducible line for line
+    assert "<!-- generated" not in text
+    # the map has no clock: a second render is byte-identical
     out2 = tmp_path / "m2.svg"
     render_svg(LabeledPoints(lex, coords), out2)
-    assert svg_payload(out) == svg_payload(out2)
+    assert out.read_bytes() == out2.read_bytes()
 
 
 def test_svg_validation(tmp_path):
