@@ -49,8 +49,7 @@ def _cmd_build_sr(args):
 
 def _cmd_train(args):
     config = _resolved(args)
-    model, losses, _ = fit_model(load_inputs(config).split("train"), load_sr_json(args.sr),
-                                 config, config.seed)
+    model, losses, _ = fit_model(load_inputs(config).split("train"), load_sr_json(args.sr), config)
     save_model(model, args.out)
     print(f"wrote {args.out} (first-epoch loss {losses[0]:.6f}, final loss {losses[-1]:.6f})")
     return 0
@@ -76,9 +75,9 @@ def _cmd_project(args):
 
 def _cmd_gdv(args):
     report = gdv(load_labeled_points_csv(args.points).split(args.split))
-    print(f"{report['gdv']:.4f}")
-    if args.out:
+    if args.out:  # written before the score is printed, so a failed write prints nothing
         dump_json(report, args.out)
+    print(f"{report['gdv']:.4f}")
     return 0
 
 

@@ -20,6 +20,7 @@ A record calls `plain_fields` first in `__post_init__`: one rule per declared fi
 """
 
 import csv
+import errno
 import json
 import math
 import numbers
@@ -56,12 +57,12 @@ def _finite_array(values, name=None):
     return array
 
 
-def float_text(values, sep):
-    """The `repr` of each entry of one 1-D row, joined by `sep`; rejects a non-finite entry."""
+def float_text(values):
+    """The `repr` of each entry of one 1-D row, joined by commas; rejects a non-finite entry."""
     values = _finite_array(values)
     if values.ndim != 1:
         raise InputError(f"expected one row of values, got shape {values.shape}")
-    return sep.join(map(repr, values.tolist()))
+    return ",".join(map(repr, values.tolist()))
 
 
 def float_row(fields, lineno, word):
@@ -154,7 +155,8 @@ def committing(out_dir):
     """A staging directory whose files move into `out_dir`, `manifest.json` last, only if
     the block completes: `replacing` for a tree. On any error, KeyboardInterrupt included,
     the staging directory is removed and `out_dir` is left as it was, not created if it
-    did not exist. Staging happens in `out_dir`, or in its nearest existing ancestor."""
+    did not exist; a target name held by a directory fails before any file moves.
+    Staging happens in `out_dir`, or in its nearest existing ancestor."""
     out_dir = Path(out_dir)
     chain = (out_dir.absolute(), *out_dir.absolute().parents)
     try:
@@ -163,10 +165,14 @@ def committing(out_dir):
         raise OSError(exc.errno, exc.strerror, os.fspath(out_dir)) from None
     try:
         yield staging
+        staged = sorted(staging.iterdir(), key=lambda p: p.name == "manifest.json")
+        for target in (out_dir / path.name for path in staged):  # a symlink is replaced itself
+            if target.is_dir() and not target.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(target))
         new = [d for d in chain if not d.exists()]  # the directories the commit creates
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            for path in sorted(staging.iterdir(), key=lambda p: p.name == "manifest.json"):
+            for path in staged:
                 os.replace(path, out_dir / path.name)
         except BaseException:
             if new:
@@ -241,7 +247,7 @@ def save_matrix_csv(values, path):
     """One row per line, comma separated, shortest round-trip decimals."""
     with replacing(path) as fh:
         for row in np.asarray(values, dtype=np.float64):
-            fh.write(float_text(row, ",") + "\n")
+            fh.write(float_text(row) + "\n")
 
 
 SPLITS = ("train", "validation")
@@ -354,7 +360,7 @@ def save_labeled_points_csv(path, points, component_names=None):
     with replacing(path) as fh:
         fh.write(",".join(map(_csv_field, KEY_COLUMNS + list(component_names))) + "\n")
         for *keys, row in zip(lex.words, lex.labels, lex.splits, values):
-            fh.write(",".join(map(_csv_field, keys)) + "," + float_text(row, ",") + "\n")
+            fh.write(",".join(map(_csv_field, keys)) + "," + float_text(row) + "\n")
 
 
 def load_labeled_points_csv(path):

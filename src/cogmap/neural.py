@@ -141,9 +141,8 @@ def _forward_backward(model, x, target=None, grads=None):
     """Batched pass over the rows of x: (predictions, per-row losses).
 
     Predictions are softmax(w2 relu(w1 x + b1) + b2); the losses are None
-    without a target. With a target and `grads` (the `_views` of a flat
-    gradient buffer), the gradients of the mean loss over the rows are
-    written into `grads`.
+    without a target. With a target, the gradients of the mean loss over the
+    rows are written into `grads`, the `_views` of a flat gradient buffer.
     """
     z1 = x @ model.w1.T
     z1 += model.b1
@@ -153,15 +152,14 @@ def _forward_backward(model, x, target=None, grads=None):
     p = _softmax(z2)
     if target is None:
         return p, None
-    if grads is not None:
-        dz2 = p - target
-        dz2 /= len(x)
-        dz1 = dz2 @ model.w2
-        dz1 *= z1 > 0
-        np.matmul(dz2.T, h, out=grads["w2"])
-        np.add.reduce(dz2, axis=0, out=grads["b2"])
-        np.matmul(x.T, dz1, out=grads["w1"].T)
-        np.add.reduce(dz1, axis=0, out=grads["b1"])
+    dz2 = p - target
+    dz2 /= len(x)
+    dz1 = dz2 @ model.w2
+    dz1 *= z1 > 0
+    np.matmul(dz2.T, h, out=grads["w2"])
+    np.add.reduce(dz2, axis=0, out=grads["b2"])
+    np.matmul(x.T, dz1, out=grads["w1"].T)
+    np.add.reduce(dz1, axis=0, out=grads["b1"])
     return p, loss(p, target)
 
 

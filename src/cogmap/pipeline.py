@@ -1,9 +1,9 @@
 """Full pipeline: ingest -> transition -> SR -> train -> predict -> project -> score.
 
-Per scale gamma, `fit_scale` trains a fresh network, predicts all training and
-validation words, scores three GDVs (all points, training only, validation
-only) on the raw prediction vectors, and maps the predictions to 2-D with
-`classical_mds`, all without file I/O; `run_pipeline` then writes the fit.
+Per scale gamma, `run_pipeline` computes the SR, and `fit_scale` trains a fresh network on it
+with `config.seed`, predicts all training and validation words, scores three GDVs (all points,
+training only, validation only) on the raw prediction vectors, and maps the predictions to 2-D
+with `classical_mds`, all without file I/O; `run_pipeline` then writes the SR and the fit.
 GDV in prediction space is the primary number; the 2-D GDV after MDS is also
 emitted, clearly labeled, since the two generally differ.
 """
@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -23,7 +23,7 @@ from .fileio import (SPLITS, LabeledPoints, committing, dump_json, load_lexicon,
 from .metrics import gdv, gdv_classes
 from .neural import MlpConfig, MlpModel, loss, train, predict_all, save_model
 from .projection import classical_mds
-from .sr import SuccessorMatrix, _check_scale, build_transition_matrix, successor_matrix
+from .sr import _check_scale, build_transition_matrix, successor_matrix
 from .svg import render_svg
 
 GDV_SPLITS = ("all",) + SPLITS
@@ -56,11 +56,11 @@ class PipelineConfig:
         if len(set(tags)) != len(tags):
             raise InputError(f"gammas must be distinct, got {', '.join(tags)}")
         # network settings fail here, before any stage reads or writes a file
-        self.mlp_config(1, 1, self.seed)
+        self.mlp_config(1, 1)
 
-    def mlp_config(self, input_dim, output_dim, seed):
-        """The network configuration for one training run."""
-        return MlpConfig(input_dim=input_dim, output_dim=output_dim, seed=seed,
+    def mlp_config(self, input_dim, output_dim):
+        """The network configuration for one training run, seeded with `seed`."""
+        return MlpConfig(input_dim=input_dim, output_dim=output_dim, seed=self.seed,
                          **{name: getattr(self, name) for name in NETWORK})
 
 
@@ -162,10 +162,10 @@ def scale_files(gamma):
             "map_svg": f"map_gamma_{tag}.svg", "gdv_json": f"gdv_gamma_{tag}.json"}
 
 
-def fit_model(states, sr, config, seed):
-    """Train one network on the training states' SR rows; returns (model, losses, examples)."""
+def fit_model(states, sr, config):
+    """Train a network, seeded with `config.seed`, on the SR rows: (model, losses, examples)."""
     examples = build_examples(states, sr)
-    model, losses = train(config.mlp_config(states.points.shape[1], sr.n, seed), examples)
+    model, losses = train(config.mlp_config(states.points.shape[1], sr.n), examples)
     return model, losses, examples
 
 
@@ -173,7 +173,6 @@ def fit_model(states, sr, config, seed):
 class ScaleFit:
     """One scale's results; the seed is `model.config.seed`, the targets `examples.targets`."""
 
-    sr: SuccessorMatrix
     model: MlpModel
     losses: list
     examples: ExampleSet
@@ -184,15 +183,13 @@ class ScaleFit:
     projection_2d: dict  # GDV report per split, of the 2-D map
 
 
-def fit_scale(inputs, transition, gamma, config, seed):
-    """Fit one scale without file I/O: the SR of `transition` at `gamma`, a network trained on
-    it with `seed`, its predictions for every word of `inputs`, their 2-D map and the GDV of
-    each split in both spaces."""
-    tag = _gamma_tag(gamma)
-    with _stage(f"sr gamma={tag}"):
-        sr = successor_matrix(transition, gamma, config.horizon)
+def fit_scale(inputs, sr, config):
+    """Fit one scale without file I/O: a network trained on `sr` with `config.seed`, its
+    predictions for every word of `inputs`, their 2-D map and the GDV of each split in both
+    spaces."""
+    tag = _gamma_tag(sr.gamma)
     with _stage(f"train gamma={tag}"):
-        model, losses, examples = fit_model(inputs.split("train"), sr, config, seed)
+        model, losses, examples = fit_model(inputs.split("train"), sr, config)
     with _stage(f"predict gamma={tag}"):
         predictions = predict_all(model, inputs)
     with _stage(f"gdv gamma={tag}"):
@@ -200,13 +197,13 @@ def fit_scale(inputs, transition, gamma, config, seed):
     with _stage(f"project gamma={tag}"):
         coordinates, stress = classical_mds(predictions)
         planar_reports = {split: gdv(coordinates.split(split)) for split in GDV_SPLITS}
-    return ScaleFit(sr, model, losses, examples, predictions, coordinates, stress, raw_reports,
+    return ScaleFit(model, losses, examples, predictions, coordinates, stress, raw_reports,
                     planar_reports)
 
 
 def run_pipeline(config):
     """Fit and write one gamma at a time, the i-th with seed `config.seed` plus i; returns the
-    manifest dict it also writes, whose entry per gamma is built here from its `ScaleFit`.
+    manifest dict it also writes, whose entry per gamma is built here from its SR and `ScaleFit`.
 
     Artifacts land in config.output_dir: transition.csv, the per-gamma files
     that each run's `files` entry names, and manifest.json. They are staged
@@ -226,10 +223,12 @@ def run_pipeline(config):
 
         runs = []
         for index, gamma in enumerate(config.gammas):
-            fit = fit_scale(inputs, transition, gamma, config, config.seed + index)
+            with _stage(f"sr gamma={_gamma_tag(gamma)}"):
+                sr = successor_matrix(transition, gamma, config.horizon)
+            fit = fit_scale(inputs, sr, replace(config, seed=config.seed + index))
             files = scale_files(gamma)
             with _stage(f"write gamma={_gamma_tag(gamma)}"):
-                save_matrix_csv(fit.sr.values, staging / files["sr_csv"])
+                save_matrix_csv(sr.values, staging / files["sr_csv"])
                 save_model(fit.model, staging / files["model_json"])
                 save_labeled_points_csv(staging / files["predictions_csv"], fit.predictions)
                 save_map(fit.coordinates, staging / files["projection_csv"],
@@ -247,12 +246,12 @@ def run_pipeline(config):
                 "loss_per_epoch": fit.losses,
                 "target_entropy": target_entropy,
                 "excess_loss": fit.losses[-1] - target_entropy,
-                "uniform_loss": math.log(fit.sr.n),
+                "uniform_loss": math.log(sr.n),
                 "mds_stress": fit.stress,
                 "gdv_prediction_space": {k: r["gdv"] for k, r in fit.prediction_space.items()},
                 "gdv_projection_2d": {k: r["gdv"] for k, r in fit.projection_2d.items()},
             })
-            del fit  # so one scale's N x N arrays are freed before the next scale is fitted
+            del sr, fit  # so one scale's N x N arrays are freed before the next scale is fitted
 
         manifest = {
             "tool_version": __version__,

@@ -8,7 +8,7 @@ The rollout checks none of its arguments: every caller is a test that chose them
 import numpy as np
 
 from cogmap.fileio import float_text, replacing
-from cogmap.neural import _forward_backward, _init_params, _views
+from cogmap.neural import _forward_backward, _init_params, _views, loss
 
 FD_STEP = 1e-5
 
@@ -58,9 +58,9 @@ def gradient_check(config, example):
     for i in range(theta.size):
         orig = theta[i]
         theta[i] = orig + FD_STEP
-        hi = _forward_backward(model, x, target)[1][0]
+        hi = loss(_forward_backward(model, x)[0], target)[0]
         theta[i] = orig - FD_STEP
-        lo = _forward_backward(model, x, target)[1][0]
+        lo = loss(_forward_backward(model, x)[0], target)[0]
         theta[i] = orig
         numeric = (hi - lo) / (2.0 * FD_STEP)
         err = abs(grad[i] - numeric) / max(1e-8, abs(grad[i]) + abs(numeric))
@@ -74,4 +74,4 @@ def save_embeddings(entries, path):
     with replacing(path) as fh:
         fh.write(f"{len(entries)} {dim}\n")
         for word, vec in entries.items():
-            fh.write(word + " " + float_text(vec, " ") + "\n")
+            fh.write(word + " " + float_text(vec).replace(",", " ") + "\n")

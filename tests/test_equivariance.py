@@ -1,8 +1,8 @@
 """Metamorphic relations of one scale's fit: what reordering, rescaling or renaming the words,
 or extra words in the vector file, must and must not change.
 
-The tests call `build_transition_matrix`, `fit_scale` or `classical_mds` directly on a small
-dataset held in memory, so no tree is written; only the vector-file test writes its inputs, to a
+The tests call `build_transition_matrix`, `successor_matrix`, `fit_scale` or `classical_mds`
+directly on a small dataset held in memory, so no tree is written; only the vector-file test writes its inputs, to a
 temporary directory.
 """
 
@@ -15,7 +15,7 @@ import pytest
 from cogmap.fileio import LabeledPoints, Lexicon
 from cogmap.pipeline import GDV_SPLITS, PipelineConfig, fit_scale, load_inputs, resolve_config
 from cogmap.projection import classical_mds
-from cogmap.sr import build_transition_matrix
+from cogmap.sr import build_transition_matrix, successor_matrix
 
 from oracles import save_embeddings
 
@@ -46,7 +46,8 @@ def reordered(points, order):
 
 def fitted(inputs, gamma):
     transition = build_transition_matrix(inputs.split("train"))
-    return transition, fit_scale(inputs, transition, gamma, CONFIG, CONFIG.seed)
+    sr = successor_matrix(transition, gamma, CONFIG.horizon)
+    return transition, sr, fit_scale(inputs, sr, CONFIG)
 
 
 @pytest.mark.parametrize("gamma", CONFIG.gammas)
@@ -55,9 +56,9 @@ def test_permuting_the_training_states_permutes_t_the_sr_and_the_targets(gamma):
     n_train, n = len(inputs.split("train").points), len(inputs.points)
     perm = np.random.default_rng(1).permutation(n_train)
     moved = reordered(inputs, list(perm) + list(range(n_train, n)))
-    (t, fit), (t_moved, fit_moved) = fitted(inputs, gamma), fitted(moved, gamma)
-    assert fit_moved.sr.state_words == [fit.sr.state_words[i] for i in perm]
-    for before, after in ((t.values, t_moved.values), (fit.sr.values, fit_moved.sr.values),
+    (t, sr, fit), (t_moved, sr_moved, fit_moved) = fitted(inputs, gamma), fitted(moved, gamma)
+    assert sr_moved.state_words == [sr.state_words[i] for i in perm]
+    for before, after in ((t.values, t_moved.values), (sr.values, sr_moved.values),
                           (fit.examples.targets, fit_moved.examples.targets)):
         np.testing.assert_allclose(after, before[np.ix_(perm, perm)], rtol=0.0, atol=1e-14)
 
@@ -67,7 +68,7 @@ def test_permuting_the_validation_rows_moves_only_their_predictions(gamma):
     inputs = words_in_three_categories(6, 3)
     n_train, n = len(inputs.split("train").points), len(inputs.points)
     order = list(range(n_train)) + list(n_train + np.random.default_rng(2).permutation(n - n_train))
-    fit, fit_moved = fitted(inputs, gamma)[1], fitted(reordered(inputs, order), gamma)[1]
+    fit, fit_moved = fitted(inputs, gamma)[2], fitted(reordered(inputs, order), gamma)[2]
     assert fit_moved.model.theta.tobytes() == fit.model.theta.tobytes()
     assert fit_moved.losses == fit.losses
     assert fit_moved.predictions.lex == reordered(fit.predictions, order).lex
@@ -80,7 +81,7 @@ def test_permuting_the_validation_rows_moves_only_their_predictions(gamma):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_permuting_a_records_rows_permutes_its_map(seed):
-    predictions = fitted(words_in_three_categories(6, 3), 1.0)[1].predictions
+    predictions = fitted(words_in_three_categories(6, 3), 1.0)[2].predictions
     order = list(np.random.default_rng(seed).permutation(len(predictions.points)))
     moved = reordered(predictions, order)
     coords, stress = classical_mds(predictions)
@@ -95,7 +96,7 @@ def test_permuting_a_records_rows_permutes_its_map(seed):
 def test_fit_scale_creates_no_file_and_no_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     inputs = words_in_three_categories(4, 2)
-    transition = build_transition_matrix(inputs.split("train"))
+    sr = successor_matrix(build_transition_matrix(inputs.split("train")), 0.3, CONFIG.horizon)
     opened, real_open = [], builtins.open
 
     def recording_open(file, mode="r", *args, **kwargs):
@@ -103,10 +104,10 @@ def test_fit_scale_creates_no_file_and_no_directory(tmp_path, monkeypatch):
         return real_open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", recording_open)
-    fit = fit_scale(inputs, transition, 0.3, CONFIG, CONFIG.seed)
+    fit = fit_scale(inputs, sr, CONFIG)
     monkeypatch.setattr(builtins, "open", real_open)
     assert opened == [] and list(tmp_path.iterdir()) == []
-    assert fit.predictions.points.shape == (len(inputs.points), fit.sr.n)
+    assert fit.predictions.points.shape == (len(inputs.points), sr.n)
 
 
 @pytest.mark.parametrize("factor", [3.7, 1e-3])
@@ -144,10 +145,10 @@ def test_renaming_every_word_changes_only_the_words(gamma):
     # descending names, so a step that sorted or keyed anything by word would move its rows
     names = [f"z{len(inputs.lex.words) - i:03d}" for i in range(len(inputs.lex.words))]
     renamed = LabeledPoints(replace(inputs.lex, words=names), inputs.points)
-    (t, fit), (t_renamed, fit_renamed) = fitted(inputs, gamma), fitted(renamed, gamma)
-    assert fit_renamed.sr.state_words == t_renamed.state_words == names[:fit.sr.n]
+    (t, sr, fit), (t_renamed, sr_renamed, fit_renamed) = fitted(inputs, gamma), fitted(renamed, gamma)
+    assert sr_renamed.state_words == t_renamed.state_words == names[:sr.n]
     assert t_renamed.values.tobytes() == t.values.tobytes()
-    assert fit_renamed.sr.values.tobytes() == fit.sr.values.tobytes()
+    assert sr_renamed.values.tobytes() == sr.values.tobytes()
     assert fit_renamed.model.theta.tobytes() == fit.model.theta.tobytes()
     assert fit_renamed.losses == fit.losses
     for record in ("predictions", "coordinates"):

@@ -418,6 +418,31 @@ def test_failed_block_leaves_an_existing_tree_as_it_was(tmp_path):
     assert (tmp_path / "a.csv").read_text(encoding="utf-8") == "old\n"
 
 
+def test_commit_onto_a_directory_fails_before_any_file_moves(tmp_path):
+    out_dir = tmp_path / "out"
+    (out_dir / "manifest.json").mkdir(parents=True)
+    (out_dir / "a.csv").write_text("old\n", encoding="utf-8")
+    with pytest.raises(IsADirectoryError) as info:
+        with committing(out_dir) as staging:
+            for name in ("a.csv", "manifest.json"):
+                (staging / name).write_text("new\n", encoding="utf-8")
+    assert info.value.filename == str(out_dir / "manifest.json")
+    assert sorted(os.listdir(out_dir)) == ["a.csv", "manifest.json"]
+    assert (out_dir / "a.csv").read_text(encoding="utf-8") == "old\n"
+    assert os.listdir(out_dir / "manifest.json") == [] and os.listdir(tmp_path) == ["out"]
+
+
+def test_commit_replaces_a_symlink_to_a_directory(tmp_path):
+    out_dir = tmp_path / "out"
+    (tmp_path / "elsewhere").mkdir()
+    out_dir.mkdir()
+    (out_dir / "a.csv").symlink_to(tmp_path / "elsewhere")
+    with committing(out_dir) as staging:
+        (staging / "a.csv").write_text("new\n", encoding="utf-8")
+    assert (out_dir / "a.csv").read_text(encoding="utf-8") == "new\n"
+    assert os.listdir(tmp_path / "elsewhere") == []
+
+
 def test_failed_commit_removes_the_directories_it_created(tmp_path, monkeypatch):
     replace = os.replace
 

@@ -255,9 +255,8 @@ def test_gradient_buffer_holds_the_same_bits_as_fresh_gradients():
     grads = _views(buf, cfg)
     p, losses = _forward_backward(model, x, t, grads)
     assert p.tobytes() == p_fresh.tobytes() and losses.tobytes() == losses_fresh.tobytes()
-    # without gradient views the pass computes the same predictions and losses only
-    p_only, losses_only = _forward_backward(model, x, t)
-    assert p_only.tobytes() == p.tobytes() and losses_only.tobytes() == losses.tobytes()
+    # inference computes the same predictions
+    assert _forward_backward(model, x)[0].tobytes() == p.tobytes()
     assert list(grads) == ["w1", "b1", "w2", "b2"]
     for name, g in grads.items():
         assert g.shape == fresh[name].shape and g.tobytes() == fresh[name].tobytes()

@@ -18,10 +18,11 @@ import pytest
 from cogmap.cli import build_parser, main
 from cogmap.dataset import load_lexicon
 from cogmap.errors import InputError
-from cogmap.fileio import LabeledPoints, Lexicon, load_labeled_points_csv
-from cogmap.pipeline import (CONFIG_FIELDS, PipelineConfig, config_hash, parse_config_file,
-                             resolve_config, run_pipeline)
-from cogmap.sr import load_sr_json, save_sr_json
+from cogmap.fileio import LabeledPoints, Lexicon, load_labeled_points_csv, save_labeled_points_csv
+from cogmap.neural import load_model
+from cogmap.pipeline import (CONFIG_FIELDS, PipelineConfig, config_hash, fit_scale, load_inputs,
+                             parse_config_file, resolve_config, run_pipeline)
+from cogmap.sr import build_transition_matrix, load_sr_json, save_sr_json, successor_matrix
 from cogmap.svg import render_svg
 
 from oracles import save_embeddings
@@ -404,6 +405,23 @@ def test_run_pipeline_manifest_round_trip(tiny, tmp_path):
             assert (tmp_path / "out" / name).is_file()
     assert manifest["config"]["epochs"] == 3
     assert manifest["config_hash"] == config_hash(config)
+
+
+def test_fit_scale_with_seed_plus_i_reproduces_each_scale_of_a_run(tiny, tmp_path):
+    # the i-th scale of a run is fit_scale on its SR with the config's seed moved on by i
+    out_dir = tmp_path / "out"
+    config = resolve_config(parse_config_file(tiny["cfg"]), {"output_dir": str(out_dir)})
+    manifest = run_pipeline(config)
+    inputs = load_inputs(config)
+    transition = build_transition_matrix(inputs.split("train"))
+    for i, (gamma, run) in enumerate(zip(config.gammas, manifest["runs"])):
+        sr = successor_matrix(transition, gamma, config.horizon)
+        fit = fit_scale(inputs, sr, replace(config, seed=config.seed + i))
+        save_labeled_points_csv(tmp_path / "predictions.csv", fit.predictions)
+        assert ((tmp_path / "predictions.csv").read_bytes()
+                == (out_dir / run["files"]["predictions_csv"]).read_bytes())
+        checkpoint = load_model(out_dir / run["files"]["model_json"])
+        assert fit.model.theta.tobytes() == checkpoint.theta.tobytes()
 
 
 def test_manifest_config_rebuilds_the_run_config(tiny, tmp_path):
@@ -1011,6 +1029,14 @@ def test_cli_gdv_fixture_prints_known_value(capsys, tmp_path):
     doc = json.loads(report.read_text(encoding="utf-8"))
     assert doc["gdv"] == pytest.approx(-0.8955334711889903, abs=1e-12)
     assert doc["classes"] == ["A", "B"]
+
+
+def test_cli_gdv_report_that_cannot_be_written_prints_no_score(capsys, tmp_path):
+    report = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, "gdv", "--points", DATA_DIR / "gdv_fixture_1d.csv",
+                             "--out", report)
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_gdv_split_without_points_fails(capsys):
