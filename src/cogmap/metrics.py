@@ -53,7 +53,7 @@ def zscore_half(points):
 
 def gdv(pointset):
     """GDV of a `LabeledPoints` record whose labels pass `gdv_classes`, from S = Y^T dist Y,
-    as the report dict that a GDV JSON file holds."""
+    as the report dict that `cogmap gdv --out` writes."""
     labels = pointset.lex.labels
     classes = gdv_classes(labels)
     n_classes = len(classes)

@@ -2,8 +2,9 @@
 
 Per scale gamma, `run_pipeline` computes the SR, and `fit_scale` trains a fresh network on it
 with `config.seed`, predicts all training and validation words, scores three GDVs (all points,
-training only, validation only) on the raw prediction vectors, and maps the predictions to 2-D
-with `classical_mds`, all without file I/O; `run_pipeline` then writes the SR and the fit.
+training only, validation only) on the raw prediction vectors, maps the predictions to 2-D
+with `classical_mds` and builds the scale's manifest entry and GDV document, all without file
+I/O; `run_pipeline` then writes the SR and the fit and appends the entry.
 GDV in prediction space is the primary number; the 2-D GDV after MDS is also
 emitted, clearly labeled, since the two generally differ.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field, fields, asdict, replace
 from datetime import datetime, timezone
 
 from . import __version__
-from .dataset import ExampleSet, load_embeddings, build_examples
+from .dataset import load_embeddings, build_examples
 from .errors import InputError
 from .fileio import (SPLITS, LabeledPoints, committing, dump_json, load_lexicon, plain_fields,
                      reading, save_matrix_csv, save_labeled_points_csv)
@@ -171,25 +172,24 @@ def fit_model(states, sr, config):
 
 @dataclass
 class ScaleFit:
-    """One scale's results; the seed is `model.config.seed`, the targets `examples.targets`."""
+    """One scale's results and what its files hold."""
 
     model: MlpModel
-    losses: list
-    examples: ExampleSet
     predictions: LabeledPoints
     coordinates: LabeledPoints
-    stress: float
-    prediction_space: dict  # GDV report per split, of the predictions
-    projection_2d: dict  # GDV report per split, of the 2-D map
+    gdv_doc: dict  # gdv_gamma_<γ>.json: the GDV report of each split, in both spaces
+    entry: dict  # the scale's entry in the manifest's `runs`
 
 
 def fit_scale(inputs, sr, config):
     """Fit one scale without file I/O: a network trained on `sr` with `config.seed`, its
-    predictions for every word of `inputs`, their 2-D map and the GDV of each split in both
-    spaces."""
+    predictions for every word of `inputs`, their 2-D map, the GDV document of each split in
+    both spaces and the scale's manifest entry."""
     tag = _gamma_tag(sr.gamma)
     with _stage(f"train gamma={tag}"):
         model, losses, examples = fit_model(inputs.split("train"), sr, config)
+        # the targets' mean entropy is the floor of the training loss; ln N is a uniform guess
+        target_entropy = float(loss(examples.targets, examples.targets).mean())
     with _stage(f"predict gamma={tag}"):
         predictions = predict_all(model, inputs)
     with _stage(f"gdv gamma={tag}"):
@@ -197,13 +197,20 @@ def fit_scale(inputs, sr, config):
     with _stage(f"project gamma={tag}"):
         coordinates, stress = classical_mds(predictions)
         planar_reports = {split: gdv(coordinates.split(split)) for split in GDV_SPLITS}
-    return ScaleFit(model, losses, examples, predictions, coordinates, stress, raw_reports,
-                    planar_reports)
+    entry = {"gamma": sr.gamma, "seed": config.seed, "files": scale_files(sr.gamma),
+             "first_epoch_loss": losses[0], "final_train_loss": losses[-1],
+             "loss_per_epoch": losses, "target_entropy": target_entropy,
+             "excess_loss": losses[-1] - target_entropy, "uniform_loss": math.log(sr.n),
+             "mds_stress": stress,
+             "gdv_prediction_space": {k: r["gdv"] for k, r in raw_reports.items()},
+             "gdv_projection_2d": {k: r["gdv"] for k, r in planar_reports.items()}}
+    gdv_doc = {"gamma": sr.gamma, "prediction_space": raw_reports, "projection_2d": planar_reports}
+    return ScaleFit(model, predictions, coordinates, gdv_doc, entry)
 
 
 def run_pipeline(config):
     """Fit and write one gamma at a time, the i-th with seed `config.seed` plus i; returns the
-    manifest dict it also writes, whose entry per gamma is built here from its SR and `ScaleFit`.
+    manifest dict it also writes, whose `runs` are the `ScaleFit` entries.
 
     Artifacts land in config.output_dir: transition.csv, the per-gamma files
     that each run's `files` entry names, and manifest.json. They are staged
@@ -226,31 +233,15 @@ def run_pipeline(config):
             with _stage(f"sr gamma={_gamma_tag(gamma)}"):
                 sr = successor_matrix(transition, gamma, config.horizon)
             fit = fit_scale(inputs, sr, replace(config, seed=config.seed + index))
-            files = scale_files(gamma)
+            files = fit.entry["files"]
             with _stage(f"write gamma={_gamma_tag(gamma)}"):
                 save_matrix_csv(sr.values, staging / files["sr_csv"])
                 save_model(fit.model, staging / files["model_json"])
                 save_labeled_points_csv(staging / files["predictions_csv"], fit.predictions)
                 save_map(fit.coordinates, staging / files["projection_csv"],
                          staging / files["map_svg"])
-                dump_json({"gamma": gamma, "prediction_space": fit.prediction_space,
-                           "projection_2d": fit.projection_2d}, staging / files["gdv_json"])
-            # the targets' mean entropy is the floor of the training loss; ln N is a uniform guess
-            target_entropy = float(loss(fit.examples.targets, fit.examples.targets).mean())
-            runs.append({
-                "gamma": gamma,
-                "seed": fit.model.config.seed,
-                "files": files,
-                "first_epoch_loss": fit.losses[0],
-                "final_train_loss": fit.losses[-1],
-                "loss_per_epoch": fit.losses,
-                "target_entropy": target_entropy,
-                "excess_loss": fit.losses[-1] - target_entropy,
-                "uniform_loss": math.log(sr.n),
-                "mds_stress": fit.stress,
-                "gdv_prediction_space": {k: r["gdv"] for k, r in fit.prediction_space.items()},
-                "gdv_projection_2d": {k: r["gdv"] for k, r in fit.projection_2d.items()},
-            })
+                dump_json(fit.gdv_doc, staging / files["gdv_json"])
+            runs.append(fit.entry)
             del sr, fit  # so one scale's N x N arrays are freed before the next scale is fitted
 
         manifest = {

@@ -48,13 +48,13 @@ class TransitionMatrix:
 
 def _check_scale(gamma, horizon):
     """Reject a discount that is not a real number in [0, 1] or a horizon that is not a
-    non-negative integer; returns the discount as a float."""
+    non-negative integer; returns the discount as a float, -0 as 0 (one scale, one file name)."""
     gamma = require_real("gamma", gamma)
     if not 0.0 <= gamma <= 1.0:
         raise InputError(f"gamma must be in [0, 1], got {gamma}")
     if require_int("horizon", horizon) < 0:
         raise InputError(f"horizon must be non-negative, got {horizon}")
-    return gamma
+    return gamma + 0.0  # exact for every float but -0.0
 
 
 @dataclass
@@ -73,7 +73,7 @@ class SuccessorMatrix:
 
     def __post_init__(self):
         plain_fields(self)
-        _check_scale(self.gamma, self.horizon)
+        self.gamma = _check_scale(self.gamma, self.horizon)
         if self.values.shape != (self.n, self.n):
             raise InputError(f"successor matrix must be {self.n}x{self.n}, got {self.values.shape}")
         if np.any(self.values < 0.0):

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cogmap.dataset import build_examples
 from cogmap.fileio import LabeledPoints, Lexicon
 from cogmap.pipeline import GDV_SPLITS, PipelineConfig, fit_scale, load_inputs, resolve_config
 from cogmap.projection import classical_mds
@@ -58,8 +59,10 @@ def test_permuting_the_training_states_permutes_t_the_sr_and_the_targets(gamma):
     moved = reordered(inputs, list(perm) + list(range(n_train, n)))
     (t, sr, fit), (t_moved, sr_moved, fit_moved) = fitted(inputs, gamma), fitted(moved, gamma)
     assert sr_moved.state_words == [sr.state_words[i] for i in perm]
+    targets, targets_moved = (build_examples(points.split("train"), record).targets
+                              for points, record in ((inputs, sr), (moved, sr_moved)))
     for before, after in ((t.values, t_moved.values), (sr.values, sr_moved.values),
-                          (fit.examples.targets, fit_moved.examples.targets)):
+                          (targets, targets_moved)):
         np.testing.assert_allclose(after, before[np.ix_(perm, perm)], rtol=0.0, atol=1e-14)
 
 
@@ -70,13 +73,13 @@ def test_permuting_the_validation_rows_moves_only_their_predictions(gamma):
     order = list(range(n_train)) + list(n_train + np.random.default_rng(2).permutation(n - n_train))
     fit, fit_moved = fitted(inputs, gamma)[2], fitted(reordered(inputs, order), gamma)[2]
     assert fit_moved.model.theta.tobytes() == fit.model.theta.tobytes()
-    assert fit_moved.losses == fit.losses
+    assert fit_moved.entry["loss_per_epoch"] == fit.entry["loss_per_epoch"]
     assert fit_moved.predictions.lex == reordered(fit.predictions, order).lex
     assert fit_moved.predictions.points.tobytes() == fit.predictions.points[order].tobytes()
-    for space in ("prediction_space", "projection_2d"):
+    for space in ("gdv_prediction_space", "gdv_projection_2d"):
         for split in GDV_SPLITS:
-            assert abs(getattr(fit_moved, space)[split]["gdv"]
-                       - getattr(fit, space)[split]["gdv"]) <= 1e-12, (space, split)
+            assert abs(fit_moved.entry[space][split] - fit.entry[space][split]) <= 1e-12, \
+                (space, split)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -150,11 +153,9 @@ def test_renaming_every_word_changes_only_the_words(gamma):
     assert t_renamed.values.tobytes() == t.values.tobytes()
     assert sr_renamed.values.tobytes() == sr.values.tobytes()
     assert fit_renamed.model.theta.tobytes() == fit.model.theta.tobytes()
-    assert fit_renamed.losses == fit.losses
     for record in ("predictions", "coordinates"):
         before, after = getattr(fit, record), getattr(fit_renamed, record)
         assert after.lex == replace(before.lex, words=names)
         assert after.points.tobytes() == before.points.tobytes()
-    assert fit_renamed.stress == fit.stress
-    assert fit_renamed.prediction_space == fit.prediction_space
-    assert fit_renamed.projection_2d == fit.projection_2d
+    assert fit_renamed.entry == fit.entry
+    assert fit_renamed.gdv_doc == fit.gdv_doc

@@ -18,7 +18,8 @@ import pytest
 from cogmap.cli import build_parser, main
 from cogmap.dataset import load_lexicon
 from cogmap.errors import InputError
-from cogmap.fileio import LabeledPoints, Lexicon, load_labeled_points_csv, save_labeled_points_csv
+from cogmap.fileio import (LabeledPoints, Lexicon, dump_json, load_labeled_points_csv,
+                           save_labeled_points_csv)
 from cogmap.neural import load_model
 from cogmap.pipeline import (CONFIG_FIELDS, PipelineConfig, config_hash, fit_scale, load_inputs,
                              parse_config_file, resolve_config, run_pipeline)
@@ -256,6 +257,12 @@ def test_cli_run_duplicate_gammas_is_input_error(tiny, tmp_path, capsys, gammas)
     assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
 
+def test_negative_zero_and_zero_are_one_gamma():
+    # -0.0 == 0.0 but str(-0.0) == "-0.0", so the two once passed as distinct scales
+    with pytest.raises(InputError, match="gammas must be distinct"):
+        resolve_config({"gammas": "0,-0"})
+
+
 # the documented flag of each config key, and the value the test gives it
 FLAGS = {"embeddings": (["--embeddings", "e.txt"], "e.txt"),
          "lexicon": (["--lexicon", "l.csv"], "l.csv"),
@@ -309,6 +316,11 @@ def test_config_hash_is_stable_sha256():
     # the same settings written to another directory are the same science
     assert config_hash(resolve_config(SHIPPED_INPUTS, {"output_dir": "elsewhere"})) == \
         config_hash(a)
+
+
+def test_negative_zero_gamma_hashes_like_zero():
+    assert config_hash(resolve_config(SHIPPED_INPUTS, {"gammas": "-0"})) == \
+        config_hash(resolve_config(SHIPPED_INPUTS, {"gammas": "0"}))
 
 
 @pytest.mark.parametrize("spelling", [
@@ -408,7 +420,8 @@ def test_run_pipeline_manifest_round_trip(tiny, tmp_path):
 
 
 def test_fit_scale_with_seed_plus_i_reproduces_each_scale_of_a_run(tiny, tmp_path):
-    # the i-th scale of a run is fit_scale on its SR with the config's seed moved on by i
+    # the i-th scale of a run is fit_scale on its SR with the config's seed moved on by i: the
+    # same files and the same manifest entry
     out_dir = tmp_path / "out"
     config = resolve_config(parse_config_file(tiny["cfg"]), {"output_dir": str(out_dir)})
     manifest = run_pipeline(config)
@@ -422,6 +435,10 @@ def test_fit_scale_with_seed_plus_i_reproduces_each_scale_of_a_run(tiny, tmp_pat
                 == (out_dir / run["files"]["predictions_csv"]).read_bytes())
         checkpoint = load_model(out_dir / run["files"]["model_json"])
         assert fit.model.theta.tobytes() == checkpoint.theta.tobytes()
+        assert fit.entry == run
+        dump_json(fit.gdv_doc, tmp_path / "gdv.json")
+        assert ((tmp_path / "gdv.json").read_bytes()
+                == (out_dir / run["files"]["gdv_json"]).read_bytes())
 
 
 def test_manifest_config_rebuilds_the_run_config(tiny, tmp_path):
@@ -663,6 +680,15 @@ def test_cli_build_sr_gamma_zero_identity(tiny, tmp_path, capsys):
     np.testing.assert_array_equal(
         np.loadtxt(out_dir / "sr_gamma_0.0.csv", delimiter=",", ndmin=2), np.eye(9))
     assert "sr_gamma_0.0.csv" in out
+
+
+def test_cli_build_sr_negative_zero_gamma_names_the_zero_scale(tiny, tmp_path, capsys):
+    out_dir = tmp_path / "sr-out"
+    code, out, err = run_cli(capsys, "build-sr", "--config", tiny["cfg"],
+                             "--gammas", "-0", "--out-dir", out_dir)
+    assert code == 0, err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["sr_gamma_0.0.csv", "sr_gamma_0.0.json",
+                                                         "transition.csv"]
 
 
 @pytest.mark.parametrize("text, message", [

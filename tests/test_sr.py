@@ -78,6 +78,15 @@ def test_matrix_sizes_come_from_the_data():
             SuccessorMatrix(gamma=0.5, horizon=1, values=values, state_words=["a", "b"])
 
 
+def test_negative_zero_gamma_is_stored_as_zero():
+    # -0.0 == 0.0 but str(-0.0) == "-0.0", so a record holding it would name a second scale
+    t = TransitionMatrix(values=np.eye(2), state_words=["a", "b"])
+    for record in (successor_matrix(t, -0.0, 1),
+                   SuccessorMatrix(gamma=-0.0, horizon=1, values=t.values,
+                                   state_words=t.state_words)):
+        assert str(record.gamma) == "0.0"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_successor_matrix_rejects_a_non_finite_entry(bad):
     # NaN compares false and inf sums positive, so the range and row-sum checks let both through
