@@ -1,6 +1,7 @@
 """Command-line interface: build-sr, train, predict, project, gdv, run."""
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -67,6 +68,8 @@ def _cmd_predict(args):
 
 
 def _cmd_project(args):
+    if os.path.realpath(args.out_csv) == os.path.realpath(args.out_svg):
+        raise InputError(f"--out-csv and --out-svg name one file: {args.out_svg}")
     coordinates, stress = classical_mds(load_labeled_points_csv(args.predictions))
     save_map(coordinates, args.out_csv, args.out_svg)
     print(f"wrote {args.out_csv} and {args.out_svg} (stress {stress:.6g})")

@@ -16,6 +16,7 @@ a `LabeledPoints` (`predict_all`). One seeded generator drives everything, so a
 
 import math
 from dataclasses import dataclass, asdict
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,14 +28,15 @@ LOG_CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class MlpConfig:
+    # every workload trains on minibatches of 20 with momentum 0.9: constants, not settings
+    batch_size: ClassVar[int] = 20
+    momentum: ClassVar[float] = 0.9
     input_dim: int
     output_dim: int
     hidden_dim: int
     dropout_rate: float
     learning_rate: float
     epochs: int
-    batch_size: int
-    momentum: float
     seed: int
 
     def __post_init__(self):
@@ -47,10 +49,6 @@ class MlpConfig:
             raise InputError(f"learning rate must be finite and non-negative, got {self.learning_rate}")
         if self.epochs < 1:
             raise InputError(f"epochs must be positive, got {self.epochs}")
-        if self.batch_size < 1:
-            raise InputError(f"batch size must be positive, got {self.batch_size}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise InputError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
 

@@ -45,8 +45,6 @@ class PipelineConfig:
     dropout_rate: float = 0.8
     learning_rate: float = 1e-5
     epochs: int = 500
-    batch_size: int = 20
-    momentum: float = 0.9
 
     def __post_init__(self):
         plain_fields(self)  # plain numbers and path text, so one run has one config_hash
@@ -192,6 +190,8 @@ def fit_scale(inputs, sr, config):
         target_entropy = float(loss(examples.targets, examples.targets).mean())
     with _stage(f"predict gamma={tag}"):
         predictions = predict_all(model, inputs)
+        # the returned model's own loss: inference mode, on the parameters the GDVs describe
+        final_model_loss = float(loss(predictions.split("train").points, examples.targets).mean())
     with _stage(f"gdv gamma={tag}"):
         raw_reports = {split: gdv(predictions.split(split)) for split in GDV_SPLITS}
     with _stage(f"project gamma={tag}"):
@@ -199,7 +199,8 @@ def fit_scale(inputs, sr, config):
         planar_reports = {split: gdv(coordinates.split(split)) for split in GDV_SPLITS}
     entry = {"gamma": sr.gamma, "seed": config.seed, "files": scale_files(sr.gamma),
              "first_epoch_loss": losses[0], "final_train_loss": losses[-1],
-             "loss_per_epoch": losses, "target_entropy": target_entropy,
+             "final_model_loss": final_model_loss, "loss_per_epoch": losses,
+             "target_entropy": target_entropy,
              "excess_loss": losses[-1] - target_entropy, "uniform_loss": math.log(sr.n),
              "mds_stress": stress,
              "gdv_prediction_space": {k: r["gdv"] for k, r in raw_reports.items()},

@@ -212,7 +212,7 @@ def test_criterion_6_gradient_check(criterion_log):
                         output_dim=int(rng.integers(2, 6)),
                         hidden_dim=int(rng.integers(2, 7)),
                         dropout_rate=0.0, learning_rate=0.01, epochs=1,
-                        batch_size=1, momentum=0.0, seed=int(rng.integers(0, 10000)))
+                        seed=int(rng.integers(0, 10000)))
         x = rng.standard_normal(cfg.input_dim)
         target = rng.random(cfg.output_dim) + 1e-3
         target /= target.sum()

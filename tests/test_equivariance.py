@@ -21,7 +21,7 @@ from cogmap.sr import build_transition_matrix, successor_matrix
 from oracles import save_embeddings
 
 CONFIG = PipelineConfig(gammas=[1.0, 0.3], hidden_dim=16, dropout_rate=0.2, learning_rate=0.05,
-                        epochs=4, batch_size=5, seed=11)
+                        epochs=4, seed=11)
 
 
 def words_in_three_categories(n_train, n_validation, dim=10, seed=5):

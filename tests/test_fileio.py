@@ -296,7 +296,7 @@ def test_json_bytes_match_one_dumps_call(tmp_path, obj):
 
 def model_document(states):
     cfg = MlpConfig(input_dim=300, output_dim=states, hidden_dim=128, dropout_rate=0.5,
-                    learning_rate=0.001, epochs=1, batch_size=8, momentum=0.9, seed=1)
+                    learning_rate=0.001, epochs=1, seed=1)
     rng = np.random.default_rng(0)
     return MlpModel(w1=rng.standard_normal((128, 300)), b1=rng.standard_normal(128),
                     w2=rng.standard_normal((states, 128)), b2=rng.standard_normal(states),

@@ -19,7 +19,7 @@ from oracles import gradient_check, init_model
 
 def small_config(**overrides):
     base = dict(input_dim=4, output_dim=3, hidden_dim=5, dropout_rate=0.0,
-                learning_rate=0.05, epochs=5, batch_size=2, momentum=0.9, seed=1)
+                learning_rate=0.05, epochs=5, seed=1)
     base.update(overrides)
     return MlpConfig(**base)
 
@@ -57,10 +57,6 @@ def test_config_validation():
         small_config(learning_rate=-1e-9)
     with pytest.raises(InputError):
         small_config(epochs=0)
-    with pytest.raises(InputError):
-        small_config(batch_size=0)
-    with pytest.raises(InputError):
-        small_config(momentum=1.0)
     with pytest.raises(InputError, match="seed must be non-negative"):
         small_config(seed=-1)
     with pytest.raises(InputError, match="input_dim must be an integer, got 4.0"):
@@ -68,14 +64,14 @@ def test_config_validation():
     with pytest.raises(InputError, match="output_dim must be an integer, got True"):
         small_config(output_dim=True)
     # boundary values that must be accepted, and numpy integers
-    small_config(dropout_rate=0.0, learning_rate=0.0, momentum=0.0, seed=0)
+    small_config(dropout_rate=0.0, learning_rate=0.0, seed=0)
     small_config(hidden_dim=np.int64(5), seed=np.uint32(7))
 
 
 def test_config_stores_the_plain_number_of_a_numpy_scalar():
     # so a config built from numpy sizes or rates holds the types its fields declare
     cfg = small_config(hidden_dim=np.int64(5), epochs=np.int8(2), seed=np.uint32(7),
-                       learning_rate=np.float32(0.5), momentum=np.float64(0.9))
+                       learning_rate=np.float32(0.5), dropout_rate=np.float64(0.5))
     assert {name: type(value) for name, value in vars(cfg).items()} == \
         {f.name: f.type for f in fields(MlpConfig)}
 
@@ -269,7 +265,7 @@ def test_gradient_buffer_holds_the_same_bits_as_fresh_gradients():
 
 def test_gradient_check_small_network():
     cfg = MlpConfig(input_dim=4, output_dim=3, hidden_dim=3, dropout_rate=0.0,
-                    learning_rate=0.01, epochs=1, batch_size=1, momentum=0.0, seed=1)
+                    learning_rate=0.01, epochs=1, seed=1)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(4)
     t = rng.random(3)
@@ -282,7 +278,7 @@ def test_gradient_check_small_network():
 def test_zero_lr_single_epoch_preserves_init_bitwise():
     ex = toy_examples()
     cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=4, dropout_rate=0.5,
-                    learning_rate=0.0, epochs=1, batch_size=2, momentum=0.9, seed=17)
+                    learning_rate=0.0, epochs=1, seed=17)
     model, losses = train(cfg, ex)
     ref = init_model(cfg)
     np.testing.assert_array_equal(model.w1, ref.w1)
@@ -295,7 +291,7 @@ def test_zero_lr_single_epoch_preserves_init_bitwise():
 def test_training_is_deterministic_bitwise():
     ex = toy_examples()
     cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=6, dropout_rate=0.3,
-                    learning_rate=0.01, epochs=20, batch_size=2, momentum=0.9, seed=5)
+                    learning_rate=0.01, epochs=20, seed=5)
     m1, r1 = train(cfg, ex)
     m2, r2 = train(cfg, ex)
     np.testing.assert_array_equal(m1.w1, m2.w1)
@@ -306,7 +302,7 @@ def test_training_is_deterministic_bitwise():
 def test_training_reduces_loss_on_separable_toy():
     ex = toy_examples()
     cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=8, dropout_rate=0.0,
-                    learning_rate=0.05, epochs=200, batch_size=3, momentum=0.9, seed=2)
+                    learning_rate=0.05, epochs=200, seed=2)
     _, losses = train(cfg, ex)
     assert losses[-1] < losses[0]
     assert len(losses) == 200
@@ -319,7 +315,7 @@ def test_training_aborts_on_divergence():
     ex = ExampleSet(inputs=np.array([[3.0, 1.0], [-3.0, -1.0]]),
                     targets=np.array([[0.8, 0.2], [0.2, 0.8]]))
     cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=4, dropout_rate=0.0,
-                    learning_rate=1e30, epochs=60, batch_size=2, momentum=0.0, seed=1)
+                    learning_rate=1e30, epochs=60, seed=1)
     with pytest.raises(InputError, match="non-finite"):
         train(cfg, ex)
 
@@ -369,13 +365,14 @@ def reference_train(config, examples):
 
 
 def test_training_matches_the_per_array_reference_bitwise():
-    # 7 examples in batches of 3: every epoch ends on a short batch
+    # 47 examples in batches of MlpConfig.batch_size (20): every epoch takes two full batches
+    # and ends on a short one
     rng = np.random.default_rng(11)
-    targets = rng.random((7, 4))
-    ex = ExampleSet(inputs=rng.standard_normal((7, 5)),
+    targets = rng.random((47, 4))
+    ex = ExampleSet(inputs=rng.standard_normal((47, 5)),
                     targets=targets / targets.sum(axis=1, keepdims=True))
     cfg = MlpConfig(input_dim=5, output_dim=4, hidden_dim=6, dropout_rate=0.3,
-                    learning_rate=0.05, epochs=30, batch_size=3, momentum=0.9, seed=21)
+                    learning_rate=0.05, epochs=30, seed=21)
     model, losses = train(cfg, ex)
     params, reference_losses = reference_train(cfg, ex)
     for name, param in params.items():
@@ -388,7 +385,7 @@ def test_integer_inputs_train_like_their_float64_values():
     inputs = np.array([[3, 1], [-3, -1], [2, 0], [0, 2]])
     targets = np.array([[1, 0], [0, 1], [1, 0], [0, 1]])
     cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=4, dropout_rate=0.5,
-                    learning_rate=0.05, epochs=10, batch_size=3, momentum=0.9, seed=3)
+                    learning_rate=0.05, epochs=10, seed=3)
     as_ints = train(cfg, ExampleSet(inputs=inputs, targets=targets))
     as_floats = train(cfg, ExampleSet(inputs=inputs.astype(np.float64),
                                       targets=targets.astype(np.float64)))
@@ -413,7 +410,7 @@ def test_training_names_the_first_non_finite_parameter():
     ex = ExampleSet(inputs=np.array([[30.0, 10.0], [-30.0, -10.0]]),
                     targets=np.array([[0.8, 0.2], [0.2, 0.8]]))
     cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=4, dropout_rate=0.0,
-                    learning_rate=1e308, epochs=3, batch_size=2, momentum=0.0, seed=1)
+                    learning_rate=1e308, epochs=3, seed=1)
     with pytest.raises(InputError, match="^non-finite parameter w1 at epoch 0$"):
         train(cfg, ex)
 
@@ -454,7 +451,7 @@ def test_predict_all_keeps_the_words_and_gives_the_forward_rows():
 def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     ex = toy_examples()
     cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=4, dropout_rate=0.3,
-                    learning_rate=0.01, epochs=5, batch_size=2, momentum=0.9, seed=13)
+                    learning_rate=0.01, epochs=5, seed=13)
     model, _ = train(cfg, ex)
     p = tmp_path / "model.json"
     save_model(model, p)
@@ -478,7 +475,7 @@ def test_loaded_checkpoint_predicts_the_trained_models_bits(tmp_path):
     ex = ExampleSet(inputs=rng.standard_normal((12, 50)),
                     targets=targets / targets.sum(axis=1, keepdims=True))
     cfg = MlpConfig(input_dim=50, output_dim=6, hidden_dim=16, dropout_rate=0.2,
-                    learning_rate=0.05, epochs=3, batch_size=4, momentum=0.9, seed=8)
+                    learning_rate=0.05, epochs=3, seed=8)
     model, _ = train(cfg, ex)
     p = tmp_path / "model.json"
     save_model(model, p)
@@ -498,7 +495,7 @@ def test_model_built_from_arrays_predicts_its_checkpoints_bits(tmp_path):
     # checkpoint's bits only if the constructor stores w1 input-major too
     rng = np.random.default_rng(5)
     cfg = MlpConfig(input_dim=50, output_dim=6, hidden_dim=16, dropout_rate=0.2,
-                    learning_rate=0.05, epochs=3, batch_size=4, momentum=0.9, seed=8)
+                    learning_rate=0.05, epochs=3, seed=8)
     model = MlpModel(w1=rng.standard_normal((16, 50)), b1=rng.standard_normal(16),
                      w2=rng.standard_normal((6, 16)), b2=rng.standard_normal(6), config=cfg)
     p = tmp_path / "model.json"
@@ -577,17 +574,19 @@ def _config_value(key, value):
     (_config_value("hidden_dim", 5.0), "hidden_dim must be an integer, got 5.0"),
     (_config_value("seed", 1.5), "seed must be an integer, got 1.5"),
     (_config_value("epochs", 2.5), "epochs must be an integer, got 2.5"),
-    (_config_value("batch_size", True), "batch_size must be an integer, got True"),
     (_config_value("learning_rate", True), "learning_rate must be a real number, got True"),
-    (_config_value("momentum", False), "momentum must be a real number, got False"),
     (_config_value("dropout_rate", False), "dropout_rate must be a real number, got False"),
     (_config_value("learning_rate", "0.1"), "learning_rate must be a real number, got '0.1'"),
+    # keys a checkpoint held before they became constants of MlpConfig: it must be retrained
+    (_config_value("batch_size", 20), r"malformed model checkpoint \(.*'batch_size'"),
+    (_config_value("momentum", 0.9), r"malformed model checkpoint \(.*'momentum'"),
     (_first_entry("b2", "0.5"), "each entry in b2 must be a real number, got '0.5'"),
     (_first_entry("w1", True), "each entry in w1 must be a real number, got True"),
     (_first_entry("w2", None), "each entry in w2 must be a real number, got None"),
 ], ids=["short-b1", "short-b2", "ragged-w1", "huge-int-b1", "bad-config", "float-hidden-dim",
-        "float-seed", "float-epochs", "bool-batch-size", "bool-learning-rate", "bool-momentum",
-        "bool-dropout-rate", "string-learning-rate", "string-b2", "bool-w1", "null-w2"])
+        "float-seed", "float-epochs", "bool-learning-rate", "bool-dropout-rate",
+        "string-learning-rate", "stale-batch-size", "stale-momentum", "string-b2", "bool-w1",
+        "null-w2"])
 def test_checkpoint_arrays_checked_against_config(tmp_path, edit, match):
     # a short bias, a ragged matrix, an integer beyond float range or a config
     # its own checks reject (a non-integer size among them) names the file

@@ -20,7 +20,7 @@ from cogmap.dataset import load_lexicon
 from cogmap.errors import InputError
 from cogmap.fileio import (LabeledPoints, Lexicon, dump_json, load_labeled_points_csv,
                            save_labeled_points_csv)
-from cogmap.neural import load_model
+from cogmap.neural import MlpConfig, load_model
 from cogmap.pipeline import (CONFIG_FIELDS, PipelineConfig, config_hash, fit_scale, load_inputs,
                              parse_config_file, resolve_config, run_pipeline)
 from cogmap.sr import build_transition_matrix, load_sr_json, save_sr_json, successor_matrix
@@ -66,7 +66,6 @@ def tiny(tmp_path_factory):
         "gammas = 1.0,0.3\n"
         "epochs = 3\n"
         "hidden_dim = 16\n"
-        "batch_size = 4\n"
         "learning_rate = 0.001\n"
         "dropout_rate = 0.5\n"
         "seed = 7\n",
@@ -130,7 +129,7 @@ def test_resolve_defaults():
     assert config.horizon == 5 and config.seed == 1234
     assert config.hidden_dim == 128 and config.dropout_rate == 0.8
     assert config.learning_rate == 1e-5 and config.epochs == 500
-    assert config.batch_size == 20 and config.momentum == 0.9
+    assert MlpConfig.batch_size == 20 and MlpConfig.momentum == 0.9
 
 
 def test_resolve_precedence():
@@ -161,9 +160,8 @@ def test_resolve_rejects_unknown_file_key():
         resolve_config({"epoch": "3"})
 
 
-@pytest.mark.parametrize("key,value", [("epochs", "0"), ("batch_size", "0"),
-                                       ("hidden_dim", "0"), ("dropout_rate", "1.0"),
-                                       ("momentum", "1.0"), ("learning_rate", "-1"),
+@pytest.mark.parametrize("key,value", [("epochs", "0"), ("hidden_dim", "0"),
+                                       ("dropout_rate", "1.0"), ("learning_rate", "-1"),
                                        ("seed", "-1")])
 def test_resolve_rejects_bad_network_settings(key, value):
     # checked when the config resolves, before any stage reads or writes a file
@@ -209,7 +207,8 @@ def test_readme_flag_table_matches_parser():
     assert documented == parsed
 
 
-@pytest.mark.parametrize("line", ["zero_diagonal = false", "smacof_iterations = 0"])
+@pytest.mark.parametrize("line", ["zero_diagonal = false", "smacof_iterations = 0",
+                                  "batch_size = 20", "momentum = 0.9"])
 def test_config_file_with_removed_key_is_input_error(tiny, tmp_path, capsys, line):
     cfg = tmp_path / "old.cfg"
     cfg.write_text(tiny["cfg"].read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
@@ -221,9 +220,14 @@ def test_config_file_with_removed_key_is_input_error(tiny, tmp_path, capsys, lin
 
 @pytest.mark.parametrize("command,flags", [("run", ["--zero-diagonal"]),
                                            ("project", ["--config", REPO / "default.cfg"]),
-                                           ("project", ["--smacof-iterations", "4"])])
+                                           ("project", ["--smacof-iterations", "4"]),
+                                           ("run", ["--batch-size", "20"]),
+                                           ("run", ["--momentum", "0.9"]),
+                                           ("train", ["--batch-size", "20"]),
+                                           ("train", ["--momentum", "0.9"])])
 def test_cli_removed_flags_are_usage_errors(tmp_path, capsys, command, flags):
     outputs = {"run": ["--out-dir", tmp_path / "out"],
+               "train": ["--sr", DATA_DIR / "sr_gamma_1.0.json", "--out", tmp_path / "m.json"],
                "project": ["--predictions", DATA_DIR / "gdv_fixture_1d.csv",
                            "--out-csv", tmp_path / "p.csv", "--out-svg", tmp_path / "p.svg"]}
     code, out, err = run_cli(capsys, command, *flags, *outputs[command])
@@ -273,9 +277,7 @@ FLAGS = {"embeddings": (["--embeddings", "e.txt"], "e.txt"),
          "hidden_dim": (["--hidden-dim", "7"], "7"),
          "dropout_rate": (["--dropout-rate", "0.25"], "0.25"),
          "learning_rate": (["--learning-rate", "0.5"], "0.5"),
-         "epochs": (["--epochs", "2"], "2"),
-         "batch_size": (["--batch-size", "3"], "3"),
-         "momentum": (["--momentum", "0.5"], "0.5")}
+         "epochs": (["--epochs", "2"], "2")}
 
 
 @pytest.mark.parametrize("key", list(CONFIG_FIELDS))
@@ -326,7 +328,7 @@ def test_negative_zero_gamma_hashes_like_zero():
 @pytest.mark.parametrize("spelling", [
     {"gammas": [1, 0.3]},
     {"horizon": np.int64(5), "seed": np.int64(1234)},
-    {"epochs": np.int64(500), "dropout_rate": np.float64(0.8), "momentum": 0.9},
+    {"epochs": np.int64(500), "dropout_rate": np.float64(0.8), "learning_rate": np.float64(1e-5)},
 ], ids=["integer-gamma", "numpy-horizon-and-seed", "numpy-network"])
 def test_config_stores_plain_numbers_so_one_run_has_one_hash(spelling):
     # a numpy integer used to make the hash raise, and gammas=[1, 0.3] hashed apart from [1.0, 0.3]
@@ -466,6 +468,12 @@ def test_manifest_records_the_loss_curve_beside_its_floor_and_a_uniform_guess(ti
         t_ln_t = [t * math.log(t) for row in targets for t in row if t > 0.0]
         assert abs(run["target_entropy"] + math.fsum(t_ln_t) / len(sr)) <= 1e-12
         assert run["excess_loss"] == run["final_train_loss"] - run["target_entropy"]
+        # the returned model's inference-mode loss, read back from its predictions
+        predictions = load_labeled_points_csv(out_dir / run["files"]["predictions_csv"])
+        p = predictions.split("train").points
+        model_loss = -(targets * np.log(np.maximum(p, 1e-12))).sum(axis=1).mean()
+        assert abs(run["final_model_loss"] - model_loss) <= 1e-12
+        assert run["target_entropy"] <= run["final_model_loss"]
 
 
 def test_run_pipeline_horizon_zero_identity_sr(tiny, tmp_path):
@@ -572,7 +580,7 @@ def test_cli_run_is_deterministic(tiny, tmp_path, capsys, monkeypatch):
         (ws / "rel.cfg").write_text(
             "embeddings = embeddings.txt\nlexicon = lexicon.csv\n"
             "output_dir = out\ngammas = 1.0,0.3\nepochs = 3\nhidden_dim = 16\n"
-            "batch_size = 4\nlearning_rate = 0.001\ndropout_rate = 0.5\nseed = 7\n",
+            "learning_rate = 0.001\ndropout_rate = 0.5\nseed = 7\n",
             encoding="utf-8")
         monkeypatch.chdir(ws)
         code, _, err = run_cli(capsys, "run", "--config", "rel.cfg")
@@ -1110,6 +1118,16 @@ def test_cli_project_rejects_flags_it_never_reads(tmp_path, capsys):
                            "--predictions", DATA_DIR / "gdv_fixture_1d.csv",
                            "--out-csv", tmp_path / "p.csv", "--out-svg", tmp_path / "p.svg")
     assert code == 1 and "unrecognized arguments: --seed 3" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("svg", ["p.csv", "./p.csv", "sub/../p.csv"])
+def test_cli_project_rejects_one_file_for_both_outputs(tmp_path, capsys, svg):
+    # the map would replace the CSV it was written after
+    code, out, err = run_cli(capsys, "project", "--predictions", DATA_DIR / "gdv_fixture_1d.csv",
+                             "--out-csv", tmp_path / "p.csv", "--out-svg", f"{tmp_path}/{svg}")
+    assert code == 1 and out == ""
+    assert err == f"error: --out-csv and --out-svg name one file: {tmp_path}/{svg}\n"
     assert list(tmp_path.iterdir()) == []
 
 
