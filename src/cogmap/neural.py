@@ -9,9 +9,9 @@ stored input-major (input x hidden), so the forward product x @ w1.T reads a
 C-contiguous matrix; `model.w1` is its hidden x input transpose. Training
 shuffles, gathers and drops out a whole epoch of inputs at once, writes
 gradients into a buffer of the parameter layout and steps on whole vectors in
-place. One batched pass, `_forward_backward`, serves training and inference on
-a `LabeledPoints` (`predict_all`). One seeded generator drives everything, so a
-(config, examples) pair determines the model bitwise.
+place. One pass, `_forward_backward`, serves training on batches and inference
+on a `LabeledPoints` one row at a time (`predict_all`). One seeded generator
+drives everything, so a (config, examples) pair determines the model bitwise.
 """
 
 import math
@@ -28,12 +28,12 @@ LOG_CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class MlpConfig:
-    # every workload trains on minibatches of 20 with momentum 0.9: constants, not settings
+    # every workload trains 128 hidden units in batches of 20, momentum 0.9: not settings
+    hidden_dim: ClassVar[int] = 128
     batch_size: ClassVar[int] = 20
     momentum: ClassVar[float] = 0.9
     input_dim: int
     output_dim: int
-    hidden_dim: int
     dropout_rate: float
     learning_rate: float
     epochs: int
@@ -41,7 +41,7 @@ class MlpConfig:
 
     def __post_init__(self):
         plain_fields(self)
-        if self.input_dim < 1 or self.hidden_dim < 1 or self.output_dim < 1:
+        if self.input_dim < 1 or self.output_dim < 1:
             raise InputError("layer sizes must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InputError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
@@ -136,7 +136,7 @@ def _dropout(x, rng, rate):
 
 
 def _forward_backward(model, x, target=None, grads=None):
-    """Batched pass over the rows of x: (predictions, per-row losses).
+    """Pass over the rows of x, a batch or a stack of batches: (predictions, per-row losses).
 
     Predictions are softmax(w2 relu(w1 x + b1) + b2); the losses are None
     without a target. With a target, the gradients of the mean loss over the
@@ -226,7 +226,8 @@ def predict_all(model, points):
     if points.points.shape[1] != model.config.input_dim:
         raise InputError(f"embeddings have dim {points.points.shape[1]}, "
                          f"model expects {model.config.input_dim}")
-    return LabeledPoints(points.lex, _forward_backward(model, points.points)[0])
+    # a stack of one-row batches, so no row's rounding depends on the rows beside it
+    return LabeledPoints(points.lex, _forward_backward(model, points.points[:, None, :])[0][:, 0])
 
 
 def save_model(model, path):

@@ -12,6 +12,7 @@ emitted, clearly labeled, since the two generally differ.
 import hashlib
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, asdict, replace
 from datetime import datetime, timezone
@@ -41,7 +42,6 @@ class PipelineConfig:
     gammas: list = field(default_factory=lambda: [1.0, 0.3])
     horizon: int = 5
     seed: int = 1234
-    hidden_dim: int = 128
     dropout_rate: float = 0.8
     learning_rate: float = 1e-5
     epochs: int = 500
@@ -249,7 +249,9 @@ def run_pipeline(config):
             "tool_version": __version__,
             "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "config_hash": inputs_hash,
-            "config": asdict(config),
+            # absolute input paths, so the config resolves and hashes from any directory
+            "config": {**asdict(config),
+                       **{name: os.path.abspath(getattr(config, name)) for name in INPUTS}},
             "transition_csv": "transition.csv",
             "runs": runs,
         }

@@ -20,7 +20,7 @@ import pytest
 
 from cogmap.metrics import gdv
 from cogmap.neural import MlpConfig
-from cogmap.pipeline import parse_config_file, resolve_config, run_pipeline
+from cogmap.pipeline import INPUTS, parse_config_file, resolve_config, run_pipeline
 from cogmap.projection import pairwise_euclidean
 from cogmap.sr import TransitionMatrix, successor_matrix
 
@@ -210,7 +210,6 @@ def test_criterion_6_gradient_check(criterion_log):
     for i in range(20):
         cfg = MlpConfig(input_dim=int(rng.integers(2, 7)),
                         output_dim=int(rng.integers(2, 6)),
-                        hidden_dim=int(rng.integers(2, 7)),
                         dropout_rate=0.0, learning_rate=0.01, epochs=1,
                         seed=int(rng.integers(0, 10000)))
         x = rng.standard_normal(cfg.input_dim)
@@ -256,7 +255,11 @@ def test_criterion_8_progress_and_determinism(pipeline_runs, criterion_log):
             doc_a = json.loads(a_path.read_text(encoding="utf-8"))
             doc_b = json.loads(b_path.read_text(encoding="utf-8"))
             doc_a["created_utc"] = doc_b["created_utc"] = "MASKED"
-            same = doc_a == doc_b
+            # each manifest records its own workspace's input files, by absolute path
+            for doc, ws in ((doc_a, out_a.parent), (doc_b, out_b.parent)):
+                for key in INPUTS:
+                    doc["config"][key] = os.path.relpath(doc["config"][key], os.path.realpath(ws))
+            same = doc_a == doc_b and doc_a["config"]["lexicon"] == "data/lexicon.csv"
         else:
             same = a_path.read_bytes() == b_path.read_bytes()
         identical &= same
@@ -267,4 +270,5 @@ def test_criterion_8_progress_and_determinism(pipeline_runs, criterion_log):
         f"{run['final_train_loss']:.4f}" for run in manifest_a["runs"])
     record(criterion_log, 8, "training progress + determinism", passed,
            f"{losses}; rerun with identical config+seed: {compared} artifacts "
-           f"byte-identical (manifest timestamp masked)")
+           f"byte-identical (manifest timestamp masked, input paths taken relative to "
+           f"each run's directory)")

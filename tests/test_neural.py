@@ -18,7 +18,7 @@ from oracles import gradient_check, init_model
 
 
 def small_config(**overrides):
-    base = dict(input_dim=4, output_dim=3, hidden_dim=5, dropout_rate=0.0,
+    base = dict(input_dim=4, output_dim=3, dropout_rate=0.0,
                 learning_rate=0.05, epochs=5, seed=1)
     base.update(overrides)
     return MlpConfig(**base)
@@ -48,7 +48,7 @@ def test_config_validation():
     with pytest.raises(InputError):
         small_config(input_dim=0)
     with pytest.raises(InputError):
-        small_config(hidden_dim=-1)
+        small_config(output_dim=-1)
     with pytest.raises(InputError):
         small_config(dropout_rate=1.0)
     with pytest.raises(InputError):
@@ -65,12 +65,12 @@ def test_config_validation():
         small_config(output_dim=True)
     # boundary values that must be accepted, and numpy integers
     small_config(dropout_rate=0.0, learning_rate=0.0, seed=0)
-    small_config(hidden_dim=np.int64(5), seed=np.uint32(7))
+    small_config(input_dim=np.int64(4), seed=np.uint32(7))
 
 
 def test_config_stores_the_plain_number_of_a_numpy_scalar():
     # so a config built from numpy sizes or rates holds the types its fields declare
-    cfg = small_config(hidden_dim=np.int64(5), epochs=np.int8(2), seed=np.uint32(7),
+    cfg = small_config(input_dim=np.int64(4), epochs=np.int8(2), seed=np.uint32(7),
                        learning_rate=np.float32(0.5), dropout_rate=np.float64(0.5))
     assert {name: type(value) for name, value in vars(cfg).items()} == \
         {f.name: f.type for f in fields(MlpConfig)}
@@ -264,7 +264,7 @@ def test_gradient_buffer_holds_the_same_bits_as_fresh_gradients():
 
 
 def test_gradient_check_small_network():
-    cfg = MlpConfig(input_dim=4, output_dim=3, hidden_dim=3, dropout_rate=0.0,
+    cfg = MlpConfig(input_dim=4, output_dim=3, dropout_rate=0.0,
                     learning_rate=0.01, epochs=1, seed=1)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(4)
@@ -277,7 +277,7 @@ def test_gradient_check_small_network():
 
 def test_zero_lr_single_epoch_preserves_init_bitwise():
     ex = toy_examples()
-    cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=4, dropout_rate=0.5,
+    cfg = MlpConfig(input_dim=2, output_dim=2, dropout_rate=0.5,
                     learning_rate=0.0, epochs=1, seed=17)
     model, losses = train(cfg, ex)
     ref = init_model(cfg)
@@ -290,7 +290,7 @@ def test_zero_lr_single_epoch_preserves_init_bitwise():
 
 def test_training_is_deterministic_bitwise():
     ex = toy_examples()
-    cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=6, dropout_rate=0.3,
+    cfg = MlpConfig(input_dim=2, output_dim=2, dropout_rate=0.3,
                     learning_rate=0.01, epochs=20, seed=5)
     m1, r1 = train(cfg, ex)
     m2, r2 = train(cfg, ex)
@@ -301,7 +301,7 @@ def test_training_is_deterministic_bitwise():
 
 def test_training_reduces_loss_on_separable_toy():
     ex = toy_examples()
-    cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=8, dropout_rate=0.0,
+    cfg = MlpConfig(input_dim=2, output_dim=2, dropout_rate=0.0,
                     learning_rate=0.05, epochs=200, seed=2)
     _, losses = train(cfg, ex)
     assert losses[-1] < losses[0]
@@ -314,7 +314,7 @@ def test_training_aborts_on_divergence():
     # until the loss (or a parameter) goes non-finite
     ex = ExampleSet(inputs=np.array([[3.0, 1.0], [-3.0, -1.0]]),
                     targets=np.array([[0.8, 0.2], [0.2, 0.8]]))
-    cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=4, dropout_rate=0.0,
+    cfg = MlpConfig(input_dim=2, output_dim=2, dropout_rate=0.0,
                     learning_rate=1e30, epochs=60, seed=1)
     with pytest.raises(InputError, match="non-finite"):
         train(cfg, ex)
@@ -371,7 +371,7 @@ def test_training_matches_the_per_array_reference_bitwise():
     targets = rng.random((47, 4))
     ex = ExampleSet(inputs=rng.standard_normal((47, 5)),
                     targets=targets / targets.sum(axis=1, keepdims=True))
-    cfg = MlpConfig(input_dim=5, output_dim=4, hidden_dim=6, dropout_rate=0.3,
+    cfg = MlpConfig(input_dim=5, output_dim=4, dropout_rate=0.3,
                     learning_rate=0.05, epochs=30, seed=21)
     model, losses = train(cfg, ex)
     params, reference_losses = reference_train(cfg, ex)
@@ -384,7 +384,7 @@ def test_integer_inputs_train_like_their_float64_values():
     # the dropout scaling divides the epoch's inputs in place, which an integer array cannot hold
     inputs = np.array([[3, 1], [-3, -1], [2, 0], [0, 2]])
     targets = np.array([[1, 0], [0, 1], [1, 0], [0, 1]])
-    cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=4, dropout_rate=0.5,
+    cfg = MlpConfig(input_dim=2, output_dim=2, dropout_rate=0.5,
                     learning_rate=0.05, epochs=10, seed=3)
     as_ints = train(cfg, ExampleSet(inputs=inputs, targets=targets))
     as_floats = train(cfg, ExampleSet(inputs=inputs.astype(np.float64),
@@ -407,9 +407,9 @@ def test_train_rejects_an_empty_example_set():
 def test_training_names_the_first_non_finite_parameter():
     # one batch per epoch: the epoch's loss, taken before its only step, is
     # finite, and that step overflows w1 to infinity
-    ex = ExampleSet(inputs=np.array([[30.0, 10.0], [-30.0, -10.0]]),
+    ex = ExampleSet(inputs=np.array([[300.0, 100.0], [-300.0, -100.0]]),
                     targets=np.array([[0.8, 0.2], [0.2, 0.8]]))
-    cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=4, dropout_rate=0.0,
+    cfg = MlpConfig(input_dim=2, output_dim=2, dropout_rate=0.0,
                     learning_rate=1e308, epochs=3, seed=1)
     with pytest.raises(InputError, match="^non-finite parameter w1 at epoch 0$"):
         train(cfg, ex)
@@ -436,21 +436,51 @@ def test_predict_all_matches_forward_and_handles_duplicates():
     np.testing.assert_allclose(preds[1], predictions(model, b), atol=1e-15)
 
 
+def shipped_width_record(n_train, n_validation, seed):
+    """A model at 300-D inputs and the shipped width with `n_train` output states, and a
+    record of `n_train` training then `n_validation` validation words of 300-D rows."""
+    model = init_model(MlpConfig(input_dim=300, output_dim=n_train, dropout_rate=0.8,
+                                 learning_rate=1e-5, epochs=1, seed=seed))
+    n = n_train + n_validation
+    lex = Lexicon([f"w{i}" for i in range(n)], [f"c{i % 3}" for i in range(n)],
+                  ["train"] * n_train + ["validation"] * n_validation)
+    return model, LabeledPoints(lex, np.random.default_rng(seed).standard_normal((n, 300)))
+
+
 def test_predict_all_keeps_the_words_and_gives_the_forward_rows():
-    model = init_model(small_config(input_dim=3, output_dim=4, seed=9))
-    lex = Lexicon(["dog", "cat", "pup"], ["animal", "animal", "animal"],
-                  ["train", "train", "validation"])
-    points = LabeledPoints(lex, np.random.default_rng(2).standard_normal((3, 3)))
+    model, points = shipped_width_record(27, 3, seed=9)
     preds = predict_all(model, points)
-    assert preds.lex is lex and lex.words == ["dog", "cat", "pup"]
-    assert preds.points.tobytes() == _forward_backward(model, points.points)[0].tobytes()
+    assert preds.lex is points.lex and preds.lex.words == [f"w{i}" for i in range(30)]
+    # the reference: the forward pass called on each row alone
+    assert preds.points.tobytes() == \
+        np.stack([predictions(model, row) for row in points.points]).tobytes()
+
+
+def test_a_splits_predictions_are_its_rows_of_the_whole_records():
+    # at the shipped width a batched product's rounding of one row depends on the rows
+    # beside it; predicted one row at a time, a split predicts its rows of the whole record
+    model, points = shipped_width_record(30, 15, seed=4)
+    whole, alone = predict_all(model, points), predict_all(model, points.split("validation"))
+    assert alone.lex == whole.split("validation").lex
+    assert alone.points.tobytes() == whole.split("validation").points.tobytes()
+
+
+def test_permuting_a_records_rows_permutes_its_predictions():
+    model, points = shipped_width_record(27, 0, seed=3)
+    expected = predict_all(model, points).points
+    columns = (points.lex.words, points.lex.labels, points.lex.splits)
+    for seed in range(10):
+        order = np.random.default_rng(seed).permutation(27)
+        moved = LabeledPoints(Lexicon(*([column[i] for i in order] for column in columns)),
+                              points.points[order])
+        assert predict_all(model, moved).points.tobytes() == expected[order].tobytes(), seed
 
 
 # -------------------------------------------------------------- checkpoint
 
 def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     ex = toy_examples()
-    cfg = MlpConfig(input_dim=2, output_dim=2, hidden_dim=4, dropout_rate=0.3,
+    cfg = MlpConfig(input_dim=2, output_dim=2, dropout_rate=0.3,
                     learning_rate=0.01, epochs=5, seed=13)
     model, _ = train(cfg, ex)
     p = tmp_path / "model.json"
@@ -466,15 +496,14 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
 
 
 def test_loaded_checkpoint_predicts_the_trained_models_bits(tmp_path):
-    # at input 50 and hidden 16 the hidden x input and input x hidden
-    # orientations of the w1 product round differently, on a batch and on a
-    # single row; a loaded model gives the trained model's bits only if it
-    # stores w1 input-major too
+    # at input 50 and the shipped width the hidden x input and input x hidden
+    # orientations of the one-row w1 product round differently; a loaded model
+    # gives the trained model's bits only if it stores w1 input-major too
     rng = np.random.default_rng(3)
     targets = rng.random((12, 6))
     ex = ExampleSet(inputs=rng.standard_normal((12, 50)),
                     targets=targets / targets.sum(axis=1, keepdims=True))
-    cfg = MlpConfig(input_dim=50, output_dim=6, hidden_dim=16, dropout_rate=0.2,
+    cfg = MlpConfig(input_dim=50, output_dim=6, dropout_rate=0.2,
                     learning_rate=0.05, epochs=3, seed=8)
     model, _ = train(cfg, ex)
     p = tmp_path / "model.json"
@@ -484,29 +513,23 @@ def test_loaded_checkpoint_predicts_the_trained_models_bits(tmp_path):
     vecs = rng.standard_normal((20, 50))
     assert predict_all(back, labeled(vecs)).points.tobytes() == \
         predict_all(model, labeled(vecs)).points.tobytes()
-    for row in vecs:
-        assert predict_all(back, labeled(row[None, :])).points.tobytes() == \
-            predict_all(model, labeled(row[None, :])).points.tobytes()
 
 
 def test_model_built_from_arrays_predicts_its_checkpoints_bits(tmp_path):
-    # at input 50 and hidden 16 the two orientations of the w1 product round
-    # differently, so a model built from arrays predicts its reloaded
-    # checkpoint's bits only if the constructor stores w1 input-major too
+    # at input 50 and the shipped width the two orientations of the one-row w1
+    # product round differently, so a model built from arrays predicts its
+    # reloaded checkpoint's bits only if the constructor stores w1 input-major too
     rng = np.random.default_rng(5)
-    cfg = MlpConfig(input_dim=50, output_dim=6, hidden_dim=16, dropout_rate=0.2,
+    cfg = MlpConfig(input_dim=50, output_dim=6, dropout_rate=0.2,
                     learning_rate=0.05, epochs=3, seed=8)
-    model = MlpModel(w1=rng.standard_normal((16, 50)), b1=rng.standard_normal(16),
-                     w2=rng.standard_normal((6, 16)), b2=rng.standard_normal(6), config=cfg)
+    model = MlpModel(w1=rng.standard_normal((128, 50)), b1=rng.standard_normal(128),
+                     w2=rng.standard_normal((6, 128)), b2=rng.standard_normal(6), config=cfg)
     p = tmp_path / "model.json"
     save_model(model, p)
     back = load_model(p)
     vecs = rng.standard_normal((20, 50))
     assert predict_all(back, labeled(vecs)).points.tobytes() == \
         predict_all(model, labeled(vecs)).points.tobytes()
-    for row in vecs:
-        assert predict_all(back, labeled(row[None, :])).points.tobytes() == \
-            predict_all(model, labeled(row[None, :])).points.tobytes()
     assert model.theta.tobytes() == back.theta.tobytes()
     assert all(getattr(model, name).base is model.theta for name in ("w1", "b1", "w2", "b2"))
 
@@ -516,22 +539,22 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     model = init_model(cfg)
     p = tmp_path / "model.json"
     save_model(model, p)
-    text = p.read_text(encoding="utf-8").replace('"hidden_dim": 5', '"hidden_dim": 6')
+    text = p.read_text(encoding="utf-8").replace('"output_dim": 3', '"output_dim": 4')
     p.write_text(text, encoding="utf-8")
     with pytest.raises(InputError, match="shapes"):
         load_model(p)
 
 
 def test_checkpoint_arrays_are_checked_before_the_config_sizes_an_allocation(tmp_path):
-    # a billion hidden units would ask for 2.4 TB before the shapes were compared
+    # a billion inputs would ask for 1 TB before the shapes were compared
     p = tmp_path / "model.json"
     save_model(init_model(small_config()), p)
     doc = json.loads(p.read_text(encoding="utf-8"))
-    doc["config"]["hidden_dim"] = 1_000_000_000
+    doc["config"]["input_dim"] = 1_000_000_000
     p.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(InputError, match=re.escape("model.json: parameter shapes do not match "
-                                                   "the config: w1 is (5, 4), expected "
-                                                   "(1000000000, 4)")):
+                                                   "the config: w1 is (128, 4), expected "
+                                                   "(128, 1000000000)")):
         load_model(p)
 
 
@@ -571,7 +594,7 @@ def _config_value(key, value):
 @pytest.mark.parametrize("edit,match", [
     (_short_b1, "shapes .* b1"), (_short_b2, "shapes .* b2"), (_ragged_w1, "malformed"),
     (_huge_int_b1, "malformed"), (_bad_dropout, r"dropout rate must be in \[0, 1\)"),
-    (_config_value("hidden_dim", 5.0), "hidden_dim must be an integer, got 5.0"),
+    (_config_value("output_dim", 3.0), "output_dim must be an integer, got 3.0"),
     (_config_value("seed", 1.5), "seed must be an integer, got 1.5"),
     (_config_value("epochs", 2.5), "epochs must be an integer, got 2.5"),
     (_config_value("learning_rate", True), "learning_rate must be a real number, got True"),
@@ -580,13 +603,14 @@ def _config_value(key, value):
     # keys a checkpoint held before they became constants of MlpConfig: it must be retrained
     (_config_value("batch_size", 20), r"malformed model checkpoint \(.*'batch_size'"),
     (_config_value("momentum", 0.9), r"malformed model checkpoint \(.*'momentum'"),
+    (_config_value("hidden_dim", 128), r"malformed model checkpoint \(.*'hidden_dim'"),
     (_first_entry("b2", "0.5"), "each entry in b2 must be a real number, got '0.5'"),
     (_first_entry("w1", True), "each entry in w1 must be a real number, got True"),
     (_first_entry("w2", None), "each entry in w2 must be a real number, got None"),
-], ids=["short-b1", "short-b2", "ragged-w1", "huge-int-b1", "bad-config", "float-hidden-dim",
+], ids=["short-b1", "short-b2", "ragged-w1", "huge-int-b1", "bad-config", "float-output-dim",
         "float-seed", "float-epochs", "bool-learning-rate", "bool-dropout-rate",
-        "string-learning-rate", "stale-batch-size", "stale-momentum", "string-b2", "bool-w1",
-        "null-w2"])
+        "string-learning-rate", "stale-batch-size", "stale-momentum", "stale-hidden-dim",
+        "string-b2", "bool-w1", "null-w2"])
 def test_checkpoint_arrays_checked_against_config(tmp_path, edit, match):
     # a short bias, a ragged matrix, an integer beyond float range or a config
     # its own checks reject (a non-integer size among them) names the file

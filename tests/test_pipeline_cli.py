@@ -65,7 +65,6 @@ def tiny(tmp_path_factory):
         "output_dir = out\n"
         "gammas = 1.0,0.3\n"
         "epochs = 3\n"
-        "hidden_dim = 16\n"
         "learning_rate = 0.001\n"
         "dropout_rate = 0.5\n"
         "seed = 7\n",
@@ -127,9 +126,10 @@ def test_resolve_defaults():
     assert config.lexicon == "data/lexicon.csv" and config.output_dir == "out"
     assert config.gammas == [1.0, 0.3]
     assert config.horizon == 5 and config.seed == 1234
-    assert config.hidden_dim == 128 and config.dropout_rate == 0.8
+    assert config.dropout_rate == 0.8
     assert config.learning_rate == 1e-5 and config.epochs == 500
-    assert MlpConfig.batch_size == 20 and MlpConfig.momentum == 0.9
+    assert MlpConfig.hidden_dim == 128 and MlpConfig.batch_size == 20
+    assert MlpConfig.momentum == 0.9
 
 
 def test_resolve_precedence():
@@ -160,9 +160,8 @@ def test_resolve_rejects_unknown_file_key():
         resolve_config({"epoch": "3"})
 
 
-@pytest.mark.parametrize("key,value", [("epochs", "0"), ("hidden_dim", "0"),
-                                       ("dropout_rate", "1.0"), ("learning_rate", "-1"),
-                                       ("seed", "-1")])
+@pytest.mark.parametrize("key,value", [("epochs", "0"), ("dropout_rate", "1.0"),
+                                       ("learning_rate", "-1"), ("seed", "-1")])
 def test_resolve_rejects_bad_network_settings(key, value):
     # checked when the config resolves, before any stage reads or writes a file
     with pytest.raises(InputError):
@@ -208,7 +207,7 @@ def test_readme_flag_table_matches_parser():
 
 
 @pytest.mark.parametrize("line", ["zero_diagonal = false", "smacof_iterations = 0",
-                                  "batch_size = 20", "momentum = 0.9"])
+                                  "batch_size = 20", "momentum = 0.9", "hidden_dim = 128"])
 def test_config_file_with_removed_key_is_input_error(tiny, tmp_path, capsys, line):
     cfg = tmp_path / "old.cfg"
     cfg.write_text(tiny["cfg"].read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
@@ -224,7 +223,9 @@ def test_config_file_with_removed_key_is_input_error(tiny, tmp_path, capsys, lin
                                            ("run", ["--batch-size", "20"]),
                                            ("run", ["--momentum", "0.9"]),
                                            ("train", ["--batch-size", "20"]),
-                                           ("train", ["--momentum", "0.9"])])
+                                           ("train", ["--momentum", "0.9"]),
+                                           ("run", ["--hidden-dim", "128"]),
+                                           ("train", ["--hidden-dim", "128"])])
 def test_cli_removed_flags_are_usage_errors(tmp_path, capsys, command, flags):
     outputs = {"run": ["--out-dir", tmp_path / "out"],
                "train": ["--sr", DATA_DIR / "sr_gamma_1.0.json", "--out", tmp_path / "m.json"],
@@ -274,7 +275,6 @@ FLAGS = {"embeddings": (["--embeddings", "e.txt"], "e.txt"),
          "gammas": (["--gammas", "0.5,0.25"], "0.5,0.25"),
          "horizon": (["--horizon", "3"], "3"),
          "seed": (["--seed", "9"], "9"),
-         "hidden_dim": (["--hidden-dim", "7"], "7"),
          "dropout_rate": (["--dropout-rate", "0.25"], "0.25"),
          "learning_rate": (["--learning-rate", "0.5"], "0.5"),
          "epochs": (["--epochs", "2"], "2")}
@@ -454,6 +454,25 @@ def test_manifest_config_rebuilds_the_run_config(tiny, tmp_path):
     assert rebuilt == config and config_hash(rebuilt) == manifest["config_hash"]
 
 
+def test_manifest_config_rebuilds_the_hash_from_another_directory(tiny, tmp_path, monkeypatch):
+    # relative input paths are recorded absolute, so the record resolves from anywhere
+    run_dir, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+    run_dir.mkdir()
+    elsewhere.mkdir()
+    for name in ("embeddings", "lexicon"):
+        shutil.copy(tiny[name], run_dir / tiny[name].name)
+    monkeypatch.chdir(run_dir)
+    config = resolve_config(parse_config_file(tiny["cfg"]),
+                            {"embeddings": tiny["embeddings"].name,
+                             "lexicon": tiny["lexicon"].name, "epochs": "2"})
+    manifest = run_pipeline(config)
+    monkeypatch.chdir(elsewhere)
+    for name in ("embeddings", "lexicon"):
+        assert os.path.isabs(manifest["config"][name])
+        assert os.path.samefile(manifest["config"][name], run_dir / tiny[name].name)
+    assert config_hash(resolve_config(manifest["config"])) == manifest["config_hash"]
+
+
 def test_manifest_records_the_loss_curve_beside_its_floor_and_a_uniform_guess(tiny, tmp_path):
     out_dir = tmp_path / "out"
     manifest = run_pipeline(resolve_config(parse_config_file(tiny["cfg"]),
@@ -570,7 +589,7 @@ def test_cli_run_end_to_end(tiny, tmp_path, capsys):
 
 def test_cli_run_is_deterministic(tiny, tmp_path, capsys, monkeypatch):
     # identical relative inputs in two working directories must agree byte for
-    # byte everywhere except the manifest's created_utc
+    # byte everywhere except the manifest's created_utc and absolute input paths
     workspaces = []
     for name in ("a", "b"):
         ws = tmp_path / name
@@ -579,7 +598,7 @@ def test_cli_run_is_deterministic(tiny, tmp_path, capsys, monkeypatch):
         shutil.copy(tiny["lexicon"], ws / "lexicon.csv")
         (ws / "rel.cfg").write_text(
             "embeddings = embeddings.txt\nlexicon = lexicon.csv\n"
-            "output_dir = out\ngammas = 1.0,0.3\nepochs = 3\nhidden_dim = 16\n"
+            "output_dir = out\ngammas = 1.0,0.3\nepochs = 3\n"
             "learning_rate = 0.001\ndropout_rate = 0.5\nseed = 7\n",
             encoding="utf-8")
         monkeypatch.chdir(ws)
@@ -592,7 +611,13 @@ def test_cli_run_is_deterministic(tiny, tmp_path, capsys, monkeypatch):
     assert names == sorted(p.name for p in b.iterdir())
     for name in names:
         if name == "manifest.json":
-            assert masked_manifest(a / name) == masked_manifest(b / name)
+            docs = [masked_manifest(out / name) for out in (a, b)]
+            # each manifest records its own workspace's input files, by absolute path
+            for doc, ws in zip(docs, workspaces):
+                for key, file in (("embeddings", "embeddings.txt"), ("lexicon", "lexicon.csv")):
+                    assert os.path.samefile(doc["config"][key], ws / file)
+                    doc["config"][key] = file
+            assert docs[0] == docs[1]
         else:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
