@@ -2,13 +2,16 @@
 
 import argparse
 import ast
+import errno
 import json
 import math
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -204,6 +207,53 @@ def test_readme_flag_table_matches_parser():
         else:
             assert keyed == [], name
     assert documented == parsed
+
+
+@pytest.fixture
+def workspace(tmp_path, monkeypatch):
+    """A working directory that holds copies of default.cfg and data/, as the checkout's root does."""
+    shutil.copy(REPO / "default.cfg", tmp_path)
+    shutil.copytree(DATA_DIR, tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def readme_block(section, language):
+    """The one ```language block of README's `## section`, as written."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(rf"^```{language}\n(.*?)^```$", body, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1, section
+    return blocks[0]
+
+
+def run_readme_sh_block(section, capsys):
+    for line in readme_block(section, "sh").splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "cogmap", line
+        code, _, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (line, err)
+
+
+def test_readme_quick_start_and_cli_blocks_run_as_written(workspace, capsys):
+    # with `seed` as given, the CLI block's chain writes the files of the run's first gamma
+    out = workspace / "out"
+    run_readme_sh_block("Quick start", capsys)
+    sr_files = ("transition.csv", "sr_gamma_1.0.csv")
+    run_sr = [(out / name).read_bytes() for name in sr_files]
+    run_readme_sh_block("CLI", capsys)
+    assert [(out / name).read_bytes() for name in sr_files] == run_sr
+    for chain, run in [("model.json", "model_gamma_1.0.json"),
+                       ("preds.csv", "predictions_gamma_1.0.csv"),
+                       ("proj.csv", "projection_gamma_1.0.csv"), ("map.svg", "map_gamma_1.0.svg")]:
+        assert (out / chain).read_bytes() == (out / run).read_bytes(), chain
+
+
+def test_readme_library_use_block_runs_as_written(workspace, capsys):
+    # the block prints a GDV, then one bool per comparison
+    exec(compile(readme_block("Library use", "python"), "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines.count("True") == 3 and "False" not in lines
 
 
 @pytest.mark.parametrize("line", ["zero_diagonal = false", "smacof_iterations = 0",
@@ -773,25 +823,39 @@ def test_failed_command_creates_no_output_directory(tiny, tmp_path, capsys, comm
     assert not (tmp_path / "fresh").exists()
 
 
+def tree_listing(out_dir):
+    """Each entry's name with its bytes, or with the listing of a directory."""
+    return {p.name: os.listdir(p) if p.is_dir() else p.read_bytes() for p in out_dir.iterdir()}
+
+
+@pytest.mark.parametrize("fault", ["write-fails", "target-is-a-directory"])
 def test_failed_build_sr_leaves_the_previous_tree_byte_identical(tiny, tmp_path, capsys,
-                                                                   monkeypatch):
+                                                                   monkeypatch, fault):
     out_dir = tmp_path / "sr-out"
-    assert run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)[0] == 0
-    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
-    calls = []
+    if fault == "write-fails":
+        assert run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)[0] == 0
+        calls = []
 
-    def second_call_fails(*args):
-        calls.append(args)
-        if len(calls) == 2:
-            raise OSError("disk full")
-        save_sr_json(*args)
+        def second_call_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            save_sr_json(*args)
 
-    monkeypatch.setattr("cogmap.cli.save_sr_json", second_call_fails)
+        monkeypatch.setattr("cogmap.cli.save_sr_json", second_call_fails)
+        message = "disk full"
+    else:
+        # an older tree whose transition.csv is a directory: the commit fails before any file moves
+        target = out_dir / "transition.csv"
+        target.mkdir(parents=True)
+        (out_dir / "manifest.json").write_text('{"old": true}\n', encoding="utf-8")
+        message = str(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target)))
+    before = tree_listing(out_dir)
     # another horizon, so every SR file the failed command reached would differ
     code, out, err = run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--horizon", 3,
                              "--out-dir", out_dir)
-    assert code == 1 and out == "" and err == "error: disk full\n"
-    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+    assert tree_listing(out_dir) == before
 
 
 @pytest.mark.parametrize("command", ["run", "build-sr"])
@@ -909,6 +973,33 @@ def test_cli_predict_validation_split(tiny, tmp_path, capsys):
     lines = preds.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 7
     assert all(line.split(",")[2] == "validation" for line in lines[1:])
+
+
+@pytest.mark.parametrize("limits", [None, {"train": 10, "validation": 5}],
+                         ids=["shipped", "cut-45"])
+def test_cli_predict_gives_the_runs_validation_rows(workspace, capsys, limits):
+    # predict takes each word on its own, so a word's row does not depend on the words
+    # beside it: a batched pass over the 45-word cut rounds its validation rows differently
+    lexicon = "data/lexicon.csv"
+    if limits:
+        seen = Counter()
+
+        def first_of_each_category(word, category, split):
+            seen[category, split] += 1
+            return seen[category, split] <= limits[split]
+
+        lexicon = "lexicon45.csv"
+        lines = shipped_lexicon_lines(first_of_each_category)
+        assert len(lines) == 46
+        (workspace / lexicon).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_cli(capsys, "run", "--config", "default.cfg", "--lexicon", lexicon,
+                   "--epochs", 2)[0] == 0
+    assert run_cli(capsys, "predict", "--config", "default.cfg", "--lexicon", lexicon,
+                   "--model", "out/model_gamma_1.0.json", "--split", "validation",
+                   "--out", "validation.csv")[0] == 0
+    predicted = (workspace / "validation.csv").read_bytes().splitlines()[1:]
+    run_rows = (workspace / "out" / "predictions_gamma_1.0.csv").read_bytes().splitlines()
+    assert predicted == [row for row in run_rows if b",validation," in row]
 
 
 def test_cli_predict_rejects_a_split_the_lexicon_lacks(tiny, tmp_path, capsys):
@@ -1295,17 +1386,26 @@ def _with_unknown_config_key(doc):
     return {**doc, "config": {**doc["config"], "width": 3}}
 
 
+def _with_a_billion_inputs(doc):
+    return {**doc, "config": {**doc["config"], "input_dim": 1_000_000_000}}
+
+
 # id -> (the input spoiled, the JSON document that replaces it)
 MALFORMED_INPUTS = {
     "checkpoint-without-w1": ("model", _without("w1")),
     "checkpoint-unknown-config-key": ("model", _with_unknown_config_key),
     "checkpoint-array": ("model", lambda doc: [doc]),
+    "checkpoint-billion-inputs": ("model", _with_a_billion_inputs),
     "sr-without-gamma": ("sr", _without("gamma")),
     "sr-string": ("sr", lambda doc: "sr"),
 }
 # the input -> (the command that reads it, the start of its error)
 MALFORMED_READERS = {"model": (_predict, "malformed model checkpoint ("),
                      "sr": (_train, "malformed successor-matrix envelope (")}
+# id -> its error, where it is not its reader's: the arrays are checked before the
+# config sizes an allocation, so a billion inputs ask for no memory
+MALFORMED_MESSAGES = {"checkpoint-billion-inputs": "parameter shapes do not match the config: "
+                                                   "w1 is (128, 8), expected (128, 1000000000)"}
 
 
 @pytest.mark.parametrize("case", MALFORMED_INPUTS)
@@ -1313,6 +1413,7 @@ def test_cli_json_input_of_the_wrong_layout_names_its_file(tiny, staged, tmp_pat
     # valid JSON that is not a checkpoint or an envelope: exit 1, the file named, no output
     key, spoil = MALFORMED_INPUTS[case]
     command, message = MALFORMED_READERS[key]
+    message = MALFORMED_MESSAGES.get(case, message)
     files = {"cfg": tiny["cfg"], "lexicon": tiny["lexicon"], "embeddings": tiny["embeddings"],
              **staged}
     bad = tmp_path / f"bad-{files[key].name}"
