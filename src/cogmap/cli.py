@@ -93,7 +93,7 @@ def _cmd_run(args):
         raw = run["gdv_prediction_space"]
         print(f"gamma={run['gamma']}  gdv(all)={raw['all']:.4f}  "
               f"gdv(train)={raw['train']:.4f}  gdv(validation)={raw['validation']:.4f}  "
-              f"final-loss={run['final_train_loss']:.6f}")
+              f"model-loss={run['final_model_loss']:.6f}")
     return 0
 
 

@@ -2,7 +2,6 @@
 
 import argparse
 import ast
-import errno
 import json
 import math
 import os
@@ -14,6 +13,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -109,18 +109,6 @@ def test_config_file_requires_key_value(tmp_path):
     p.write_text("just-a-token\n", encoding="utf-8")
     with pytest.raises(InputError, match="key=value"):
         parse_config_file(p)
-
-
-def test_config_file_rejects_a_key_given_twice(tmp_path, capsys):
-    p = tmp_path / "c.cfg"
-    p.write_text("epochs = 3\nseed = 1\nepochs = 5\n", encoding="utf-8")
-    message = f"{p}: line 3: duplicate config key 'epochs'"
-    with pytest.raises(InputError) as info:
-        parse_config_file(p)
-    assert str(info.value) == message
-    code, out, err = run_cli(capsys, "build-sr", "--config", p, "--out-dir", tmp_path / "tree")
-    assert code == 1 and out == "" and err == f"error: {message}\n"
-    assert not (tmp_path / "tree").exists()
 
 
 def test_resolve_defaults():
@@ -256,62 +244,6 @@ def test_readme_library_use_block_runs_as_written(workspace, capsys):
     assert lines.count("True") == 3 and "False" not in lines
 
 
-@pytest.mark.parametrize("line", ["zero_diagonal = false", "smacof_iterations = 0",
-                                  "batch_size = 20", "momentum = 0.9", "hidden_dim = 128"])
-def test_config_file_with_removed_key_is_input_error(tiny, tmp_path, capsys, line):
-    cfg = tmp_path / "old.cfg"
-    cfg.write_text(tiny["cfg"].read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "run", "--config", cfg, "--out-dir", tmp_path / "out")
-    key = line.split(" ")[0]
-    assert code == 1 and out == "" and f"unknown config key {key!r}" in err
-    assert sorted(tmp_path.iterdir()) == [cfg]
-
-
-@pytest.mark.parametrize("command,flags", [("run", ["--zero-diagonal"]),
-                                           ("project", ["--config", REPO / "default.cfg"]),
-                                           ("project", ["--smacof-iterations", "4"]),
-                                           ("run", ["--batch-size", "20"]),
-                                           ("run", ["--momentum", "0.9"]),
-                                           ("train", ["--batch-size", "20"]),
-                                           ("train", ["--momentum", "0.9"]),
-                                           ("run", ["--hidden-dim", "128"]),
-                                           ("train", ["--hidden-dim", "128"])])
-def test_cli_removed_flags_are_usage_errors(tmp_path, capsys, command, flags):
-    outputs = {"run": ["--out-dir", tmp_path / "out"],
-               "train": ["--sr", DATA_DIR / "sr_gamma_1.0.json", "--out", tmp_path / "m.json"],
-               "project": ["--predictions", DATA_DIR / "gdv_fixture_1d.csv",
-                           "--out-csv", tmp_path / "p.csv", "--out-svg", tmp_path / "p.svg"]}
-    code, out, err = run_cli(capsys, command, *flags, *outputs[command])
-    assert code == 1 and out == "" and f"unrecognized arguments: {flags[0]}" in err
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("command,flags", [("build-sr", ["--gamma", "0.5"]),
-                                           ("run", ["--gamma", "0.5"]),
-                                           ("train", ["--epoch", "2"])])
-def test_cli_flag_prefixes_are_usage_errors(tiny, tmp_path, capsys, command, flags):
-    # each flag has one spelling: `--gamma` is not read as `--gammas`, nor `--epoch` as `--epochs`
-    sr_dir, out_dir = tmp_path / "sr", tmp_path / "out"
-    assert run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", sr_dir)[0] == 0
-    out_dir.mkdir()
-    outputs = {"build-sr": ["--out-dir", out_dir], "run": ["--out-dir", out_dir],
-               "train": ["--sr", sr_dir / "sr_gamma_1.0.json", "--out", out_dir / "model.json"]}
-    code, out, err = run_cli(capsys, command, "--config", tiny["cfg"], *flags, *outputs[command])
-    assert code == 1 and out == ""
-    assert err == f"error: unrecognized arguments: {' '.join(flags)}\n"
-    assert list(out_dir.iterdir()) == []
-
-
-@pytest.mark.parametrize("gammas", ["0.5,0.5", "1,1.0"])
-def test_cli_run_duplicate_gammas_is_input_error(tiny, tmp_path, capsys, gammas):
-    # equal tags name the same artifact files, so one run would overwrite another
-    out_dir = tmp_path / "out"
-    code, _, err = run_cli(capsys, "run", "--config", tiny["cfg"],
-                           "--gammas", gammas, "--out-dir", out_dir)
-    assert code == 1 and "distinct" in err
-    assert not out_dir.exists() or list(out_dir.iterdir()) == []
-
-
 def test_negative_zero_and_zero_are_one_gamma():
     # -0.0 == 0.0 but str(-0.0) == "-0.0", so the two once passed as distinct scales
     with pytest.raises(InputError, match="gammas must be distinct"):
@@ -344,16 +276,6 @@ def test_run_flag_resolves_like_config_file_line(tmp_path, capsys, monkeypatch, 
     assert seen[0] != resolve_config()
 
 
-@pytest.mark.parametrize("flag,key", [("--epochs", "epochs"),
-                                      ("--learning-rate", "learning_rate")])
-def test_cli_unparsable_value_names_its_key(tiny, tmp_path, capsys, flag, key):
-    out_dir = tmp_path / "out"
-    code, _, err = run_cli(capsys, "run", "--config", tiny["cfg"], flag, "x",
-                           "--out-dir", out_dir)
-    assert code == 1 and f"config key {key} expects" in err and "'x'" in err
-    assert not out_dir.exists()
-
-
 SHIPPED_INPUTS = {"embeddings": str(DATA_DIR / "embeddings_300d.txt"),
                   "lexicon": str(DATA_DIR / "lexicon.csv")}
 
@@ -375,10 +297,15 @@ def test_negative_zero_gamma_hashes_like_zero():
         config_hash(resolve_config(SHIPPED_INPUTS, {"gammas": "0"}))
 
 
+def numpy_defaults(*keys):
+    """The defaults of `keys` as numpy scalars: np.int64 for an integer, np.float64 for a float."""
+    return {key: np.asarray(getattr(PipelineConfig(), key))[()] for key in keys}
+
+
 @pytest.mark.parametrize("spelling", [
     {"gammas": [1, 0.3]},
-    {"horizon": np.int64(5), "seed": np.int64(1234)},
-    {"epochs": np.int64(500), "dropout_rate": np.float64(0.8), "learning_rate": np.float64(1e-5)},
+    numpy_defaults("horizon", "seed"),
+    numpy_defaults("epochs", "dropout_rate", "learning_rate"),
 ], ids=["integer-gamma", "numpy-horizon-and-seed", "numpy-network"])
 def test_config_stores_plain_numbers_so_one_run_has_one_hash(spelling):
     # a numpy integer used to make the hash raise, and gammas=[1, 0.3] hashed apart from [1.0, 0.3]
@@ -572,28 +499,6 @@ def shipped_lexicon_lines(keep):
     return lines[:1] + [line for line in lines[1:] if keep(*line.split(","))]
 
 
-@pytest.mark.parametrize("keep, message", [
-    # one furniture validation word: the validation split has a singleton class
-    (lambda w, c, s: s == "train" or c != "furniture" or w == "futon",
-     "class 'furniture' has 1 point(s); GDV needs at least 2"),
-    (lambda w, c, s: c == "animals", "GDV needs at least 2 classes, got 1"),
-    (lambda w, c, s: s == "train", "no points with split 'validation'"),
-], ids=["singleton-class", "one-class", "no-validation"])
-def test_run_rejects_lexicon_the_gdv_cannot_score_in_load(tmp_path, capsys, keep, message):
-    lexicon = tmp_path / "lexicon.csv"
-    lexicon.write_text("\n".join(shipped_lexicon_lines(keep)) + "\n", encoding="utf-8")
-    out_dir = tmp_path / "out"
-    out_dir.mkdir()
-    (out_dir / "manifest.json").write_text("previous run\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "run", "--config", REPO / "default.cfg",
-                             "--embeddings", DATA_DIR / "embeddings_300d.txt",
-                             "--lexicon", lexicon, "--out-dir", out_dir)
-    assert code == 1 and out == ""
-    assert err == f"error: stage load: {message}\n"
-    assert [(p.name, p.read_text(encoding="utf-8")) for p in out_dir.iterdir()] == \
-        [("manifest.json", "previous run\n")]
-
-
 def test_failed_rerun_leaves_previous_tree_untouched(tiny, tmp_path):
     out_dir = tmp_path / "out"
     base = parse_config_file(tiny["cfg"])
@@ -625,9 +530,13 @@ def test_cli_run_end_to_end(tiny, tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", "--config", tiny["cfg"],
                              "--out-dir", out_dir)
     assert code == 0 and err == ""
-    assert "manifest.json" in out
-    assert "gamma=1.0" in out and "gamma=0.3" in out
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    # each scale's line gives the loss of the model its GDVs describe
+    lines = out.splitlines()
+    assert lines[0] == f"wrote {out_dir / 'manifest.json'}" and len(lines) == 3
+    for line, run in zip(lines[1:], manifest["runs"]):
+        assert line.startswith(f"gamma={run['gamma']}  ")
+        assert line.endswith(f"  model-loss={run['final_model_loss']:.6f}")
     expected = {"transition.csv", "manifest.json"}
     for tag in ("1.0", "0.3"):
         expected |= {f"sr_gamma_{tag}.csv", f"model_gamma_{tag}.json",
@@ -774,82 +683,26 @@ def test_cli_build_sr_negative_zero_gamma_names_the_zero_scale(tiny, tmp_path, c
                                                          "transition.csv"]
 
 
-@pytest.mark.parametrize("text, message", [
-    ("", "line 1: empty file, expected `<count> <dimension>` header"),
-    ("2.5 8\n", "line 1: malformed header '2.5 8'"),
-    ("-1 8\n", "line 1: header needs count >= 0 and dimension >= 1"),
-], ids=["empty", "non-integer-count", "negative-count"])
-def test_cli_build_sr_rejects_bad_embeddings_header(tiny, tmp_path, capsys, text, message):
-    embeddings = tmp_path / "e.txt"
-    embeddings.write_text(text, encoding="utf-8")
-    out_dir = tmp_path / "out"
-    code, out, err = run_cli(capsys, "build-sr", "--config", tiny["cfg"],
-                             "--embeddings", embeddings, "--out-dir", out_dir)
-    assert code == 1 and out == "" and err == f"error: {embeddings}: {message}\n"
-    assert not out_dir.exists()
+def tree_listing(root):
+    """Each path under `root` with its bytes, or None for a directory."""
+    return {p.relative_to(root): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
 
 
-NO_TRAINING_ROWS = ["r3,reds,validation", "g3,greens,validation"]
-
-
-@pytest.mark.parametrize("command, rows, message", [
-    ("build-sr", ["r0,reds,train,extra"], "{lexicon}: line 2: expected 3 fields, found 4"),
-    ("build-sr", [",reds,train"], "{lexicon}: line 2: empty word"),
-    ("build-sr", NO_TRAINING_ROWS, "no points with split 'train'"),
-    ("train", NO_TRAINING_ROWS, "no points with split 'train'"),
-], ids=["four-fields", "empty-word", "no-training-rows", "no-training-rows-train"])
-def test_cli_build_sr_rejects_bad_lexicon(tiny, tmp_path, capsys, command, rows, message):
-    # every command that needs the training states says the same when there are none
-    sr_dir = tmp_path / "sr"
-    assert run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", sr_dir)[0] == 0
-    lexicon = tmp_path / "lexicon.csv"
-    lexicon.write_text("\n".join(["word,category,split", *rows]) + "\n", encoding="utf-8")
-    out_dir = tmp_path / "out"
-    outputs = {"build-sr": ["--out-dir", out_dir],
-               "train": ["--sr", sr_dir / "sr_gamma_1.0.json", "--out", out_dir / "m.json"]}
-    code, out, err = run_cli(capsys, command, "--config", tiny["cfg"],
-                             "--lexicon", lexicon, *outputs[command])
-    assert code == 1 and out == ""
-    assert err == f"error: {message.format(lexicon=lexicon)}\n"
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("command", ["run", "build-sr"])
-def test_failed_command_creates_no_output_directory(tiny, tmp_path, capsys, command):
-    code, out, err = run_cli(capsys, command, "--config", tiny["cfg"],
-                             "--lexicon", tmp_path / "nonexistent.csv",
-                             "--out-dir", tmp_path / "fresh" / "nested")
-    assert code == 1 and out == "" and "nonexistent.csv" in err
-    assert not (tmp_path / "fresh").exists()
-
-
-def tree_listing(out_dir):
-    """Each entry's name with its bytes, or with the listing of a directory."""
-    return {p.name: os.listdir(p) if p.is_dir() else p.read_bytes() for p in out_dir.iterdir()}
-
-
-@pytest.mark.parametrize("fault", ["write-fails", "target-is-a-directory"])
+# a target that is a directory is a row of the exit-1 table; this failure is injected
+@pytest.mark.parametrize("message", ["disk full"], ids=["write-fails"])
 def test_failed_build_sr_leaves_the_previous_tree_byte_identical(tiny, tmp_path, capsys,
-                                                                   monkeypatch, fault):
+                                                                   monkeypatch, message):
     out_dir = tmp_path / "sr-out"
-    if fault == "write-fails":
-        assert run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)[0] == 0
-        calls = []
+    assert run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)[0] == 0
+    calls = []
 
-        def second_call_fails(*args):
-            calls.append(args)
-            if len(calls) == 2:
-                raise OSError("disk full")
-            save_sr_json(*args)
+    def second_call_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError(message)
+        save_sr_json(*args)
 
-        monkeypatch.setattr("cogmap.cli.save_sr_json", second_call_fails)
-        message = "disk full"
-    else:
-        # an older tree whose transition.csv is a directory: the commit fails before any file moves
-        target = out_dir / "transition.csv"
-        target.mkdir(parents=True)
-        (out_dir / "manifest.json").write_text('{"old": true}\n', encoding="utf-8")
-        message = str(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target)))
+    monkeypatch.setattr("cogmap.cli.save_sr_json", second_call_fails)
     before = tree_listing(out_dir)
     # another horizon, so every SR file the failed command reached would differ
     code, out, err = run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--horizon", 3,
@@ -1002,172 +855,6 @@ def test_cli_predict_gives_the_runs_validation_rows(workspace, capsys, limits):
     assert predicted == [row for row in run_rows if b",validation," in row]
 
 
-def test_cli_predict_rejects_a_split_the_lexicon_lacks(tiny, tmp_path, capsys):
-    # the training states match the model; the lexicon just has no validation rows
-    out_dir = tmp_path / "flow"
-    run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)
-    model = out_dir / "model.json"
-    run_cli(capsys, "train", "--config", tiny["cfg"],
-            "--sr", out_dir / "sr_gamma_1.0.json", "--out", model)
-    lexicon = tmp_path / "train_only.csv"
-    lines = tiny["lexicon"].read_text(encoding="utf-8").splitlines()
-    lexicon.write_text("\n".join(line for line in lines if not line.endswith(",validation"))
-                       + "\n", encoding="utf-8")
-    preds = out_dir / "val.csv"
-    code, out, err = run_cli(capsys, "predict", "--config", tiny["cfg"], "--lexicon", lexicon,
-                             "--model", model, "--split", "validation", "--out", preds)
-    assert code == 1 and out == "" and err == "error: no points with split 'validation'\n"
-    assert not preds.exists()
-
-
-def test_cli_train_rejects_mismatched_state_words(tiny, tmp_path, capsys):
-    out_dir = tmp_path / "flow"
-    run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)
-    sr = load_sr_json(out_dir / "sr_gamma_1.0.json")
-    scrambled = out_dir / "scrambled.json"
-    save_sr_json(replace(sr, state_words=list(reversed(sr.state_words))), scrambled)
-    code, _, err = run_cli(capsys, "train", "--config", tiny["cfg"],
-                           "--sr", scrambled, "--out", out_dir / "m.json")
-    assert code == 1
-    assert "error:" in err and "state words" in err
-
-
-def _edit_sr_nan(doc):
-    doc["values"][0][0] = float("nan")
-
-
-def _edit_sr_ragged(doc):
-    doc["values"][1].pop()
-
-
-def _edit_sr_negative(doc):
-    doc["values"][0][1] = -0.5
-
-
-def _edit_sr_gamma(doc):
-    doc["gamma"] = 5
-
-
-def _edit_sr_fractional_horizon(doc):
-    doc["horizon"] = 2.7
-
-
-def _edit_sr_short_state_words(doc):
-    doc["state_words"].pop()
-
-
-def _edit_sr_state_words_to_string(doc):
-    # a string of the state count's length: at most the word check can reject it
-    doc["state_words"] = "s" * len(doc["values"])
-
-
-def _edit_sr_state_words_to_ints(doc):
-    doc["state_words"] = list(range(len(doc["values"])))
-
-
-def _edit_sr_nested_state_words(doc):
-    doc["state_words"] = [[word] for word in doc["state_words"]]
-
-
-def _edit_sr_values_to_strings(doc):
-    doc["values"] = [[str(value) for value in row] for row in doc["values"]]
-
-
-def _edit_sr_true_value(doc):
-    doc["values"][0][0] = True
-
-
-def _edit_sr_null_values(doc):
-    doc["values"] = None
-
-
-def _edit_sr_gamma_to(value):
-    def edit(doc):
-        doc["gamma"] = value
-    return edit
-
-
-@pytest.mark.parametrize("edit,message", [
-    (_edit_sr_nan, "non-finite value"), (_edit_sr_ragged, "malformed"),
-    (_edit_sr_negative, "non-negative"), (_edit_sr_gamma, "gamma must be in [0, 1], got 5.0"),
-    (_edit_sr_fractional_horizon, "horizon must be an integer, got 2.7"),
-    (_edit_sr_short_state_words, "successor matrix must be 8x8, got (9, 9)"),
-    (_edit_sr_gamma_to(True), "gamma must be a real number, got True"),
-    (_edit_sr_gamma_to("0.5"), "gamma must be a real number, got '0.5'"),
-    (_edit_sr_values_to_strings, "each entry in values must be a real number, got '"),
-    (_edit_sr_true_value, "each entry in values must be a real number, got True"),
-    (_edit_sr_null_values, "each entry in values must be a real number, got None"),
-    (_edit_sr_state_words_to_string, "state_words must be a list of words, got 'sss"),
-    (_edit_sr_state_words_to_ints, "each entry in state_words must be a word, got 0"),
-    (_edit_sr_nested_state_words, "each entry in state_words must be a word, got ['"),
-], ids=["nan", "ragged", "negative", "gamma-5", "horizon-2.7", "short-state-words",
-        "gamma-true", "gamma-string", "values-string", "values-true", "values-null",
-        "state-words-string", "state-words-ints", "state-words-nested"])
-def test_cli_train_rejects_bad_sr_envelope(tiny, tmp_path, capsys, edit, message):
-    # reported against the file, not as a training failure or a numpy error
-    out_dir = tmp_path / "flow"
-    run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)
-    sr = out_dir / "sr_gamma_1.0.json"
-    doc = json.loads(sr.read_text(encoding="utf-8"))
-    edit(doc)
-    sr.write_text(json.dumps(doc), encoding="utf-8")
-    code, _, err = run_cli(capsys, "train", "--config", tiny["cfg"],
-                           "--sr", sr, "--out", out_dir / "m.json")
-    assert code == 1 and err.startswith(f"error: {sr}") and "loss" not in err
-    assert message in err
-    assert not (out_dir / "m.json").exists()
-
-
-def test_cli_train_rejects_sr_envelope_with_an_all_zero_row(tiny, tmp_path, capsys):
-    # a row with no mass gives no target distribution
-    out_dir = tmp_path / "flow"
-    run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)
-    sr = out_dir / "sr_gamma_1.0.json"
-    doc = json.loads(sr.read_text(encoding="utf-8"))
-    doc["values"][0] = [0.0] * len(doc["values"])
-    sr.write_text(json.dumps(doc), encoding="utf-8")
-    code, out, err = run_cli(capsys, "train", "--config", tiny["cfg"],
-                             "--sr", sr, "--out", out_dir / "m.json")
-    assert code == 1 and out == ""
-    assert err == f"error: {sr}: successor matrix has a non-positive row sum\n"
-    assert not (out_dir / "m.json").exists()
-
-
-def test_cli_predict_rejects_short_bias_checkpoint(tiny, tmp_path, capsys):
-    out_dir = tmp_path / "flow"
-    run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)
-    model = out_dir / "model.json"
-    run_cli(capsys, "train", "--config", tiny["cfg"],
-            "--sr", out_dir / "sr_gamma_1.0.json", "--out", model)
-    doc = json.loads(model.read_text(encoding="utf-8"))
-    doc["b1"].pop()
-    model.write_text(json.dumps(doc), encoding="utf-8")
-    code, _, err = run_cli(capsys, "predict", "--config", tiny["cfg"],
-                           "--model", model, "--out", out_dir / "p.csv")
-    assert code == 1 and err.startswith(f"error: {model}") and "b1" in err
-    assert not (out_dir / "p.csv").exists()
-
-
-@pytest.mark.parametrize("command", ["train", "predict"])
-def test_cli_out_of_range_number_is_reported_against_the_file(tiny, tmp_path, capsys, command):
-    # JSON 1e400 parses to inf: reported as the file's fault, before arithmetic warns
-    out_dir = tmp_path / "flow"
-    run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)
-    sr, model = out_dir / "sr_gamma_1.0.json", out_dir / "model.json"
-    run_cli(capsys, "train", "--config", tiny["cfg"], "--sr", sr, "--out", model)
-    bad, out = (sr, out_dir / "m2.json") if command == "train" else (model, out_dir / "p.csv")
-    doc = json.loads(bad.read_text(encoding="utf-8"))
-    if command == "train":
-        doc["values"][0][0] = 1234.5
-    else:
-        doc["b2"][-1] = 1234.5
-    bad.write_text(json.dumps(doc).replace("1234.5", "1e400"), encoding="utf-8")
-    inputs = ["--sr", sr] if command == "train" else ["--model", model]
-    code, _, err = run_cli(capsys, command, "--config", tiny["cfg"], *inputs, "--out", out)
-    assert code == 1 and err.startswith(f"error: {bad}: non-finite value")
-    assert "Warning" not in err and not out.exists()
-
-
 # ---------------------------------------------------------------- CLI: gdv
 
 def test_cli_gdv_fixture_prints_known_value(capsys, tmp_path):
@@ -1181,108 +868,7 @@ def test_cli_gdv_fixture_prints_known_value(capsys, tmp_path):
     assert doc["classes"] == ["A", "B"]
 
 
-def test_cli_gdv_report_that_cannot_be_written_prints_no_score(capsys, tmp_path):
-    report = tmp_path / "missing" / "r.json"
-    code, out, err = run_cli(capsys, "gdv", "--points", DATA_DIR / "gdv_fixture_1d.csv",
-                             "--out", report)
-    assert code == 1 and out == "" and err.startswith("error: ")
-    assert os.listdir(tmp_path) == []
-
-
-def test_cli_gdv_split_without_points_fails(capsys):
-    code, _, err = run_cli(capsys, "gdv", "--points", DATA_DIR / "gdv_fixture_1d.csv",
-                           "--split", "validation")
-    assert code == 1 and "no points" in err
-
-
-@pytest.mark.parametrize("command", ["gdv", "project"])
-@pytest.mark.parametrize("token", ["nan", "inf"])
-def test_cli_nonfinite_points_are_input_errors(tmp_path, capsys, command, token):
-    points = tmp_path / "points.csv"
-    text = (DATA_DIR / "gdv_fixture_1d.csv").read_text(encoding="utf-8")
-    points.write_text(text.replace("a1,A,train,1.0", f"a1,A,train,{token}"), encoding="utf-8")
-    outputs = {"gdv": ["--points", points, "--out", tmp_path / "r.json"],
-               "project": ["--predictions", points, "--out-csv", tmp_path / "r.csv",
-                           "--out-svg", tmp_path / "r.svg"]}
-    code, out, err = run_cli(capsys, command, *outputs[command])
-    assert code == 1 and out == ""
-    assert err == f"error: {points}: line 3: non-finite component for 'a1'\n"
-    assert sorted(tmp_path.iterdir()) == [points]
-
-
-@pytest.mark.parametrize("command", ["gdv", "project"])
-@pytest.mark.parametrize("row, message", [
-    ("a0,A,train,1.0", "duplicate word 'a0'"),
-    ("a1,,train,1.0", "empty category for 'a1'"),
-    ("a1,A,trian,1.0", "unknown split 'trian'"),
-    ("a1,A,train,one", "non-numeric component for 'a1'"),
-], ids=["duplicate-word", "empty-category", "misspelt-split", "non-numeric-component"])
-def test_cli_points_csv_gets_the_lexicon_row_checks(tmp_path, capsys, command, row, message):
-    points = tmp_path / "points.csv"
-    text = (DATA_DIR / "gdv_fixture_1d.csv").read_text(encoding="utf-8")
-    points.write_text(text.replace("a1,A,train,1.0", row), encoding="utf-8")
-    outputs = {"gdv": ["--points", points, "--out", tmp_path / "r.json"],
-               "project": ["--predictions", points, "--out-csv", tmp_path / "r.csv",
-                           "--out-svg", tmp_path / "r.svg"]}
-    code, out, err = run_cli(capsys, command, *outputs[command])
-    assert code == 1 and out == "" and err == f"error: {points}: line 3: {message}\n"
-    assert sorted(tmp_path.iterdir()) == [points]
-
-
-def test_cli_project_rejects_flags_it_never_reads(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "project", "--seed", "3",
-                           "--predictions", DATA_DIR / "gdv_fixture_1d.csv",
-                           "--out-csv", tmp_path / "p.csv", "--out-svg", tmp_path / "p.svg")
-    assert code == 1 and "unrecognized arguments: --seed 3" in err
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("svg", ["p.csv", "./p.csv", "sub/../p.csv"])
-def test_cli_project_rejects_one_file_for_both_outputs(tmp_path, capsys, svg):
-    # the map would replace the CSV it was written after
-    code, out, err = run_cli(capsys, "project", "--predictions", DATA_DIR / "gdv_fixture_1d.csv",
-                             "--out-csv", tmp_path / "p.csv", "--out-svg", f"{tmp_path}/{svg}")
-    assert code == 1 and out == ""
-    assert err == f"error: --out-csv and --out-svg name one file: {tmp_path}/{svg}\n"
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("command", ["build-sr", "run"])
-@pytest.mark.parametrize("scale", [1e200, 1e-200])
-def test_cli_names_vector_whose_norm_overflows_or_underflows(tiny, tmp_path, capsys,
-                                                              command, scale):
-    # finite components whose squared norm is inf (1e200) or 0 (1e-200)
-    entries = dict(tiny["entries"])
-    entries["r0"] = entries["r0"] * scale
-    emb = tmp_path / "scaled.txt"
-    save_embeddings(entries, emb)
-    out_dir = tmp_path / "out"
-    code, out, err = run_cli(capsys, command, "--config", tiny["cfg"], "--embeddings", emb,
-                             "--out-dir", out_dir)
-    assert code == 1 and out == ""
-    assert "vector for 'r0' has a norm too large or too small for float64 cosines" in err
-    assert not out_dir.exists()
-
-
-# -------------------------------------------------------- CLI: exit codes
-
-def test_cli_unknown_flag_is_input_error(capsys):
-    code, _, err = run_cli(capsys, "run", "--frobnicate")
-    assert code == 1 and "error:" in err
-
-
-def test_cli_unknown_command_is_input_error(capsys):
-    for command in ("transmogrify", "oracle"):
-        code, out, err = run_cli(capsys, command)
-        assert code == 1 and out == "" and f"invalid choice: '{command}'" in err
-
-
-def test_cli_missing_input_file_is_input_error(tiny, tmp_path, capsys):
-    code, _, err = run_cli(capsys, "run", "--config", tiny["cfg"],
-                           "--embeddings", tmp_path / "nope.txt",
-                           "--out-dir", tmp_path / "out")
-    assert code == 1 and "error:" in err
-
+# ------------------------------------------------- CLI: the exit-1 contract
 
 @pytest.fixture(scope="module")
 def staged(tiny, tmp_path_factory):
@@ -1292,6 +878,53 @@ def staged(tiny, tmp_path_factory):
     assert main(["build-sr", "--config", str(tiny["cfg"]), "--out-dir", str(root)]) == 0
     assert main(["train", "--config", str(tiny["cfg"]), "--sr", str(sr), "--out", str(model)]) == 0
     return {"sr": sr, "model": model}
+
+
+class Row(NamedTuple):
+    """One input that a command must refuse with exit 1.
+
+    `argv` and `error` name files by placeholder: {cfg}, {embeddings} and {lexicon} (the
+    tiny set), {sr} and {model} (the staged envelope and checkpoint), {points} (the GDV
+    fixture), {tmp} (the row's own directory), {repo} and {data}.
+    """
+
+    id: str  # the case's id under its test name; None for a test of one case
+    argv: str
+    error: str  # the stderr line after `error: `
+    spoil: tuple = None  # (placeholder, bytes -> bytes): the row reads a spoiled copy of that file
+    tree: dict = None  # path under {tmp} -> its text, or None for a directory, made beforehand
+    prefix: bool = False  # the line's tail varies with the numpy, Python or argparse version
+
+
+INPUTS = "--config {cfg} --embeddings {embeddings} --lexicon {lexicon} "
+ARGV = {"build-sr": "build-sr " + INPUTS + "--out-dir {tmp}/out",
+        "train": "train " + INPUTS + "--sr {sr} --out {tmp}/m.json",
+        "predict": "predict " + INPUTS + "--model {model} --out {tmp}/p.csv",
+        "project": "project --predictions {points} --out-csv {tmp}/p.csv --out-svg {tmp}/m.svg",
+        "gdv": "gdv --points {points} --out {tmp}/r.json",
+        "run": "run " + INPUTS + "--out-dir {tmp}/out"}
+UTF8 = "'utf-8' codec can't decode byte 0xff in position 30: invalid start byte"
+NORM = "vector for 'r0' has a norm too large or too small for float64 cosines"
+
+
+def _lines(*lines):
+    return lambda data: "".join(line + "\n" for line in lines).encode()
+
+
+def _appended(line):
+    return lambda data: data + line.encode() + b"\n"
+
+
+def _a1_row(row):  # the GDV fixture with the row of `a1` replaced
+    return lambda data: data.replace(b"a1,A,train,1.0", row.encode())
+
+
+def _r0_components(value):  # the tiny set's 8 components of `r0`, each `value`
+    return lambda data: re.sub(rb"(?m)^r0 .*$", b"r0" + (" " + value).encode() * 8, data)
+
+
+def _without_validation_rows(data):
+    return b"".join(line for line in data.splitlines(True) if not line.endswith(b",validation\n"))
 
 
 def _with_ff(data):  # a byte that never occurs in UTF-8
@@ -1310,158 +943,301 @@ def _deep(data):  # nested past the JSON parser's recursion limit
     return b"[" * 100_000
 
 
-def _inputs(f):
-    return ["--config", f["cfg"], "--lexicon", f["lexicon"], "--embeddings", f["embeddings"]]
+def _json(edit):
+    """A spoiler that passes a JSON file's document through `edit`."""
+    return lambda data: json.dumps(edit(json.loads(data))).encode()
 
 
-def _build_sr(f, out):
-    return ["build-sr", *_inputs(f), "--out-dir", out / "tree"]
+def _first(doc, key, value):
+    """`doc` with the first entry of its `key` matrix set to `value`."""
+    return {**doc, key: [[value, *doc[key][0][1:]], *doc[key][1:]]}
 
 
-def _gdv(f, out):
-    return ["gdv", "--points", f["points"], "--out", out / "r.json"]
+def _beyond_float(edit):  # JSON 1e400 parses to inf: the file's fault, before arithmetic warns
+    return lambda data: _json(edit)(data).replace(b"1234.5", b"1e400")
 
 
-def _train(f, out):
-    return ["train", *_inputs(f), "--sr", f["sr"], "--out", out / "m.json"]
+def _bad_sr(case, edit, message, prefix=False):
+    """A `train` row reading the staged SR envelope passed through `edit`."""
+    return Row(case, ARGV["train"], "{sr}: " + message, ("sr", _json(edit)), prefix=prefix)
 
 
-def _predict(f, out):
-    return ["predict", *_inputs(f), "--model", f["model"], "--out", out / "p.csv"]
+def _unrecognized(*cases):
+    """`<command>-flags<i>` rows: the i-th (command, flags) pair, given flags the command lacks."""
+    return [Row(f"{command}-flags{i}", ARGV[command] + " " + flags,
+                "unrecognized arguments: " + flags) for i, (command, flags) in enumerate(cases)]
 
 
-def _project(f, out):
-    return ["project", "--predictions", f["points"], "--out-csv", out / "p.csv",
-            "--out-svg", out / "m.svg"]
-
-
-def _run(f, out):
-    return ["run", *_inputs(f), "--out-dir", out / "tree"]
-
-
-# id -> (the input spoiled, how, the command that reads it)
-UNREADABLE_INPUTS = {
-    "lexicon-byte": ("lexicon", _with_ff, _build_sr),
-    "embeddings-byte": ("embeddings", _with_ff, _build_sr),
-    "config-byte": ("cfg", _with_ff, _build_sr),
-    "points-byte-gdv": ("points", _with_ff, _gdv),
-    "points-byte-project": ("points", _with_ff, _project),
-    "checkpoint-byte": ("model", _with_ff, _predict),
-    "sr-truncated": ("sr", _truncated, _train),
-    "sr-empty": ("sr", lambda data: b"", _train),
-    "checkpoint-truncated": ("model", _truncated, _predict),
-    "points-long-word": ("points", _long_word, _gdv),
-    "sr-deep": ("sr", _deep, _train),
-    "checkpoint-deep": ("model", _deep, _predict),
-    "run-lexicon-byte": ("lexicon", _with_ff, _run),
-}
-
-
-@pytest.mark.parametrize("case", UNREADABLE_INPUTS)
-def test_cli_input_that_does_not_decode_or_parse_names_its_file(tiny, staged, tmp_path, capsys,
-                                                                case):
-    # one line on stderr, the file named once, exit 1 and no output
-    key, spoil, command = UNREADABLE_INPUTS[case]
-    files = {"cfg": tiny["cfg"], "lexicon": tiny["lexicon"], "embeddings": tiny["embeddings"],
-             "points": DATA_DIR / "gdv_fixture_1d.csv", **staged}
-    bad = tmp_path / f"bad-{files[key].name}"
-    bad.write_bytes(spoil(files[key].read_bytes()))
-    files[key] = bad
-    out = tmp_path / "out"
-    out.mkdir()
-    argv = command(files, out)
-    code, stdout, err = run_cli(capsys, *argv)
-    prefix = "error: stage load: " if argv[0] == "run" else "error: "
-    assert code == 1 and stdout == ""
-    assert err.startswith(f"{prefix}{bad}: ") and err.count("\n") == 1
-    assert err.count(bad.name) == 1
-    assert list(out.iterdir()) == []
-
-
-def _without(key):
-    return lambda doc: {k: v for k, v in doc.items() if k != key}
-
-
-def _with_unknown_config_key(doc):
-    return {**doc, "config": {**doc["config"], "width": 3}}
-
-
-def _with_a_billion_inputs(doc):
-    return {**doc, "config": {**doc["config"], "input_dim": 1_000_000_000}}
-
-
-# id -> (the input spoiled, the JSON document that replaces it)
-MALFORMED_INPUTS = {
-    "checkpoint-without-w1": ("model", _without("w1")),
-    "checkpoint-unknown-config-key": ("model", _with_unknown_config_key),
-    "checkpoint-array": ("model", lambda doc: [doc]),
-    "checkpoint-billion-inputs": ("model", _with_a_billion_inputs),
-    "sr-without-gamma": ("sr", _without("gamma")),
-    "sr-string": ("sr", lambda doc: "sr"),
-}
-# the input -> (the command that reads it, the start of its error)
-MALFORMED_READERS = {"model": (_predict, "malformed model checkpoint ("),
-                     "sr": (_train, "malformed successor-matrix envelope (")}
-# id -> its error, where it is not its reader's: the arrays are checked before the
-# config sizes an allocation, so a billion inputs ask for no memory
-MALFORMED_MESSAGES = {"checkpoint-billion-inputs": "parameter shapes do not match the config: "
-                                                   "w1 is (128, 8), expected (128, 1000000000)"}
-
-
-@pytest.mark.parametrize("case", MALFORMED_INPUTS)
-def test_cli_json_input_of_the_wrong_layout_names_its_file(tiny, staged, tmp_path, capsys, case):
-    # valid JSON that is not a checkpoint or an envelope: exit 1, the file named, no output
-    key, spoil = MALFORMED_INPUTS[case]
-    command, message = MALFORMED_READERS[key]
-    message = MALFORMED_MESSAGES.get(case, message)
-    files = {"cfg": tiny["cfg"], "lexicon": tiny["lexicon"], "embeddings": tiny["embeddings"],
-             **staged}
-    bad = tmp_path / f"bad-{files[key].name}"
-    bad.write_text(json.dumps(spoil(json.loads(files[key].read_text(encoding="utf-8")))),
-                   encoding="utf-8")
-    files[key] = bad
-    out = tmp_path / "out"
-    out.mkdir()
-    code, stdout, err = run_cli(capsys, *command(files, out))
-    assert code == 1 and stdout == "" and err.count("\n") == 1
-    assert err.startswith(f"error: {bad}: {message}")
-    assert list(out.iterdir()) == []
-
-
-@pytest.mark.parametrize("rate", ["nan", "inf"])
-def test_cli_nonfinite_learning_rate_is_input_error(tiny, tmp_path, capsys, rate):
-    code, _, err = run_cli(capsys, "run", "--config", tiny["cfg"],
-                           "--learning-rate", rate, "--out-dir", tmp_path / "out")
-    assert code == 1 and "learning rate" in err
-
-
-@pytest.mark.parametrize("command", ["run", "train"])
-def test_cli_diverging_training_is_input_error(tiny, tmp_path, capsys, command):
-    # a learning rate that makes training diverge is a settings problem
-    out_dir = tmp_path / "out"
-    args = ["--config", tiny["cfg"], "--epochs", "2", "--learning-rate", "1e300"]
-    if command == "train":
-        assert run_cli(capsys, "build-sr", "--config", tiny["cfg"],
-                       "--out-dir", out_dir)[0] == 0
-        args += ["--sr", out_dir / "sr_gamma_1.0.json", "--out", out_dir / "m.json"]
-    else:
-        args += ["--out-dir", out_dir]
-    code, _, err = run_cli(capsys, command, *args)
-    assert code == 1 and err.startswith("error:") and "non-finite" in err
-
-
-def test_cli_negative_seed_is_input_error(tiny, tmp_path, capsys):
+# test name -> its rows, under the test names and ids that earlier results record
+EXIT_1 = {
+    "test_config_file_rejects_a_key_given_twice": [
+        Row(None, ARGV["build-sr"], "{cfg}: line 3: duplicate config key 'epochs'",
+            ("cfg", _lines("epochs = 3", "seed = 1", "epochs = 5")))],
+    "test_config_file_with_removed_key_is_input_error": [
+        Row(line, ARGV["run"], "{cfg}: line 9: unknown config key '" + line.split()[0] + "'",
+            ("cfg", _appended(line)))
+        for line in ("zero_diagonal = false", "smacof_iterations = 0", "batch_size = 20",
+                     "momentum = 0.9", "hidden_dim = 128")],
+    "test_cli_removed_flags_are_usage_errors": _unrecognized(
+        ("run", "--zero-diagonal"), ("project", "--config {repo}/default.cfg"),
+        ("project", "--smacof-iterations 4"), ("run", "--batch-size 20"),
+        ("run", "--momentum 0.9"), ("train", "--batch-size 20"), ("train", "--momentum 0.9"),
+        ("run", "--hidden-dim 128"), ("train", "--hidden-dim 128")),
+    # each flag has one spelling: `--gamma` is not read as `--gammas`, nor `--epoch` as `--epochs`
+    "test_cli_flag_prefixes_are_usage_errors": _unrecognized(
+        ("build-sr", "--gamma 0.5"), ("run", "--gamma 0.5"), ("train", "--epoch 2")),
+    "test_cli_project_rejects_flags_it_never_reads": [
+        Row(None, ARGV["project"] + " --seed 3", "unrecognized arguments: --seed 3")],
+    "test_cli_unknown_flag_is_input_error": [
+        Row(None, "run --frobnicate", "unrecognized arguments: --frobnicate")],
+    "test_cli_unknown_command_is_input_error": [
+        Row(None, "transmogrify", "argument command: invalid choice: 'transmogrify'", prefix=True)],
+    # equal tags name the same artifact files, so one run would overwrite another
+    "test_cli_run_duplicate_gammas_is_input_error": [
+        Row("0.5,0.5", ARGV["run"] + " --gammas 0.5,0.5", "gammas must be distinct, got 0.5, 0.5"),
+        Row("1,1.0", ARGV["run"] + " --gammas 1,1.0", "gammas must be distinct, got 1.0, 1.0")],
+    "test_cli_unparsable_value_names_its_key": [
+        Row("--epochs-epochs", ARGV["run"] + " --epochs x",
+            "config key epochs expects an integer, got 'x'"),
+        Row("--learning-rate-learning_rate", ARGV["run"] + " --learning-rate x",
+            "config key learning_rate expects a number, got 'x'")],
+    "test_cli_nonfinite_learning_rate_is_input_error": [
+        Row(rate, ARGV["run"] + " --learning-rate " + rate,
+            "learning rate must be finite and non-negative, got " + rate)
+        for rate in ("nan", "inf")],
     # rejected while the config resolves, before any stage reads or writes
-    out_dir = tmp_path / "out"
-    out_dir.mkdir()
-    (out_dir / "keep.txt").write_text("previous run\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "run", "--config", tiny["cfg"], "--seed", "-1",
-                             "--out-dir", out_dir)
-    assert code == 1 and out == ""
-    assert err == "error: seed must be non-negative, got -1\n"
-    assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
-    assert (out_dir / "keep.txt").read_text(encoding="utf-8") == "previous run\n"
+    "test_cli_negative_seed_is_input_error": [
+        Row(None, ARGV["run"] + " --seed -1", "seed must be non-negative, got -1",
+            tree={"out/keep.txt": "previous run\n"})],
+    # a learning rate that makes training diverge is a settings problem
+    "test_cli_diverging_training_is_input_error": [
+        Row("run", ARGV["run"] + " --epochs 2 --learning-rate 1e300",
+            "stage train gamma=1.0: non-finite loss at epoch 1"),
+        Row("train", ARGV["train"] + " --epochs 2 --learning-rate 1e300",
+            "non-finite loss at epoch 1")],
+    "test_cli_missing_input_file_is_input_error": [
+        Row(None, "run --config {cfg} --embeddings {tmp}/nope.txt --out-dir {tmp}/out",
+            "stage load: [Errno 2] No such file or directory: '{tmp}/nope.txt'")],
+    "test_failed_command_creates_no_output_directory": [
+        Row(command, command + " --config {cfg} --lexicon {tmp}/nonexistent.csv"
+                               " --out-dir {tmp}/fresh/nested",
+            stage + "[Errno 2] No such file or directory: '{tmp}/nonexistent.csv'")
+        for command, stage in (("run", "stage load: "), ("build-sr", ""))],
+    "test_cli_build_sr_rejects_bad_embeddings_header": [
+        Row("empty", ARGV["build-sr"],
+            "{embeddings}: line 1: empty file, expected `<count> <dimension>` header",
+            ("embeddings", _lines())),
+        Row("non-integer-count", ARGV["build-sr"], "{embeddings}: line 1: malformed header '2.5 8'",
+            ("embeddings", _lines("2.5 8"))),
+        Row("negative-count", ARGV["build-sr"],
+            "{embeddings}: line 1: header needs count >= 0 and dimension >= 1",
+            ("embeddings", _lines("-1 8")))],
+    # finite components whose squared norm is inf (1e200) or 0 (1e-200)
+    "test_cli_names_vector_whose_norm_overflows_or_underflows": [
+        Row(f"{value}-{command}", ARGV[command], stage + NORM,
+            ("embeddings", _r0_components(value)))
+        for value in ("1e+200", "1e-200")
+        for command, stage in (("build-sr", ""), ("run", "stage transition: "))],
+    # every command that needs the training states says the same when there are none
+    "test_cli_build_sr_rejects_bad_lexicon": [
+        Row("four-fields", ARGV["build-sr"], "{lexicon}: line 2: expected 3 fields, found 4",
+            ("lexicon", _lines("word,category,split", "r0,reds,train,extra"))),
+        Row("empty-word", ARGV["build-sr"], "{lexicon}: line 2: empty word",
+            ("lexicon", _lines("word,category,split", ",reds,train")))] + [
+        Row(case, ARGV[command], "no points with split 'train'",
+            ("lexicon", _lines("word,category,split", "r3,reds,validation",
+                               "g3,greens,validation")))
+        for case, command in (("no-training-rows", "build-sr"),
+                              ("no-training-rows-train", "train"))],
+    "test_run_rejects_lexicon_the_gdv_cannot_score_in_load": [
+        Row(case, "run --config {repo}/default.cfg --embeddings {data}/embeddings_300d.txt"
+                  " --lexicon {lexicon} --out-dir {tmp}/out", "stage load: " + message,
+            ("lexicon", _lines(*shipped_lexicon_lines(keep))),
+            tree={"out/manifest.json": "previous run\n"})
+        for case, keep, message in (
+            # one furniture validation word: the validation split has a singleton class
+            ("singleton-class", lambda w, c, s: s == "train" or c != "furniture" or w == "futon",
+             "class 'furniture' has 1 point(s); GDV needs at least 2"),
+            ("one-class", lambda w, c, s: c == "animals", "GDV needs at least 2 classes, got 1"),
+            ("no-validation", lambda w, c, s: s == "train", "no points with split 'validation'"))],
+    # the training states match the model; the lexicon just has no validation rows
+    "test_cli_predict_rejects_a_split_the_lexicon_lacks": [
+        Row(None, ARGV["predict"] + " --split validation", "no points with split 'validation'",
+            ("lexicon", _without_validation_rows))],
+    "test_cli_train_rejects_mismatched_state_words": [
+        Row(None, ARGV["train"],
+            "successor-matrix state words do not match the lexicon training order",
+            ("sr", _json(lambda d: {**d, "state_words": d["state_words"][::-1]})))],
+    # reported against the file, not as a training failure or a numpy error
+    "test_cli_train_rejects_bad_sr_envelope": [
+        _bad_sr("nan", lambda d: _first(d, "values", math.nan), "non-finite value NaN"),
+        _bad_sr("ragged", lambda d: {**d, "values": [d["values"][0][:-1], *d["values"][1:]]},
+                "malformed values (", prefix=True),
+        _bad_sr("negative", lambda d: _first(d, "values", -0.5),
+                "successor entries must be non-negative"),
+        _bad_sr("gamma-5", lambda d: {**d, "gamma": 5}, "gamma must be in [0, 1], got 5.0"),
+        _bad_sr("horizon-2.7", lambda d: {**d, "horizon": 2.7},
+                "horizon must be an integer, got 2.7"),
+        _bad_sr("short-state-words", lambda d: {**d, "state_words": d["state_words"][:-1]},
+                "successor matrix must be 8x8, got (9, 9)"),
+        _bad_sr("gamma-true", lambda d: {**d, "gamma": True},
+                "gamma must be a real number, got True"),
+        _bad_sr("gamma-string", lambda d: {**d, "gamma": "0.5"},
+                "gamma must be a real number, got '0.5'"),
+        _bad_sr("values-string",
+                lambda d: {**d, "values": [[str(v) for v in row] for row in d["values"]]},
+                "each entry in values must be a real number, got '", prefix=True),
+        _bad_sr("values-true", lambda d: _first(d, "values", True),
+                "each entry in values must be a real number, got True"),
+        _bad_sr("values-null", lambda d: {**d, "values": None},
+                "each entry in values must be a real number, got None"),
+        # a string of the state count's length: at most the word check can reject it
+        _bad_sr("state-words-string", lambda d: {**d, "state_words": "s" * len(d["values"])},
+                "state_words must be a list of words, got 'sssssssss'"),
+        _bad_sr("state-words-ints", lambda d: {**d, "state_words": list(range(len(d["values"])))},
+                "each entry in state_words must be a word, got 0"),
+        _bad_sr("state-words-nested",
+                lambda d: {**d, "state_words": [[w] for w in d["state_words"]]},
+                "each entry in state_words must be a word, got ['r0']")],
+    # a row with no mass gives no target distribution
+    "test_cli_train_rejects_sr_envelope_with_an_all_zero_row": [
+        _bad_sr(None, lambda d: {**d, "values": [[0.0] * len(d["values"]), *d["values"][1:]]},
+                "successor matrix has a non-positive row sum")],
+    "test_cli_predict_rejects_short_bias_checkpoint": [
+        Row(None, ARGV["predict"],
+            "{model}: parameter shapes do not match the config: b1 is (127,), expected (128,)",
+            ("model", _json(lambda d: {**d, "b1": d["b1"][:-1]})))],
+    "test_cli_out_of_range_number_is_reported_against_the_file": [
+        Row("train", ARGV["train"], "{sr}: non-finite value inf in values",
+            ("sr", _beyond_float(lambda d: _first(d, "values", 1234.5)))),
+        Row("predict", ARGV["predict"], "{model}: non-finite value inf in b2",
+            ("model", _beyond_float(lambda d: {**d, "b2": [*d["b2"][:-1], 1234.5]})))],
+    # valid JSON that is not a checkpoint or an envelope
+    "test_cli_json_input_of_the_wrong_layout_names_its_file": [
+        Row("checkpoint-without-w1", ARGV["predict"], "{model}: malformed model checkpoint ('w1')",
+            ("model", _json(lambda d: {k: v for k, v in d.items() if k != "w1"}))),
+        Row("checkpoint-unknown-config-key", ARGV["predict"],
+            "{model}: malformed model checkpoint (",
+            ("model", _json(lambda d: {**d, "config": {**d["config"], "width": 3}})), prefix=True),
+        Row("checkpoint-array", ARGV["predict"],
+            "{model}: malformed model checkpoint ("
+            "list indices must be integers or slices, not str)",
+            ("model", _json(lambda d: [d]))),
+        # the arrays are checked before the config sizes an allocation, so a billion inputs
+        # ask for no memory
+        Row("checkpoint-billion-inputs", ARGV["predict"],
+            "{model}: parameter shapes do not match the config: "
+            "w1 is (128, 8), expected (128, 1000000000)",
+            ("model", _json(lambda d: {**d, "config": {**d["config"], "input_dim": 10 ** 9}}))),
+        Row("sr-without-gamma", ARGV["train"],
+            "{sr}: malformed successor-matrix envelope ('gamma')",
+            ("sr", _json(lambda d: {k: v for k, v in d.items() if k != "gamma"}))),
+        Row("sr-string", ARGV["train"], "{sr}: malformed successor-matrix envelope (",
+            ("sr", _json(lambda d: "sr")), prefix=True)],
+    "test_cli_input_that_does_not_decode_or_parse_names_its_file": [
+        Row("lexicon-byte", ARGV["build-sr"], "{lexicon}: " + UTF8, ("lexicon", _with_ff)),
+        Row("embeddings-byte", ARGV["build-sr"], "{embeddings}: " + UTF8, ("embeddings", _with_ff)),
+        Row("config-byte", ARGV["build-sr"], "{cfg}: " + UTF8, ("cfg", _with_ff)),
+        Row("points-byte-gdv", ARGV["gdv"], "{points}: " + UTF8, ("points", _with_ff)),
+        Row("points-byte-project", ARGV["project"], "{points}: " + UTF8, ("points", _with_ff)),
+        Row("checkpoint-byte", ARGV["predict"], "{model}: " + UTF8, ("model", _with_ff)),
+        Row("run-lexicon-byte", ARGV["run"], "stage load: {lexicon}: " + UTF8,
+            ("lexicon", _with_ff)),
+        # where the parser stops depends on the digits numpy computed for the file
+        Row("sr-truncated", ARGV["train"], "{sr}: Expecting ", ("sr", _truncated), prefix=True),
+        Row("checkpoint-truncated", ARGV["predict"], "{model}: Expecting ", ("model", _truncated),
+            prefix=True),
+        Row("sr-empty", ARGV["train"], "{sr}: Expecting value: line 1 column 1 (char 0)",
+            ("sr", _lines())),
+        Row("sr-deep", ARGV["train"], "{sr}: JSON nested too deeply to parse", ("sr", _deep)),
+        Row("checkpoint-deep", ARGV["predict"], "{model}: JSON nested too deeply to parse",
+            ("model", _deep)),
+        Row("points-long-word", ARGV["gdv"], "{points}: field larger than field limit (131072)",
+            ("points", _long_word))],
+    "test_cli_gdv_report_that_cannot_be_written_prints_no_score": [
+        Row(None, "gdv --points {points} --out {tmp}/missing/r.json",
+            "[Errno 2] No such file or directory: '{tmp}/missing/r.json'")],
+    "test_cli_gdv_split_without_points_fails": [
+        Row(None, ARGV["gdv"] + " --split validation", "no points with split 'validation'")],
+    "test_cli_nonfinite_points_are_input_errors": [
+        Row(f"{token}-{command}", ARGV[command], "{points}: line 3: non-finite component for 'a1'",
+            ("points", _a1_row("a1,A,train," + token)))
+        for token in ("nan", "inf") for command in ("gdv", "project")],
+    "test_cli_points_csv_gets_the_lexicon_row_checks": [
+        Row(f"{case}-{command}", ARGV[command], "{points}: line 3: " + message,
+            ("points", _a1_row(row)))
+        for case, row, message in (
+            ("duplicate-word", "a0,A,train,1.0", "duplicate word 'a0'"),
+            ("empty-category", "a1,,train,1.0", "empty category for 'a1'"),
+            ("misspelt-split", "a1,A,trian,1.0", "unknown split 'trian'"),
+            ("non-numeric-component", "a1,A,train,one", "non-numeric component for 'a1'"))
+        for command in ("gdv", "project")],
+    # the map would replace the CSV it was written after
+    "test_cli_project_rejects_one_file_for_both_outputs": [
+        Row(svg, "project --predictions {points} --out-csv {tmp}/p.csv --out-svg {tmp}/" + svg,
+            "--out-csv and --out-svg name one file: {tmp}/" + svg)
+        for svg in ("p.csv", "./p.csv", "sub/../p.csv")],
+    # the cases with no test name of their own; a new case is a row here
+    "test_cli_exit_1_contract": [
+        # an older tree whose transition.csv is a directory: the commit fails before any file moves
+        Row("target-is-a-directory", ARGV["build-sr"],
+            "[Errno 21] Is a directory: '{tmp}/out/transition.csv'",
+            tree={"out/transition.csv": None, "out/manifest.json": '{"old": true}\n'}),
+        Row("removed-command", "oracle", "argument command: invalid choice: 'oracle'", prefix=True),
+        Row("no-command", "", "the following arguments are required: command"),
+        Row("train-without-sr-and-out", "train --config {cfg}",
+            "the following arguments are required: --sr, --out"),
+        Row("predict-without-model-and-out", "predict --config {cfg}",
+            "the following arguments are required: --model, --out"),
+        Row("project-without-outputs", "project --predictions {points}",
+            "the following arguments are required: --out-csv, --out-svg"),
+        Row("gdv-without-points", "gdv", "the following arguments are required: --points")],
+}
 
+
+def _exit_1_test(rows):
+    """The contract test over `rows`: parametrized by their ids, or bare for one row without one.
+
+    Each row exits 1 with nothing on stdout and one stderr line, `error: <the row's error>`
+    (a prefix row's line starts so), and leaves its directory as it found it.
+    """
+    def test(row, tiny, staged, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # a path left to its default lands in the checked directory
+        files = {"cfg": tiny["cfg"], "embeddings": tiny["embeddings"], "lexicon": tiny["lexicon"],
+                 **staged, "points": DATA_DIR / "gdv_fixture_1d.csv", "tmp": tmp_path,
+                 "repo": REPO, "data": DATA_DIR}
+        for name, text in (row.tree or {}).items():
+            path = tmp_path / name
+            if text is None:
+                path.mkdir(parents=True)
+            else:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text, encoding="utf-8")
+        if row.spoil:
+            key, spoil = row.spoil
+            bad = tmp_path / f"bad-{files[key].name}"
+            bad.write_bytes(spoil(files[key].read_bytes()))
+            files[key] = bad
+        before = tree_listing(tmp_path)
+        code, out, err = run_cli(capsys, *(arg.format(**files) for arg in row.argv.split()))
+        line = "error: " + row.error.format(**files)
+        assert (code, out) == (1, "")
+        if row.prefix:
+            assert err.startswith(line) and err.endswith("\n") and err.count("\n") == 1, err
+        else:
+            assert err == line + "\n"
+        assert tree_listing(tmp_path) == before
+
+    if rows[0].id is None:
+        return lambda tiny, staged, tmp_path, monkeypatch, capsys: test(
+            rows[0], tiny, staged, tmp_path, monkeypatch, capsys)
+    return pytest.mark.parametrize("row", rows, ids=[row.id for row in rows])(test)
+
+
+globals().update((name, _exit_1_test(rows)) for name, rows in EXIT_1.items())
+
+
+# -------------------------------------------------------- CLI: exit codes
 
 def test_cli_internal_error_exit_code(tiny, tmp_path, capsys, monkeypatch):
     def boom(config):
