@@ -5,9 +5,10 @@ import os
 import sys
 from pathlib import Path
 
+from .dataset import build_examples
 from .errors import InputError
-from .fileio import (committing, dump_json, load_labeled_points_csv, save_labeled_points_csv,
-                     save_matrix_csv)
+from .fileio import (committing, dump_json, load_labeled_points_csv, reading,
+                     save_labeled_points_csv, save_matrix_csv)
 from .metrics import gdv
 from .neural import predict_all, save_model, load_model
 from .pipeline import (CONFIG_FIELDS, GDV_SPLITS, INPUTS, NETWORK, fit_model, load_inputs,
@@ -50,7 +51,10 @@ def _cmd_build_sr(args):
 
 def _cmd_train(args):
     config = _resolved(args)
-    model, losses, _ = fit_model(load_inputs(config).split("train"), load_sr_json(args.sr), config)
+    states, sr = load_inputs(config).split("train"), load_sr_json(args.sr)
+    with reading(args.sr):  # the envelope is at fault when its state words are not the lexicon's
+        examples = build_examples(states, sr)
+    model, losses = fit_model(examples, config)
     save_model(model, args.out)
     print(f"wrote {args.out} (first-epoch loss {losses[0]:.6f}, final loss {losses[-1]:.6f})")
     return 0

@@ -86,6 +86,12 @@ def build_examples(states, sr):
     """Training examples from the training states' `LabeledPoints` and an SR over the same words
     in the same order: the input of state i is its embedding, its target SR row i normalized
     to sum 1 (SuccessorMatrix makes every row sum positive)."""
-    if sr.state_words != states.lex.words:
-        raise InputError("successor-matrix state words do not match the lexicon training order")
+    words = states.lex.words
+    if sr.state_words != words:
+        if sr.n != len(words):
+            raise InputError(f"{sr.n} state words for {len(words)} training words of the lexicon")
+        i, state, word = next((i, s, w) for i, (s, w) in enumerate(zip(sr.state_words, words))
+                              if s != w)
+        raise InputError(f"state word {i + 1} is {state!r}, but training word {i + 1} of the "
+                         f"lexicon is {word!r}")
     return ExampleSet(inputs=states.points, targets=sr.values / sr.values.sum(axis=1)[:, None])

@@ -49,8 +49,10 @@ def _finite_array(values, name=None):
                 if not isinstance(value, (list, tuple, np.ndarray)):  # a row of a ragged nesting
                     require_real(f"each entry{where}", value)
         array = np.asarray(values, dtype=np.float64)
-    except (ValueError, OverflowError) as exc:
-        raise InputError(f"malformed {name or 'array'} ({exc})") from None
+    except ValueError:  # every entry is a real number, so only the nesting can be at fault
+        raise InputError(f"malformed {name or 'array'} (rows of unequal length)") from None
+    except OverflowError:
+        raise InputError(f"malformed {name or 'array'} (integer beyond float64 range)") from None
     finite = np.isfinite(array)
     if not finite.all():
         raise InputError(f"non-finite value {float(array[~finite][0])!r}{where}")
@@ -227,8 +229,10 @@ def dump_json(obj, path):
 
 
 def load_json(path, build, what):
-    """`build(doc)` of the JSON document in `path`; a NaN or Infinity, nesting too deep to parse
-    or a Key/Type/Value/OverflowError of `build` (as `malformed <what>`) is an InputError."""
+    """`build(doc)` of the JSON object in `path`. A NaN or Infinity, nesting too deep to parse,
+    a document that is not an object, a key that `build` reads and the object lacks (KeyError)
+    or an integer that `build` reads as a real number beyond float range (OverflowError) is an
+    InputError; the last three are `malformed <what> (…)`."""
     def reject(constant):
         raise InputError(f"non-finite value {constant}")
 
@@ -237,10 +241,14 @@ def load_json(path, build, what):
             doc = json.load(fh, parse_constant=reject)
         except RecursionError:  # only here: elsewhere one is the program's own fault
             raise InputError("JSON nested too deeply to parse") from None
+        if not isinstance(doc, dict):
+            raise InputError(f"malformed {what} (not a JSON object)")
         try:
             return build(doc)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"malformed {what} ({exc})") from None
+        except KeyError as exc:
+            raise InputError(f"malformed {what} (missing key {exc.args[0]!r})") from None
+        except OverflowError:
+            raise InputError(f"malformed {what} (integer beyond float64 range)") from None
 
 
 def save_matrix_csv(values, path):

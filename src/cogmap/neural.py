@@ -15,7 +15,7 @@ drives everything, so a (config, examples) pair determines the model bitwise.
 """
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -237,7 +237,15 @@ def save_model(model, path):
 
 
 def load_model(path):
+    what, keys = "model checkpoint", [f.name for f in fields(MlpConfig)]
+
     def build(doc):
-        config = MlpConfig(**doc["config"])
+        config = doc["config"]
+        if not isinstance(config, dict):
+            raise InputError(f"malformed {what} (config is not a JSON object)")
+        for key in config:  # a setting that became a constant of MlpConfig among them
+            if key not in keys:
+                raise InputError(f"malformed {what} (unknown config key {key!r})")
+        config = MlpConfig(**{key: config[key] for key in keys})  # a missing key is a KeyError
         return MlpModel(**{name: doc[name] for name in _param_shapes(config)}, config=config)
-    return load_json(path, build, "model checkpoint")
+    return load_json(path, build, what)

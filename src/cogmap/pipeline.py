@@ -161,11 +161,10 @@ def scale_files(gamma):
             "map_svg": f"map_gamma_{tag}.svg", "gdv_json": f"gdv_gamma_{tag}.json"}
 
 
-def fit_model(states, sr, config):
-    """Train a network, seeded with `config.seed`, on the SR rows: (model, losses, examples)."""
-    examples = build_examples(states, sr)
-    model, losses = train(config.mlp_config(states.points.shape[1], sr.n), examples)
-    return model, losses, examples
+def fit_model(examples, config):
+    """Train a network, seeded with `config.seed`, on the examples of `build_examples`:
+    (model, losses)."""
+    return train(config.mlp_config(examples.inputs.shape[1], examples.targets.shape[1]), examples)
 
 
 @dataclass
@@ -185,7 +184,8 @@ def fit_scale(inputs, sr, config):
     both spaces and the scale's manifest entry."""
     tag = _gamma_tag(sr.gamma)
     with _stage(f"train gamma={tag}"):
-        model, losses, examples = fit_model(inputs.split("train"), sr, config)
+        examples = build_examples(inputs.split("train"), sr)
+        model, losses = fit_model(examples, config)
         # the targets' mean entropy is the floor of the training loss; ln N is a uniform guess
         target_entropy = float(loss(examples.targets, examples.targets).mean())
     with _stage(f"predict gamma={tag}"):

@@ -1,14 +1,19 @@
-"""References that only the tests call: a Monte Carlo rollout of the successor
-representation, a central finite-difference gradient check, the seeded initial
-model, and a vector-text writer for building embedding files.
+"""References and builders that only the tests call, each defined once: a
+loop-by-loop GDV, a Monte Carlo rollout of the successor representation, a
+central finite-difference gradient check, double-centering MDS, the seeded
+initial model, a vector-text writer for building embedding files, and the
+`LabeledPoints` records the tests score, map, train on and predict.
 
-The rollout checks none of its arguments: every caller is a test that chose them.
+The references check none of their arguments: every caller is a test that chose them.
 """
+
+import math
 
 import numpy as np
 
-from cogmap.fileio import float_text, replacing
+from cogmap.fileio import LabeledPoints, Lexicon, float_text, replacing
 from cogmap.neural import _forward_backward, _init_params, _views, loss
+from cogmap.projection import classical_mds, pairwise_euclidean
 
 FD_STEP = 1e-5
 
@@ -75,3 +80,70 @@ def save_embeddings(entries, path):
         fh.write(f"{len(entries)} {dim}\n")
         for word, vec in entries.items():
             fh.write(word + " " + float_text(vec).replace(",", " ") + "\n")
+
+
+def labeled(points, labels):
+    """The `LabeledPoints` of `points` with `labels`, one training word `w<i>` per row."""
+    n = len(labels)
+    return LabeledPoints(Lexicon([f"w{i}" for i in range(n)], list(labels), ["train"] * n), points)
+
+
+def training_states(vectors, words):
+    """The training states `words`, one row of `vectors` each, as one record."""
+    n = len(words)
+    return LabeledPoints(Lexicon(words=list(words), labels=["c"] * n, splits=["train"] * n),
+                         vectors)
+
+
+def gdv_reference(points, labels):
+    """Direct transcription of the GDV definition with explicit loops."""
+    points = np.asarray(points, dtype=np.float64)
+    n, d = points.shape
+    mu = points.mean(axis=0)
+    sigma = points.std(axis=0)
+    scaled = np.zeros_like(points)
+    for k in range(d):
+        if sigma[k] > 0.0:
+            scaled[:, k] = 0.5 * (points[:, k] - mu[k]) / sigma[k]
+
+    classes = []
+    for label in labels:
+        if label not in classes:
+            classes.append(label)
+
+    def dist(i, j):
+        return math.sqrt(sum((scaled[i, k] - scaled[j, k]) ** 2 for k in range(d)))
+
+    members = {c: [i for i, l in enumerate(labels) if l == c] for c in classes}
+    intra = []
+    for c in classes:
+        idx = members[c]
+        total = sum(dist(idx[a], idx[b])
+                    for a in range(len(idx)) for b in range(a + 1, len(idx)))
+        intra.append(2.0 * total / (len(idx) * (len(idx) - 1)))
+    inter = []
+    for a in range(len(classes)):
+        for b in range(a + 1, len(classes)):
+            ia, ib = members[classes[a]], members[classes[b]]
+            total = sum(dist(i, j) for i in ia for j in ib)
+            inter.append(total / (len(ia) * len(ib)))
+    big_l = len(classes)
+    return (sum(intra) / big_l
+            - 2.0 / (big_l * (big_l - 1)) * sum(inter)) / math.sqrt(d)
+
+
+def mds(points):
+    """`classical_mds` of a record of `points`, one word per row; returns (n x 2 array, stress)."""
+    coords, stress = classical_mds(labeled(points, ["c"] * len(points)))
+    return coords.points, stress
+
+
+def double_centering_mds(points):
+    """The textbook route to the map, B = -1/2 J D^2 J from the distance matrix."""
+    d = pairwise_euclidean(points)
+    n = len(d)
+    centering = np.eye(n) - np.full((n, n), 1.0 / n)
+    b = -0.5 * centering @ (d ** 2) @ centering
+    evals, evecs = np.linalg.eigh(0.5 * (b + b.T))
+    order = np.argsort(-evals, kind="stable")[:2]
+    return evecs[:, order] * np.sqrt(np.maximum(evals[order], 0.0))[None, :]

@@ -4,9 +4,10 @@ Each test prints (and records for the terminal summary) exactly one line:
 
     [PASS|FAIL] criterion N (<name>): <measured values>
 
-Criteria 1, 2, and 8 run the full pipeline twice on the shipped dataset with
-the shipped default configuration; the remaining criteria exercise the GDV,
-SR, gradient, and MDS components against independent oracles.
+Criteria 1, 2, and 8 run `cogmap run --config default.cfg` twice on the shipped
+dataset; the remaining criteria exercise the GDV, SR, gradient, and MDS
+components against independent oracles (`oracles.py`). Each criterion is the
+one test of its property: no unit test repeats it.
 """
 
 import json
@@ -18,15 +19,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cogmap.cli import main
+from cogmap.fileio import load_labeled_points_csv
 from cogmap.metrics import gdv
 from cogmap.neural import MlpConfig
-from cogmap.pipeline import INPUTS, parse_config_file, resolve_config, run_pipeline
+from cogmap.pipeline import INPUTS
 from cogmap.projection import pairwise_euclidean
 from cogmap.sr import TransitionMatrix, successor_matrix
 
-from oracles import gradient_check, rollout_occupancy_oracle
-from test_metrics import gdv_reference, labeled
-from test_projection import mds
+from oracles import gdv_reference, gradient_check, labeled, mds, rollout_occupancy_oracle
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -44,7 +45,7 @@ def record(criterion_log, number, name, passed, detail):
 
 @pytest.fixture(scope="module")
 def pipeline_runs(tmp_path_factory):
-    """Two full pipeline runs on the shipped data with the shipped config.
+    """Two `cogmap run --config default.cfg` runs on the shipped data.
 
     Both runs use identical relative paths from separate working directories,
     so every recorded configuration value is identical and the artifact trees
@@ -60,12 +61,12 @@ def pipeline_runs(tmp_path_factory):
             shutil.copy(REPO / "data" / "lexicon.csv", ws / "data")
             shutil.copy(REPO / "default.cfg", ws / "default.cfg")
             os.chdir(ws)
-            config = resolve_config(parse_config_file("default.cfg"))
             started = time.perf_counter()
-            manifest = run_pipeline(config)
+            assert main(["run", "--config", "default.cfg"]) == 0
             elapsed = time.perf_counter() - started
             result["workspaces"].append(ws)
-            result["manifests"].append(manifest)
+            result["manifests"].append(
+                json.loads((ws / "out" / "manifest.json").read_text(encoding="utf-8")))
             if name == "first":
                 result["elapsed"] = elapsed
         yield result
@@ -109,9 +110,16 @@ def test_criterion_2_per_split_ordering(pipeline_runs, criterion_log):
 
 
 def test_criterion_3_gdv_fixture_and_brute_force(criterion_log):
-    fixture = gdv(labeled(np.array([[0.0], [1.0], [10.0], [11.0]]),
-                          ["A", "A", "B", "B"]))["gdv"]
-    fixture_ok = abs(fixture - (-0.8955)) <= 1e-3
+    # the fixture holds two 1-D pairs {0,1} and {10,11}: sigma = sqrt(25.25),
+    # intra = .5/sigma, inter = 5/sigma, GDV = -4.5/sigma
+    fixture = load_labeled_points_csv(REPO / "data" / "gdv_fixture_1d.csv")
+    report = gdv(fixture)
+    values = [report["gdv"], *report["mean_intra_per_class"], *report["mean_inter_per_pair"]]
+    hand = [-0.8955334711889903, 0.09950371902099892, 0.09950371902099892, 0.9950371902099892]
+    fixture_err = max(abs(a - b) for a, b in zip(values, hand))
+    layout_ok = (fixture.lex.words == ["a0", "a1", "b0", "b1"] and len(values) == len(hand)
+                 and report["dimension"] == 1 and report["classes"] == ["A", "B"]
+                 and report["class_pairs"] == [("A", "B")])
 
     rng = np.random.default_rng(321)
     max_err = 0.0
@@ -126,14 +134,16 @@ def test_criterion_3_gdv_fixture_and_brute_force(criterion_log):
         points = np.vstack(rows)
         value = gdv(labeled(points, labels))["gdv"]
         max_err = max(max_err, abs(value - gdv_reference(points, labels)))
-    passed = fixture_ok and max_err <= 1e-12
+    passed = layout_ok and fixture_err <= 1e-12 and max_err <= 1e-12
     record(criterion_log, 3, "GDV hand fixture + brute force", passed,
-           f"fixture gdv={fixture:.6f} within 1e-3 of -0.8955; max |gdv - oracle| "
-           f"over 50 random sets = {max_err:.2e} <= 1e-12")
+           f"data/gdv_fixture_1d.csv: gdv={report['gdv']:.6f}, max |gdv, intra, inter - hand "
+           f"value| = {fixture_err:.2e} <= 1e-12, words/dimension/classes/pairs as written: "
+           f"{layout_ok}; max |gdv - oracle| over 50 random sets = {max_err:.2e} <= 1e-12")
 
 
 def test_criterion_4_gdv_invariances(criterion_log):
-    worst = {"affine": 0.0, "dim-permutation": 0.0, "relabel": 0.0}
+    worst = dict.fromkeys(["affine", "dim-permutation", "dim-scaling", "row-order", "relabel"],
+                          0.0)
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         n_classes = int(rng.integers(2, 5))
@@ -148,20 +158,21 @@ def test_criterion_4_gdv_invariances(criterion_log):
 
         scale = float(rng.uniform(0.1, 10.0))
         shift = float(rng.uniform(-5.0, 5.0))
-        affine = gdv(labeled(scale * points + shift, labels))["gdv"]
-        worst["affine"] = max(worst["affine"], abs(affine - base))
-
         perm = rng.permutation(d)
-        permuted = gdv(labeled(points[:, perm], labels))["gdv"]
-        worst["dim-permutation"] = max(worst["dim-permutation"], abs(permuted - base))
-
-        renamed = gdv(labeled(points, [f"class-{l}" for l in labels]))["gdv"]
-        worst["relabel"] = max(worst["relabel"], abs(renamed - base))
-    passed = all(v < 1e-9 for v in worst.values())
+        dim_scales = rng.uniform(0.1, 10.0, d)  # z-scoring absorbs anisotropic scaling
+        order = rng.permutation(len(points))
+        variants = {"affine": (scale * points + shift, labels),
+                    "dim-permutation": (points[:, perm], labels),
+                    "dim-scaling": (points * dim_scales, labels),
+                    "row-order": (points[order], [labels[i] for i in order]),
+                    "relabel": (points, [f"class-{l}" for l in labels])}
+        for name, (moved, moved_labels) in variants.items():
+            worst[name] = max(worst[name], abs(gdv(labeled(moved, moved_labels))["gdv"] - base))
+    passed = all(v < 1e-9 for v in worst.values()) and worst["relabel"] == 0.0
     record(criterion_log, 4, "GDV invariances", passed,
-           "max |delta gdv| over 20 seeded sets: affine "
-           f"{worst['affine']:.2e}, dim-permutation {worst['dim-permutation']:.2e}, "
-           f"relabel {worst['relabel']:.2e} (all < 1e-9)")
+           "max |delta gdv| over 20 seeded sets: "
+           + ", ".join(f"{name} {value:.2e}" for name, value in worst.items())
+           + " (all < 1e-9, relabel exactly 0)")
 
 
 def test_criterion_5_sr_oracle(criterion_log):
@@ -177,14 +188,12 @@ def test_criterion_5_sr_oracle(criterion_log):
                              state_words=[f"s{i}" for i in range(n)])
         start = int(rng.integers(0, n))
         for gamma in (0.0, 0.3, 0.7, 1.0):
-            closed = successor_matrix(t, gamma, horizon).values[start]
+            closed = successor_matrix(t, gamma, horizon).values
             if gamma == 0.0:
-                one_hot = np.zeros(n)
-                one_hot[start] = 1.0
                 occ = rollout_occupancy_oracle(t, gamma, horizon, start,
                                                batch_size, seed=chain)
-                identity_exact &= np.array_equal(occ, one_hot)
-                identity_exact &= np.array_equal(closed, one_hot)
+                identity_exact &= np.array_equal(occ, np.eye(n)[start])
+                identity_exact &= np.array_equal(closed, np.eye(n))
                 continue
             estimates = np.stack([
                 rollout_occupancy_oracle(t, gamma, horizon, start, batch_size,
@@ -192,7 +201,7 @@ def test_criterion_5_sr_oracle(criterion_log):
                 for b in range(batches)])
             mean = estimates.mean(axis=0)
             se = estimates.std(axis=0, ddof=1) / np.sqrt(batches)
-            diff = np.abs(mean - closed)
+            diff = np.abs(mean - closed[start])
             # zero-SE components are deterministic and must agree outright
             z = np.where(se > 0.0, diff / np.where(se > 0.0, se, 1.0),
                          np.where(diff <= 1e-12, 0.0, np.inf))
@@ -201,7 +210,7 @@ def test_criterion_5_sr_oracle(criterion_log):
     record(criterion_log, 5, "SR Monte Carlo oracle", passed,
            f"10 random chains x gammas {{0,0.3,0.7,1.0}}, 1e5 samples each: "
            f"max |closed-form - MC| = {max_z:.2f} standard errors (<= 3); "
-           f"gamma=0 identity exact: {identity_exact}")
+           f"gamma=0 SR is the identity matrix exactly: {identity_exact}")
 
 
 def test_criterion_6_gradient_check(criterion_log):
@@ -223,20 +232,22 @@ def test_criterion_6_gradient_check(criterion_log):
 
 
 def test_criterion_7_mds_recovery(criterion_log):
-    worst_stress, worst_dist = 0.0, 0.0
+    worst_stress, worst_dist, shapes_ok = 0.0, 0.0, True
     for seed in range(20):
         rng = np.random.default_rng(5000 + seed)
         points = rng.standard_normal((10, 2)) * rng.uniform(0.5, 5.0)
         coords, stress = mds(points)
+        shapes_ok &= coords.shape == (10, 2)
         iu = np.triu_indices(10, k=1)
         recovered = pairwise_euclidean(coords)[iu]
         given = pairwise_euclidean(points)[iu]
         worst_dist = max(worst_dist, float(np.max(np.abs(recovered - given))))
         worst_stress = max(worst_stress, stress)
-    passed = worst_dist <= 1e-8 and worst_stress < 1e-9
+    passed = shapes_ok and worst_dist <= 1e-8 and worst_stress < 1e-9
     record(criterion_log, 7, "MDS planar recovery", passed,
-           f"20 exact-2-D configurations (n=10): max pairwise-distance error "
-           f"{worst_dist:.2e} <= 1e-8, max stress {worst_stress:.2e} < 1e-9")
+           f"20 exact-2-D configurations (n=10): maps of shape (10, 2): {shapes_ok}; max "
+           f"pairwise-distance error {worst_dist:.2e} <= 1e-8, max stress "
+           f"{worst_stress:.2e} < 1e-9")
 
 
 def test_criterion_8_progress_and_determinism(pipeline_runs, criterion_log):
@@ -259,7 +270,8 @@ def test_criterion_8_progress_and_determinism(pipeline_runs, criterion_log):
             for doc, ws in ((doc_a, out_a.parent), (doc_b, out_b.parent)):
                 for key in INPUTS:
                     doc["config"][key] = os.path.relpath(doc["config"][key], os.path.realpath(ws))
-            same = doc_a == doc_b and doc_a["config"]["lexicon"] == "data/lexicon.csv"
+            same = doc_a == doc_b and [doc_a["config"][key] for key in INPUTS] == \
+                ["data/embeddings_300d.txt", "data/lexicon.csv"]
         else:
             same = a_path.read_bytes() == b_path.read_bytes()
         identical &= same
@@ -269,6 +281,6 @@ def test_criterion_8_progress_and_determinism(pipeline_runs, criterion_log):
         f"gamma={run['gamma']}: first {run['first_epoch_loss']:.4f} -> final "
         f"{run['final_train_loss']:.4f}" for run in manifest_a["runs"])
     record(criterion_log, 8, "training progress + determinism", passed,
-           f"{losses}; rerun with identical config+seed: {compared} artifacts "
-           f"byte-identical (manifest timestamp masked, input paths taken relative to "
-           f"each run's directory)")
+           f"{losses}; `cogmap run` rerun with identical config+seed: {compared} artifacts, "
+           f"byte-identical: {identical} (manifest timestamp masked, input paths taken "
+           f"relative to each run's directory)")

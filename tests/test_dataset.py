@@ -1,9 +1,11 @@
 """Embedding-file parsing, lexicon validation, and example assembly."""
 
+import re
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from cogmap.fileio import LabeledPoints
 from cogmap.pipeline import load_inputs, resolve_config
 from cogmap.sr import SuccessorMatrix, build_transition_matrix, successor_matrix
 
-from oracles import save_embeddings
+from oracles import save_embeddings, training_states
 
 REPO = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO / "data"
@@ -23,6 +25,27 @@ DATA_DIR = REPO / "data"
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+class Rejection(NamedTuple):
+    """A file that a loader must refuse, and its whole message after `<file>: `."""
+
+    id: str  # the case's id under its test name; None for a test of one case
+    text: str
+    message: str
+
+
+def _rejection_test(load, name, rows):
+    """The test over `rows`: `load` refuses each row's text, written to `name`, with its
+    message."""
+    def test(row, tmp_path):
+        path = write(tmp_path / name, row.text)
+        with pytest.raises(InputError, match=f"^{re.escape(f'{path}: {row.message}')}$"):
+            load(path)
+
+    if rows[0].id is None:
+        return lambda tmp_path: test(rows[0], tmp_path)
+    return pytest.mark.parametrize("row", rows, ids=[row.id for row in rows])(test)
 
 
 # ---------------------------------------------------------------- embeddings
@@ -41,60 +64,33 @@ def test_rows_follow_requested_order_not_file_order(tmp_path):
     assert load_embeddings(p, []).shape == (0, 2)
 
 
-def test_wrong_component_count_reports_line(tmp_path):
-    p = write(tmp_path / "e.txt", "1 2\napple 1 0 0\n")
-    with pytest.raises(InputError, match="line 2"):
-        load_embeddings(p, ["apple"])
-
-
-def test_zero_vector_rejected(tmp_path):
-    p = write(tmp_path / "e.txt", "1 3\napple 0 0 0\n")
-    with pytest.raises(InputError, match="zero"):
-        load_embeddings(p, ["apple"])
-
-
-def test_malformed_header(tmp_path):
-    p = write(tmp_path / "e.txt", "apple 1 0 0\n")
-    with pytest.raises(InputError, match="line 1"):
-        load_embeddings(p, ["apple"])
-
-
-def test_duplicate_word_rejected(tmp_path):
-    p = write(tmp_path / "e.txt", "2 2\ndog 1 0\ndog 0 1\n")
-    with pytest.raises(InputError, match="duplicate"):
-        load_embeddings(p, ["dog"])
-
-
-def test_nonfinite_component_rejected(tmp_path):
-    p = write(tmp_path / "e.txt", "1 2\ndog nan 1\n")
-    with pytest.raises(InputError):
-        load_embeddings(p, ["dog"])
-
-
-def test_header_count_mismatch(tmp_path):
-    p = write(tmp_path / "e.txt", "3 2\ndog 1 0\ncat 0 1\n")
-    with pytest.raises(InputError):
-        load_embeddings(p, ["dog", "cat"])
-
-
-@pytest.mark.parametrize("line,problem", [
-    ("odd 1 0 0", "expected 2 components for 'odd', found 3"),
-    ("odd 1 x", "non-numeric component for 'odd'"),
-    ("odd inf 1", "non-finite component for 'odd'"),
-    ("odd 0 0", "zero vector for 'odd'"),
-    ("dog 0 1", "duplicate word 'dog'"),
-], ids=["components", "non-numeric", "non-finite", "zero", "duplicate"])
-def test_malformed_line_of_unrequested_word_is_rejected(tmp_path, line, problem):
-    # the bad line is line 3; only dog and cat are requested
-    p = write(tmp_path / "e.txt", f"3 2\ndog 1 0\n{line}\ncat 0 1\n")
-    with pytest.raises(InputError, match=f"line 3: {problem}"):
-        load_embeddings(p, ["dog", "cat"])
-
-
-def test_missing_word_lookup_is_error(tmp_path):
-    p = write(tmp_path / "e.txt", "1 2\ndog 1 0\n")
-    with pytest.raises(InputError, match="^lexicon word 'ghost' missing from embedding table$"):
-        load_embeddings(p, ["dog", "ghost"])
+# test name -> its rows, under the test names and ids that earlier results record; every
+# line is checked, though only dog and cat are requested
+VECTOR_FILE = {
+    "test_wrong_component_count_reports_line": [
+        Rejection(None, "1 2\ndog 1 0 0\n", "line 2: expected 2 components for 'dog', found 3")],
+    "test_zero_vector_rejected": [
+        Rejection(None, "1 3\ndog 0 0 0\n", "line 2: zero vector for 'dog'")],
+    "test_malformed_header": [
+        Rejection(None, "dog 1 0 0\n", "line 1: malformed header 'dog 1 0 0'")],
+    "test_duplicate_word_rejected": [
+        Rejection(None, "2 2\ndog 1 0\ndog 0 1\n", "line 3: duplicate word 'dog'")],
+    "test_nonfinite_component_rejected": [
+        Rejection(None, "1 2\ndog nan 1\n", "line 2: non-finite component for 'dog'")],
+    "test_header_count_mismatch": [
+        Rejection(None, "3 2\ndog 1 0\ncat 0 1\n", "header declares 3 words but file holds 2")],
+    # the bad line is line 3, and its word is not requested
+    "test_malformed_line_of_unrequested_word_is_rejected": [
+        Rejection(case, f"3 2\ndog 1 0\n{line}\ncat 0 1\n", "line 3: " + problem)
+        for case, line, problem in (
+            ("components", "odd 1 0 0", "expected 2 components for 'odd', found 3"),
+            ("non-numeric", "odd 1 x", "non-numeric component for 'odd'"),
+            ("non-finite", "odd inf 1", "non-finite component for 'odd'"),
+            ("zero", "odd 0 0", "zero vector for 'odd'"),
+            ("duplicate", "dog 0 1", "duplicate word 'dog'"))],
+}
+globals().update((name, _rejection_test(lambda path: load_embeddings(path, ["dog", "cat"]),
+                                        "e.txt", rows)) for name, rows in VECTOR_FILE.items())
 
 
 def test_trailing_spaces_load_like_clean_file(tmp_path):
@@ -198,42 +194,26 @@ def test_lexicon_rows_put_training_first(tmp_path):
     assert lex.splits == ["train"] * 3 + ["validation"] * 2
 
 
-def test_duplicate_lexicon_word(tmp_path):
-    p = write(tmp_path / "l.csv",
-              "word,category,split\ndog,animal,train\ndog,animal,validation\n")
-    with pytest.raises(InputError, match="duplicate"):
-        load_lexicon(p)
-
-
-def test_unknown_split_token(tmp_path):
-    p = write(tmp_path / "l.csv", "word,category,split\ndog,animal,test\n")
-    with pytest.raises(InputError, match="split"):
-        load_lexicon(p)
-
-
-def test_empty_category(tmp_path):
-    p = write(tmp_path / "l.csv", "word,category,split\ndog,,train\n")
-    with pytest.raises(InputError):
-        load_lexicon(p)
-
-
-def test_lexicon_header_required(tmp_path):
-    p = write(tmp_path / "l.csv", "dog,animal,train\n")
-    with pytest.raises(InputError):
-        load_lexicon(p)
-
-
-def test_lexicon_takes_exactly_the_three_key_columns(tmp_path):
+# test name -> its rows, under the test names that earlier results record
+LEXICON = {
+    "test_duplicate_lexicon_word": [
+        Rejection(None, "word,category,split\ndog,animal,train\ndog,animal,validation\n",
+                  "line 3: duplicate word 'dog'")],
+    "test_unknown_split_token": [
+        Rejection(None, "word,category,split\ndog,animal,test\n", "line 2: unknown split 'test'")],
+    "test_empty_category": [
+        Rejection(None, "word,category,split\ndog,,train\n", "line 2: empty category for 'dog'")],
+    "test_lexicon_header_required": [
+        Rejection(None, "dog,animal,train\n",
+                  "line 1: expected header starting `word,category,split`")],
     # a labeled-points header is not a lexicon header, though its rows pass the row checks
-    p = write(tmp_path / "l.csv", "word,category,split,v0\ndog,animal,train,1.0\n")
-    with pytest.raises(InputError, match="l.csv: line 1: expected header `word,category,split`"):
-        load_lexicon(p)
-
-
-def test_empty_lexicon_rejected(tmp_path):
-    p = write(tmp_path / "l.csv", "word,category,split\n")
-    with pytest.raises(InputError, match="l.csv: no data rows"):
-        load_lexicon(p)
+    "test_lexicon_takes_exactly_the_three_key_columns": [
+        Rejection(None, "word,category,split,v0\ndog,animal,train,1.0\n",
+                  "line 1: expected header `word,category,split`")],
+    "test_empty_lexicon_rejected": [Rejection(None, "word,category,split\n", "no data rows")],
+}
+globals().update((name, _rejection_test(load_lexicon, "l.csv", rows))
+                 for name, rows in LEXICON.items())
 
 
 # ---------------------------------------------------------------- examples
@@ -248,13 +228,6 @@ def toy_vectors_and_lexicon():
                   labels=["animal", "animal", "vehicle", "animal"],
                   splits=["train", "train", "train", "validation"])
     return vectors, lex
-
-
-def training_states(vectors, words):
-    """The training states `words`, one row of `vectors` each, as one record."""
-    n = len(words)
-    return LabeledPoints(Lexicon(words=list(words), labels=["c"] * n, splits=["train"] * n),
-                         vectors)
 
 
 def test_train_targets_are_distributions():
@@ -288,11 +261,12 @@ def test_examples_must_match_the_successor_matrix():
     vectors, lex = toy_vectors_and_lexicon()
     states = training_states(vectors[:3], lex.words[:3])
     sr = successor_matrix(build_transition_matrix(states), 0.7, 3)
-    message = "^successor-matrix state words do not match the lexicon training order$"
-    with pytest.raises(InputError, match=message):  # the whole lexicon: one more row
+    # the whole lexicon: one more row
+    with pytest.raises(InputError, match="^3 state words for 4 training words of the lexicon$"):
         build_examples(LabeledPoints(lex, vectors), sr)
     # other words of the same count: the shapes agree, the targets would be misaligned
-    with pytest.raises(InputError, match=message):
+    with pytest.raises(InputError, match="^state word 1 is 'dog', but training word 1 of the "
+                                         "lexicon is 'cat'$"):
         build_examples(training_states(vectors[:3], ["cat", "dog", "car"]), sr)
 
 
@@ -316,8 +290,8 @@ def test_example_set_checks_its_targets(targets, message):
     (np.array([[True, False], [False, True]]),
      "each entry in targets must be a real number, got True"),
     ([[0.5, "abc"], [0.5, 0.5]], "each entry in targets must be a real number, got 'abc'"),
-    ([[0.5, 0.5], [0.5]], r"malformed targets \(setting an array element with a sequence\..*\)"),
-    ([[10**400, 0.0], [0.5, 0.5]], r"malformed targets \(int too large to convert to float\)"),
+    ([[0.5, 0.5], [0.5]], r"malformed targets \(rows of unequal length\)"),
+    ([[10**400, 0.0], [0.5, 0.5]], r"malformed targets \(integer beyond float64 range\)"),
 ], ids=["nan", "string", "bool", "none", "bool-array", "non-numeric-string", "ragged", "huge-int"])
 def test_array_fields_take_finite_real_numbers_only(targets, message):
     # the array rule names the field, as the scalar rules do

@@ -130,7 +130,10 @@ def test_csv_writer_heap_stays_near_one_row(tmp_path, write):
 @pytest.mark.parametrize("wrap", [list, np.array])
 def test_json_rejects_nonfinite_and_leaves_no_file(tmp_path, bad, wrap):
     path = tmp_path / "doc.json"
-    with pytest.raises(InputError):
+    with pytest.raises(ValueError) as encoder:  # its words vary with the Python version
+        json.dumps(bad, allow_nan=False)
+    message = f"cannot serialize to JSON: {encoder.value}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         dump_json({"values": wrap([1.0, bad])}, path)
     assert not path.exists()
 

@@ -1,4 +1,7 @@
-"""MLP configuration, the batched forward/backward pass, training loop, and checkpoints."""
+"""MLP configuration, the batched forward/backward pass, training loop, and checkpoints.
+
+The finite-difference gradient check is acceptance criterion 6.
+"""
 
 import json
 import math
@@ -14,7 +17,7 @@ from cogmap.fileio import LabeledPoints, Lexicon
 from cogmap.neural import (MlpConfig, MlpModel, _dropout, _forward_backward, _param_count,
                            _views, load_model, loss, predict_all, save_model, train)
 
-from oracles import gradient_check, init_model
+from oracles import init_model, labeled
 
 
 def small_config(**overrides):
@@ -45,24 +48,19 @@ def toy_examples(n_per=3, seed=0):
 # ------------------------------------------------------------------ config
 
 def test_config_validation():
-    with pytest.raises(InputError):
-        small_config(input_dim=0)
-    with pytest.raises(InputError):
-        small_config(output_dim=-1)
-    with pytest.raises(InputError):
-        small_config(dropout_rate=1.0)
-    with pytest.raises(InputError):
-        small_config(dropout_rate=-0.1)
-    with pytest.raises(InputError):
-        small_config(learning_rate=-1e-9)
-    with pytest.raises(InputError):
-        small_config(epochs=0)
-    with pytest.raises(InputError, match="seed must be non-negative"):
-        small_config(seed=-1)
-    with pytest.raises(InputError, match="input_dim must be an integer, got 4.0"):
-        small_config(input_dim=4.0)
-    with pytest.raises(InputError, match="output_dim must be an integer, got True"):
-        small_config(output_dim=True)
+    for overrides, message in [
+            ({"input_dim": 0}, "layer sizes must be positive"),
+            ({"output_dim": -1}, "layer sizes must be positive"),
+            ({"dropout_rate": 1.0}, "dropout rate must be in [0, 1), got 1.0"),
+            ({"dropout_rate": -0.1}, "dropout rate must be in [0, 1), got -0.1"),
+            ({"learning_rate": -1e-9},
+             "learning rate must be finite and non-negative, got -1e-09"),
+            ({"epochs": 0}, "epochs must be positive, got 0"),
+            ({"seed": -1}, "seed must be non-negative, got -1"),
+            ({"input_dim": 4.0}, "input_dim must be an integer, got 4.0"),
+            ({"output_dim": True}, "output_dim must be an integer, got True")]:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            small_config(**overrides)
     # boundary values that must be accepted, and numpy integers
     small_config(dropout_rate=0.0, learning_rate=0.0, seed=0)
     small_config(input_dim=np.int64(4), seed=np.uint32(7))
@@ -96,12 +94,6 @@ def test_init_is_seeded_glorot():
 def predictions(model, x):
     """Forward pass of a single input vector."""
     return _forward_backward(model, np.asarray(x)[None, :])[0][0]
-
-
-def labeled(vecs):
-    """The rows of `vecs` as the record `predict_all` takes, one word each."""
-    n = len(vecs)
-    return LabeledPoints(Lexicon([f"w{i}" for i in range(n)], ["c"] * n, ["train"] * n), vecs)
 
 
 class FixedDraws:
@@ -162,7 +154,7 @@ def test_epoch_dropout_draws_what_per_batch_draws_would():
 def test_predict_all_rejects_wrong_input_dim():
     model = init_model(small_config())
     with pytest.raises(InputError, match="expects 4"):
-        predict_all(model, labeled(np.ones((1, 7))))
+        predict_all(model, labeled(np.ones((1, 7)), ["c"]))
 
 
 # -------------------------------------------------------------------- loss
@@ -261,16 +253,6 @@ def test_gradient_buffer_holds_the_same_bits_as_fresh_gradients():
     assert grads["w1"].shape == (cfg.hidden_dim, cfg.input_dim) and grads["w1"].T.flags.c_contiguous
     stored = [grads["w1"].T] + [grads[name] for name in ("b1", "w2", "b2")]
     assert np.concatenate([g.ravel() for g in stored]).tobytes() == buf.tobytes()
-
-
-def test_gradient_check_small_network():
-    cfg = MlpConfig(input_dim=4, output_dim=3, dropout_rate=0.0,
-                    learning_rate=0.01, epochs=1, seed=1)
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(4)
-    t = rng.random(3)
-    t /= t.sum()
-    assert gradient_check(cfg, (x, t)) < 1e-4
 
 
 # ---------------------------------------------------------------- training
@@ -429,7 +411,7 @@ def test_predict_all_matches_forward_and_handles_duplicates():
     cfg = small_config(input_dim=3, output_dim=4, seed=9)
     model = init_model(cfg)
     a, b = np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.5, 2.0])
-    preds = predict_all(model, labeled(np.stack([a, b, a]))).points
+    preds = predict_all(model, labeled(np.stack([a, b, a]), ["c"] * 3)).points
     assert preds.shape == (3, 4)
     np.testing.assert_allclose(preds.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_array_equal(preds[0], preds[2])
@@ -511,8 +493,8 @@ def test_loaded_checkpoint_predicts_the_trained_models_bits(tmp_path):
     back = load_model(p)
     assert back.w1.base is back.b2.base and back.w1.T.flags.c_contiguous
     vecs = rng.standard_normal((20, 50))
-    assert predict_all(back, labeled(vecs)).points.tobytes() == \
-        predict_all(model, labeled(vecs)).points.tobytes()
+    assert predict_all(back, labeled(vecs, ["c"] * 20)).points.tobytes() == \
+        predict_all(model, labeled(vecs, ["c"] * 20)).points.tobytes()
 
 
 def test_model_built_from_arrays_predicts_its_checkpoints_bits(tmp_path):
@@ -528,34 +510,10 @@ def test_model_built_from_arrays_predicts_its_checkpoints_bits(tmp_path):
     save_model(model, p)
     back = load_model(p)
     vecs = rng.standard_normal((20, 50))
-    assert predict_all(back, labeled(vecs)).points.tobytes() == \
-        predict_all(model, labeled(vecs)).points.tobytes()
+    assert predict_all(back, labeled(vecs, ["c"] * 20)).points.tobytes() == \
+        predict_all(model, labeled(vecs, ["c"] * 20)).points.tobytes()
     assert model.theta.tobytes() == back.theta.tobytes()
     assert all(getattr(model, name).base is model.theta for name in ("w1", "b1", "w2", "b2"))
-
-
-def test_checkpoint_shape_mismatch_rejected(tmp_path):
-    cfg = small_config()
-    model = init_model(cfg)
-    p = tmp_path / "model.json"
-    save_model(model, p)
-    text = p.read_text(encoding="utf-8").replace('"output_dim": 3', '"output_dim": 4')
-    p.write_text(text, encoding="utf-8")
-    with pytest.raises(InputError, match="shapes"):
-        load_model(p)
-
-
-def test_checkpoint_arrays_are_checked_before_the_config_sizes_an_allocation(tmp_path):
-    # a billion inputs would ask for 1 TB before the shapes were compared
-    p = tmp_path / "model.json"
-    save_model(init_model(small_config()), p)
-    doc = json.loads(p.read_text(encoding="utf-8"))
-    doc["config"]["input_dim"] = 1_000_000_000
-    p.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(InputError, match=re.escape("model.json: parameter shapes do not match "
-                                                   "the config: w1 is (128, 4), expected "
-                                                   "(128, 1000000000)")):
-        load_model(p)
 
 
 def _short_b1(doc):
@@ -591,9 +549,12 @@ def _config_value(key, value):
     return edit
 
 
-@pytest.mark.parametrize("edit,match", [
-    (_short_b1, "shapes .* b1"), (_short_b2, "shapes .* b2"), (_ragged_w1, "malformed"),
-    (_huge_int_b1, "malformed"), (_bad_dropout, r"dropout rate must be in \[0, 1\)"),
+@pytest.mark.parametrize("edit,message", [
+    (_short_b1, "parameter shapes do not match the config: b1 is (127,), expected (128,)"),
+    (_short_b2, "parameter shapes do not match the config: b2 is (2,), expected (3,)"),
+    (_ragged_w1, "malformed w1 (rows of unequal length)"),
+    (_huge_int_b1, "malformed b1 (integer beyond float64 range)"),
+    (_bad_dropout, "dropout rate must be in [0, 1), got 1.5"),
     (_config_value("output_dim", 3.0), "output_dim must be an integer, got 3.0"),
     (_config_value("seed", 1.5), "seed must be an integer, got 1.5"),
     (_config_value("epochs", 2.5), "epochs must be an integer, got 2.5"),
@@ -601,9 +562,11 @@ def _config_value(key, value):
     (_config_value("dropout_rate", False), "dropout_rate must be a real number, got False"),
     (_config_value("learning_rate", "0.1"), "learning_rate must be a real number, got '0.1'"),
     # keys a checkpoint held before they became constants of MlpConfig: it must be retrained
-    (_config_value("batch_size", 20), r"malformed model checkpoint \(.*'batch_size'"),
-    (_config_value("momentum", 0.9), r"malformed model checkpoint \(.*'momentum'"),
-    (_config_value("hidden_dim", 128), r"malformed model checkpoint \(.*'hidden_dim'"),
+    (_config_value("batch_size", 20),
+     "malformed model checkpoint (unknown config key 'batch_size')"),
+    (_config_value("momentum", 0.9), "malformed model checkpoint (unknown config key 'momentum')"),
+    (_config_value("hidden_dim", 128),
+     "malformed model checkpoint (unknown config key 'hidden_dim')"),
     (_first_entry("b2", "0.5"), "each entry in b2 must be a real number, got '0.5'"),
     (_first_entry("w1", True), "each entry in w1 must be a real number, got True"),
     (_first_entry("w2", None), "each entry in w2 must be a real number, got None"),
@@ -611,7 +574,7 @@ def _config_value(key, value):
         "float-seed", "float-epochs", "bool-learning-rate", "bool-dropout-rate",
         "string-learning-rate", "stale-batch-size", "stale-momentum", "stale-hidden-dim",
         "string-b2", "bool-w1", "null-w2"])
-def test_checkpoint_arrays_checked_against_config(tmp_path, edit, match):
+def test_checkpoint_arrays_checked_against_config(tmp_path, edit, message):
     # a short bias, a ragged matrix, an integer beyond float range or a config
     # its own checks reject (a non-integer size among them) names the file
     p = tmp_path / "model.json"
@@ -619,16 +582,5 @@ def test_checkpoint_arrays_checked_against_config(tmp_path, edit, match):
     doc = json.loads(p.read_text(encoding="utf-8"))
     edit(doc)
     p.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(InputError, match=f"model.json: .*{match}"):
-        load_model(p)
-
-
-def test_out_of_range_checkpoint_entry_names_its_array(tmp_path):
-    # JSON 1e400 parses to inf, which the array rule reports with the field's name
-    p = tmp_path / "model.json"
-    save_model(init_model(small_config()), p)
-    doc = json.loads(p.read_text(encoding="utf-8"))
-    doc["b2"][-1] = 1234.5
-    p.write_text(json.dumps(doc).replace("1234.5", "1e400"), encoding="utf-8")
-    with pytest.raises(InputError, match="model.json: non-finite value inf in b2$"):
+    with pytest.raises(InputError, match=f"^{re.escape(f'{p}: {message}')}$"):
         load_model(p)

@@ -82,12 +82,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def masked_manifest(path):
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    doc["created_utc"] = "MASKED"
-    return doc
-
-
 # ----------------------------------------------------------- configuration
 
 def test_config_file_parsing(tmp_path):
@@ -151,11 +145,15 @@ def test_resolve_rejects_unknown_file_key():
         resolve_config({"epoch": "3"})
 
 
-@pytest.mark.parametrize("key,value", [("epochs", "0"), ("dropout_rate", "1.0"),
-                                       ("learning_rate", "-1"), ("seed", "-1")])
-def test_resolve_rejects_bad_network_settings(key, value):
+@pytest.mark.parametrize("key,value,message", [
+    ("epochs", "0", "epochs must be positive, got 0"),
+    ("dropout_rate", "1.0", "dropout rate must be in [0, 1), got 1.0"),
+    ("learning_rate", "-1", "learning rate must be finite and non-negative, got -1.0"),
+    ("seed", "-1", "seed must be non-negative, got -1"),
+], ids=["epochs-0", "dropout_rate-1.0", "learning_rate--1", "seed--1"])
+def test_resolve_rejects_bad_network_settings(key, value, message):
     # checked when the config resolves, before any stage reads or writes a file
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         resolve_config(overrides={key: value})
 
 
@@ -379,31 +377,15 @@ def test_resolve_takes_typed_values_as_their_text_spelling():
 
 # ---------------------------------------------------------------- pipeline
 
-def test_run_pipeline_manifest_round_trip(tiny, tmp_path):
-    config = resolve_config(parse_config_file(tiny["cfg"]),
-                            {"output_dir": str(tmp_path / "out")})
-    manifest = run_pipeline(config)
-    on_disk = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
-    assert on_disk == manifest
-    assert len(manifest["runs"]) == 2
-    assert [r["gamma"] for r in manifest["runs"]] == [1.0, 0.3]
-    assert [r["seed"] for r in manifest["runs"]] == [7, 8]
-    for run in manifest["runs"]:
-        for key in ("all", "train", "validation"):
-            assert -2.0 < run["gdv_prediction_space"][key] < 2.0
-            assert -2.0 < run["gdv_projection_2d"][key] < 2.0
-        for name in run["files"].values():
-            assert (tmp_path / "out" / name).is_file()
-    assert manifest["config"]["epochs"] == 3
-    assert manifest["config_hash"] == config_hash(config)
-
-
 def test_fit_scale_with_seed_plus_i_reproduces_each_scale_of_a_run(tiny, tmp_path):
     # the i-th scale of a run is fit_scale on its SR with the config's seed moved on by i: the
-    # same files and the same manifest entry
+    # same files and the same manifest entry; the manifest on disk is the one returned
     out_dir = tmp_path / "out"
     config = resolve_config(parse_config_file(tiny["cfg"]), {"output_dir": str(out_dir)})
     manifest = run_pipeline(config)
+    assert json.loads((out_dir / "manifest.json").read_text(encoding="utf-8")) == manifest
+    assert manifest["config_hash"] == config_hash(config)
+    assert [(run["gamma"], run["seed"]) for run in manifest["runs"]] == [(1.0, 7), (0.3, 8)]
     inputs = load_inputs(config)
     transition = build_transition_matrix(inputs.split("train"))
     for i, (gamma, run) in enumerate(zip(config.gammas, manifest["runs"])):
@@ -418,6 +400,10 @@ def test_fit_scale_with_seed_plus_i_reproduces_each_scale_of_a_run(tiny, tmp_pat
         dump_json(fit.gdv_doc, tmp_path / "gdv.json")
         assert ((tmp_path / "gdv.json").read_bytes()
                 == (out_dir / run["files"]["gdv_json"]).read_bytes())
+        assert all((out_dir / name).is_file() for name in run["files"].values())
+        for space in ("gdv_prediction_space", "gdv_projection_2d"):
+            assert list(run[space]) == ["all", "train", "validation"]
+            assert all(-2.0 < value < 2.0 for value in run[space].values())
 
 
 def test_manifest_config_rebuilds_the_run_config(tiny, tmp_path):
@@ -544,41 +530,6 @@ def test_cli_run_end_to_end(tiny, tmp_path, capsys):
                      f"map_gamma_{tag}.svg", f"gdv_gamma_{tag}.json"}
     assert {p.name for p in out_dir.iterdir()} == expected
     assert manifest["runs"][0]["files"]["map_svg"] == "map_gamma_1.0.svg"
-
-
-def test_cli_run_is_deterministic(tiny, tmp_path, capsys, monkeypatch):
-    # identical relative inputs in two working directories must agree byte for
-    # byte everywhere except the manifest's created_utc and absolute input paths
-    workspaces = []
-    for name in ("a", "b"):
-        ws = tmp_path / name
-        ws.mkdir()
-        shutil.copy(tiny["embeddings"], ws / "embeddings.txt")
-        shutil.copy(tiny["lexicon"], ws / "lexicon.csv")
-        (ws / "rel.cfg").write_text(
-            "embeddings = embeddings.txt\nlexicon = lexicon.csv\n"
-            "output_dir = out\ngammas = 1.0,0.3\nepochs = 3\n"
-            "learning_rate = 0.001\ndropout_rate = 0.5\nseed = 7\n",
-            encoding="utf-8")
-        monkeypatch.chdir(ws)
-        code, _, err = run_cli(capsys, "run", "--config", "rel.cfg")
-        assert code == 0, err
-        workspaces.append(ws)
-
-    a, b = (ws / "out" for ws in workspaces)
-    names = sorted(p.name for p in a.iterdir())
-    assert names == sorted(p.name for p in b.iterdir())
-    for name in names:
-        if name == "manifest.json":
-            docs = [masked_manifest(out / name) for out in (a, b)]
-            # each manifest records its own workspace's input files, by absolute path
-            for doc, ws in zip(docs, workspaces):
-                for key, file in (("embeddings", "embeddings.txt"), ("lexicon", "lexicon.csv")):
-                    assert os.path.samefile(doc["config"][key], ws / file)
-                    doc["config"][key] = file
-            assert docs[0] == docs[1]
-        else:
-            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 INTERLEAVED_LEXICON = """word,category,split
@@ -725,74 +676,47 @@ def test_committed_tree_holds_no_staging_directory(tiny, tmp_path, capsys, comma
                                                "transition.csv"]
 
 
-def test_cli_build_sr_default_gammas(tiny, tmp_path, capsys):
-    out_dir = tmp_path / "sr-out"
-    code, _, _ = run_cli(capsys, "build-sr", "--config", tiny["cfg"],
-                         "--out-dir", out_dir)
-    assert code == 0
-    for tag in ("1.0", "0.3"):
-        assert (out_dir / f"sr_gamma_{tag}.csv").is_file()
-        sr = load_sr_json(out_dir / f"sr_gamma_{tag}.json")
-        assert sr.horizon == 5 and len(sr.state_words) == 9
-
-
-# ------------------------------------------------- CLI: staged train flow
-
-def test_cli_staged_flow(tiny, tmp_path, capsys):
-    out_dir = tmp_path / "flow"
-    assert run_cli(capsys, "build-sr", "--config", tiny["cfg"],
-                   "--out-dir", out_dir)[0] == 0
-
-    model = out_dir / "model.json"
-    code, out, _ = run_cli(capsys, "train", "--config", tiny["cfg"],
-                           "--sr", out_dir / "sr_gamma_1.0.json", "--out", model)
-    assert code == 0 and "final loss" in out
-
-    preds = out_dir / "preds.csv"
-    code, out, _ = run_cli(capsys, "predict", "--config", tiny["cfg"],
-                           "--model", model, "--split", "all", "--out", preds)
-    assert code == 0 and "15 distributions over 9 states" in out
-    header = preds.read_text(encoding="utf-8").splitlines()[0]
-    assert header.startswith("word,category,split,v0")
-
-    proj_csv = out_dir / "proj.csv"
-    proj_svg = out_dir / "map.svg"
-    code, out, _ = run_cli(capsys, "project", "--predictions", preds,
-                           "--out-csv", proj_csv, "--out-svg", proj_svg)
-    assert code == 0 and "stress" in out
-    assert proj_csv.read_text(encoding="utf-8").splitlines()[0] == \
-        "word,category,split,x,y"
-    assert proj_svg.read_text(encoding="utf-8").count("<circle") == 15
-
-    code, out, _ = run_cli(capsys, "gdv", "--points", proj_csv)
-    assert code == 0
-    float(out.strip())  # exactly one parseable number
-    code, out, _ = run_cli(capsys, "gdv", "--points", proj_csv,
-                           "--split", "validation")
-    assert code == 0
-
-
 def test_cli_chain_reproduces_run_byte_for_byte(tiny, tmp_path, capsys):
     # `run` seeds its i-th gamma with seed + i and `train` seeds with --seed as
-    # given, so the chain gets run's model and predictions from --seed 7 + i
+    # given, so the chain gets run's model and predictions from --seed 7 + i, and
+    # each command's line reports what the run's manifest records
     run_dir, flow = tmp_path / "run", tmp_path / "flow"
     assert run_cli(capsys, "run", "--config", tiny["cfg"], "--out-dir", run_dir)[0] == 0
-    assert run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", flow)[0] == 0
-    for i, tag in enumerate(["1.0", "0.3"]):
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", flow) == (
+        0, f"wrote {flow / 'transition.csv'}\n"
+           f"wrote {flow / 'sr_gamma_1.0.csv'} and .json (gamma=1.0, horizon=5)\n"
+           f"wrote {flow / 'sr_gamma_0.3.csv'} and .json (gamma=0.3, horizon=5)\n", "")
+    training_words = load_lexicon(tiny["lexicon"]).words[:9]
+    for i, (tag, run) in enumerate(zip(["1.0", "0.3"], manifest["runs"])):
+        sr = load_sr_json(flow / f"sr_gamma_{tag}.json")
+        assert (sr.gamma, sr.horizon, sr.state_words) == (run["gamma"], 5, training_words)
         model, preds = flow / f"model_gamma_{tag}.json", flow / f"predictions_gamma_{tag}.csv"
         assert run_cli(capsys, "train", "--config", tiny["cfg"], "--seed", 7 + i,
-                       "--sr", flow / f"sr_gamma_{tag}.json", "--out", model)[0] == 0
+                       "--sr", flow / f"sr_gamma_{tag}.json", "--out", model) == (
+            0, f"wrote {model} (first-epoch loss {run['first_epoch_loss']:.6f}, "
+               f"final loss {run['final_train_loss']:.6f})\n", "")
         assert run_cli(capsys, "predict", "--config", tiny["cfg"], "--model", model,
-                       "--split", "all", "--out", preds)[0] == 0
+                       "--split", "all", "--out", preds) == (
+            0, f"wrote {preds} (15 distributions over 9 states)\n", "")
+        assert preds.read_text(encoding="utf-8").startswith("word,category,split,v0,")
         for path in (model, preds, flow / f"sr_gamma_{tag}.csv"):
             assert path.read_bytes() == (run_dir / path.name).read_bytes(), path.name
     assert (flow / "transition.csv").read_bytes() == (run_dir / "transition.csv").read_bytes()
     # the map is a function of the predictions alone, so `project` writes run's map too
+    run = manifest["runs"][0]
     proj, svg = flow / "projection_gamma_1.0.csv", flow / "map_gamma_1.0.svg"
     assert run_cli(capsys, "project", "--predictions", flow / "predictions_gamma_1.0.csv",
-                   "--out-csv", proj, "--out-svg", svg)[0] == 0
+                   "--out-csv", proj, "--out-svg", svg) == (
+        0, f"wrote {proj} and {svg} (stress {run['mds_stress']:.6g})\n", "")
+    assert proj.read_text(encoding="utf-8").startswith("word,category,split,x,y\n")
+    assert svg.read_text(encoding="utf-8").count("<circle") == 15
     for path in (proj, svg):
         assert path.read_bytes() == (run_dir / path.name).read_bytes(), path.name
+    planar = run["gdv_projection_2d"]
+    assert run_cli(capsys, "gdv", "--points", proj) == (0, f"{planar['all']:.4f}\n", "")
+    assert run_cli(capsys, "gdv", "--points", proj, "--split", "validation") == (
+        0, f"{planar['validation']:.4f}\n", "")
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -811,21 +735,6 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                       for p in out_dir.iterdir()})
     assert len(trees[0]) == 14 and trees[0].keys() == trees[1].keys()
     assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []
-
-
-def test_cli_predict_validation_split(tiny, tmp_path, capsys):
-    out_dir = tmp_path / "flow"
-    run_cli(capsys, "build-sr", "--config", tiny["cfg"], "--out-dir", out_dir)
-    model = out_dir / "model.json"
-    run_cli(capsys, "train", "--config", tiny["cfg"],
-            "--sr", out_dir / "sr_gamma_1.0.json", "--out", model)
-    preds = out_dir / "val.csv"
-    code, out, _ = run_cli(capsys, "predict", "--config", tiny["cfg"],
-                           "--model", model, "--split", "validation", "--out", preds)
-    assert code == 0 and "6 distributions" in out
-    lines = preds.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 7
-    assert all(line.split(",")[2] == "validation" for line in lines[1:])
 
 
 @pytest.mark.parametrize("limits", [None, {"train": 10, "validation": 5}],
@@ -847,9 +756,12 @@ def test_cli_predict_gives_the_runs_validation_rows(workspace, capsys, limits):
         (workspace / lexicon).write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run_cli(capsys, "run", "--config", "default.cfg", "--lexicon", lexicon,
                    "--epochs", 2)[0] == 0
+    splits = load_lexicon(workspace / lexicon).splits
     assert run_cli(capsys, "predict", "--config", "default.cfg", "--lexicon", lexicon,
                    "--model", "out/model_gamma_1.0.json", "--split", "validation",
-                   "--out", "validation.csv")[0] == 0
+                   "--out", "validation.csv") == (
+        0, f"wrote validation.csv ({splits.count('validation')} distributions over "
+           f"{splits.count('train')} states)\n", "")
     predicted = (workspace / "validation.csv").read_bytes().splitlines()[1:]
     run_rows = (workspace / "out" / "predictions_gamma_1.0.csv").read_bytes().splitlines()
     assert predicted == [row for row in run_rows if b",validation," in row]
@@ -1066,13 +978,13 @@ EXIT_1 = {
             ("lexicon", _without_validation_rows))],
     "test_cli_train_rejects_mismatched_state_words": [
         Row(None, ARGV["train"],
-            "successor-matrix state words do not match the lexicon training order",
+            "{sr}: state word 1 is 'b2', but training word 1 of the lexicon is 'r0'",
             ("sr", _json(lambda d: {**d, "state_words": d["state_words"][::-1]})))],
     # reported against the file, not as a training failure or a numpy error
     "test_cli_train_rejects_bad_sr_envelope": [
         _bad_sr("nan", lambda d: _first(d, "values", math.nan), "non-finite value NaN"),
         _bad_sr("ragged", lambda d: {**d, "values": [d["values"][0][:-1], *d["values"][1:]]},
-                "malformed values (", prefix=True),
+                "malformed values (rows of unequal length)"),
         _bad_sr("negative", lambda d: _first(d, "values", -0.5),
                 "successor entries must be non-negative"),
         _bad_sr("gamma-5", lambda d: {**d, "gamma": 5}, "gamma must be in [0, 1], got 5.0"),
@@ -1114,14 +1026,21 @@ EXIT_1 = {
             ("model", _beyond_float(lambda d: {**d, "b2": [*d["b2"][:-1], 1234.5]})))],
     # valid JSON that is not a checkpoint or an envelope
     "test_cli_json_input_of_the_wrong_layout_names_its_file": [
-        Row("checkpoint-without-w1", ARGV["predict"], "{model}: malformed model checkpoint ('w1')",
+        Row("checkpoint-without-w1", ARGV["predict"],
+            "{model}: malformed model checkpoint (missing key 'w1')",
             ("model", _json(lambda d: {k: v for k, v in d.items() if k != "w1"}))),
         Row("checkpoint-unknown-config-key", ARGV["predict"],
-            "{model}: malformed model checkpoint (",
-            ("model", _json(lambda d: {**d, "config": {**d["config"], "width": 3}})), prefix=True),
+            "{model}: malformed model checkpoint (unknown config key 'width')",
+            ("model", _json(lambda d: {**d, "config": {**d["config"], "width": 3}}))),
+        Row("checkpoint-config-array", ARGV["predict"],
+            "{model}: malformed model checkpoint (config is not a JSON object)",
+            ("model", _json(lambda d: {**d, "config": [d["config"]]}))),
+        Row("checkpoint-without-seed", ARGV["predict"],
+            "{model}: malformed model checkpoint (missing key 'seed')",
+            ("model", _json(lambda d: {**d, "config": {k: v for k, v in d["config"].items()
+                                                       if k != "seed"}}))),
         Row("checkpoint-array", ARGV["predict"],
-            "{model}: malformed model checkpoint ("
-            "list indices must be integers or slices, not str)",
+            "{model}: malformed model checkpoint (not a JSON object)",
             ("model", _json(lambda d: [d]))),
         # the arrays are checked before the config sizes an allocation, so a billion inputs
         # ask for no memory
@@ -1130,10 +1049,11 @@ EXIT_1 = {
             "w1 is (128, 8), expected (128, 1000000000)",
             ("model", _json(lambda d: {**d, "config": {**d["config"], "input_dim": 10 ** 9}}))),
         Row("sr-without-gamma", ARGV["train"],
-            "{sr}: malformed successor-matrix envelope ('gamma')",
+            "{sr}: malformed successor-matrix envelope (missing key 'gamma')",
             ("sr", _json(lambda d: {k: v for k, v in d.items() if k != "gamma"}))),
-        Row("sr-string", ARGV["train"], "{sr}: malformed successor-matrix envelope (",
-            ("sr", _json(lambda d: "sr")), prefix=True)],
+        Row("sr-string", ARGV["train"],
+            "{sr}: malformed successor-matrix envelope (not a JSON object)",
+            ("sr", _json(lambda d: "sr")))],
     "test_cli_input_that_does_not_decode_or_parse_names_its_file": [
         Row("lexicon-byte", ARGV["build-sr"], "{lexicon}: " + UTF8, ("lexicon", _with_ff)),
         Row("embeddings-byte", ARGV["build-sr"], "{embeddings}: " + UTF8, ("embeddings", _with_ff)),
