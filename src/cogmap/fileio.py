@@ -40,7 +40,7 @@ from .errors import InputError
 def _finite_array(values, name=None):
     """`values` as a float64 array of finite entries, each real by `require_real` (checked once
     per entry type, before the conversion, unless `values` is an int or float array); errors
-    name the field `name`. A ragged nesting or an int beyond float range is `malformed`."""
+    name the field `name`: a ragged nesting is `malformed`, a too-large int as in `require_real`."""
     where = f" in {name}" if name else ""
     try:
         if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
@@ -51,8 +51,8 @@ def _finite_array(values, name=None):
         array = np.asarray(values, dtype=np.float64)
     except ValueError:  # every entry is a real number, so only the nesting can be at fault
         raise InputError(f"malformed {name or 'array'} (rows of unequal length)") from None
-    except OverflowError:
-        raise InputError(f"malformed {name or 'array'} (integer beyond float64 range)") from None
+    except OverflowError:  # an int that was not the one of its type checked above
+        raise InputError(f"each entry{where} must be within float64 range") from None
     finite = np.isfinite(array)
     if not finite.all():
         raise InputError(f"non-finite value {float(array[~finite][0])!r}{where}")
@@ -86,10 +86,13 @@ def require_int(name, value):
 
 
 def require_real(name, value):
-    """`value` as a float if it is a real number (a numpy one too) but not a bool; else an InputError."""
+    """`value` as a float if it is a real number (a numpy one too) in float64 range, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InputError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float64 range
+        raise InputError(f"{name} must be within float64 range") from None
 
 
 def require_path(name, value):
@@ -202,8 +205,12 @@ def _plain(obj):
 def _dumps(value):
     try:
         return json.dumps(value, allow_nan=False, default=_plain)
-    except ValueError as exc:
-        raise InputError(f"cannot serialize to JSON: {exc}") from None
+    except ValueError:  # a NaN or an infinity, or a value that contains itself
+        try:  # with NaN and infinities allowed, only a value that contains itself fails again
+            json.dumps(value, default=_plain)
+        except ValueError:
+            raise InputError("cannot serialize a value that contains itself to JSON") from None
+        raise InputError("cannot serialize a non-finite number to JSON") from None
 
 
 def dump_json(obj, path):
@@ -230,9 +237,8 @@ def dump_json(obj, path):
 
 def load_json(path, build, what):
     """`build(doc)` of the JSON object in `path`. A NaN or Infinity, nesting too deep to parse,
-    a document that is not an object, a key that `build` reads and the object lacks (KeyError)
-    or an integer that `build` reads as a real number beyond float range (OverflowError) is an
-    InputError; the last three are `malformed <what> (…)`."""
+    a document that is not an object or a key that `build` reads and the object lacks
+    (KeyError) is an InputError; the last two are `malformed <what> (…)`."""
     def reject(constant):
         raise InputError(f"non-finite value {constant}")
 
@@ -247,8 +253,6 @@ def load_json(path, build, what):
             return build(doc)
         except KeyError as exc:
             raise InputError(f"malformed {what} (missing key {exc.args[0]!r})") from None
-        except OverflowError:
-            raise InputError(f"malformed {what} (integer beyond float64 range)") from None
 
 
 def save_matrix_csv(values, path):

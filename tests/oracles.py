@@ -1,8 +1,10 @@
 """References and builders that only the tests call, each defined once: a
 loop-by-loop GDV, a Monte Carlo rollout of the successor representation, a
 central finite-difference gradient check, double-centering MDS, the seeded
-initial model, a vector-text writer for building embedding files, and the
-`LabeledPoints` records the tests score, map, train on and predict.
+initial model, a vector-text writer for building embedding files, the
+`LabeledPoints` records the tests score, map, train on and predict, the
+listing of a directory tree that a refused call or command must leave as it was,
+and the one check of a refused library call.
 
 The references check none of their arguments: every caller is a test that chose them.
 """
@@ -10,7 +12,9 @@ The references check none of their arguments: every caller is a test that chose 
 import math
 
 import numpy as np
+import pytest
 
+from cogmap.errors import InputError
 from cogmap.fileio import LabeledPoints, Lexicon, float_text, replacing
 from cogmap.neural import _forward_backward, _init_params, _views, loss
 from cogmap.projection import classical_mds, pairwise_euclidean
@@ -93,6 +97,21 @@ def training_states(vectors, words):
     n = len(words)
     return LabeledPoints(Lexicon(words=list(words), labels=["c"] * n, splits=["train"] * n),
                          vectors)
+
+
+def tree_listing(root):
+    """Each path under `root` with its bytes, or None for a directory."""
+    return {p.relative_to(root): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+def assert_refused(call, message, root):
+    """`call()` raises an InputError whose text is `message`, whole, and leaves the tree under
+    `root` byte-identical."""
+    before = tree_listing(root)
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+    assert tree_listing(root) == before
 
 
 def gdv_reference(points, labels):
