@@ -74,9 +74,13 @@ class ExampleSet:
         plain_fields(self)
         if len(self.inputs) != len(self.targets):
             raise InputError("inputs and targets must have equal length")
-        if len(self) and (np.any(self.targets < 0)
-                          or np.max(np.abs(self.targets.sum(axis=1) - 1.0)) > 1e-9):
-            raise InputError("every target must be a probability distribution")
+        if len(self):
+            with np.errstate(over="ignore", invalid="ignore"):
+                row_sums = self.targets.sum(axis=1)
+            if not np.isfinite(row_sums).all():
+                raise InputError("target row sums overflow float64")
+            if np.any(self.targets < 0) or np.max(np.abs(row_sums - 1.0)) > 1e-9:
+                raise InputError("every target must be a probability distribution")
 
     def __len__(self):
         return len(self.inputs)

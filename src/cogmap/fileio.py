@@ -78,6 +78,18 @@ def float_row(fields, lineno, word):
     return row
 
 
+MAX_INT_DIGITS = 4300  # CPython's default limit on int() of text, kept on every Python version
+
+
+def int_text(text):
+    """`int(text)` of integer text with at most MAX_INT_DIGITS digits; longer text is an
+    InputError in cogmap's words, where Python versions differ in whether and how they refuse it."""
+    digits = sum(map(str.isdecimal, text))
+    if digits > MAX_INT_DIGITS:
+        raise InputError(f"integer of {digits} digits exceeds the {MAX_INT_DIGITS}-digit limit")
+    return int(text)
+
+
 def require_int(name, value):
     """`value` as an int if it is an integer (a numpy one too) but not a bool; else an InputError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -236,15 +248,15 @@ def dump_json(obj, path):
 
 
 def load_json(path, build, what):
-    """`build(doc)` of the JSON object in `path`. A NaN or Infinity, nesting too deep to parse,
-    a document that is not an object or a key that `build` reads and the object lacks
-    (KeyError) is an InputError; the last two are `malformed <what> (…)`."""
+    """`build(doc)` of the JSON object in `path`. A NaN or Infinity, an integer `int_text`
+    refuses, nesting too deep to parse, a document that is not an object or a key that `build`
+    reads and the object lacks (KeyError) is an InputError; the last two are `malformed <what> (…)`."""
     def reject(constant):
         raise InputError(f"non-finite value {constant}")
 
     with open(path, encoding="utf-8") as fh, reading(path):
         try:
-            doc = json.load(fh, parse_constant=reject)
+            doc = json.load(fh, parse_constant=reject, parse_int=int_text)
         except RecursionError:  # only here: elsewhere one is the program's own fault
             raise InputError("JSON nested too deeply to parse") from None
         if not isinstance(doc, dict):

@@ -39,12 +39,16 @@ def gdv_classes(labels):
 
 
 def zscore_half(points):
-    """0.5 * (x - mu) / sigma per dimension, population sigma; constant dimensions map to 0."""
+    """0.5 * (x - mu) / sigma per dimension, population sigma; constant dimensions map to 0.
+    Points whose sums or squares overflow float64 are refused, since their scale is lost."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or len(points) < 2:
         raise InputError("z-scoring needs at least 2 points")
-    mu = points.mean(axis=0)
-    sigma = points.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = points.mean(axis=0)
+        sigma = points.std(axis=0)  # inf or NaN wherever the mean or a square overflowed
+    if not np.isfinite(sigma).all():
+        raise InputError("a component's sum or sum of squared deviations overflows float64")
     safe = np.where(sigma == 0.0, 1.0, sigma)
     scaled = 0.5 * (points - mu) / safe
     scaled[:, sigma == 0.0] = 0.0

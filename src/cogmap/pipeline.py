@@ -20,8 +20,8 @@ from datetime import datetime, timezone
 from . import __version__
 from .dataset import load_embeddings, build_examples
 from .errors import InputError
-from .fileio import (SPLITS, LabeledPoints, committing, dump_json, load_lexicon, plain_fields,
-                     reading, save_matrix_csv, save_labeled_points_csv)
+from .fileio import (SPLITS, LabeledPoints, committing, dump_json, int_text, load_lexicon,
+                     plain_fields, reading, save_matrix_csv, save_labeled_points_csv)
 from .metrics import gdv, gdv_classes
 from .neural import MlpConfig, MlpModel, loss, train, predict_all, save_model
 from .projection import classical_mds
@@ -96,9 +96,11 @@ def _parse_value(text, kind, key):
     try:
         if kind is list:
             return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-        return kind(text)
+        return int_text(text) if kind is int else kind(text)
     except ValueError:
         raise InputError(f"config key {key} expects {_KINDS[kind]}, got {text!r}") from None
+    except InputError as exc:  # integer text too long to convert
+        raise InputError(f"config key {key}: {exc}") from None
 
 
 def resolve_config(file_values=None, overrides=None):

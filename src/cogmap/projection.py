@@ -44,19 +44,23 @@ def classical_mds(points):
     Stress is sqrt(sum_{i<j} (d_ij - dhat_ij)^2 / sum_{i<j} d_ij^2) where d
     are the distances of the points and dhat those of the projected points.
     """
-    dist = pairwise_euclidean(points.points)
-    n = len(dist)
+    n = len(points.points)
     if n < 3:
         raise InputError(f"need at least 3 points to project to 2-D, got {n}")
-    centered = points.points - points.points.mean(axis=0)
-    evals, evecs = np.linalg.eigh(centered @ centered.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = pairwise_euclidean(points.points)
+        centered = points.points - points.points.mean(axis=0)
+        gram = centered @ centered.T
+        # both triangles count every pair twice, which cancels in the stress ratio
+        denom = float((dist * dist).sum())
+    if not (np.isfinite(denom) and np.isfinite(gram).all()):
+        raise InputError("the points' squared distances or Gram matrix overflow float64")
+    evals, evecs = np.linalg.eigh(gram)
     order = np.argsort(-evals, kind="stable")[:2]
     coords = evecs[:, order] * np.sqrt(np.maximum(evals[order], 0.0))[None, :]
     peaks = coords[np.argmax(np.abs(coords), axis=0), [0, 1]]
     coords *= np.where(peaks < 0.0, -1.0, 1.0)
 
-    # both triangles count every pair twice, which cancels in the ratio
     recovered = euclidean_distances(coords)
-    denom = float((dist * dist).sum())
     stress = float(np.sqrt(((dist - recovered) ** 2).sum() / denom)) if denom > 0.0 else 0.0
     return LabeledPoints(points.lex, coords), stress

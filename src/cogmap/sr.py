@@ -78,7 +78,11 @@ class SuccessorMatrix:
             raise InputError(f"successor matrix must be {self.n}x{self.n}, got {self.values.shape}")
         if np.any(self.values < 0.0):
             raise InputError("successor entries must be non-negative")
-        if np.any(self.values.sum(axis=1) <= 0.0):  # each row normalizes to a training target
+        with np.errstate(over="ignore"):
+            row_sums = self.values.sum(axis=1)
+        if np.any(row_sums == np.inf):
+            raise InputError("successor matrix row sums overflow float64")
+        if np.any(row_sums <= 0.0):  # each row normalizes to a training target
             raise InputError("successor matrix has a non-positive row sum")
 
 

@@ -1,6 +1,8 @@
 """References and builders that only the tests call, each defined once: a
-loop-by-loop GDV, a Monte Carlo rollout of the successor representation, a
-central finite-difference gradient check, double-centering MDS, the seeded
+loop-by-loop GDV, a Monte Carlo rollout of the successor representation, the
+two-state flip chain, a central finite-difference gradient check, the training
+loop written one array per parameter, the forward pass of one row,
+double-centering MDS and the condensed distances it is compared by, the seeded
 initial model, a vector-text writer for building embedding files, the
 `LabeledPoints` records the tests score, map, train on and predict, the
 listing of a directory tree that a refused call or command must leave as it was,
@@ -18,6 +20,7 @@ from cogmap.errors import InputError
 from cogmap.fileio import LabeledPoints, Lexicon, float_text, replacing
 from cogmap.neural import _forward_backward, _init_params, _views, loss
 from cogmap.projection import classical_mds, pairwise_euclidean
+from cogmap.sr import TransitionMatrix
 
 FD_STEP = 1e-5
 
@@ -42,6 +45,11 @@ def rollout_occupancy_oracle(t, gamma, horizon, start, samples, seed):
         states = np.minimum((cum[states] < u[:, None]).sum(axis=1), t.n - 1)
         occ += (gamma ** k) * np.bincount(states, minlength=t.n)
     return occ / samples
+
+
+def flip_chain():
+    """The two-state chain that always moves to the other state."""
+    return TransitionMatrix(values=np.array([[0.0, 1.0], [1.0, 0.0]]), state_words=["a", "b"])
 
 
 def init_model(config):
@@ -75,6 +83,55 @@ def gradient_check(config, example):
         err = abs(grad[i] - numeric) / max(1e-8, abs(grad[i]) + abs(numeric))
         worst = max(worst, err)
     return worst
+
+
+def reference_train(config, examples):
+    """Reference for `train`: the same float operations, one array per parameter.
+
+    A dict of velocities updated as vel = m*vel - lr*g, fresh gradient arrays
+    and a float dropout mask drawn per batch, and the forward/backward pass
+    written out in full. The forward product reads w1 as an input x hidden
+    C-contiguous matrix, as `train`'s input-major storage does: on a one-row
+    batch the two orientations of that product round differently.
+    """
+    rng = np.random.default_rng(config.seed)
+    lim1 = np.sqrt(6.0 / (config.input_dim + config.hidden_dim))
+    w1 = rng.uniform(-lim1, lim1, size=(config.hidden_dim, config.input_dim))
+    lim2 = np.sqrt(6.0 / (config.hidden_dim + config.output_dim))
+    w2 = rng.uniform(-lim2, lim2, size=(config.output_dim, config.hidden_dim))
+    params = {"w1": w1, "b1": np.zeros(config.hidden_dim),
+              "w2": w2, "b2": np.zeros(config.output_dim)}
+    vel = {name: np.zeros_like(param) for name, param in params.items()}
+    n = len(examples)
+    losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        for lo in range(0, n, config.batch_size):
+            idx = order[lo:lo + config.batch_size]
+            x, t = examples.inputs[idx], examples.targets[idx]
+            mask = (rng.random(x.shape) >= config.dropout_rate).astype(np.float64)
+            x = x * mask / (1.0 - config.dropout_rate)
+            z1 = x @ np.ascontiguousarray(params["w1"].T) + params["b1"]
+            h = np.maximum(z1, 0.0)
+            z2 = h @ params["w2"].T + params["b2"]
+            e = np.exp(z2 - np.max(z2, axis=-1, keepdims=True))
+            p = e / e.sum(axis=-1, keepdims=True)
+            loss_sum += float((-np.sum(t * np.log(np.maximum(p, 1e-12)), axis=-1)).sum())
+            dz2 = (p - t) / len(x)
+            dz1 = (dz2 @ params["w2"]) * (z1 > 0)
+            grads = {"w2": dz2.T @ h, "b2": dz2.sum(axis=0),
+                     "w1": dz1.T @ x, "b1": dz1.sum(axis=0)}
+            for name, g in grads.items():
+                vel[name] = config.momentum * vel[name] - config.learning_rate * g
+                params[name] += vel[name]
+        losses.append(loss_sum / n)
+    return params, losses
+
+
+def predictions(model, x):
+    """Forward pass of a single input vector, as a batch of one row."""
+    return _forward_backward(model, np.asarray(x)[None, :])[0][0]
 
 
 def save_embeddings(entries, path):
@@ -155,6 +212,14 @@ def mds(points):
     """`classical_mds` of a record of `points`, one word per row; returns (n x 2 array, stress)."""
     coords, stress = classical_mds(labeled(points, ["c"] * len(points)))
     return coords.points, stress
+
+
+def condensed(points):
+    """The distance of each pair i < j of the rows of `points`, in row-major pair order."""
+    points = np.asarray(points, dtype=np.float64)
+    n = len(points)
+    return np.array([np.linalg.norm(points[i] - points[j])
+                     for i in range(n) for j in range(i + 1, n)])
 
 
 def double_centering_mds(points):

@@ -203,6 +203,9 @@ def test_array_fields_take_numpy_numbers_and_numeric_arrays():
                     targets=[[np.float32(0.5), np.float64(0.5)], [np.int64(1), 0]])
     assert ex.inputs.dtype == ex.targets.dtype == np.float64
     assert ex.targets.tolist() == [[0.5, 0.5], [1.0, 0.0]]
+    # float64 arrays are kept as given, not copied
+    view = np.ones((3, 2))[:2]
+    assert ExampleSet(inputs=view, targets=ex.targets).inputs is view
 
 
 @pytest.mark.parametrize("targets, message", [

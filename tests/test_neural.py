@@ -15,7 +15,7 @@ from cogmap.fileio import LabeledPoints, Lexicon
 from cogmap.neural import (MlpConfig, MlpModel, _dropout, _forward_backward, _param_count,
                            _views, load_model, loss, predict_all, save_model, train)
 
-from oracles import assert_refused, init_model, labeled
+from oracles import assert_refused, init_model, labeled, predictions, reference_train
 
 
 def small_config(**overrides):
@@ -76,11 +76,6 @@ def test_init_is_seeded_glorot():
 
 
 # ----------------------------------------------------------------- forward
-
-def predictions(model, x):
-    """Forward pass of a single input vector."""
-    return _forward_backward(model, np.asarray(x)[None, :])[0][0]
-
 
 class FixedDraws:
     """Stands in for a Generator whose uniform draws all equal `value`."""
@@ -209,158 +204,64 @@ def test_batch_gradient_is_mean_of_row_gradients():
         np.testing.assert_allclose(g, sum(r[2][name] for r in rows) / 3, atol=1e-15)
 
 
-def test_gradient_buffer_holds_the_same_bits_as_fresh_gradients():
-    cfg = small_config(seed=4)
-    model = init_model(cfg)
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal((3, cfg.input_dim))
-    t = rng.random((3, cfg.output_dim))
-    t /= t.sum(axis=1, keepdims=True)
-    fresh = _views(np.zeros(_param_count(cfg)), cfg)
-    p_fresh, losses_fresh = _forward_backward(model, x, t, fresh)
-    # stale contents of the buffer must not leak into the gradients
-    buf = np.full(_param_count(cfg), np.nan)
-    grads = _views(buf, cfg)
-    p, losses = _forward_backward(model, x, t, grads)
-    assert p.tobytes() == p_fresh.tobytes() and losses.tobytes() == losses_fresh.tobytes()
-    # inference computes the same predictions
-    assert _forward_backward(model, x)[0].tobytes() == p.tobytes()
-    assert list(grads) == ["w1", "b1", "w2", "b2"]
-    for name, g in grads.items():
-        assert g.shape == fresh[name].shape and g.tobytes() == fresh[name].tobytes()
-        assert g.base is buf
-    # laid end to end in parameter order, w1 input-major, the views are the whole buffer
-    assert grads["w1"].shape == (cfg.hidden_dim, cfg.input_dim) and grads["w1"].T.flags.c_contiguous
-    stored = [grads["w1"].T] + [grads[name] for name in ("b1", "w2", "b2")]
-    assert np.concatenate([g.ravel() for g in stored]).tobytes() == buf.tobytes()
-
-
 # ---------------------------------------------------------------- training
 
-def test_zero_lr_single_epoch_preserves_init_bitwise():
-    ex = toy_examples()
-    cfg = MlpConfig(input_dim=2, output_dim=2, dropout_rate=0.5,
-                    learning_rate=0.0, epochs=1, seed=17)
-    model, losses = train(cfg, ex)
-    ref = init_model(cfg)
-    np.testing.assert_array_equal(model.w1, ref.w1)
-    np.testing.assert_array_equal(model.b1, ref.b1)
-    np.testing.assert_array_equal(model.w2, ref.w2)
-    np.testing.assert_array_equal(model.b2, ref.b2)
-    assert len(losses) == 1
+def distributions(rng, n, k):
+    """`n` random distributions over `k` states."""
+    raw = rng.random((n, k))
+    return raw / raw.sum(axis=1, keepdims=True)
 
 
-def test_training_is_deterministic_bitwise():
-    ex = toy_examples()
-    cfg = MlpConfig(input_dim=2, output_dim=2, dropout_rate=0.3,
-                    learning_rate=0.01, epochs=20, seed=5)
-    m1, r1 = train(cfg, ex)
-    m2, r2 = train(cfg, ex)
-    np.testing.assert_array_equal(m1.w1, m2.w1)
-    np.testing.assert_array_equal(m1.w2, m2.w2)
-    assert r1 == r2
-
-
-def test_training_reduces_loss_on_separable_toy():
-    ex = toy_examples()
-    cfg = MlpConfig(input_dim=2, output_dim=2, dropout_rate=0.0,
-                    learning_rate=0.05, epochs=200, seed=2)
-    _, losses = train(cfg, ex)
-    assert losses[-1] < losses[0]
-    assert len(losses) == 200
-
-
-def reference_train(config, examples):
-    """Reference for `train`: the same float operations, one array per parameter.
-
-    A dict of velocities updated as vel = m*vel - lr*g, a float dropout mask
-    drawn per batch, and the forward/backward pass written out in full. The
-    forward product reads w1 as an input x hidden C-contiguous matrix, as
-    `train`'s input-major storage does: on a one-row batch the two orientations
-    of that product round differently.
-    """
-    rng = np.random.default_rng(config.seed)
-    lim1 = np.sqrt(6.0 / (config.input_dim + config.hidden_dim))
-    w1 = rng.uniform(-lim1, lim1, size=(config.hidden_dim, config.input_dim))
-    lim2 = np.sqrt(6.0 / (config.hidden_dim + config.output_dim))
-    w2 = rng.uniform(-lim2, lim2, size=(config.output_dim, config.hidden_dim))
-    params = {"w1": w1, "b1": np.zeros(config.hidden_dim),
-              "w2": w2, "b2": np.zeros(config.output_dim)}
-    vel = {name: np.zeros_like(param) for name, param in params.items()}
-    n = len(examples)
-    losses = []
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        for lo in range(0, n, config.batch_size):
-            idx = order[lo:lo + config.batch_size]
-            x, t = examples.inputs[idx], examples.targets[idx]
-            mask = (rng.random(x.shape) >= config.dropout_rate).astype(np.float64)
-            x = x * mask / (1.0 - config.dropout_rate)
-            z1 = x @ np.ascontiguousarray(params["w1"].T) + params["b1"]
-            h = np.maximum(z1, 0.0)
-            z2 = h @ params["w2"].T + params["b2"]
-            e = np.exp(z2 - np.max(z2, axis=-1, keepdims=True))
-            p = e / e.sum(axis=-1, keepdims=True)
-            loss_sum += float((-np.sum(t * np.log(np.maximum(p, 1e-12)), axis=-1)).sum())
-            dz2 = (p - t) / len(x)
-            dz1 = (dz2 @ params["w2"]) * (z1 > 0)
-            grads = {"w2": dz2.T @ h, "b2": dz2.sum(axis=0),
-                     "w1": dz1.T @ x, "b1": dz1.sum(axis=0)}
-            for name, g in grads.items():
-                vel[name] = config.momentum * vel[name] - config.learning_rate * g
-                params[name] += vel[name]
-        losses.append(loss_sum / n)
-    return params, losses
-
-
-def test_training_matches_the_per_array_reference_bitwise():
+def short_last_batch():
     # 47 examples in batches of MlpConfig.batch_size (20): every epoch takes two full batches
     # and ends on a short one
     rng = np.random.default_rng(11)
-    targets = rng.random((47, 4))
-    ex = ExampleSet(inputs=rng.standard_normal((47, 5)),
-                    targets=targets / targets.sum(axis=1, keepdims=True))
-    cfg = MlpConfig(input_dim=5, output_dim=4, dropout_rate=0.3,
-                    learning_rate=0.05, epochs=30, seed=21)
-    model, losses = train(cfg, ex)
-    params, reference_losses = reference_train(cfg, ex)
+    return (MlpConfig(input_dim=5, output_dim=4, dropout_rate=0.3, learning_rate=0.05,
+                      epochs=30, seed=21),
+            ExampleSet(inputs=rng.standard_normal((47, 5)), targets=distributions(rng, 47, 4)))
+
+
+def integer_inputs():
+    # the dropout scaling divides the epoch's inputs in place, which an integer array cannot hold
+    return (MlpConfig(input_dim=2, output_dim=2, dropout_rate=0.5, learning_rate=0.05,
+                      epochs=10, seed=3),
+            ExampleSet(inputs=np.array([[3, 1], [-3, -1], [2, 0], [0, 2]]),
+                       targets=np.array([[1, 0], [0, 1], [1, 0], [0, 1]])))
+
+
+TRAINING = {
+    # no step moves a parameter, so the model is its seeded init
+    "zero-lr-one-epoch": lambda: (MlpConfig(input_dim=2, output_dim=2, dropout_rate=0.5,
+                                            learning_rate=0.0, epochs=1, seed=17), toy_examples()),
+    "toy-dropout-0": lambda: (MlpConfig(input_dim=2, output_dim=2, dropout_rate=0.0,
+                                        learning_rate=0.05, epochs=200, seed=2), toy_examples()),
+    "integer-inputs": integer_inputs,
+}
+
+
+def assert_train_meets_the_reference(config, examples):
+    # the reference draws its dropout mask per batch, takes fresh gradient arrays every batch
+    # and steps each array alone: `train`'s whole-epoch draw, reused gradient buffer and
+    # whole-vector step must give the same bits
+    model, losses = train(config, examples)
+    params, reference_losses = reference_train(config, examples)
     for name, param in params.items():
         assert getattr(model, name).tobytes() == param.tobytes(), name
     assert np.array(losses).tobytes() == np.array(reference_losses).tobytes()
+    if config.learning_rate == 0.0:
+        assert model.theta.tobytes() == init_model(config).theta.tobytes()
 
 
-def test_integer_inputs_train_like_their_float64_values():
-    # the dropout scaling divides the epoch's inputs in place, which an integer array cannot hold
-    inputs = np.array([[3, 1], [-3, -1], [2, 0], [0, 2]])
-    targets = np.array([[1, 0], [0, 1], [1, 0], [0, 1]])
-    cfg = MlpConfig(input_dim=2, output_dim=2, dropout_rate=0.5,
-                    learning_rate=0.05, epochs=10, seed=3)
-    as_ints = train(cfg, ExampleSet(inputs=inputs, targets=targets))
-    as_floats = train(cfg, ExampleSet(inputs=inputs.astype(np.float64),
-                                      targets=targets.astype(np.float64)))
-    for name in ("w1", "b1", "w2", "b2"):
-        assert getattr(as_ints[0], name).tobytes() == getattr(as_floats[0], name).tobytes(), name
-    assert as_ints[1] == as_floats[1]
-    # float64 arrays are kept as given, not copied
-    ex = ExampleSet(inputs=inputs.astype(np.float64), targets=targets.astype(np.float64))
-    assert ex.inputs.dtype == ex.targets.dtype == np.float64
-    view = ex.inputs[:2]
-    assert ExampleSet(inputs=view, targets=ex.targets[:2]).inputs is view
+def test_training_matches_the_per_array_reference_bitwise():
+    assert_train_meets_the_reference(*short_last_batch())
+
+
+@pytest.mark.parametrize("make", TRAINING.values(), ids=list(TRAINING))
+def test_train_meets_the_per_array_reference_bitwise(make):
+    assert_train_meets_the_reference(*make())
 
 
 # --------------------------------------------------------------- inference
-
-def test_predict_all_matches_forward_and_handles_duplicates():
-    cfg = small_config(input_dim=3, output_dim=4, seed=9)
-    model = init_model(cfg)
-    a, b = np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.5, 2.0])
-    preds = predict_all(model, labeled(np.stack([a, b, a]), ["c"] * 3)).points
-    assert preds.shape == (3, 4)
-    np.testing.assert_allclose(preds.sum(axis=1), 1.0, atol=1e-12)
-    np.testing.assert_array_equal(preds[0], preds[2])
-    np.testing.assert_allclose(preds[1], predictions(model, b), atol=1e-15)
-
 
 def shipped_width_record(n_train, n_validation, seed):
     """A model at 300-D inputs and the shipped width with `n_train` output states, and a
@@ -373,91 +274,86 @@ def shipped_width_record(n_train, n_validation, seed):
     return model, LabeledPoints(lex, np.random.default_rng(seed).standard_normal((n, 300)))
 
 
-def test_predict_all_keeps_the_words_and_gives_the_forward_rows():
-    model, points = shipped_width_record(27, 3, seed=9)
+def validation_split():
+    # at the shipped width a batched product's rounding of one row depends on the rows beside
+    # it; predicted one row at a time, a split predicts its rows of the whole record
+    model, points = shipped_width_record(30, 15, seed=4)
+    return model, points.split("validation")
+
+
+def permuted(seed):
+    model, points = shipped_width_record(27, 0, seed=3)
+    order = np.random.default_rng(seed).permutation(27)
+    columns = (points.lex.words, points.lex.labels, points.lex.splits)
+    return model, LabeledPoints(Lexicon(*([column[i] for i in order] for column in columns)),
+                                points.points[order])
+
+
+def duplicate_rows():
+    a, b = np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.5, 2.0])
+    model = init_model(small_config(input_dim=3, output_dim=4, seed=9))
+    return model, labeled(np.stack([a, b, a]), ["c"] * 3)
+
+
+RECORDS = {
+    "whole": lambda: shipped_width_record(27, 3, seed=9),
+    "validation-split": validation_split,
+    **{f"permuted-{seed}": lambda seed=seed: permuted(seed) for seed in range(10)},
+    "duplicate-rows": duplicate_rows,
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=list(RECORDS))
+def test_predict_all_keeps_the_words_and_gives_the_forward_rows(make):
+    model, points = make()
     preds = predict_all(model, points)
-    assert preds.lex is points.lex and preds.lex.words == [f"w{i}" for i in range(30)]
+    assert preds.lex is points.lex
     # the reference: the forward pass called on each row alone
     assert preds.points.tobytes() == \
         np.stack([predictions(model, row) for row in points.points]).tobytes()
-
-
-def test_a_splits_predictions_are_its_rows_of_the_whole_records():
-    # at the shipped width a batched product's rounding of one row depends on the rows
-    # beside it; predicted one row at a time, a split predicts its rows of the whole record
-    model, points = shipped_width_record(30, 15, seed=4)
-    whole, alone = predict_all(model, points), predict_all(model, points.split("validation"))
-    assert alone.lex == whole.split("validation").lex
-    assert alone.points.tobytes() == whole.split("validation").points.tobytes()
-
-
-def test_permuting_a_records_rows_permutes_its_predictions():
-    model, points = shipped_width_record(27, 0, seed=3)
-    expected = predict_all(model, points).points
-    columns = (points.lex.words, points.lex.labels, points.lex.splits)
-    for seed in range(10):
-        order = np.random.default_rng(seed).permutation(27)
-        moved = LabeledPoints(Lexicon(*([column[i] for i in order] for column in columns)),
-                              points.points[order])
-        assert predict_all(model, moved).points.tobytes() == expected[order].tobytes(), seed
+    np.testing.assert_allclose(preds.points.sum(axis=1), 1.0, atol=1e-12)
 
 
 # -------------------------------------------------------------- checkpoint
 
-def test_checkpoint_roundtrip_is_bitwise(tmp_path):
-    ex = toy_examples()
-    cfg = MlpConfig(input_dim=2, output_dim=2, dropout_rate=0.3,
-                    learning_rate=0.01, epochs=5, seed=13)
-    model, _ = train(cfg, ex)
-    p = tmp_path / "model.json"
-    save_model(model, p)
-    back = load_model(p)
-    assert back.config == cfg
-    # the trained arrays are views into one parameter vector; each reads back whole
-    assert model.w1.base is model.b2.base
-    for name in ("w1", "b1", "w2", "b2"):
-        trained, loaded = getattr(model, name), getattr(back, name)
-        assert loaded.shape == trained.shape
-        assert loaded.tobytes() == trained.tobytes()
+# at input 50 and the shipped width the hidden x input and input x hidden orientations of the
+# one-row w1 product round differently: a model predicts its checkpoint's bits only if every
+# way of making one stores w1 input-major
+CHECKPOINT_CONFIG = MlpConfig(input_dim=50, output_dim=6, dropout_rate=0.2,
+                              learning_rate=0.05, epochs=3, seed=8)
 
 
-def test_loaded_checkpoint_predicts_the_trained_models_bits(tmp_path):
-    # at input 50 and the shipped width the hidden x input and input x hidden
-    # orientations of the one-row w1 product round differently; a loaded model
-    # gives the trained model's bits only if it stores w1 input-major too
+def trained_model():
     rng = np.random.default_rng(3)
-    targets = rng.random((12, 6))
-    ex = ExampleSet(inputs=rng.standard_normal((12, 50)),
-                    targets=targets / targets.sum(axis=1, keepdims=True))
-    cfg = MlpConfig(input_dim=50, output_dim=6, dropout_rate=0.2,
-                    learning_rate=0.05, epochs=3, seed=8)
-    model, _ = train(cfg, ex)
-    p = tmp_path / "model.json"
-    save_model(model, p)
-    back = load_model(p)
-    assert back.w1.base is back.b2.base and back.w1.T.flags.c_contiguous
-    vecs = rng.standard_normal((20, 50))
-    assert predict_all(back, labeled(vecs, ["c"] * 20)).points.tobytes() == \
-        predict_all(model, labeled(vecs, ["c"] * 20)).points.tobytes()
+    examples = ExampleSet(inputs=rng.standard_normal((12, 50)), targets=distributions(rng, 12, 6))
+    return train(CHECKPOINT_CONFIG, examples)[0]
+
+
+def model_from_arrays():
+    rng = np.random.default_rng(5)
+    return MlpModel(w1=rng.standard_normal((128, 50)), b1=rng.standard_normal(128),
+                    w2=rng.standard_normal((6, 128)), b2=rng.standard_normal(6),
+                    config=CHECKPOINT_CONFIG)
+
+
+def assert_checkpoint_roundtrip(model, path):
+    save_model(model, path)
+    back = load_model(path)
+    assert back.config == model.config
+    assert back.theta.tobytes() == model.theta.tobytes()
+    for m in (model, back):
+        assert all(getattr(m, name).base is m.theta for name in ("w1", "b1", "w2", "b2"))
+        assert m.w1.T.flags.c_contiguous
+    words = labeled(np.random.default_rng(7).standard_normal((20, 50)), ["c"] * 20)
+    assert predict_all(back, words).points.tobytes() == predict_all(model, words).points.tobytes()
+
+
+def test_checkpoint_roundtrip_is_bitwise(tmp_path):
+    assert_checkpoint_roundtrip(trained_model(), tmp_path / "model.json")
 
 
 def test_model_built_from_arrays_predicts_its_checkpoints_bits(tmp_path):
-    # at input 50 and the shipped width the two orientations of the one-row w1
-    # product round differently, so a model built from arrays predicts its
-    # reloaded checkpoint's bits only if the constructor stores w1 input-major too
-    rng = np.random.default_rng(5)
-    cfg = MlpConfig(input_dim=50, output_dim=6, dropout_rate=0.2,
-                    learning_rate=0.05, epochs=3, seed=8)
-    model = MlpModel(w1=rng.standard_normal((128, 50)), b1=rng.standard_normal(128),
-                     w2=rng.standard_normal((6, 128)), b2=rng.standard_normal(6), config=cfg)
-    p = tmp_path / "model.json"
-    save_model(model, p)
-    back = load_model(p)
-    vecs = rng.standard_normal((20, 50))
-    assert predict_all(back, labeled(vecs, ["c"] * 20)).points.tobytes() == \
-        predict_all(model, labeled(vecs, ["c"] * 20)).points.tobytes()
-    assert model.theta.tobytes() == back.theta.tobytes()
-    assert all(getattr(model, name).base is model.theta for name in ("w1", "b1", "w2", "b2"))
+    assert_checkpoint_roundtrip(model_from_arrays(), tmp_path / "model.json")
 
 
 def _short_b1(doc):

@@ -802,6 +802,15 @@ def _beyond_float(edit):  # JSON 1e400 parses to inf: the file's fault, before a
     return lambda data: _json(edit)(data).replace(b"1234.5", b"1e400")
 
 
+def _scaled(factor):  # the GDV fixture with every component times `factor`
+    return lambda data: re.sub(rb"(?m),([0-9.]+)$",
+                               lambda m: b"," + repr(float(m[1]) * factor).encode(), data)
+
+
+def _digits(key, count):  # the JSON integer of `key` spelt with `count` nines
+    return lambda data: re.sub(rf'"{key}": \d+'.encode(), f'"{key}": {"9" * count}'.encode(), data)
+
+
 def _bad_sr(case, edit, message, prefix=False):
     """A `train` row reading the staged SR envelope passed through `edit`."""
     return Row(case, ARGV["train"], "{sr}: " + message, ("sr", _json(edit)), prefix=prefix)
@@ -1065,7 +1074,26 @@ EXIT_1 = {
         *(Row(f"no-components-{command}", ARGV[command],
               "{points}: no component columns after `word,category,split`",
               ("points", _lines("word,category,split", "a,x,train", "b,y,train")))
-          for command in ("gdv", "project"))],
+          for command in ("gdv", "project")),
+        # past CPython's 4,300-digit limit on int() of text, which Python versions apply and
+        # word differently: refused in one text on every version
+        Row("sr-horizon-5000-digits", ARGV["train"],
+            "{sr}: integer of 5000 digits exceeds the 4300-digit limit",
+            ("sr", _digits("horizon", 5000))),
+        Row("checkpoint-seed-5000-digits", ARGV["predict"],
+            "{model}: integer of 5000 digits exceeds the 4300-digit limit",
+            ("model", _digits("seed", 5000))),
+        Row("seed-5000-digits", ARGV["run"] + " --seed " + "9" * 5000,
+            "config key seed: integer of 5000 digits exceeds the 4300-digit limit"),
+        # finite values whose squares or sums overflow: the GDV would read 0 and the map fail
+        Row("overflowing-points-gdv", ARGV["gdv"],
+            "a component's sum or sum of squared deviations overflows float64",
+            ("points", _scaled(1e160))),
+        Row("overflowing-points-project", ARGV["project"],
+            "the points' squared distances or Gram matrix overflow float64",
+            ("points", _scaled(1e160))),
+        Row("overflowing-sr-train", ARGV["train"], "{sr}: successor matrix row sums overflow float64",
+            ("sr", _json(lambda d: {**d, "values": [[1e308] * len(row) for row in d["values"]]})))],
 }
 
 

@@ -7,14 +7,7 @@ import pytest
 
 from cogmap.projection import pairwise_euclidean
 
-from oracles import double_centering_mds, mds
-
-
-def condensed(points):
-    points = np.asarray(points, dtype=np.float64)
-    n = len(points)
-    return np.array([np.linalg.norm(points[i] - points[j])
-                     for i in range(n) for j in range(i + 1, n)])
+from oracles import condensed, double_centering_mds, mds
 
 
 # --------------------------------------------------------------- distances

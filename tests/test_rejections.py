@@ -4,10 +4,12 @@ one whole message and leave its directory as it found it.
 `oracles.assert_refused` checks every row, here and in the parametrized tests that keep
 their own names in the other test modules. `EXIT_1` in `test_pipeline_cli.py` is the
 commands' side of the contract: a rejection that one of its rows already makes is a row
-there, not here.
+there, not here. Two guards read the test modules' source: every `match=` states a whole
+message, and every helper has one home.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -22,7 +24,9 @@ from cogmap.pipeline import resolve_config
 from cogmap.projection import classical_mds, pairwise_euclidean
 from cogmap.sr import SuccessorMatrix, TransitionMatrix, successor_matrix
 
-from oracles import assert_refused, init_model, labeled, training_states
+from oracles import assert_refused, flip_chain, init_model, labeled, training_states
+
+TESTS = Path(__file__).parent
 
 
 class Row(NamedTuple):
@@ -59,7 +63,6 @@ def _self_containing():
     return loop
 
 
-FLIP = TransitionMatrix(values=np.array([[0.0, 1.0], [1.0, 0.0]]), state_words=["a", "b"])
 TWO_BY_TWO = ExampleSet(inputs=np.ones((2, 2)), targets=np.full((2, 2), 0.5))
 
 ROWS = [
@@ -97,7 +100,7 @@ ROWS = [
     # gamma = 10 at horizon 400 would overflow a Python float in its last weight: the scale is
     # checked before any power is taken
     *(Row(f"sr-{case}", lambda tmp, gamma=gamma, horizon=horizon: successor_matrix(
-          FLIP, gamma, horizon), message)
+          flip_chain(), gamma, horizon), message)
       for case, gamma, horizon, message in (
           ("gamma--0.1", -0.1, 5, "gamma must be in [0, 1], got -0.1"),
           ("gamma-1.1", 1.1, 5, "gamma must be in [0, 1], got 1.1"),
@@ -139,6 +142,10 @@ ROWS = [
         training_states(np.ones((4, 2)), list("abcd")),
         SuccessorMatrix(gamma=0.5, horizon=1, values=np.eye(3), state_words=list("abc"))),
         "3 state words for 4 training words of the lexicon"),
+    # finite targets whose row sums overflow: refused as that, with no numpy warning
+    Row("examples-row-sum-overflow", lambda tmp: ExampleSet(inputs=np.ones((2, 2)),
+                                                            targets=np.full((2, 2), 1e308)),
+        "target row sums overflow float64"),
     Row("train-empty", lambda tmp: train(_mlp(), ExampleSet(np.zeros((0, 4)), np.zeros((0, 3)))),
         "cannot train on an empty example set"),
     Row("train-input-dim", lambda tmp: train(_mlp(input_dim=3, output_dim=2), TWO_BY_TWO),
@@ -189,10 +196,35 @@ def _anchored(pattern):
 
 def test_every_input_error_match_states_the_whole_message():
     loose = []
-    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+    for path in sorted(TESTS.glob("test_*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.Call) and ast.unparse(node.func) == "pytest.raises"
                     and [ast.unparse(arg) for arg in node.args] == ["InputError"]):
                 loose += [f"{path.name}:{node.lineno}" for keyword in node.keywords
                           if keyword.arg == "match" and not _anchored(keyword.value)]
     assert loose == []
+
+
+def _imported(node):
+    """The names of the modules an import statement may import: `from . import test_x` too."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""] + [alias.name for alias in node.names]
+    return []
+
+
+def test_every_helper_has_one_home():
+    # a helper that two modules need lives in oracles.py, so each is written once
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(TESTS.glob("test_*.py")) + [TESTS / "oracles.py"]}
+    homes = Counter(node.name for tree in trees.values() for node in tree.body
+                    if isinstance(node, ast.FunctionDef))
+    tests, strays = set(trees) - {"oracles"}, []
+    for module in sorted(tests):
+        tree = trees[module]
+        strays += [f"{module} imports {name}" for node in ast.walk(tree)
+                   for name in _imported(node) if tests & set(name.split("."))]
+        strays += [f"{module} defines {node.name} again" for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and homes[node.name] > 1]
+    assert strays == []

@@ -12,7 +12,7 @@ from cogmap.pipeline import PipelineConfig
 from cogmap.sr import (SuccessorMatrix, TransitionMatrix, build_transition_matrix, load_sr_json,
                        save_sr_json, successor_matrix)
 
-from oracles import assert_refused, rollout_occupancy_oracle, training_states
+from oracles import assert_refused, flip_chain, rollout_occupancy_oracle, training_states
 
 
 def chain_from_gram(gram):
@@ -79,10 +79,6 @@ def test_successor_matrix_rejects_a_non_finite_entry(tmp_path, bad):
 
 # --------------------------------------------------------------------- SR
 
-def flip_chain():
-    return TransitionMatrix(values=np.array([[0.0, 1.0], [1.0, 0.0]]), state_words=["a", "b"])
-
-
 def test_flip_chain_closed_form():
     # T alternates states; gamma=.5, horizon=2:
     # M = I + .5 T + .25 I = [[1.25, .5], [.5, 1.25]]
@@ -90,30 +86,11 @@ def test_flip_chain_closed_form():
     np.testing.assert_array_equal(m.values, [[1.25, 0.5], [0.5, 1.25]])
 
 
-def test_undiscounted_row_sums():
-    t = chain_from_gram([[1.0, 0.8, 0.2], [0.8, 1.0, 0.5], [0.2, 0.5, 1.0]])
-    m = successor_matrix(t, 1.0, 5)
-    np.testing.assert_allclose(m.values.sum(axis=1), 6.0, atol=1e-6)
-
-
-def test_horizon_recursion():
-    # M(gamma, H) - M(gamma, H-1) == gamma^H T^H
-    rng = np.random.default_rng(3)
-    raw = rng.random((4, 4)) + 1e-3
-    values = raw / raw.sum(axis=1, keepdims=True)
-    t = TransitionMatrix(values=values, state_words=list("abcd"))
-    for gamma in (0.3, 0.7, 1.0):
-        m5 = successor_matrix(t, gamma, 5).values
-        m4 = successor_matrix(t, gamma, 4).values
-        np.testing.assert_allclose(m5 - m4,
-                                   gamma ** 5 * np.linalg.matrix_power(values, 5),
-                                   atol=1e-9)
-
-
 @pytest.mark.parametrize("n", [5, 60, 240])
-@pytest.mark.parametrize("gamma", [1.0, 0.3])
+@pytest.mark.parametrize("gamma", [1.0, 0.3, 0.7])
 def test_successor_matrix_equals_the_sum_whose_first_power_is_identity_times_t(n, gamma):
-    # the sum's first power is T itself; the product I @ T it skips gives the same bits
+    # the sum's first power is T itself; the product I @ T it skips gives the same bits. At
+    # horizons 4 and 5 both sums are the reference's, so M(5) - M(4) is its gamma^5 T^5 term
     rng = np.random.default_rng(n)
     raw = rng.random((n, n)) * (rng.random((n, n)) < 0.7)  # zeros, as clamped cosines leave
     np.fill_diagonal(raw, 1.0)
@@ -123,7 +100,8 @@ def test_successor_matrix_equals_the_sum_whose_first_power_is_identity_times_t(n
     for k in range(1, 6):
         power = power @ t.values
         values = values + (gamma ** k) * power
-    assert successor_matrix(t, gamma, 5).values.tobytes() == values.tobytes()
+        if k >= 4:
+            assert successor_matrix(t, gamma, k).values.tobytes() == values.tobytes(), k
 
 
 @pytest.mark.parametrize("gamma,horizon,message", [
