@@ -25,7 +25,6 @@ import json
 import math
 import numbers
 import os
-import secrets
 import shutil
 import tempfile
 from contextlib import closing, contextmanager
@@ -79,6 +78,7 @@ def float_row(fields, lineno, word):
 
 
 MAX_INT_DIGITS = 4300  # CPython's default limit on int() of text, kept on every Python version
+_INT_BOUND = 10 ** MAX_INT_DIGITS  # the least integer with more digits
 
 
 def int_text(text):
@@ -91,9 +91,13 @@ def int_text(text):
 
 
 def require_int(name, value):
-    """`value` as an int if it is an integer (a numpy one too) but not a bool; else an InputError."""
+    """`value` as an int if it is an integer (a numpy one too) of at most MAX_INT_DIGITS digits
+    but not a bool; else an InputError. The size is compared with a power of ten, since Python
+    refuses to make the text of a longer integer; a record's later checks may then print it."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InputError(f"{name} must be an integer, got {value!r}")
+    if not -_INT_BOUND < value < _INT_BOUND:
+        raise InputError(f"{name} must have at most {MAX_INT_DIGITS} digits")
     return int(value)
 
 
@@ -153,7 +157,7 @@ def replacing(path):
         return
     target = os.path.realpath(path)
     head, name = os.path.split(target)
-    tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
         fh = open(tmp, "x", encoding="utf-8", newline="\n")
     except OSError as exc:  # name the file asked for, not the temporary one
@@ -217,11 +221,14 @@ def _plain(obj):
 def _dumps(value):
     try:
         return json.dumps(value, allow_nan=False, default=_plain)
-    except ValueError:  # a NaN or an infinity, or a value that contains itself
-        try:  # with NaN and infinities allowed, only a value that contains itself fails again
-            json.dumps(value, default=_plain)
-        except ValueError:
+    except ValueError:  # a NaN or an infinity, an integer too long for text, or a cycle
+        try:  # with NaN and infinities allowed and no cycle check, a cycle recurses without end
+            json.dumps(value, default=_plain, check_circular=False)
+        except RecursionError:
             raise InputError("cannot serialize a value that contains itself to JSON") from None
+        except ValueError:
+            raise InputError(f"cannot serialize an integer of more than {MAX_INT_DIGITS} digits "
+                             "to JSON") from None
         raise InputError("cannot serialize a non-finite number to JSON") from None
 
 

@@ -203,7 +203,8 @@ def fit_scale(inputs, sr, config):
              "first_epoch_loss": losses[0], "final_train_loss": losses[-1],
              "final_model_loss": final_model_loss, "loss_per_epoch": losses,
              "target_entropy": target_entropy,
-             "excess_loss": losses[-1] - target_entropy, "uniform_loss": math.log(sr.n),
+             "excess_loss": losses[-1] - target_entropy,
+             "excess_model_loss": final_model_loss - target_entropy, "uniform_loss": math.log(sr.n),
              "mds_stress": stress,
              "gdv_prediction_space": {k: r["gdv"] for k, r in raw_reports.items()},
              "gdv_projection_2d": {k: r["gdv"] for k, r in planar_reports.items()}}

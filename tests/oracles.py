@@ -3,15 +3,16 @@ loop-by-loop GDV, a Monte Carlo rollout of the successor representation, the
 two-state flip chain, a central finite-difference gradient check, the training
 loop written one array per parameter, the forward pass of one row,
 double-centering MDS and the condensed distances it is compared by, the seeded
-initial model, a vector-text writer for building embedding files, the
-`LabeledPoints` records the tests score, map, train on and predict, the
-listing of a directory tree that a refused call or command must leave as it was,
-and the one check of a refused library call.
+initial model, the heap peak of one call, a vector-text writer for building
+embedding files, the `LabeledPoints` records the tests score, map, train on and
+predict, the listing of a directory tree that a refused call or command must
+leave as it was, and the one check of a refused library call.
 
 The references check none of their arguments: every caller is a test that chose them.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,15 @@ def reference_train(config, examples):
 def predictions(model, x):
     """Forward pass of a single input vector, as a batch of one row."""
     return _forward_backward(model, np.asarray(x)[None, :])[0][0]
+
+
+def heap_peak(call):
+    """`call()`'s result and the Python heap's peak in bytes while it ran (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def save_embeddings(entries, path):

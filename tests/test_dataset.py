@@ -3,7 +3,6 @@ in `test_rejections.py`."""
 
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -89,22 +88,6 @@ def test_embedding_roundtrip_is_bit_exact(tmp_path):
     assert back.shape == (len(entries), 8)
     np.testing.assert_array_equal(back.view(np.uint64),
                                   np.stack(list(entries.values())).view(np.uint64))
-
-
-def test_loader_memory_grows_with_requested_words_not_file(tmp_path):
-    # 4,000 words x 50-d (about 3.9 MB of text); keeping every vector costs
-    # about 2.3 MB of heap, keeping the 3 requested ones about 0.4 MB
-    rng = np.random.default_rng(3)
-    p = tmp_path / "big.txt"
-    save_embeddings({f"w{i}": rng.standard_normal(50) for i in range(4000)}, p)
-    tracemalloc.start()
-    try:
-        vectors = load_embeddings(p, ["w3999", "w0", "w1234"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert vectors.shape == (3, 50)
-    assert peak < 1.0e6, f"heap peak {peak / 1e6:.2f} MB"
 
 
 def test_shipped_data_regenerates_byte_for_byte(tmp_path):

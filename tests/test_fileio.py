@@ -7,7 +7,6 @@ import json
 import math
 import os
 import stat
-import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -15,13 +14,14 @@ import numpy as np
 import pytest
 
 from cogmap import neural, pipeline, sr
+from cogmap.dataset import load_embeddings
 from cogmap.errors import InputError
 from cogmap.fileio import (LabeledPoints, Lexicon, _plain, committing, dump_json, load_json,
                            load_labeled_points_csv, save_labeled_points_csv, save_matrix_csv)
 from cogmap.neural import MlpConfig, MlpModel, save_model
 from cogmap.pipeline import resolve_config, run_pipeline
 
-from oracles import assert_refused
+from oracles import assert_refused, heap_peak, labeled, save_embeddings
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -101,26 +101,6 @@ def test_matrix_writer_takes_rows_of_numbers(tmp_path, shape):
     # a 3-D array used to be written as the text of nested lists
     assert_refused(lambda: save_matrix_csv(np.ones(shape), tmp_path / "m.csv"),
                    f"expected one row of values, got shape {shape[1:]}", tmp_path)
-
-
-@pytest.mark.parametrize("write", [
-    lambda path, values: save_matrix_csv(values, path),
-    lambda path, values: save_labeled_points_csv(path, LabeledPoints(
-        Lexicon([f"w{i}" for i in range(len(values))], ["x"] * len(values),
-                ["train"] * len(values)), values)),
-], ids=["matrix", "labeled-points"])
-def test_csv_writer_heap_stays_near_one_row(tmp_path, write):
-    # converting the whole 1000 x 200 matrix to Python floats first peaks at about 6 MB
-    values = np.random.default_rng(0).standard_normal((1000, 200))
-    tracemalloc.start()
-    try:
-        write(tmp_path / "m.csv", values)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
-    last = (tmp_path / "m.csv").read_text(encoding="utf-8").splitlines()[-1]
-    assert last.endswith(",".join(map(repr, values[-1].tolist())))
 
 
 @pytest.mark.parametrize("bad", NONFINITE)
@@ -248,19 +228,49 @@ def model_document(states):
                     config=cfg)
 
 
-def test_model_dump_heap_stays_near_one_row(tmp_path):
+def _csv(write):
+    """A CSV writer's row: it writes a 1000 x 200 matrix, whose conversion to Python floats as a
+    whole peaks at about 6 MB, and the file's last line ends with the last row's text."""
+    def prepare(tmp):
+        values = np.random.default_rng(0).standard_normal((1000, 200))
+        last = ",".join(map(repr, values[-1].tolist()))
+        return (lambda: write(tmp / "m.csv", values),
+                lambda _: (tmp / "m.csv").read_text(encoding="utf-8").endswith(last + "\n"))
+    return prepare
+
+
+def _model_json(tmp):
     # the single-call encoder holds the whole 2000-state document's text (18.7 MB peak)
     model = model_document(2000)
-    tracemalloc.start()
-    try:
-        save_model(model, tmp_path / "model.json")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
     doc = {"config": asdict(model.config), "w1": model.w1, "b1": model.b1,
            "w2": model.w2, "b2": model.b2}
-    assert (tmp_path / "model.json").read_text(encoding="utf-8") == one_call(doc)
+    return (lambda: save_model(model, tmp / "model.json"),
+            lambda _: (tmp / "model.json").read_text(encoding="utf-8") == one_call(doc))
+
+
+def _embeddings_loader(tmp):
+    # 4,000 words x 50-d (about 3.9 MB of text); keeping every vector costs
+    # about 2.3 MB of heap, keeping the 3 requested ones about 0.4 MB
+    rng = np.random.default_rng(3)
+    save_embeddings({f"w{i}": rng.standard_normal(50) for i in range(4000)}, tmp / "big.txt")
+    return (lambda: load_embeddings(tmp / "big.txt", ["w3999", "w0", "w1234"]),
+            lambda vectors: vectors.shape == (3, 50))
+
+
+# each row prepares its inputs and returns the call to trace and the check of its result
+STREAMED = {"matrix-csv": _csv(lambda path, values: save_matrix_csv(values, path)),
+            "labeled-points-csv": _csv(lambda path, values: save_labeled_points_csv(
+                path, labeled(values, ["x"] * len(values)))),
+            "model-json": _model_json, "embeddings-loader": _embeddings_loader}
+
+
+@pytest.mark.parametrize("prepare", STREAMED.values(), ids=STREAMED)
+def test_streaming_heap_peak_stays_under_1_mb(tmp_path, prepare):
+    # writers hold one row's text at a time, and the loader keeps only the requested vectors
+    call, check = prepare(tmp_path)
+    result, peak = heap_peak(call)
+    assert peak < 1_000_000, f"heap peak {peak / 1e6:.2f} MB"
+    assert check(result)
 
 
 def test_rejected_last_row_leaves_existing_file_and_no_temporary(tmp_path):

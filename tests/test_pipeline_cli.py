@@ -109,10 +109,6 @@ def test_resolve_precedence():
                           {"output_dir": "from-flag"}).output_dir == "from-flag"
 
 
-def test_resolve_parses_gammas():
-    assert resolve_config({"gammas": "0.5, 0.25"}).gammas == [0.5, 0.25]
-
-
 @pytest.mark.parametrize("key,value,message", [
     ("epochs", "0", "epochs must be positive, got 0"),
     ("dropout_rate", "1.0", "dropout rate must be in [0, 1), got 1.0"),
@@ -239,39 +235,51 @@ SHIPPED_INPUTS = {"embeddings": str(DATA_DIR / "embeddings_300d.txt"),
                   "lexicon": str(DATA_DIR / "lexicon.csv")}
 
 
-def test_config_hash_is_stable_sha256():
-    a = resolve_config(SHIPPED_INPUTS)
-    b = resolve_config(SHIPPED_INPUTS)
-    assert config_hash(a) == config_hash(b)
-    assert len(config_hash(a)) == 64
-    assert set(config_hash(a)) <= set("0123456789abcdef")
-    assert config_hash(resolve_config(SHIPPED_INPUTS, {"seed": "1"})) != config_hash(a)
-    # the same settings written to another directory are the same science
-    assert config_hash(resolve_config(SHIPPED_INPUTS, {"output_dir": "elsewhere"})) == \
-        config_hash(a)
-
-
-def test_negative_zero_gamma_hashes_like_zero():
-    assert config_hash(resolve_config(SHIPPED_INPUTS, {"gammas": "-0"})) == \
-        config_hash(resolve_config(SHIPPED_INPUTS, {"gammas": "0"}))
-
-
 def numpy_defaults(*keys):
     """The defaults of `keys` as numpy scalars: np.int64 for an integer, np.float64 for a float."""
     return {key: np.asarray(getattr(PipelineConfig(), key))[()] for key in keys}
 
 
-@pytest.mark.parametrize("spelling", [
-    {"gammas": [1, 0.3]},
-    numpy_defaults("horizon", "seed"),
-    numpy_defaults("epochs", "dropout_rate", "learning_rate"),
-], ids=["integer-gamma", "numpy-horizon-and-seed", "numpy-network"])
-def test_config_stores_plain_numbers_so_one_run_has_one_hash(spelling):
+# two spellings of settings over the shipped inputs, whether they give one record, and whether
+# they give one config_hash; relative paths name the workspace's copies of data/
+SPELLINGS = {
+    "resolved-twice": ({}, {}, True, True),
+    "gammas-text": ({"gammas": "0.5, 0.25"}, {"gammas": [0.5, 0.25]}, True, True),
+    "typed-values": ({"gammas": "1.0,0.3", "epochs": "2"}, {"gammas": [1.0, 0.3], "epochs": 2},
+                     True, True),
+    # -0.0 == 0.0 but would name a second scale: stored as 0.0
+    "negative-zero-gamma": ({"gammas": "0"}, {"gammas": "-0"}, True, True),
     # a numpy integer used to make the hash raise, and gammas=[1, 0.3] hashed apart from [1.0, 0.3]
-    default, config = PipelineConfig(**SHIPPED_INPUTS), PipelineConfig(**SHIPPED_INPUTS, **spelling)
-    assert config_hash(config) == config_hash(default)
-    assert [type(v) for v in vars(config).values()] == [type(v) for v in vars(default).values()]
-    assert [type(g) for g in config.gammas] == [float, float]
+    "integer-gamma": ({}, {"gammas": [1, 0.3]}, True, True),
+    "numpy-horizon-and-seed": ({}, numpy_defaults("horizon", "seed"), True, True),
+    "numpy-network": ({}, numpy_defaults("epochs", "dropout_rate", "learning_rate"), True, True),
+    "another-seed": ({}, {"seed": "1"}, False, False),
+    # the same settings written to another directory are the same science
+    "another-output-dir": ({}, {"output_dir": "elsewhere"}, False, True),
+    # the hash covers the input's bytes, not its path text or its place
+    "copied-input": ({}, {"lexicon": "data/lexicon.csv"}, False, True),
+    "dotted-path": ({"lexicon": "data/lexicon.csv"}, {"lexicon": "./data/lexicon.csv"}, False, True),
+    "path-object": ({"lexicon": "data/lexicon.csv"}, {"lexicon": Path("data/lexicon.csv")},
+                    True, True),
+    "edited-input": ({}, {"lexicon": "edited.csv"}, False, False),  # written by the test
+}
+
+
+@pytest.mark.parametrize("a,b,same_record,same_hash", SPELLINGS.values(), ids=SPELLINGS)
+def test_config_spellings_record_and_hash(workspace, a, b, same_record, same_hash):
+    data = bytearray((DATA_DIR / "lexicon.csv").read_bytes())
+    data[-2] ^= 1  # the last character of the last split name
+    (workspace / "edited.csv").write_bytes(bytes(data))
+    plain = [type(v) for v in vars(PipelineConfig(**SHIPPED_INPUTS)).values()]
+    configs = [resolve_config(SHIPPED_INPUTS, spelling) for spelling in (a, b)]
+    hashes = [config_hash(config) for config in configs]
+    for config, digest in zip(configs, hashes):
+        # plain numbers and path text, so one run has one hash
+        assert [type(v) for v in vars(config).values()] == plain
+        assert {type(g) for g in config.gammas} == {float}
+        assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+    assert (configs[0] == configs[1]) == same_record
+    assert (hashes[0] == hashes[1]) == same_hash
 
 
 @pytest.mark.parametrize("value", ["pipe-fd", None, b"data/lexicon.csv", ""],
@@ -309,31 +317,6 @@ def test_path_settings_run_like_their_text(tiny, tmp_path):
         del manifest["created_utc"]
         manifests.append(manifest)
     assert manifests[1] == manifests[0]
-
-
-def test_config_hash_covers_input_bytes_not_path_text(tmp_path, monkeypatch):
-    monkeypatch.chdir(REPO)
-    digest = config_hash(resolve_config(SHIPPED_INPUTS))
-    for spelling in ("data/lexicon.csv", "./data/lexicon.csv"):
-        assert config_hash(resolve_config(SHIPPED_INPUTS, {"lexicon": spelling})) == digest
-    copy = tmp_path / "lexicon.csv"
-    shutil.copyfile(DATA_DIR / "lexicon.csv", copy)
-    assert config_hash(resolve_config(SHIPPED_INPUTS, {"lexicon": copy})) == digest
-    data = bytearray(copy.read_bytes())
-    data[-2] ^= 1  # the last character of the last split name
-    copy.write_bytes(bytes(data))
-    assert config_hash(resolve_config(SHIPPED_INPUTS, {"lexicon": copy})) != digest
-
-
-def test_resolve_takes_typed_values_as_their_text_spelling():
-    typed = resolve_config(SHIPPED_INPUTS, {"gammas": [1.0, 0.3], "epochs": 2})
-    text = resolve_config(SHIPPED_INPUTS, {"gammas": "1.0,0.3", "epochs": "2"})
-    assert typed == text and config_hash(typed) == config_hash(text)
-    assert resolve_config(overrides={"lexicon": Path("x.csv")}).lexicon == "x.csv"
-    with pytest.raises(InputError, match="^epochs must be an integer, got True$"):
-        resolve_config(overrides={"epochs": True})
-    with pytest.raises(InputError, match="^gammas must be a nonempty list$"):
-        resolve_config(overrides={"gammas": 0.5})
 
 
 # ---------------------------------------------------------------- pipeline
@@ -411,6 +394,7 @@ def test_manifest_records_the_loss_curve_beside_its_floor_and_a_uniform_guess(ti
         t_ln_t = [t * math.log(t) for row in targets for t in row if t > 0.0]
         assert abs(run["target_entropy"] + math.fsum(t_ln_t) / len(sr)) <= 1e-12
         assert run["excess_loss"] == run["final_train_loss"] - run["target_entropy"]
+        assert run["excess_model_loss"] == run["final_model_loss"] - run["target_entropy"]
         # the returned model's inference-mode loss, read back from its predictions
         predictions = load_labeled_points_csv(out_dir / run["files"]["predictions_csv"])
         p = predictions.split("train").points

@@ -20,7 +20,7 @@ from cogmap.dataset import ExampleSet, build_examples, load_embeddings, load_lex
 from cogmap.fileio import LabeledPoints, Lexicon, dump_json, save_labeled_points_csv
 from cogmap.metrics import gdv, zscore_half
 from cogmap.neural import MlpConfig, predict_all, train
-from cogmap.pipeline import resolve_config
+from cogmap.pipeline import PipelineConfig, resolve_config
 from cogmap.projection import classical_mds, pairwise_euclidean
 from cogmap.sr import SuccessorMatrix, TransitionMatrix, successor_matrix
 
@@ -75,6 +75,14 @@ ROWS = [
     Row("resolve-learning-rate-401-digits",
         lambda tmp: resolve_config(overrides={"learning_rate": 10 ** 400}),
         "learning_rate must be within float64 range"),
+    Row("resolve-epochs-true", lambda tmp: resolve_config(overrides={"epochs": True}),
+        "epochs must be an integer, got True"),
+    Row("resolve-gammas-0.5", lambda tmp: resolve_config(overrides={"gammas": 0.5}),
+        "gammas must be a nonempty list"),
+    # Python refuses the text of an integer past 4,300 digits: its size is checked before any
+    # message could print it
+    *(Row(f"config-{key}-5001-digits", lambda tmp, key=key: PipelineConfig(**{key: -10 ** 5000}),
+          f"{key} must have at most 4300 digits") for key in ("seed", "epochs", "horizon")),
     Row("mlp-input-dim-0", lambda tmp: _mlp(input_dim=0), "layer sizes must be positive"),
     Row("mlp-output-dim--1", lambda tmp: _mlp(output_dim=-1), "layer sizes must be positive"),
     Row("mlp-dropout-rate--0.1", lambda tmp: _mlp(dropout_rate=-0.1),
@@ -97,6 +105,9 @@ ROWS = [
     Row("successor-gamma-401-digits", lambda tmp: SuccessorMatrix(
         gamma=10 ** 400, horizon=1, values=np.eye(2), state_words=["a", "b"]),
         "gamma must be within float64 range"),
+    Row("successor-horizon-5001-digits", lambda tmp: SuccessorMatrix(
+        gamma=0.5, horizon=-10 ** 5000, values=np.eye(1), state_words=["a"]),
+        "horizon must have at most 4300 digits"),
     # gamma = 10 at horizon 400 would overflow a Python float in its last weight: the scale is
     # checked before any power is taken
     *(Row(f"sr-{case}", lambda tmp, gamma=gamma, horizon=horizon: successor_matrix(
@@ -137,6 +148,8 @@ ROWS = [
     Row("json-self-containing",
         lambda tmp: dump_json({"values": _self_containing()}, tmp / "doc.json"),
         "cannot serialize a value that contains itself to JSON"),
+    Row("json-5001-digit-integer", lambda tmp: dump_json({"seed": 10 ** 5000}, tmp / "doc.json"),
+        "cannot serialize an integer of more than 4300 digits to JSON"),
     # ------------------------------------------------------ stages and scores
     Row("examples-state-count", lambda tmp: build_examples(
         training_states(np.ones((4, 2)), list("abcd")),

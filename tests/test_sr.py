@@ -150,25 +150,36 @@ def test_oracle_is_seeded():
 
 # ---------------------------------------------------------------- file I/O
 
-def test_sr_json_roundtrip(tmp_path):
-    t = chain_from_gram([[1.0, 0.8, 0.2], [0.8, 1.0, 0.5], [0.2, 0.5, 1.0]])
-    m = successor_matrix(t, 0.3, 5)
-    p = tmp_path / "sr.json"
-    save_sr_json(m, p)
-    back = load_sr_json(p)
-    np.testing.assert_equal(vars(back), vars(m))  # state words included
+def record_bits(record):
+    """Each field as its dtype, shape and bytes, or as its `repr`: 1 and 1.0, -0.0 and 0.0 differ."""
+    return {name: (value.dtype.str, value.shape, value.tobytes()) if isinstance(value, np.ndarray)
+            else repr(value) for name, value in vars(record).items()}
 
 
-@pytest.mark.parametrize("words", [["a", "b"], ("a", "b")], ids=["list", "tuple"])
-def test_sr_json_roundtrip_gives_an_equal_record(tmp_path, words):
-    m = SuccessorMatrix(gamma=0.5, horizon=2, values=np.array([[1.25, 0.5], [0.5, 1.25]]),
-                        state_words=words)
+FLIP_SR = np.array([[1.25, 0.5], [0.5, 1.25]])
+ENVELOPES = {  # a record and the state words it must hold, before and after its round trip
+    "gram-chain": (lambda: successor_matrix(chain_from_gram(
+        [[1.0, 0.8, 0.2], [0.8, 1.0, 0.5], [0.2, 0.5, 1.0]]), 0.3, 5), ["w0", "w1", "w2"]),
+    "flip-chain": (lambda: successor_matrix(flip_chain(), 0.5, 2), ["a", "b"]),
+    "list-words": (lambda: SuccessorMatrix(gamma=0.5, horizon=2, values=FLIP_SR,
+                                           state_words=["a", "b"]), ["a", "b"]),
+    "tuple-words": (lambda: SuccessorMatrix(gamma=0.5, horizon=2, values=FLIP_SR,
+                                            state_words=("a", "b")), ["a", "b"]),
+}
+
+
+@pytest.mark.parametrize("make,words", ENVELOPES.values(), ids=ENVELOPES)
+def test_sr_json_is_the_records_fields_and_reloads_it_bit_for_bit(tmp_path, make, words):
+    m = make()
     p = tmp_path / "sr.json"
     save_sr_json(m, p)
-    back = load_sr_json(p)
-    assert back.state_words == m.state_words == ["a", "b"]
-    assert (back.gamma, back.horizon) == (m.gamma, m.horizon)
-    assert back.values.tobytes() == m.values.tobytes()
+    doc = json.loads(p.read_text(encoding="utf-8"))
+    assert list(doc) == ["gamma", "horizon", "state_words", "values"]
+    assert [type(value) for value in doc.values()] == [float, int, list, list]
+    assert doc == {"gamma": m.gamma, "horizon": m.horizon, "state_words": words,
+                   "values": m.values.tolist()}
+    assert record_bits(load_sr_json(p)) == record_bits(m)
+    assert m.state_words == words
 
 
 @pytest.mark.parametrize("kind", [TransitionMatrix, SuccessorMatrix])
@@ -183,22 +194,10 @@ def test_matrices_take_their_state_words_as_a_list_of_words(tmp_path, kind):
     assert kind(values=values, state_words=("a", "b"), **scale).state_words == ["a", "b"]
 
 
-def test_sr_json_is_plain_json(tmp_path):
-    t = flip_chain()
-    m = successor_matrix(t, 0.5, 2)
-    p = tmp_path / "sr.json"
-    save_sr_json(m, p)
-    doc = json.loads(p.read_text(encoding="utf-8"))
-    assert doc["gamma"] == 0.5
-    assert doc["horizon"] == 2
-    assert doc["state_words"] == ["a", "b"]
-
-
 @pytest.mark.parametrize("n", [2, 3, 2.5], ids=["right", "wrong", "fraction"])
 def test_sr_json_with_an_older_n_key_loads_as_the_same_record(tmp_path, n):
     # envelopes once led with the matrix size; the size is the state words' count now
-    m = SuccessorMatrix(gamma=0.5, horizon=2, values=np.array([[1.25, 0.5], [0.5, 1.25]]),
-                        state_words=["a", "b"])
+    m = SuccessorMatrix(gamma=0.5, horizon=2, values=FLIP_SR, state_words=["a", "b"])
     p = tmp_path / "sr.json"
     save_sr_json(m, p)
     doc = json.loads(p.read_text(encoding="utf-8"))
